@@ -34,7 +34,9 @@ from .data_io import GeneratorConfig, load_csv, save_csv, stratify
 from .deheap import deheap as run_deheap
 from .design import ModelSpec, ModelTag
 from .distributions import Family, empirical_moments
-from .evaluation import ComparisonReport, elpd_diff, elpd_loo, pointwise_loglik, qq_rmse
+# pointwise_loglik is not called here (PSIS streams record blocks inside
+# elpd_loo) but stays importable: perfbench/trace.py wraps agemix.cli's names
+from .evaluation import ComparisonReport, elpd_diff, elpd_loo, pointwise_loglik, qq_rmse  # noqa: F401
 from .inference import (
     FitProblem,
     _full_etas,
@@ -260,8 +262,14 @@ def _fit_subset_combo(task):
         problem = FitProblem(family, Transform(kind), ModelSpec(ModelTag.INTERCEPT_ONLY), records)
         fit = fit_map(problem)
         draws = laplace_draws(fit, n_draws, seed=_child_seed(seed, key_sex, key_bin, fam_idx, kind_idx, 1))
-        ll = pointwise_loglik(fit, draws, records)
-        res = elpd_loo(ll, method=elpd_method, problem=problem, seed=_child_seed(seed, key_sex, key_bin, fam_idx, kind_idx, 2))
+        res = elpd_loo(
+            method=elpd_method,
+            fit=fit,
+            draws=draws,
+            records=records,
+            problem=problem,
+            seed=_child_seed(seed, key_sex, key_bin, fam_idx, kind_idx, 2),
+        )
         pred = predictive_for_records(
             fit, draws, records, qq_samples, seed=_child_seed(seed, key_sex, key_bin, fam_idx, kind_idx, 3)
         )
@@ -460,8 +468,9 @@ def _fit_model_spec(task):
         )
         fit = fit_map(problem)
         draws = laplace_draws(fit, n_draws, seed=_child_seed(seed, tag_idx, 1))
-        ll = pointwise_loglik(fit, draws, records)
-        res = elpd_loo(ll, method=elpd_method, problem=problem, seed=_child_seed(seed, tag_idx, 2))
+        res = elpd_loo(
+            method=elpd_method, fit=fit, draws=draws, records=records, problem=problem, seed=_child_seed(seed, tag_idx, 2)
+        )
 
         observed = {}
         predictive = {}

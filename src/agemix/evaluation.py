@@ -11,6 +11,12 @@ the smoothed weights at the largest raw weight, and reports the Pareto tail
 index k-hat per record; records with k-hat > 0.7 are flagged as unreliable.
 Standard errors follow the usual pointwise convention
 se = sqrt(n * var(pointwise)).
+
+PSIS is independent per record, so ``elpd_loo`` streams blocks of records
+(records x draws, about ``_BLOCK_BYTES`` each) from the fit through one
+kernel and keeps only the pointwise ELPD and k-hat: memory is
+O(draws x block), not O(records x draws). ``pointwise_loglik`` builds the
+full matrix from the same blocks for callers that want it.
 """
 
 from __future__ import annotations
@@ -20,7 +26,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import transforms
 from .design import design_matrices
@@ -28,7 +33,6 @@ from .distributions import log_pdf_slots
 from .inference import (
     FitResult,
     PosteriorDraws,
-    _full_etas,
     _natural_params,
     fit_map,
     laplace_draws,
@@ -51,7 +55,10 @@ DEFAULT_QUANTILES = tuple(np.round(np.arange(0.1, 0.91, 0.1), 10))
 KHAT_WARN = 0.7
 _TAIL_FRACTION = 0.2
 _MIN_TAIL = 5
-_DRAW_CHUNK = 256
+# bytes of log likelihood per streamed record block
+_BLOCK_BYTES = 2 << 20
+# scratch bytes per row chunk of the generalized Pareto profile fit
+_GPD_CHUNK_BYTES = 1 << 20
 
 
 @dataclass
@@ -69,6 +76,52 @@ class LogLikMatrix:
         return self.values.shape[1]
 
 
+def _block_rows(n_draws: int) -> int:
+    return max(1, _BLOCK_BYTES // (8 * n_draws))
+
+
+def _loglik_blocks(fit: FitResult, draws: PosteriorDraws, records, transform=None):
+    """Yield (start, block): log likelihoods of consecutive record blocks.
+
+    ``block`` is C-contiguous (records x draws); entry (i, d) is the log
+    density of record ``start + i`` under draw d. Any non-finite entry
+    raises, naming the offending record and draw.
+    """
+    t = transform if transform is not None else fit.transform
+    ages = np.array([r.respondent_age for r in records], dtype=float)
+    sexes = np.array([r.respondent_sex for r in records], dtype=int)
+    partners = np.array([r.partner_age for r in records], dtype=float)
+    y = transforms.forward_array(t, ages, sexes, partners)
+    jac = transforms.log_jacobian_array(t, ages, sexes, partners)
+
+    mats = design_matrices(fit.spec, ages, sexes, slots=fit.slots, center=True)
+    coefs = {slot: draws.draws[:, slice(*fit.offsets[slot])].T for slot in fit.slots}
+    step = _block_rows(draws.draws.shape[0])
+    for start in range(0, len(records), step):
+        rows = slice(start, start + step)
+        # fit.slots are exactly the slots the family's parameters read
+        etas = {slot: mats[slot][rows] @ coefs[slot] for slot in fit.slots}
+        params = _natural_params(fit.family, etas)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            block = log_pdf_slots(fit.family, y[rows, None], *params) + jac[rows, None]
+        del etas, params  # only the block stays alive while the caller holds it
+        if not np.all(np.isfinite(block)):
+            i, d = np.argwhere(~np.isfinite(block))[0]
+            i += start
+            raise ValueError(
+                f"non-finite log likelihood at draw {d}, record {i} "
+                f"(respondent_age={ages[i]}, respondent_sex={sexes[i]}, partner_age={partners[i]})"
+            )
+        yield start, block
+
+
+def _matrix_blocks(values: np.ndarray):
+    """Yield (start, block) records-major blocks of a (draws x records) matrix."""
+    step = _block_rows(values.shape[0])
+    for start in range(0, values.shape[1], step):
+        yield start, np.ascontiguousarray(values[:, start : start + step].T)
+
+
 def pointwise_loglik(
     fit: FitResult,
     draws: PosteriorDraws,
@@ -81,34 +134,24 @@ def pointwise_loglik(
     Entry (d, i) is the log density of record i's partner age under draw d.
     Any non-finite entry raises, naming the offending record and draw.
     """
-    t = transform if transform is not None else fit.transform
-    ages = np.array([r.respondent_age for r in records], dtype=float)
-    sexes = np.array([r.respondent_sex for r in records], dtype=int)
-    partners = np.array([r.partner_age for r in records], dtype=float)
-    y = transforms.forward_array(t, ages, sexes, partners)
-    jac = transforms.log_jacobian_array(t, ages, sexes, partners)
-
-    mats = design_matrices(fit.spec, ages, sexes, slots=fit.slots, center=True)
-    n_draws = draws.draws.shape[0]
-    out = np.empty((n_draws, len(records)))
-    for start in range(0, n_draws, _DRAW_CHUNK):
-        stop = min(start + _DRAW_CHUNK, n_draws)
-        chunk = draws.draws[start:stop]
-        etas = {}
-        for slot in fit.slots:
-            a, b = fit.offsets[slot]
-            etas[slot] = chunk[:, a:b] @ mats[slot].T
-        params = _natural_params(fit.family, _full_etas(fit, etas))
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            out[start:stop] = log_pdf_slots(fit.family, y[None, :], *params) + jac[None, :]
-
-    if not np.all(np.isfinite(out)):
-        d, i = np.argwhere(~np.isfinite(out))[0]
-        raise ValueError(
-            f"non-finite log likelihood at draw {d}, record {i} "
-            f"(respondent_age={ages[i]}, respondent_sex={sexes[i]}, partner_age={partners[i]})"
-        )
+    out = np.empty((draws.draws.shape[0], len(records)))
+    for start, block in _loglik_blocks(fit, draws, records, transform):
+        out[:, start : start + block.shape[0]] = block.T
     return LogLikMatrix(values=out)
+
+
+def _logsumexp_rows(a: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """Max-shifted log-sum-exp of each row of ``a``.
+
+    ``scratch`` (same shape, may be ``a`` itself) holds the shifted
+    exponentials; it is allocated when not given.
+    """
+    shift = a.max(axis=1)
+    shift[~np.isfinite(shift)] = 0.0
+    out = np.empty_like(a) if scratch is None else scratch
+    np.subtract(a, shift[:, None], out=out)
+    np.exp(out, out=out)
+    return np.log(out.sum(axis=1)) + shift
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +193,7 @@ def _gpd_quantiles(p: np.ndarray, k: float, sigma: float) -> np.ndarray:
 def _psis_column(ll_col: np.ndarray) -> tuple[np.ndarray, float]:
     """Smoothed, self-normalized log importance weights for one record.
 
-    Reference implementation; ``_psis_matrix`` is the vectorized equivalent
+    Reference implementation; ``_psis_block`` is the vectorized equivalent
     used in production and is tested against this one.
     """
     lw = -ll_col
@@ -176,14 +219,15 @@ def _psis_column(ll_col: np.ndarray) -> tuple[np.ndarray, float]:
                     smoothed = np.log(_gpd_quantiles(probs, k, sigma) + exp_cutoff)
                     lw = lw.copy()
                     lw[tail_idx] = np.minimum(smoothed, 0.0)
-    return lw - logsumexp(lw), khat
-
-
-_PSIS_CHUNK = 512
+    return lw - _logsumexp_rows(lw[None, :])[0], khat
 
 
 def _gpd_fit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise generalized Pareto fits; x is (rows, m) ascending per row."""
+    """Row-wise generalized Pareto fits; x is (rows, n) ascending per row.
+
+    The (rows, grid, n) profile scratch lives in one buffer, so callers pass
+    row chunks of about ``_GPD_CHUNK_BYTES``.
+    """
     rows, n = x.shape
     m = 30 + int(math.isqrt(n))
     idx = np.arange(1.0, m + 1.0)
@@ -192,10 +236,12 @@ def _gpd_fit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     bad = quart <= 0
     if bad.any():
         # fall back to each row's smallest positive exceedance
-        masked = np.where(x > 0, x, np.inf)
-        quart[bad] = masked[bad].min(axis=1)
+        quart[bad] = np.where(x[bad] > 0, x[bad], np.inf).min(axis=1)
     bs = bs0[None, :] / (3.0 * quart[:, None]) + 1.0 / x[:, -1][:, None]
-    ks = np.mean(np.log1p(-bs[:, :, None] * x[:, None, :]), axis=2)
+    buf = np.empty((rows, m, n))
+    np.multiply(-bs[:, :, None], x[:, None, :], out=buf)
+    np.log1p(buf, out=buf)
+    ks = buf.mean(axis=2)
     profile = n * (np.log(-bs / ks) - ks - 1.0)
     profile -= profile.max(axis=1, keepdims=True)
     w = np.exp(profile)
@@ -208,48 +254,67 @@ def _gpd_fit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return k, sigma
 
 
-def _psis_matrix(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized PSIS over all records; returns (normalized lw, khat)."""
-    s, n = values.shape
-    lw = -values
-    lw = lw - lw.max(axis=0, keepdims=True)
-    m = int(math.floor(_TAIL_FRACTION * s))
-    khat = np.full(n, -math.inf)
+def _smooth_tails(lw: np.ndarray, m: int, khat: np.ndarray) -> None:
+    """Pareto-smooth the top ``m`` log weights of each row of ``lw`` in place.
+
+    Rows are max-shifted to 0; ``khat`` receives each row's tail index.
+    """
+    s = lw.shape[1]
+    # the m + 1 largest weights per row (the cutoff and the tail), ordered by
+    # (weight, draw) exactly as a stable full argsort orders them
+    top = np.argpartition(lw, s - m - 1, axis=1)[:, s - m - 1 :].copy()
+    vals = np.take_along_axis(lw, top, axis=1)
+    # where weights equal to the cutoff straddle the partition, it picked
+    # among them arbitrarily; such rows take the full stable sort
+    straddled = np.count_nonzero(lw >= vals.min(axis=1, keepdims=True), axis=1) > m + 1
+    for r in np.nonzero(straddled)[0]:
+        top[r] = np.argsort(lw[r], kind="stable")[s - m - 1 :]
+    top.sort(axis=1)
+    vals = np.take_along_axis(lw, top, axis=1)
+    order = np.argsort(vals, axis=1, kind="stable")
+    tail_idx = np.take_along_axis(top, order[:, 1:], axis=1)
+    vals = np.take_along_axis(vals, order, axis=1)
+
+    exp_cutoff = np.exp(np.maximum(vals[:, 0], math.log(np.finfo(float).tiny)))
+    exceed = np.exp(vals[:, 1:]) - exp_cutoff[:, None]
+    positive = exceed[:, -1] > 0
+    n_pos = np.count_nonzero(exceed > 0, axis=1)
+    # weights so concentrated the tail underflows; unassessable
+    khat[positive & (n_pos < _MIN_TAIL)] = math.inf
+    valid = np.nonzero(positive & (n_pos >= _MIN_TAIL))[0]
+    log_tail_probs = np.log1p(-(np.arange(m) + 0.5) / m)
+    step = max(1, _GPD_CHUNK_BYTES // (8 * m * (30 + math.isqrt(m))))
+    for start in range(0, valid.size, step):
+        chunk = valid[start : start + step]
+        k, sigma = _gpd_fit_rows(exceed[chunk])
+        khat[chunk] = k
+        smooth = np.isfinite(k) & (k >= 1.0 / 3.0)
+        if not smooth.any():
+            continue
+        sm = chunk[smooth]
+        ks = k[smooth][:, None]
+        quantiles = sigma[smooth][:, None] * np.expm1(-ks * log_tail_probs[None, :]) / ks
+        smoothed = np.log(quantiles + exp_cutoff[sm][:, None])
+        lw[sm[:, None], tail_idx[sm]] = np.minimum(smoothed, 0.0)
+
+
+def _psis_block(ll: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """PSIS-LOO for a records-major block ``ll`` (records x draws).
+
+    Returns the self-normalized smoothed log weights (records x draws), the
+    pointwise ELPD and k-hat of each record; row by row they equal
+    ``_psis_column`` up to rounding.
+    """
+    lw = np.negative(ll)
+    lw -= lw.max(axis=1, keepdims=True)
+    m = int(math.floor(_TAIL_FRACTION * ll.shape[1]))
+    khat = np.full(ll.shape[0], -math.inf)
     if m >= _MIN_TAIL:
-        order = np.argsort(lw, axis=0, kind="stable")
-        cols = np.arange(n)
-        cutoff = np.maximum(lw[order[s - m - 1], cols], math.log(np.finfo(float).tiny))
-        tail_idx = order[s - m :, :]
-        tail = np.take_along_axis(lw, tail_idx, axis=0)
-        exp_cutoff = np.exp(cutoff)
-        exceed = np.exp(tail) - exp_cutoff[None, :]
-        positive = exceed[-1, :] > 0
-        n_pos = np.count_nonzero(exceed > 0, axis=0)
-        khat[positive & (n_pos < _MIN_TAIL)] = math.inf
-        valid = np.nonzero(positive & (n_pos >= _MIN_TAIL))[0]
-        probs = (np.arange(m) + 0.5) / m
-        for start in range(0, valid.size, _PSIS_CHUNK):
-            chunk = valid[start : start + _PSIS_CHUNK]
-            k, sigma = _gpd_fit_rows(exceed[:, chunk].T)
-            khat[chunk] = k
-            smooth = np.isfinite(k) & (k >= 1.0 / 3.0)
-            if not smooth.any():
-                continue
-            sm_cols = chunk[smooth]
-            ks = k[smooth][:, None]
-            sig = sigma[smooth][:, None]
-            with np.errstate(divide="ignore"):
-                quantiles = np.where(
-                    np.abs(ks) < 1e-12,
-                    sig * (-np.log1p(-probs))[None, :],
-                    sig * np.expm1(-ks * np.log1p(-probs)[None, :]) / np.where(np.abs(ks) < 1e-12, 1.0, ks),
-                )
-            smoothed = np.minimum(np.log(quantiles + exp_cutoff[sm_cols][:, None]), 0.0)
-            sub = lw[:, sm_cols]
-            np.put_along_axis(sub, tail_idx[:, sm_cols], smoothed.T, axis=0)
-            lw[:, sm_cols] = sub
-    lw = lw - logsumexp(lw, axis=0, keepdims=True)
-    return lw, khat
+        _smooth_tails(lw, m, khat)
+    scratch = np.empty_like(lw)
+    lw -= _logsumexp_rows(lw, scratch)[:, None]
+    np.add(lw, ll, out=scratch)
+    return lw, _logsumexp_rows(scratch, scratch), khat
 
 
 @dataclass
@@ -263,10 +328,6 @@ class ElpdResult:
     khat: np.ndarray | None = None
     flagged: tuple[int, ...] = ()
 
-    def __iter__(self):
-        # unpack as (elpd, se, pointwise)
-        return iter((self.elpd, self.se, self.pointwise))
-
 
 def _pointwise_se(pointwise: np.ndarray) -> float:
     n = pointwise.size
@@ -276,9 +337,12 @@ def _pointwise_se(pointwise: np.ndarray) -> float:
 
 
 def elpd_loo(
-    ll: LogLikMatrix,
+    ll: LogLikMatrix | None = None,
     method: str = "psis",
     *,
+    fit: FitResult | None = None,
+    draws: PosteriorDraws | None = None,
+    records=None,
     problem=None,
     folds: int = 10,
     n_draws: int = 1000,
@@ -286,18 +350,28 @@ def elpd_loo(
 ) -> ElpdResult:
     """Leave-one-out expected log predictive density.
 
-    ``method="psis"`` estimates LOO from the draw matrix alone (requires at
-    least 100 draws). ``method="exact_kfold"`` refits ``problem`` on K
-    training folds and scores each record out of fold; it needs the
-    originating FitProblem and ignores the draw values in ``ll`` beyond the
+    ``method="psis"`` estimates LOO from the draws alone (requires at least
+    100 draws): either from the matrix ``ll`` or, when ``ll`` is None, by
+    streaming record blocks of ``records`` under ``fit`` and ``draws``
+    without building the matrix. ``method="exact_kfold"`` refits ``problem``
+    on K training folds and scores each record out of fold; it needs the
+    originating FitProblem and uses ``ll``, if given, only to check the
     record count.
     """
     if method == "psis":
-        values = ll.values
-        if values.shape[0] < 100:
+        if ll is not None:
+            (n_samples, n), blocks = ll.values.shape, _matrix_blocks(ll.values)
+        elif fit is None or draws is None or records is None:
+            raise ValueError("psis needs a log-likelihood matrix or fit, draws and records")
+        else:
+            (n_samples, n), blocks = (draws.draws.shape[0], len(records)), _loglik_blocks(fit, draws, records)
+        if n_samples < 100:
             raise ValueError("psis requires at least 100 draws")
-        lw, khat = _psis_matrix(values)
-        pointwise = logsumexp(lw + values, axis=0)
+        pointwise = np.empty(n)
+        khat = np.empty(n)
+        for start, block in blocks:
+            rows = slice(start, start + block.shape[0])
+            _, pointwise[rows], khat[rows] = _psis_block(block)
         flagged = tuple(int(i) for i in np.nonzero(khat > KHAT_WARN)[0])
         if flagged:
             warnings.warn(
@@ -337,8 +411,9 @@ def elpd_loo(
             sub = replace(base, records=train)
             fit = fit_map(sub)
             draws = laplace_draws(fit, n_draws, seed=seed + fold + 1)
-            held_ll = pointwise_loglik(fit, draws, [records[i] for i in held])
-            pointwise[held] = logsumexp(held_ll.values, axis=0) - math.log(n_draws)
+            for start, block in _loglik_blocks(fit, draws, [records[i] for i in held]):
+                rows = held[start : start + block.shape[0]]
+                pointwise[rows] = _logsumexp_rows(block, block) - math.log(n_draws)
         return ElpdResult(
             elpd=float(pointwise.sum()),
             se=_pointwise_se(pointwise),

@@ -1,18 +1,22 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 from scipy.stats import lognorm
 
+from agemix import evaluation
+from agemix.data_io import default_config, simulate
 from agemix.design import ModelSpec, ModelTag
 from agemix.distributions import Family
 from agemix.evaluation import (
     ComparisonReport,
     ElpdResult,
     LogLikMatrix,
+    _psis_block,
     _psis_column,
-    _psis_matrix,
     elpd_diff,
     elpd_loo,
     pointwise_loglik,
@@ -100,6 +104,16 @@ class TestPointwiseLoglik:
             pointwise_loglik(fit, bad, small_records[:5])
 
 
+def _assert_kernel_matches_column_oracle(ll):
+    """``_psis_block`` on ll (draws x records) equals ``_psis_column`` per record."""
+    lw_b, pointwise_b, khat_b = _psis_block(np.ascontiguousarray(ll.T))
+    for i in range(ll.shape[1]):
+        lw_s, khat_s = _psis_column(ll[:, i])
+        np.testing.assert_allclose(lw_b[i], lw_s, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(pointwise_b[i], logsumexp(lw_s + ll[:, i]), rtol=0, atol=1e-10)
+        np.testing.assert_allclose(khat_b[i], khat_s, rtol=0, atol=1e-10)
+
+
 class TestPsis:
     def test_constant_density_model(self):
         ll = np.full((300, 6), math.log(0.25))
@@ -115,12 +129,7 @@ class TestPsis:
     def test_matrix_path_matches_column_reference(self):
         rng = np.random.default_rng(5)
         ll = rng.normal(-2, 1, (400, 50)) + rng.standard_t(4, (400, 50))
-        lw_m, khat_m = _psis_matrix(ll)
-        for i in range(50):
-            lw_s, khat_s = _psis_column(ll[:, i])
-            np.testing.assert_allclose(lw_m[:, i], lw_s, atol=1e-10)
-            if math.isfinite(khat_s):
-                assert khat_m[i] == pytest.approx(khat_s, abs=1e-10)
+        _assert_kernel_matches_column_oracle(ll)
 
     def test_heavy_tail_flagged(self):
         rng = np.random.default_rng(2)
@@ -177,6 +186,140 @@ class TestPsis:
         assert abs(res.elpd - exact.sum()) < 0.5  # tight agreement in absolute terms
 
 
+def _heavy_log_weights(rng, s=400):
+    # Pareto(1) importance weights: k-hat near 1, so the tail is smoothed
+    return np.log1p(rng.pareto(1.0, s))
+
+
+class TestPsisKernel:
+    # with 400 draws the tail is the top 80 weights and the cutoff is the
+    # weight at stable-sorted position 319
+
+    def test_ties_at_tail_cutoff(self):
+        rng = np.random.default_rng(11)
+        cols = []
+        for first, last in ((310, 330), (319, 330), (300, 319), (395, 400)):
+            lw = _heavy_log_weights(rng)
+            order = np.argsort(lw, kind="stable")
+            lw[order[first:last]] = lw[order[first]]
+            lw[order[360:370]] = lw[order[365]]  # ties inside the tail too
+            cols.append(-lw)
+        ll = np.stack(cols, axis=1)
+        for i in range(ll.shape[1]):
+            assert _psis_column(ll[:, i])[1] >= 1.0 / 3.0  # the tied tail is smoothed
+        _assert_kernel_matches_column_oracle(ll)
+
+    def test_nonpositive_exceedance_quartile(self):
+        rng = np.random.default_rng(12)
+        tied = _heavy_log_weights(rng)
+        order = np.argsort(tied, kind="stable")
+        # the lowest quarter of the tail ties with the cutoff: zero exceedances
+        tied[order[290:341]] = tied[order[320]]
+        # the cutoff and most of the tail lie below the smallest normal double,
+        # so their exceedances over the clipped cutoff are negative
+        sunk = -800.0 - rng.exponential(5.0, 400)
+        sunk[:10] = rng.normal(0.0, 0.5, 10)
+        ll = np.stack([-tied, -sunk], axis=1)
+        for i in range(2):
+            lw = -ll[:, i] - (-ll[:, i]).max()
+            tail = np.sort(lw)[320:]
+            cutoff = max(np.sort(lw)[319], math.log(np.finfo(float).tiny))
+            assert np.exp(tail[80 // 4]) - math.exp(cutoff) <= 0
+        _assert_kernel_matches_column_oracle(ll)
+
+    def test_underflowing_tail(self):
+        rng = np.random.default_rng(2)
+        cols = [-np.exp(rng.normal(0, 3.0, 400))]  # as in test_underflowing_tail_flagged_as_unassessable
+        for n_top in (1, 4):
+            # n_top weights near the largest, the rest below exp(-800) = 0
+            lw = -800.0 - rng.exponential(5.0, 400)
+            lw[rng.choice(400, n_top, replace=False)] = -rng.exponential(1.0, n_top)
+            cols.append(-lw)
+        ll = np.stack(cols, axis=1)
+        assert all(_psis_column(ll[:, i])[1] == math.inf for i in range(3))
+        _assert_kernel_matches_column_oracle(ll)
+
+    def test_pareto_one_tail(self):
+        rng = np.random.default_rng(3)
+        ll = np.stack([-np.log1p(rng.pareto(1.0, 400)) for _ in range(6)], axis=1)
+        _assert_kernel_matches_column_oracle(ll)
+
+    def test_record_count_not_a_block_multiple(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        ll = rng.normal(-2, 1, (400, 50)) + rng.standard_t(3, (400, 50))
+        ll[:, 20] = -np.log1p(rng.pareto(1.0, 400))
+        monkeypatch.setattr(evaluation, "_BLOCK_BYTES", 7 * 8 * 400)  # 7 records a block
+        with pytest.warns(RuntimeWarning, match="k-hat"):
+            res = elpd_loo(LogLikMatrix(ll))
+        for i in range(50):
+            lw_s, khat_s = _psis_column(ll[:, i])
+            assert res.pointwise[i] == pytest.approx(logsumexp(lw_s + ll[:, i]), abs=1e-10)
+            assert res.khat[i] == pytest.approx(khat_s, abs=1e-10)
+
+
+class TestStreamedElpd:
+    @pytest.mark.parametrize("block_records", [None, 7])
+    def test_equals_matrix_path(self, log_age_fit, monkeypatch, block_records):
+        problem, fit, draws = log_age_fit
+        if block_records is not None:
+            monkeypatch.setattr(evaluation, "_BLOCK_BYTES", block_records * 8 * draws.draws.shape[0])
+        matrix = elpd_loo(pointwise_loglik(fit, draws, problem.records))
+        streamed = elpd_loo(fit=fit, draws=draws, records=problem.records)
+        np.testing.assert_allclose(streamed.pointwise, matrix.pointwise, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(streamed.khat, matrix.khat, rtol=0, atol=1e-10)
+        assert streamed.flagged == matrix.flagged
+        assert streamed.elpd == pytest.approx(matrix.elpd, rel=1e-12)
+
+    def test_non_finite_names_global_draw_and_record(self, tiny_records, monkeypatch):
+        problem = FitProblem(
+            Family.GAMMA,
+            Transform(TransformKind.GAMMA_REFLECTED),
+            ModelSpec(ModelTag.INTERCEPT_ONLY),
+            tiny_records,
+        )
+        fit = fit_map(problem)
+        draws = laplace_draws(fit, 120, seed=0)
+        # a reflection offset of 40 years puts every male record with a
+        # partner aged 40 or more outside the gamma's support
+        shifted = dataclasses.replace(fit, transform=Transform(TransformKind.GAMMA_REFLECTED, offset=40.0))
+        first = next(
+            i for i, r in enumerate(tiny_records) if r.respondent_sex == 0 and r.partner_age >= 40.0
+        )
+        assert first >= 7
+        monkeypatch.setattr(evaluation, "_BLOCK_BYTES", 7 * 8 * 120)
+        with pytest.raises(ValueError, match=f"draw 0, record {first} "):
+            elpd_loo(fit=shifted, draws=draws, records=tiny_records)
+        with pytest.raises(ValueError, match=f"draw 0, record {first} "):
+            pointwise_loglik(shifted, draws, tiny_records)
+
+    def test_needs_matrix_or_fit(self, log_age_fit):
+        _, fit, draws = log_age_fit
+        with pytest.raises(ValueError, match="fit, draws and records"):
+            elpd_loo(fit=fit, draws=draws)
+
+    @pytest.mark.filterwarnings("ignore:PSIS tail index")
+    def test_memory_bounded_by_block(self, tiny_records):
+        # the four-slot sinh-arcsinh density has the most block-sized temporaries
+        problem = FitProblem(
+            Family.SINH_ARCSINH,
+            Transform(TransformKind.LOG_RATIO),
+            ModelSpec(ModelTag.INTERCEPT_ONLY),
+            tiny_records,
+        )
+        fit = fit_map(problem)
+        draws = laplace_draws(fit, 1000, seed=2)
+        records = simulate(default_config(n=20_000, seed=5))
+        matrix_bytes = 20_000 * 1000 * 8
+        tracemalloc.start()
+        try:
+            res = elpd_loo(fit=fit, draws=draws, records=records)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.pointwise.shape == (20_000,) and np.all(np.isfinite(res.pointwise))
+        assert peak < matrix_bytes / 4, f"peak {peak / 1e6:.1f} MB"
+
+
 class TestKfold:
     def test_kfold_close_to_psis(self, small_records):
         records = small_records[:300]
@@ -194,6 +337,22 @@ class TestKfold:
         assert kfold.method == "exact_kfold"
         combined = math.sqrt(psis.se**2 + kfold.se**2)
         assert abs(psis.elpd - kfold.elpd) < 2 * combined
+
+    def test_kfold_without_matrix(self, tiny_records):
+        records = tiny_records[:60]
+        problem = FitProblem(
+            Family.NORMAL,
+            Transform(TransformKind.LINEAR_AGE),
+            ModelSpec(ModelTag.INTERCEPT_ONLY),
+            records,
+        )
+        res = elpd_loo(method="exact_kfold", problem=problem, folds=3, n_draws=200, seed=4)
+        # fold 0 by hand, with scipy's log-sum-exp over the held-out matrix
+        held = np.arange(0, 60, 3)
+        fit = fit_map(dataclasses.replace(problem, records=[r for i, r in enumerate(records) if i % 3]))
+        ll = pointwise_loglik(fit, laplace_draws(fit, 200, seed=5), [records[i] for i in held])
+        expected = logsumexp(ll.values, axis=0) - math.log(200)
+        np.testing.assert_allclose(res.pointwise[held], expected, rtol=0, atol=1e-12)
 
     def test_kfold_needs_problem(self):
         with pytest.raises(ValueError):
