@@ -515,6 +515,9 @@ def _fit_model_spec(task):
                 "histograms": hist_rows,
                 "knots": list(fit.spec.knots) if fit.spec.knots else None,
                 "nlp": fit.nlp,
+                "iterations": fit.iterations,
+                "gradient_norm": fit.gradient_norm,
+                "min_curvature_eigenvalue": fit.min_curvature_eigenvalue,
             }
         )
     except Exception as exc:  # noqa: BLE001
@@ -530,6 +533,9 @@ def _fit_model_spec(task):
                 "histograms": [],
                 "knots": None,
                 "nlp": math.nan,
+                "iterations": None,
+                "gradient_norm": math.nan,
+                "min_curvature_eigenvalue": math.nan,
                 "error": f"{type(exc).__name__}: {exc}",
             }
         )
@@ -609,6 +615,9 @@ def compare_models(data, out_dir, seed, jobs, elpd_method, draws, qq_samples):
                 "qq_rmse": by_tag[tag.value]["qq_rmse"],
                 "knots": by_tag[tag.value]["knots"],
                 "nlp": by_tag[tag.value]["nlp"],
+                "iterations": by_tag[tag.value]["iterations"],
+                "gradient_norm": by_tag[tag.value]["gradient_norm"],
+                "min_curvature_eigenvalue": by_tag[tag.value]["min_curvature_eigenvalue"],
                 "error": by_tag[tag.value]["error"],
             }
             for tag in MODEL_TAGS

@@ -28,7 +28,6 @@ __all__ = [
     "stratify",
     "simulate",
     "default_config",
-    "records_to_arrays",
 ]
 
 log = logging.getLogger(__name__)
@@ -67,14 +66,6 @@ class PartnershipRecord:
             raise RecordError(
                 f"partner_age must be in (0, {PARTNER_MAX:g}), got {self.partner_age!r}"
             )
-
-
-def records_to_arrays(records):
-    """(ages, sexes, partner_ages) arrays from a record list."""
-    ages = np.array([r.respondent_age for r in records], dtype=float)
-    sexes = np.array([r.respondent_sex for r in records], dtype=int)
-    partners = np.array([r.partner_age for r in records], dtype=float)
-    return ages, sexes, partners
 
 
 @dataclass(frozen=True, order=True)

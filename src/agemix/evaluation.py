@@ -181,6 +181,10 @@ def gpd_fit(exceedances: np.ndarray) -> tuple[float, float]:
     sigma = -k / b
     prior_n = 10.0
     k = k * n / (n + prior_n) + prior_n * 0.5 / (n + prior_n)
+    if math.isnan(k):
+        # a tail reaching below the floating-point floor (the clamped cutoff
+        # leaves negative exceedances) can turn the profile NaN; unassessable
+        return math.inf, math.nan
     return k, sigma
 
 
@@ -251,6 +255,7 @@ def _gpd_fit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sigma = -k / b
     prior_n = 10.0
     k = k * n / (n + prior_n) + prior_n * 0.5 / (n + prior_n)
+    k[np.isnan(k)] = math.inf  # unassessable, as in gpd_fit
     return k, sigma
 
 

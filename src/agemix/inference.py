@@ -8,12 +8,14 @@ design (linear-age columns shifted by ``design.AGE_CENTER``); reported
 coefficient blocks are translated back to the uncentered scale, which is an
 exact linear reparameterization.
 
-Optimization is BFGS with a backtracking (Armijo) line search and analytic
-gradients; non-finite objective values act as +inf sentinels that the line
-search backs away from. The curvature (Hessian of the negative log posterior
-at the optimum) is built by central finite differences of the analytic
-gradient, and posterior draws come from the resulting Gaussian (Laplace)
-approximation.
+Optimization is damped Newton on the exact Hessian of the negative log
+posterior: closed-form per-record second derivatives of log f in the linear
+predictors, assembled as sum_ab X_a' diag(w_ab) X_b plus the prior
+precision. Steps solve by Cholesky (with a Levenberg shift where the Hessian
+is not positive definite) under a backtracking (Armijo) line search;
+non-finite objective values act as +inf sentinels that the line search backs
+away from. The same Hessian at the optimum is the curvature of the Gaussian
+(Laplace) approximation that posterior draws come from.
 
 Link functions: location-like parameters are identity-linked, positive
 parameters log-linked. For the sinh-arcsinh family the scale is
@@ -31,7 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.special import digamma, log_ndtr
+from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.special import digamma, log_ndtr, polygamma
 
 from . import transforms
 from .design import ModelSpec, SLOT_NAMES, design_matrices, uncenter_matrix
@@ -54,8 +57,6 @@ __all__ = [
 
 EXP_CLAMP = 700.0
 DEFAULT_PRIOR_SD = 5.0
-
-_RESTART_SEED = 202401  # fixed; restarts must be deterministic given init
 
 
 class FitError(RuntimeError):
@@ -102,6 +103,8 @@ class _Prepared:
         self.dim = start
         self.prior_var = None if problem.prior_sd in (None, math.inf) else float(problem.prior_sd) ** 2
         self.exp_clamps = 0
+        # (beta, per-record second derivatives) of the last gradient evaluation
+        self.last_eta_hess = (None, None)
 
     def split(self, beta: np.ndarray) -> dict[str, np.ndarray]:
         return {slot: beta[a:b] for slot, (a, b) in self.offsets.items()}
@@ -160,7 +163,7 @@ def linpred_to_params(
 
 
 # ---------------------------------------------------------------------------
-# gradients of log f with respect to the family's own parameters
+# first and second derivatives of log f with respect to the linear predictors
 # ---------------------------------------------------------------------------
 
 
@@ -169,76 +172,98 @@ def _inv_mills(u: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * u * u - 0.5 * math.log(2.0 * math.pi) - log_ndtr(u))
 
 
-def _grads_normal(x, mu, sigma):
+def _location_scale(z, sigma, lz, lzz):
+    """Derivatives of -s + L(z) in (mu, s) through z = (x - mu) / sigma with
+    s = log sigma, given dL/dz and d2L/dz2."""
+    ms = (z * lzz + lz) / sigma
+    grads = {"mu": -lz / sigma, "sigma": -z * lz - 1.0}
+    hess = {("mu", "mu"): lzz / (sigma * sigma), ("mu", "sigma"): ms, ("sigma", "sigma"): z * sigma * ms}
+    return grads, hess
+
+
+def _derivs_normal(x, mu, sigma):
+    # log f = -log sigma - z^2 / 2 + const
     z = (x - mu) / sigma
-    return z / sigma, (z * z - 1.0) / sigma
+    return _location_scale(z, sigma, -z, -1.0)
 
 
-def _grads_skew_normal(x, mu, sigma, epsilon):
+def _derivs_skew_normal(x, mu, sigma, epsilon):
+    # log f = -log sigma - z^2 / 2 + log Phi(epsilon z) + const
     z = (x - mu) / sigma
-    zeta = _inv_mills(epsilon * z)
-    dmu = (z - epsilon * zeta) / sigma
-    dsigma = (z * z - 1.0 - epsilon * z * zeta) / sigma
-    deps = z * zeta
-    return dmu, dsigma, deps
+    u = epsilon * z
+    zeta = _inv_mills(u)
+    dzeta = -zeta * (u + zeta)  # d zeta / du
+    lze = zeta + u * dzeta
+    grads, hess = _location_scale(z, sigma, epsilon * zeta - z, epsilon * epsilon * dzeta - 1.0)
+    grads["epsilon"] = z * zeta
+    hess[("mu", "epsilon")] = -lze / sigma
+    hess[("sigma", "epsilon")] = -z * lze
+    hess[("epsilon", "epsilon")] = z * z * dzeta
+    return grads, hess
 
 
-def _grads_gamma(x, k, theta):
-    dk = -digamma(k) - np.log(theta) + np.log(x)
-    dtheta = (x / theta - k) / theta
-    return dk, dtheta
+def _derivs_gamma(x, k, theta):
+    # slots: log k, log theta
+    dk = k * (np.log(x) - digamma(k) - np.log(theta))
+    return {"mu": dk, "sigma": x / theta - k}, {
+        ("mu", "mu"): dk - k * k * polygamma(1, k),
+        ("mu", "sigma"): -k,
+        ("sigma", "sigma"): -x / theta,
+    }
 
 
-def _grads_beta(x, alpha, beta_p):
+def _derivs_beta(x, alpha, beta_p):
+    # slots: log alpha, log beta
     dab = digamma(alpha + beta_p)
-    return np.log(x) - digamma(alpha) + dab, np.log1p(-x) - digamma(beta_p) + dab
+    tab = polygamma(1, alpha + beta_p)
+    da = alpha * (np.log(x) - digamma(alpha) + dab)
+    db = beta_p * (np.log1p(-x) - digamma(beta_p) + dab)
+    return {"mu": da, "sigma": db}, {
+        ("mu", "mu"): da + alpha * alpha * (tab - polygamma(1, alpha)),
+        ("mu", "sigma"): alpha * beta_p * tab,
+        ("sigma", "sigma"): db + beta_p * beta_p * (tab - polygamma(1, beta_p)),
+    }
 
 
-def _grads_sinh_arcsinh(x, mu, sigma, epsilon, delta):
+def _derivs_sinh_arcsinh(x, mu, sigma, epsilon, delta):
+    # log f = -log sigma_star + F(z, epsilon, d) + const with d = log delta,
+    # F = -log(1 + z^2) / 2 + G(epsilon + delta asinh z) and
+    # G(w) = log cosh w - sinh(w)^2 / 2; z moves with d as with log sigma_star
+    # because sigma = sigma_star * delta
     z = (x - mu) / sigma
     r = np.arcsinh(z)
     w = np.clip(epsilon + delta * r, -EXP_CLAMP, EXP_CLAMP)
-    t = np.tanh(w) - 0.5 * np.sinh(2.0 * w)
-    z2p1 = 1.0 + z * z
-    dz = t * delta / np.sqrt(z2p1) - z / z2p1
-    dmu = -dz / sigma
-    dsigma = -(1.0 + z * dz) / sigma
-    deps = t
-    ddelta = 1.0 / delta + t * r
-    return dmu, dsigma, deps, ddelta
+    q = 1.0 / (1.0 + z * z)
+    dr = delta * np.sqrt(q)  # dw/dz
+    g1 = np.tanh(w) - 0.5 * np.sinh(2.0 * w)
+    g2 = 1.0 / np.cosh(w) ** 2 - np.cosh(2.0 * w)
+    fzz = q - 2.0 * q * q + g2 * dr * dr - g1 * dr * z * q
+    fze = g2 * dr
+    fzd = dr * (g2 * delta * r + g1)
+    grads, hess = _location_scale(z, sigma, g1 * dr - z * q, fzz)
+    grads["epsilon"] = g1
+    grads["delta"] = grads["sigma"] + 1.0 + g1 * delta * r
+    ms, ss = hess[("mu", "sigma")], hess[("sigma", "sigma")]
+    hess[("mu", "epsilon")] = -fze / sigma
+    hess[("sigma", "epsilon")] = -z * fze
+    hess[("epsilon", "epsilon")] = g2
+    hess[("mu", "delta")] = ms - fzd / sigma
+    hess[("sigma", "delta")] = ss - z * fzd
+    hess[("epsilon", "delta")] = g2 * delta * r - z * fze
+    hess[("delta", "delta")] = ss - 2.0 * z * fzd + delta * r * (g2 * delta * r + g1)
+    return grads, hess
 
 
-_GRADS = {
-    Family.NORMAL: _grads_normal,
-    Family.SKEW_NORMAL: _grads_skew_normal,
-    Family.GAMMA: _grads_gamma,
-    Family.BETA: _grads_beta,
-    Family.SINH_ARCSINH: _grads_sinh_arcsinh,
+# _DERIVS[family](x, *params) -> (grads, hess): per-record derivatives of
+# log f in the linear predictors, n-vectors keyed by slot and by slot pair
+# (a, b) with a before b in the family's slot order
+_DERIVS = {
+    Family.NORMAL: _derivs_normal,
+    Family.SKEW_NORMAL: _derivs_skew_normal,
+    Family.GAMMA: _derivs_gamma,
+    Family.BETA: _derivs_beta,
+    Family.SINH_ARCSINH: _derivs_sinh_arcsinh,
 }
-
-
-def _eta_grads(family: Family, x, params, etas) -> dict[str, np.ndarray]:
-    """Chain the natural-parameter gradients through the link functions."""
-    g = _GRADS[family](x, *params)
-    if family is Family.NORMAL:
-        mu, sigma = params
-        return {"mu": g[0], "sigma": g[1] * sigma}
-    if family is Family.SKEW_NORMAL:
-        mu, sigma, epsilon = params
-        return {"mu": g[0], "sigma": g[1] * sigma, "epsilon": g[2]}
-    if family in (Family.GAMMA, Family.BETA):
-        p1, p2 = params
-        return {"mu": g[0] * p1, "sigma": g[1] * p2}
-    if family is Family.SINH_ARCSINH:
-        mu, sigma, epsilon, delta = params
-        return {
-            "mu": g[0],
-            "sigma": g[1] * sigma,
-            "epsilon": g[2],
-            # delta moves both delta itself and the effective scale sigma
-            "delta": g[3] * delta + g[1] * sigma,
-        }
-    raise ValueError(f"unknown family {family!r}")  # pragma: no cover
 
 
 # ---------------------------------------------------------------------------
@@ -287,15 +312,17 @@ def neg_log_posterior_and_grad(problem, beta):
     prior_val, prior_grad = _prior_terms(prep, beta)
     if prep.y.size == 0:
         return prior_val, prior_grad
-    etas = prep.etas(beta)
-    params = _natural_params(prep.problem.family, etas, prep)
+    params = _natural_params(prep.problem.family, prep.etas(beta), prep)
     grad = np.empty(prep.dim)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         ll = log_pdf_slots(prep.problem.family, prep.y, *params)
         total = float(np.sum(ll))
         if not np.isfinite(total):
             return math.inf, prior_grad
-        dl = _eta_grads(prep.problem.family, prep.y, params, etas)
+        # the second derivatives come with the first; they are kept for the
+        # Hessian, which the Newton loop takes where it took the last gradient
+        dl, weights = _DERIVS[prep.problem.family](prep.y, *params)
+        prep.last_eta_hess = (beta.copy(), weights)
         # dl can still hold inf at near-overflow points the line search is
         # about to reject; the matmul may then produce NaN entries
         for slot, (a, b) in prep.offsets.items():
@@ -304,63 +331,89 @@ def neg_log_posterior_and_grad(problem, beta):
     return -total + prior_val, grad
 
 
+def _neg_log_posterior_hessian(prep: _Prepared, beta: np.ndarray) -> np.ndarray:
+    """Exact Hessian of the negative log posterior at ``beta``.
+
+    Per slot pair (a, b) it adds -X_a' diag(w_ab) X_b, with w_ab the
+    per-record second derivatives of log f, plus I / prior_var.
+    """
+    hess = np.zeros((prep.dim, prep.dim))
+    if prep.y.size:
+        at, weights = prep.last_eta_hess
+        if not np.array_equal(at, beta):
+            params = _natural_params(prep.problem.family, prep.etas(beta))
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                _, weights = _DERIVS[prep.problem.family](prep.y, *params)
+        for (sa, sb), w in weights.items():
+            (a0, a1), (b0, b1) = prep.offsets[sa], prep.offsets[sb]
+            block = prep.X[sa].T @ (w[:, None] * prep.X[sb])
+            hess[a0:a1, b0:b1] = -block
+            hess[b0:b1, a0:a1] = -block.T
+    if prep.prior_var is not None:
+        hess[np.diag_indices(prep.dim)] += 1.0 / prep.prior_var
+    return 0.5 * (hess + hess.T)
+
+
 # ---------------------------------------------------------------------------
-# BFGS with backtracking line search
+# damped Newton with backtracking line search
 # ---------------------------------------------------------------------------
 
 
-def _minimize_bfgs(fg, x0, max_iter: int, grad_tol: float):
+def _newton_direction(hess: np.ndarray, g: np.ndarray) -> np.ndarray | None:
+    """Solve (H + lam I) d = -g by Cholesky; None if H is not finite.
+
+    lam is 0 when H is positive definite, else the first of
+    1e-8 mean|diag H| * 10^j that makes the factorisation succeed.
+    """
+    if not np.all(np.isfinite(hess)):
+        return None
+    shift = 0.0
+    while True:
+        factor, info = dpotrf(hess + shift * np.eye(g.size), lower=1)
+        if info == 0:
+            return dpotrs(factor, -g, lower=1)[0]
+        shift = 10.0 * shift if shift else max(1e-8 * float(np.mean(np.abs(np.diag(hess)))), 1e-300)
+
+
+def _minimize_newton(fg, hess, x0, max_iter: int, grad_tol: float):
+    """Damped Newton minimisation of ``fg`` (value, gradient) with ``hess``.
+
+    Returns (x, f, g, hess(x), iterations, converged); converged means
+    max|g| < grad_tol.
+    """
     x = np.asarray(x0, dtype=float).copy()
     f, g = fg(x)
-    if not np.isfinite(f):
-        return x, f, g, 0, False
-    n = x.size
-    h_inv = np.eye(n)
-    first_update = True
+    h = hess(x)
     iterations = 0
-    converged = bool(np.max(np.abs(g)) < grad_tol)
-
-    for _ in range(max_iter):
-        if converged:
+    while np.isfinite(f) and iterations < max_iter:
+        gnorm = float(np.max(np.abs(g)))
+        if gnorm < grad_tol:
             break
-        direction = -h_inv @ g
+        direction = _newton_direction(h, g)
+        if direction is None:
+            break
         slope = float(g @ direction)
-        if slope >= 0.0:
-            h_inv = np.eye(n)
-            first_update = True
-            direction = -g
-            slope = float(g @ direction)
+        # the objective is flat to summation round-off near the optimum, so a
+        # step that keeps f within that round-off and lowers the gradient is
+        # accepted as well as one with Armijo decrease
+        f_slack = 1e-10 * max(1.0, abs(f))
         step = 1.0
-        accepted = None
         for _ in range(60):
             x_new = x + step * direction
             f_new, g_new = fg(x_new)
-            if np.isfinite(f_new) and f_new <= f + 1e-4 * step * slope and np.all(np.isfinite(g_new)):
-                accepted = (x_new, f_new, g_new)
+            if np.isfinite(f_new) and np.all(np.isfinite(g_new)) and (
+                f_new <= f + 1e-4 * step * slope
+                or (f_new <= f + f_slack and np.max(np.abs(g_new)) < gnorm)
+            ):
                 break
             step *= 0.5
-        if accepted is None:
+        else:
             break
-        x_new, f_new, g_new = accepted
-        s = x_new - x
-        yv = g_new - g
-        sy = float(s @ yv)
-        if sy > 1e-10 * np.linalg.norm(s) * np.linalg.norm(yv):
-            if first_update:
-                h_inv *= sy / float(yv @ yv)
-                first_update = False
-            rho = 1.0 / sy
-            hy = h_inv @ yv
-            h_inv = (
-                h_inv
-                - rho * (np.outer(s, hy) + np.outer(hy, s))
-                + (rho * rho * float(yv @ hy) + rho) * np.outer(s, s)
-            )
         x, f, g = x_new, f_new, g_new
+        h = hess(x)
         iterations += 1
-        converged = bool(np.max(np.abs(g)) < grad_tol)
-
-    return x, f, g, iterations, converged
+    converged = bool(np.isfinite(f) and np.max(np.abs(g)) < grad_tol)
+    return x, f, g, h, iterations, converged
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +473,13 @@ class FitResult:
         block_cov = m @ cov[a:b, a:b] @ m.T
         return np.sqrt(np.diag(block_cov))
 
+    @property
+    def min_curvature_eigenvalue(self) -> float:
+        """Smallest eigenvalue of the curvature (NaN if it is not finite)."""
+        if not np.all(np.isfinite(self.curvature)):
+            return math.nan
+        return float(np.linalg.eigvalsh(self.curvature)[0])
+
     def to_dict(self) -> dict:
         blocks = {}
         for slot in self.slots:
@@ -436,6 +496,7 @@ class FitResult:
                 "iterations": self.iterations,
                 "gradient_norm": self.gradient_norm,
                 "curvature_pd": self.curvature_pd,
+                "min_curvature_eigenvalue": self.min_curvature_eigenvalue,
                 "exp_clamps": self.exp_clamps,
             },
             "n_records": self.n_records,
@@ -479,96 +540,27 @@ def _default_init(prep: _Prepared) -> np.ndarray:
     return beta
 
 
-def _fd_hessian(fg, x, h_scale: float = 1e-5) -> np.ndarray:
-    n = x.size
-    hess = np.empty((n, n))
-    for j in range(n):
-        h = h_scale * max(1.0, abs(x[j]))
-        e = np.zeros(n)
-        e[j] = h
-        _, g_plus = fg(x + e)
-        _, g_minus = fg(x - e)
-        hess[:, j] = (g_plus - g_minus) / (2.0 * h)
-    return 0.5 * (hess + hess.T)
-
-
-def _newton_polish(fg, x, f, g, grad_tol: float, max_steps: int = 10):
-    """Newton refinement with the finite-difference Hessian.
-
-    BFGS can creep in narrow, ill-conditioned valleys (the gamma fits on
-    reflected ages are the worst case); a few damped Newton steps land the
-    gradient below tolerance cheaply.
-    """
-    for _ in range(max_steps):
-        gnorm = np.max(np.abs(g))
-        if gnorm < grad_tol:
-            return x, f, g, True
-        hess = _fd_hessian(fg, x)
-        try:
-            direction = np.linalg.solve(hess, -g)
-        except np.linalg.LinAlgError:
-            break
-        if not np.all(np.isfinite(direction)) or float(g @ direction) >= 0.0:
-            break
-        # the objective is flat to summation round-off near the optimum, so
-        # acceptance is driven by gradient decrease with an f no-worse guard
-        f_slack = 1e-10 * max(1.0, abs(f))
-        step = 1.0
-        accepted = None
-        for _ in range(40):
-            f_new, g_new = fg(x + step * direction)
-            if (
-                np.isfinite(f_new)
-                and np.all(np.isfinite(g_new))
-                and f_new <= f + f_slack
-                and np.max(np.abs(g_new)) < gnorm
-            ):
-                accepted = (x + step * direction, f_new, g_new)
-                break
-            step *= 0.5
-        if accepted is None:
-            break
-        x, f, g = accepted
-    return x, f, g, bool(np.max(np.abs(g)) < grad_tol)
-
-
 def fit_map(
     problem: FitProblem,
     init=None,
     *,
-    max_iter: int = 500,
+    max_iter: int = 100,
     grad_tol: float = 1e-6,
-    n_restarts: int = 3,
 ) -> FitResult:
-    """MAP fit by BFGS; non-convergence is flagged on the result, not raised.
+    """MAP fit by damped Newton; non-convergence is flagged on the result, not raised.
 
-    If the first run does not converge, up to ``n_restarts`` further runs
-    start from deterministically jittered copies of the init and the best
-    outcome (converged preferred, then lowest objective) is reported.
+    The exact Hessian at the optimum is the Laplace curvature.
     """
     if not problem.records:
         raise FitError("fit_map requires at least one record")
     prep = _Prepared(problem)
     fg = lambda b: neg_log_posterior_and_grad(prep, b)
+    hess = lambda b: _neg_log_posterior_hessian(prep, b)
     x0 = np.asarray(init, dtype=float).copy() if init is not None else _default_init(prep)
     if x0.shape != (prep.dim,):
         raise ValueError(f"init must have shape ({prep.dim},), got {x0.shape}")
 
-    rng = np.random.default_rng(_RESTART_SEED)
-    best = None
-    for attempt in range(1 + n_restarts):
-        start = x0 if attempt == 0 else x0 + 0.3 * rng.standard_normal(prep.dim)
-        x, f, g, iters, ok = _minimize_bfgs(fg, start, max_iter=max_iter, grad_tol=grad_tol)
-        if not ok and np.isfinite(f):
-            x, f, g, ok = _newton_polish(fg, x, f, g, grad_tol)
-        cand = (x, f, g, iters, ok)
-        if best is None or (ok, -f) > (best[4], -best[1]):
-            best = cand
-        if ok:
-            break
-    x, f, g, iters, ok = best
-
-    curvature = _fd_hessian(fg, x)
+    x, f, g, curvature, iters, ok = _minimize_newton(fg, hess, x0, max_iter=max_iter, grad_tol=grad_tol)
     try:
         np.linalg.cholesky(curvature)
         pd = True

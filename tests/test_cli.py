@@ -229,6 +229,14 @@ class TestCompareModels:
             "Distributional 4",
         }
 
+    def test_report_carries_fit_diagnostics(self, cm_outcome):
+        _, out = cm_outcome
+        models = json.loads((out / "report.json").read_text())["models"]
+        for entry in models.values():
+            assert isinstance(entry["iterations"], int) and entry["iterations"] >= 1
+            assert entry["gradient_norm"] < 1e-6
+            assert entry["min_curvature_eigenvalue"] > 0
+
     def test_parameter_curve_grid(self, cm_outcome):
         _, out = cm_outcome
         rows = read_rows(out / "parameter_curves.csv")

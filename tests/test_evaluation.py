@@ -239,6 +239,20 @@ class TestPsisKernel:
         assert all(_psis_column(ll[:, i])[1] == math.inf for i in range(3))
         _assert_kernel_matches_column_oracle(ll)
 
+    def test_tail_below_the_floating_point_floor(self):
+        # 20 weights between the smallest normal double and the largest one,
+        # the other 60 of the tail below it: the exceedances over the clipped
+        # cutoff are negative or subnormal, which turned the Pareto profile
+        # NaN (neither flagged nor smoothed); such a tail is unassessable
+        rng = np.random.default_rng(13)
+        lw = -800.0 - rng.exponential(5.0, 400)
+        lw[:20] = np.linspace(math.log(np.finfo(float).tiny) + 0.5, 0.0, 20)
+        ll = -lw[:, None]
+        assert _psis_column(ll[:, 0])[1] == math.inf
+        _assert_kernel_matches_column_oracle(ll)
+        with pytest.warns(RuntimeWarning, match="k-hat"):
+            assert elpd_loo(LogLikMatrix(ll)).flagged == (0,)
+
     def test_pareto_one_tail(self):
         rng = np.random.default_rng(3)
         ll = np.stack([-np.log1p(rng.pareto(1.0, 400)) for _ in range(6)], axis=1)

@@ -4,13 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from agemix.data_io import GeneratorConfig, simulate
+from agemix.data_io import GeneratorConfig, default_config, simulate, stratify
 from agemix.design import ModelSpec, ModelTag
 from agemix.distributions import Family
 from agemix.inference import (
     FitError,
     FitProblem,
-    _minimize_bfgs,
+    _default_init,
+    _DERIVS,
+    _minimize_newton,
+    _natural_params,
+    _neg_log_posterior_hessian,
     _Prepared,
     fit_map,
     laplace_draws,
@@ -21,6 +25,8 @@ from agemix.inference import (
     predictive_for_records,
 )
 from agemix.transforms import Transform, TransformKind
+
+from test_acceptance import GRADIENT_COMBOS, SPEC_TAGS
 
 PRIOR_NORMALIZER = 0.5 * math.log(2 * math.pi * 25.0)
 
@@ -177,19 +183,32 @@ class TestFitMap:
             Family.SINH_ARCSINH, TransformKind.LOG_RATIO, ModelTag.DISTRIBUTIONAL_1, small_records
         )
         prep = _Prepared(problem)
-        trace = []
+        fg = lambda b: neg_log_posterior_and_grad(prep, b)
+        accepted = []  # the Hessian is evaluated at the start and at every accepted point
 
-        def fg(beta):
-            value, grad = neg_log_posterior_and_grad(prep, beta)
-            return value, grad
+        def hess(beta):
+            accepted.append(neg_log_posterior(prep, beta))
+            return _neg_log_posterior_hessian(prep, beta)
 
-        from agemix.inference import _default_init
-
-        x0 = _default_init(prep)
-        x, f, g, iters, ok = _minimize_bfgs(_TracingFg(fg, trace), x0, max_iter=200, grad_tol=1e-6)
-        accepted = trace  # _TracingFg records accepted objective values
-        assert len(accepted) > 5
+        x, f, g, h, iters, ok = _minimize_newton(fg, hess, _default_init(prep), max_iter=200, grad_tol=1e-6)
+        assert ok and len(accepted) == iters + 1 > 5
         assert all(b <= a + 1e-9 for a, b in zip(accepted, accepted[1:]))
+        assert accepted[-1] < accepted[0]
+
+    @pytest.mark.parametrize(
+        "family,kind",
+        [(Family.GAMMA, TransformKind.GAMMA_REFLECTED), (Family.BETA, TransformKind.BETA_RESCALED)],
+    )
+    def test_small_subset_converges_in_few_newton_steps(self, family, kind):
+        # BFGS hit its 500-iteration cap on this 26-record subset for both
+        # families, after more than 13,000 gradient calls each
+        subsets = stratify(simulate(default_config(n=500, seed=24601)))
+        records = next(recs for key, recs in subsets.items() if (key.sex, key.bin_start) == (0, 30))
+        assert 20 <= len(records) <= 30
+        fit = fit_map(make_problem(family, kind, ModelTag.INTERCEPT_ONLY, records))
+        assert fit.converged and fit.curvature_pd
+        assert fit.iterations <= 10
+        assert fit.min_curvature_eigenvalue > 0
 
     def test_json_serialization(self, tiny_records):
         fit = fit_map(
@@ -200,28 +219,49 @@ class TestFitMap:
         assert blob["transform"] == "log_ratio"
         assert set(blob["coefficients"]) == {"mu", "sigma", "epsilon", "delta"}
         assert blob["convergence"]["converged"] is True
+        assert blob["convergence"]["min_curvature_eigenvalue"] > 0
         assert len(blob["coefficients"]["mu"]) == 4
 
 
-class _TracingFg:
-    """Wraps an objective to record the monotone sequence of accepted values.
+class TestHessian:
+    def test_matches_finite_differences_of_gradient(self):
+        records = simulate(default_config(n=200, seed=2024))
+        rng = np.random.default_rng(43)
+        h = 1e-5
+        for family, kind in GRADIENT_COMBOS:
+            for tag in SPEC_TAGS:
+                prep = _Prepared(FitProblem(family, Transform(kind), ModelSpec(tag), records))
+                scale = np.concatenate([np.maximum(np.abs(prep.X[s]).max(axis=0), 1.0) for s in prep.slots])
+                beta = _default_init(prep) + 0.15 * rng.standard_normal(prep.dim) / scale
+                hess = _neg_log_posterior_hessian(prep, beta)
+                np.testing.assert_array_equal(hess, hess.T)
+                fd = np.empty_like(hess)
+                for j in range(prep.dim):
+                    e = np.zeros(prep.dim)
+                    e[j] = h
+                    _, g_plus = neg_log_posterior_and_grad(prep, beta + e)
+                    _, g_minus = neg_log_posterior_and_grad(prep, beta - e)
+                    fd[:, j] = (g_plus - g_minus) / (2 * h)
+                rel = np.linalg.norm(hess - fd) / np.linalg.norm(fd)
+                assert rel < 1e-5, (family, kind, tag, rel)
+                # after a gradient call at beta the Hessian reuses its second derivatives
+                neg_log_posterior_and_grad(prep, beta)
+                np.testing.assert_array_equal(_neg_log_posterior_hessian(prep, beta), hess)
 
-    BFGS accepts the first trial satisfying Armijo; every accepted value is a
-    new minimum of everything seen so far, so recording running minima of the
-    raw call stream reproduces the accepted sequence.
-    """
-
-    def __init__(self, fg, sink):
-        self.fg = fg
-        self.sink = sink
-        self.best = math.inf
-
-    def __call__(self, beta):
-        value, grad = self.fg(beta)
-        if value < self.best and math.isfinite(value):
-            self.best = value
-            self.sink.append(value)
-        return value, grad
+    @pytest.mark.parametrize("family,kind", GRADIENT_COMBOS)
+    def test_eta_hessians_match_finite_differences_of_eta_gradients(self, family, kind, tiny_records):
+        prep = _Prepared(make_problem(family, kind, ModelTag.DISTRIBUTIONAL_1, tiny_records))
+        rng = np.random.default_rng(7)
+        beta = _default_init(prep) + 0.05 * rng.standard_normal(prep.dim)
+        etas = prep.etas(beta)
+        _, hess = _DERIVS[family](prep.y, *_natural_params(family, etas))
+        assert len(hess) == len(prep.slots) * (len(prep.slots) + 1) // 2
+        h = 1e-6
+        for (a, b), w in hess.items():
+            shifted = [dict(etas, **{b: etas[b] + sign * h}) for sign in (1, -1)]
+            plus, minus = (_DERIVS[family](prep.y, *_natural_params(family, e))[0][a] for e in shifted)
+            fd = (plus - minus) / (2 * h)
+            np.testing.assert_allclose(w, fd, rtol=1e-5, atol=1e-6 * np.max(np.abs(fd)))
 
 
 @pytest.fixture(scope="module")
