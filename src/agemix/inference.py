@@ -103,8 +103,6 @@ class _Prepared:
         self.dim = start
         self.prior_var = None if problem.prior_sd in (None, math.inf) else float(problem.prior_sd) ** 2
         self.exp_clamps = 0
-        # (beta, per-record second derivatives) of the last gradient evaluation
-        self.last_eta_hess = (None, None)
 
     def split(self, beta: np.ndarray) -> dict[str, np.ndarray]:
         return {slot: beta[a:b] for slot, (a, b) in self.offsets.items()}
@@ -319,10 +317,7 @@ def neg_log_posterior_and_grad(problem, beta):
         total = float(np.sum(ll))
         if not np.isfinite(total):
             return math.inf, prior_grad
-        # the second derivatives come with the first; they are kept for the
-        # Hessian, which the Newton loop takes where it took the last gradient
-        dl, weights = _DERIVS[prep.problem.family](prep.y, *params)
-        prep.last_eta_hess = (beta.copy(), weights)
+        dl, _ = _DERIVS[prep.problem.family](prep.y, *params)
         # dl can still hold inf at near-overflow points the line search is
         # about to reject; the matmul may then produce NaN entries
         for slot, (a, b) in prep.offsets.items():
@@ -339,11 +334,9 @@ def _neg_log_posterior_hessian(prep: _Prepared, beta: np.ndarray) -> np.ndarray:
     """
     hess = np.zeros((prep.dim, prep.dim))
     if prep.y.size:
-        at, weights = prep.last_eta_hess
-        if not np.array_equal(at, beta):
-            params = _natural_params(prep.problem.family, prep.etas(beta))
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                _, weights = _DERIVS[prep.problem.family](prep.y, *params)
+        params = _natural_params(prep.problem.family, prep.etas(beta))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            _, weights = _DERIVS[prep.problem.family](prep.y, *params)
         for (sa, sb), w in weights.items():
             (a0, a1), (b0, b1) = prep.offsets[sa], prep.offsets[sb]
             block = prep.X[sa].T @ (w[:, None] * prep.X[sb])
