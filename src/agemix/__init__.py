@@ -1,8 +1,8 @@
 """agemix: distributional regression for partner age distributions."""
 
-from .data_io import GeneratorConfig, PartnershipRecord, SubsetKey, load_csv, save_csv, simulate, stratify
+from .data_io import GeneratorConfig, Records, SubsetKey, load_csv, save_csv, simulate, stratify
 from .deheap import HeapReport, deheap, heaping_index, nw_expected
-from .design import DesignRow, ModelSpec, ModelTag, build_design, spline_basis
+from .design import ModelSpec, ModelTag, spline_basis
 from .distributions import Family, Moments, ParamVector, cdf, empirical_moments, log_pdf, quantile, sample
 from .evaluation import (
     ComparisonReport,

@@ -191,7 +191,7 @@ def moments(data, out_dir):
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for key, recs in stratify(records).items():
-        m = empirical_moments([r.partner_age for r in recs])
+        m = empirical_moments(recs.partner_age)
         rows.append([key.sex_label, key.bin_label, len(recs), m.mean, m.sd, m.skewness, m.kurtosis])
     path = out_dir / "moments.csv"
     _write_csv(path, ["sex", "age_bin", "n", "mean", "sd", "skewness", "kurtosis"], rows)
@@ -273,8 +273,7 @@ def _fit_subset_combo(task):
         pred = predictive_for_records(
             fit, draws, records, qq_samples, seed=_child_seed(seed, key_sex, key_bin, fam_idx, kind_idx, 3)
         )
-        observed = np.array([r.partner_age for r in records], dtype=float)
-        qq = qq_rmse({"subset": observed}, {"subset": pred})
+        qq = qq_rmse({"subset": records.partner_age}, {"subset": pred})
         base.update(
             {
                 "ok": True,
@@ -475,7 +474,7 @@ def _fit_model_spec(task):
         observed = {}
         predictive = {}
         for key, recs in stratify(records).items():
-            observed[str(key)] = np.array([r.partner_age for r in recs], dtype=float)
+            observed[str(key)] = recs.partner_age
             predictive[str(key)] = predictive_for_records(
                 fit, draws, recs, qq_samples, seed=_child_seed(seed, tag_idx, 3, key.sex, key.bin_start)
             )

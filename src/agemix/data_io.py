@@ -1,8 +1,10 @@
-"""Record ingestion, stratification, and the synthetic data generator."""
+"""Columnar partnership records (``Records``, validated once where built),
+CSV reading and writing, stratification, and the synthetic data generator."""
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
 from dataclasses import dataclass
@@ -11,13 +13,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .design import ModelSpec, SLOT_NAMES, design_matrices, slot_recipes, row_width
+from .design import ModelSpec, design_matrices, slot_recipes, row_width
 from .distributions import Family, linpred_slots
 from .inference import _natural_params, _sample_family
 from .transforms import Transform, TransformKind, inverse_array
 
 __all__ = [
-    "PartnershipRecord",
+    "Records",
     "RecordError",
     "CsvError",
     "SubsetKey",
@@ -47,25 +49,57 @@ class CsvError(ValueError):
     """A CSV file could not be parsed into valid records."""
 
 
-@dataclass(frozen=True)
-class PartnershipRecord:
-    """One reported partnership. Sex is coded 1 = female."""
+def _range_problems(ages, sexes, partners) -> list[tuple[int, str]]:
+    """(row, message) for every row outside the age/sex ranges, in row order."""
+    bad_age = ~((ages >= AGE_MIN) & (ages <= AGE_MAX))
+    bad_sex = ~((sexes == 0) | (sexes == 1))
+    bad_partner = ~((partners > 0.0) & (partners < PARTNER_MAX))
+    problems = []
+    for i in np.flatnonzero(bad_age | bad_sex | bad_partner).tolist():
+        if bad_age[i]:
+            msg = f"respondent_age must be in [{AGE_MIN:g}, {AGE_MAX:g}], got {float(ages[i])!r}"
+        elif bad_sex[i]:
+            msg = f"respondent_sex must be 0 or 1, got {sexes[i]:g}"
+        else:
+            msg = f"partner_age must be in (0, {PARTNER_MAX:g}), got {float(partners[i])!r}"
+        problems.append((i, msg))
+    return problems
 
-    respondent_age: float
-    respondent_sex: int
-    partner_age: float
+
+@dataclass(frozen=True, eq=False)
+class Records:
+    """Partnership records as three validated, read-only columns (sex 1 = female).
+
+    Ages are float64 and sex int64. ``len``, slices and integer or boolean
+    index arrays act on all three columns and return ``Records``; a row out
+    of range raises ``RecordError`` naming the first such row.
+    """
+
+    respondent_age: np.ndarray
+    respondent_sex: np.ndarray
+    partner_age: np.ndarray
 
     def __post_init__(self):
-        if not AGE_MIN <= self.respondent_age <= AGE_MAX:
-            raise RecordError(
-                f"respondent_age must be in [{AGE_MIN:g}, {AGE_MAX:g}], got {self.respondent_age!r}"
-            )
-        if self.respondent_sex not in (0, 1):
-            raise RecordError(f"respondent_sex must be 0 or 1, got {self.respondent_sex!r}")
-        if not 0.0 < self.partner_age < PARTNER_MAX:
-            raise RecordError(
-                f"partner_age must be in (0, {PARTNER_MAX:g}), got {self.partner_age!r}"
-            )
+        ages = np.array(self.respondent_age, dtype=float)
+        sexes = np.array(self.respondent_sex)
+        partners = np.array(self.partner_age, dtype=float)
+        if ages.ndim != 1 or not ages.shape == sexes.shape == partners.shape:
+            shapes = (ages.shape, sexes.shape, partners.shape)
+            raise RecordError(f"record columns must be 1-D and of equal length, got shapes {shapes}")
+        problems = _range_problems(ages, sexes, partners)
+        if problems:
+            i, msg = problems[0]
+            raise RecordError(f"record {i}: {msg}")
+        columns = {"respondent_age": ages, "respondent_sex": sexes.astype(np.int64), "partner_age": partners}
+        for name, col in columns.items():
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
+
+    def __len__(self) -> int:
+        return self.respondent_age.shape[0]
+
+    def __getitem__(self, index) -> Records:
+        return Records(self.respondent_age[index], self.respondent_sex[index], self.partner_age[index])
 
 
 @dataclass(frozen=True, order=True)
@@ -92,65 +126,81 @@ class SubsetKey:
 # ---------------------------------------------------------------------------
 
 
-def _parse_row(row: list[str], line_no: int) -> PartnershipRecord:
-    if len(row) != 3:
-        raise CsvError(f"line {line_no}: expected 3 fields, got {len(row)}")
-    try:
-        age = float(row[0])
-        sex = int(float(row[1]))
-        partner = float(row[2])
-    except ValueError as exc:
-        raise CsvError(f"line {line_no}: {exc}") from exc
-    try:
-        return PartnershipRecord(age, sex, partner)
-    except RecordError as exc:
-        raise CsvError(f"line {line_no}: {exc}") from exc
-
-
-def load_csv(path, strict: bool = True) -> list[PartnershipRecord]:
+def load_csv(path, strict: bool = True) -> Records:
     """Read partnership records from a CSV with the standard header.
 
-    In strict mode any malformed row aborts the load with a report listing
-    every offending line; otherwise bad rows are logged and skipped.
+    Blank lines are ignored. In strict mode any malformed row aborts the
+    load with a report listing every offending line; otherwise bad rows are
+    logged and skipped. Sex fields are truncated to integers before the
+    range check.
     """
     path = Path(path)
-    records = []
-    problems = []
     with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header is None or [h.strip() for h in header] != CSV_HEADER:
             raise CsvError(
                 f"{path}: expected header {','.join(CSV_HEADER)!r}, got {header!r}"
             )
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                records.append(_parse_row(row, line_no))
-            except CsvError as exc:
-                problems.append(str(exc))
+        body = fh.read()
+
+    if not body.strip("\r\n"):
+        return Records([], [], [])
+    # a well-formed file parses in one C pass; any other file is parsed row
+    # by row below, so that every malformed line can be named
+    try:
+        values = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
+        if values.shape[1] == 3:
+            return Records(values[:, 0], np.trunc(values[:, 1]), values[:, 2])
+    except ValueError:
+        pass
+
+    rows, line_nos, problems = [], [], []
+    for line_no, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
+        if not row:
+            continue
+        try:
+            if len(row) != 3:
+                raise ValueError(f"expected 3 fields, got {len(row)}")
+            rows.append([float(v) for v in row])
+            line_nos.append(line_no)
+        except ValueError as exc:
+            problems.append((line_no, str(exc)))
+    ages, sexes, partners = np.array(rows, dtype=float).reshape(-1, 3).T
+    sexes = np.trunc(sexes)
+    out_of_range = _range_problems(ages, sexes, partners)
+    problems = sorted(problems + [(line_nos[i], msg) for i, msg in out_of_range])
     if problems:
+        texts = [f"line {line_no}: {msg}" for line_no, msg in problems]
         if strict:
-            raise CsvError(f"{path}: {len(problems)} malformed row(s): " + "; ".join(problems))
-        for p in problems:
-            log.warning("%s: skipped %s", path, p)
-    return records
+            raise CsvError(f"{path}: {len(texts)} malformed row(s): " + "; ".join(texts))
+        for text in texts:
+            log.warning("%s: skipped %s", path, text)
+    keep = np.setdiff1d(np.arange(len(line_nos)), [i for i, _ in out_of_range])
+    return Records(ages[keep], sexes[keep], partners[keep])
 
 
-def _format_age(v: float) -> str:
-    return str(int(v)) if float(v).is_integer() else repr(float(v))
+# decimal text of every whole number a valid record field can hold
+_WHOLE_TEXT = np.array([str(i) for i in range(int(PARTNER_MAX))], dtype=object)
 
 
-def save_csv(records, path) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for r in records:
-            writer.writerow(
-                [_format_age(r.respondent_age), str(int(r.respondent_sex)), _format_age(r.partner_age)]
-            )
+def _field_text(values: np.ndarray) -> list[str]:
+    """Whole values as integers, any other value as its float repr."""
+    out = _WHOLE_TEXT[values.astype(np.int64)]
+    fractional = np.flatnonzero(values != np.trunc(values))
+    out[fractional] = [repr(v) for v in values[fractional].tolist()]
+    return out.tolist()
+
+
+def save_csv(records: Records, path) -> None:
+    """Write ``records`` under the standard header, in the format ``load_csv`` reads.
+
+    Lines end in CRLF, the csv module's default terminator.
+    """
+    columns = (records.respondent_age, records.respondent_sex, records.partner_age)
+    fields = zip(*(_field_text(col) for col in columns))
+    with Path(path).open("w", newline="") as fh:
+        fh.write(",".join(CSV_HEADER) + "\r\n")
+        fh.write("".join([f"{a},{s},{p}\r\n" for a, s, p in fields]))
 
 
 # ---------------------------------------------------------------------------
@@ -158,23 +208,24 @@ def save_csv(records, path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def stratify(records) -> dict[SubsetKey, list[PartnershipRecord]]:
+def stratify(records: Records) -> dict[SubsetKey, Records]:
     """Split records into the 12 (sex, five-year bin) subsets.
 
     Bin membership is by floor of respondent age; ages outside [20, 50) are
-    excluded. Empty subsets are omitted (and noted in the log).
+    excluded. Subsets keep the records' order. Empty subsets are omitted
+    (and noted in the log).
     """
-    out: dict[SubsetKey, list[PartnershipRecord]] = {}
-    for r in records:
-        whole = int(np.floor(r.respondent_age))
-        if whole < BIN_STARTS[0] or whole >= BIN_STARTS[-1] + BIN_WIDTH:
-            continue
-        start = BIN_STARTS[(whole - BIN_STARTS[0]) // BIN_WIDTH]
-        out.setdefault(SubsetKey(int(r.respondent_sex), start), []).append(r)
+    whole = np.floor(records.respondent_age)
+    out: dict[SubsetKey, Records] = {}
+    for sex in (0, 1):
+        for start in BIN_STARTS:
+            mask = (records.respondent_sex == sex) & (whole >= start) & (whole < start + BIN_WIDTH)
+            if mask.any():
+                out[SubsetKey(sex, start)] = records[mask]
     n_missing = 2 * len(BIN_STARTS) - len(out)
     if n_missing:
         log.info("stratify: %d of 12 subsets are empty and omitted", n_missing)
-    return dict(sorted(out.items()))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +328,7 @@ def default_config(n: int | None = None, seed: int | None = None) -> GeneratorCo
     return cfg
 
 
-def simulate(config: GeneratorConfig) -> list[PartnershipRecord]:
+def simulate(config: GeneratorConfig) -> Records:
     """Draw synthetic partnership records from the configured truth model.
 
     Respondent age and sex come from the configured marginals, the outcome is
@@ -303,8 +354,6 @@ def simulate(config: GeneratorConfig) -> list[PartnershipRecord]:
     slots = linpred_slots(config.family)
     mats = design_matrices(config.spec, ages, sexes, slots=slots, center=False)
     etas = {slot: mats[slot] @ config.coefficients[slot] for slot in slots}
-    for slot in SLOT_NAMES:
-        etas.setdefault(slot, np.zeros(config.n))
     params = _natural_params(config.family, etas)
     y = _sample_family(config.family, params, (config.n,), rng_y)
     partners = inverse_array(config.transform, ages, sexes, y)
@@ -318,7 +367,4 @@ def simulate(config: GeneratorConfig) -> list[PartnershipRecord]:
         ok = (heaped > 0.0) & (heaped < PARTNER_MAX)
         partners = np.where(heap_mask & ok, heaped, partners)
 
-    return [
-        PartnershipRecord(float(a), int(s), float(p))
-        for a, s, p in zip(ages, sexes, partners)
-    ]
+    return Records(ages, sexes, partners)

@@ -10,15 +10,19 @@ share proportional to its observed count, by moving floor(share * excess)
 randomly chosen records. Expected counts and excesses are computed for the
 whole group before any record moves, counts are conserved exactly, and all
 randomness is driven by per-group seeds derived from the caller's seed.
+Groups come from one stable sort of the record columns on (sex, age), so
+each group's records, and hence its random draws, keep their record order.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
+
+from .data_io import Records
 
 __all__ = [
     "HeapReport",
@@ -34,31 +38,36 @@ _UNIFORM_SHARE = 0.2
 _WINDOW = (-2, -1, 1, 2)
 
 
-def _require_integer_ages(records) -> None:
-    for i, r in enumerate(records):
-        for name in ("respondent_age", "partner_age"):
-            v = getattr(r, name)
-            if abs(v - round(v)) > 1e-9:
-                raise ValueError(
-                    f"deheaping operates on integer age grids; record {i} has {name}={v!r}"
-                )
+def _integer_ages(records: Records) -> np.ndarray:
+    """(respondent ages, partner ages) as int64; raises naming the first non-integer age."""
+    ages = np.stack([records.respondent_age, records.partner_age])
+    whole = np.rint(ages)
+    bad = np.argwhere((np.abs(ages - whole) > 1e-9).T)  # record-major
+    if bad.size:
+        i, j = bad[0]
+        name = ("respondent_age", "partner_age")[j]
+        raise ValueError(
+            f"deheaping operates on integer age grids; record {i} has {name}={float(ages[j, i])!r}"
+        )
+    return whole.astype(np.int64)
 
 
-def is_heaped(respondent_age: int, partner_age: int) -> bool:
-    """True when the partner age sits a multiple of five from the respondent."""
-    return (int(round(partner_age)) - int(round(respondent_age))) % 5 == 0
+def is_heaped(respondent_age, partner_age):
+    """True where the partner age sits a multiple of five years from the
+    respondent's, both rounded to whole years; takes scalars or arrays."""
+    offset = np.rint(partner_age).astype(np.int64) - np.rint(respondent_age).astype(np.int64)
+    return offset % 5 == 0
 
 
-def heaping_index(records) -> float:
+def heaping_index(records: Records) -> float:
     """Excess share of records at heaped ages, scaled to [0, 1].
 
     0 means the heaped share is at (or below) the 1/5 expected under a
     uniform offset distribution; 1 means every record is heaped.
     """
-    if not records:
-        raise ValueError("heaping_index requires a nonempty record list")
-    heaped = sum(1 for r in records if is_heaped(r.respondent_age, r.partner_age))
-    frac = heaped / len(records)
+    if not len(records):
+        raise ValueError("heaping_index requires a nonempty record set")
+    frac = int(np.count_nonzero(is_heaped(records.respondent_age, records.partner_age))) / len(records)
     return max(0.0, frac - _UNIFORM_SHARE) / (1.0 - _UNIFORM_SHARE)
 
 
@@ -147,40 +156,34 @@ class HeapReport:
         return json.dumps(self.to_dict(), **kwargs)
 
 
-def deheap(records, bandwidth: float = 2.0, seed: int = 0):
+def deheap(records: Records, bandwidth: float = 2.0, seed: int = 0):
     """Redistribute excess heaped records; returns (new_records, HeapReport).
 
     Groups with fewer than two records, or without enough non-heaped support
     for the kernel regression, pass through unchanged and are noted in the
     report.
     """
-    _require_integer_ages(records)
-    if not records:
-        raise ValueError("deheap requires a nonempty record list")
+    ages, partners = _integer_ages(records)
+    index_before = heaping_index(records)  # raises on an empty set
+    sexes = records.respondent_sex
+    new_partner = records.partner_age.copy()
 
-    index_before = heaping_index(records)
-    new_partner = np.array([float(r.partner_age) for r in records])
-
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, r in enumerate(records):
-        key = (int(r.respondent_sex), int(round(r.respondent_age)))
-        groups.setdefault(key, []).append(i)
+    # one stable sort by (sex, age): each group's indices stay in record
+    # order, which the per-group permutations below depend on
+    order = np.lexsort((ages, sexes))
+    bounds = np.flatnonzero(np.diff(sexes[order]) | np.diff(ages[order])) + 1
 
     details = []
     n_moved_total = 0
-    for (sex, age) in sorted(groups):
-        idx = groups[(sex, age)]
+    for idx in np.split(order, bounds):
+        sex, age = int(sexes[idx[0]]), int(ages[idx[0]])
         detail = GroupHeapDetail(sex=sex, respondent_age=age, n_records=len(idx))
         details.append(detail)
         if len(idx) < 2:
             detail.skipped = "fewer than 2 records"
             continue
-        counts: dict[int, int] = {}
-        by_partner: dict[int, list[int]] = {}
-        for i in idx:
-            p = int(round(records[i].partner_age))
-            counts[p] = counts.get(p, 0) + 1
-            by_partner.setdefault(p, []).append(i)
+        group_partners = partners[idx]
+        counts = {p: c for p, c in enumerate(np.bincount(group_partners).tolist()) if c}
         try:
             expected = nw_expected(counts, age, bandwidth)
         except ValueError as exc:
@@ -199,37 +202,24 @@ def deheap(records, bandwidth: float = 2.0, seed: int = 0):
             if denom <= 0.0:
                 detail.moved[p_star] = {}
                 continue
-            shares = {}
-            move_counts = {}
-            for off in _WINDOW:
-                p = p_star + off
-                # receivers are never heaped themselves: offsets 1..4 mod 5
-                assert (p - age) % 5 != 0
-                b = counts.get(p, 0) / denom
-                shares[p] = b
-                # epsilon keeps an exactly-integer b*excess from flooring one
-                # short under float round-off
-                move_counts[p] = int(math.floor(b * excess + 1e-9))
+            # receivers p* + off are never heaped themselves (offsets 1..4 mod 5)
+            shares = {p_star + off: counts.get(p_star + off, 0) / denom for off in _WINDOW}
+            # epsilon keeps an exactly-integer b*excess from flooring one short
+            # under float round-off
+            moves = {p: int(math.floor(b * excess + 1e-9)) for p, b in shares.items()}
             detail.shares[p_star] = shares
-            total_moving = sum(move_counts.values())
+            detail.moved[p_star] = moves
+            total_moving = sum(moves.values())
             if total_moving == 0:
-                detail.moved[p_star] = move_counts
                 continue
-            pool = rng.permutation(np.array(by_partner[p_star], dtype=int))
+            pool = rng.permutation(idx[group_partners == p_star])
             cursor = 0
-            for off in _WINDOW:
-                p = p_star + off
-                take = move_counts[p]
-                for i in pool[cursor : cursor + take]:
-                    new_partner[i] = float(p)
+            for p, take in moves.items():
+                new_partner[pool[cursor : cursor + take]] = float(p)
                 cursor += take
-            detail.moved[p_star] = move_counts
             n_moved_total += total_moving
 
-    new_records = [
-        replace(r, partner_age=float(p)) if float(p) != float(r.partner_age) else r
-        for r, p in zip(records, new_partner)
-    ]
+    new_records = Records(records.respondent_age, sexes, new_partner)
     report = HeapReport(
         bandwidth=bandwidth,
         seed=seed,

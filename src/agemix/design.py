@@ -21,9 +21,7 @@ import numpy as np
 __all__ = [
     "ModelTag",
     "ModelSpec",
-    "DesignRow",
     "spline_basis",
-    "build_design",
     "design_matrices",
     "slot_recipes",
     "uncenter_matrix",
@@ -152,19 +150,6 @@ class ModelSpec:
         return cls.from_dict(json.loads(text))
 
 
-@dataclass(frozen=True)
-class DesignRow:
-    """Uncentered design rows, one per distributional parameter."""
-
-    x_mu: np.ndarray
-    x_sigma: np.ndarray
-    x_epsilon: np.ndarray
-    x_delta: np.ndarray
-
-    def row(self, slot: str) -> np.ndarray:
-        return getattr(self, f"x_{slot}")
-
-
 def _check_knots(knots, boundary) -> None:
     lo, hi = boundary
     ks = np.asarray(knots, dtype=float)
@@ -236,17 +221,6 @@ def slot_recipes(spec: ModelSpec) -> dict[str, tuple[str, ...]]:
 def row_width(spec: ModelSpec, recipe) -> int:
     k = spec.interior_knots + 1
     return sum(k if "spline" in kind else 1 for kind in recipe)
-
-
-def build_design(spec: ModelSpec, respondent_age: float, respondent_sex: int) -> DesignRow:
-    """Uncentered design rows for one observation."""
-    s = spec.resolved()
-    rows = {}
-    for slot, recipe in zip(SLOT_NAMES, _RECIPES[s.tag]):
-        rows[slot] = _columns(recipe, s, respondent_age, respondent_sex, center=False)[0]
-    return DesignRow(
-        x_mu=rows["mu"], x_sigma=rows["sigma"], x_epsilon=rows["epsilon"], x_delta=rows["delta"]
-    )
 
 
 def design_matrices(

@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 from scipy.special import (
     betainc,
     betaincinv,
@@ -45,9 +43,7 @@ __all__ = [
     "sample",
     "empirical_moments",
     "log_pdf_slots",
-    "active_slots",
     "linpred_slots",
-    "slot_values",
     "params_from_slots",
 ]
 
@@ -135,23 +131,13 @@ class ParamVector:
         return tuple(values)
 
 
-def active_slots(family: Family) -> tuple[str, ...]:
-    """Names of the parameter fields a family actually uses, in packing order."""
-    return _SLOTS[family]
-
-
 def linpred_slots(family: Family) -> tuple[str, ...]:
     """Linear-predictor slots a family's parameters are driven by."""
     return _LINPRED_SLOTS[family]
 
 
-def slot_values(family: Family, params: ParamVector) -> tuple[float, ...]:
-    """Validated slot values for ``family`` extracted from ``params``."""
-    return params.require(family)
-
-
 def params_from_slots(family: Family, values) -> ParamVector:
-    """Inverse of :func:`slot_values`."""
+    """ParamVector for ``family`` from its slot values, in slot order."""
     names = _SLOTS[family]
     if len(values) != len(names):
         raise ParameterError(
@@ -266,6 +252,8 @@ _SKEWNORM_Z_ANCHOR = 40.0
 
 
 def _skew_normal_cdf_scalar(x: float, mu: float, sigma: float, epsilon: float) -> float:
+    from scipy.integrate import quad
+
     z = (x - mu) / sigma
     if z <= -_SKEWNORM_Z_ANCHOR:
         return 0.0
@@ -284,6 +272,8 @@ def _skew_normal_cdf_scalar(x: float, mu: float, sigma: float, epsilon: float) -
 
 def _skew_normal_cdf_array(x: np.ndarray, mu: float, sigma: float, epsilon: float) -> np.ndarray:
     """Cumulative quadrature over sorted points; one short quad per segment."""
+    from scipy.integrate import quad
+
     order = np.argsort(x, kind="stable")
     xs = x[order]
 
@@ -346,6 +336,8 @@ def cdf(family: Family, params: ParamVector, x):
 
 
 def _skew_normal_quantile_scalar(q: float, mu: float, sigma: float, epsilon: float) -> float:
+    from scipy.optimize import brentq
+
     # bracket around the normal quantile, expanding geometrically
     z0 = ndtri(q)
     lo, hi = z0 - 1.0, z0 + 1.0

@@ -88,9 +88,7 @@ def _loglik_blocks(fit: FitResult, draws: PosteriorDraws, records, transform=Non
     raises, naming the offending record and draw.
     """
     t = transform if transform is not None else fit.transform
-    ages = np.array([r.respondent_age for r in records], dtype=float)
-    sexes = np.array([r.respondent_sex for r in records], dtype=int)
-    partners = np.array([r.partner_age for r in records], dtype=float)
+    ages, sexes, partners = records.respondent_age, records.respondent_sex, records.partner_age
     y = transforms.forward_array(t, ages, sexes, partners)
     jac = transforms.log_jacobian_array(t, ages, sexes, partners)
 
@@ -244,9 +242,11 @@ def _gpd_fit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     bs = bs0[None, :] / (3.0 * quart[:, None]) + 1.0 / x[:, -1][:, None]
     buf = np.empty((rows, m, n))
     np.multiply(-bs[:, :, None], x[:, None, :], out=buf)
-    np.log1p(buf, out=buf)
-    ks = buf.mean(axis=2)
-    profile = n * (np.log(-bs / ks) - ks - 1.0)
+    # a row whose profile turns NaN here ends with k = NaN, mapped to inf below
+    with np.errstate(invalid="ignore"):
+        np.log1p(buf, out=buf)
+        ks = buf.mean(axis=2)
+        profile = n * (np.log(-bs / ks) - ks - 1.0)
     profile -= profile.max(axis=1, keepdims=True)
     w = np.exp(profile)
     w /= w.sum(axis=1, keepdims=True)
@@ -412,11 +412,9 @@ def elpd_loo(
             held = np.nonzero(assignment == fold)[0]
             if held.size == 0:
                 continue
-            train = [records[i] for i in np.nonzero(assignment != fold)[0]]
-            sub = replace(base, records=train)
-            fit = fit_map(sub)
+            fit = fit_map(replace(base, records=records[assignment != fold]))
             draws = laplace_draws(fit, n_draws, seed=seed + fold + 1)
-            for start, block in _loglik_blocks(fit, draws, [records[i] for i in held]):
+            for start, block in _loglik_blocks(fit, draws, records[held]):
                 rows = held[start : start + block.shape[0]]
                 pointwise[rows] = _logsumexp_rows(block, block) - math.log(n_draws)
         return ElpdResult(

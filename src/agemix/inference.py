@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -40,6 +41,9 @@ from . import transforms
 from .design import ModelSpec, SLOT_NAMES, design_matrices, uncenter_matrix
 from .distributions import Family, ParamVector, linpred_slots, log_pdf_slots, params_from_slots
 from .transforms import Transform
+
+if TYPE_CHECKING:  # data_io imports this module
+    from .data_io import Records
 
 __all__ = [
     "FitProblem",
@@ -70,7 +74,7 @@ class FitProblem:
     family: Family
     transform: Transform
     spec: ModelSpec
-    records: list
+    records: Records
     prior_sd: float | None = DEFAULT_PRIOR_SD
 
 
@@ -80,9 +84,7 @@ class _Prepared:
     def __init__(self, problem: FitProblem):
         self.problem = problem
         recs = problem.records
-        self.ages = np.array([r.respondent_age for r in recs], dtype=float)
-        self.sexes = np.array([r.respondent_sex for r in recs], dtype=int)
-        self.partners = np.array([r.partner_age for r in recs], dtype=float)
+        self.ages, self.sexes, self.partners = recs.respondent_age, recs.respondent_sex, recs.partner_age
         self.y = transforms.forward_array(problem.transform, self.ages, self.sexes, self.partners)
 
         spec = problem.spec
@@ -544,7 +546,7 @@ def fit_map(
 
     The exact Hessian at the optimum is the Laplace curvature.
     """
-    if not problem.records:
+    if not len(problem.records):
         raise FitError("fit_map requires at least one record")
     prep = _Prepared(problem)
     fg = lambda b: neg_log_posterior_and_grad(prep, b)
@@ -695,7 +697,7 @@ def posterior_predictive(
 def predictive_for_records(
     fit: FitResult,
     draws: PosteriorDraws,
-    records,
+    records: Records,
     n_total: int,
     seed: int,
 ) -> np.ndarray:
@@ -704,21 +706,18 @@ def predictive_for_records(
     Each of the ``n_total`` samples pairs a uniformly chosen record (its age
     and sex) with a uniformly chosen posterior draw.
     """
-    if not records:
-        raise ValueError("predictive_for_records requires a nonempty record list")
-    ages = np.array([r.respondent_age for r in records], dtype=float)
-    sexes = np.array([r.respondent_sex for r in records], dtype=int)
+    if not len(records):
+        raise ValueError("predictive_for_records requires a nonempty record set")
     rng = np.random.default_rng(seed)
     rec_idx = rng.integers(0, len(records), size=n_total)
     draw_idx = rng.integers(0, draws.draws.shape[0], size=n_total)
 
-    sel_ages = ages[rec_idx]
-    sel_sexes = sexes[rec_idx]
-    mats = design_matrices(fit.spec, sel_ages, sel_sexes, slots=fit.slots, center=True)
+    sel = records[rec_idx]
+    mats = design_matrices(fit.spec, sel.respondent_age, sel.respondent_sex, slots=fit.slots, center=True)
     etas = {}
     for slot in fit.slots:
         a, b = fit.offsets[slot]
         etas[slot] = np.einsum("ij,ij->i", mats[slot], draws.draws[draw_idx, a:b])
     params = _natural_params(fit.family, _full_etas(fit, etas))
     y = _sample_family(fit.family, params, (n_total,), rng)
-    return transforms.inverse_array(fit.transform, sel_ages, sel_sexes, y)
+    return transforms.inverse_array(fit.transform, sel.respondent_age, sel.respondent_sex, y)

@@ -15,6 +15,12 @@ def tiny_records():
     return simulate(default_config(n=300, seed=24601))
 
 
+def assert_same_records(a, b) -> None:
+    """Both record sets hold the same rows in the same order."""
+    for name in ("respondent_age", "respondent_sex", "partner_age"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
+
+
 def ks_statistic(samples: np.ndarray, cdf_values: np.ndarray) -> float:
     """Kolmogorov-Smirnov distance between a sample and its model CDF.
 

@@ -16,7 +16,7 @@ from scipy.stats import lognorm
 from agemix.cli import main as cli_main
 from agemix.data_io import (
     GeneratorConfig,
-    PartnershipRecord,
+    Records,
     default_config,
     save_csv,
     simulate,
@@ -198,9 +198,7 @@ def test_criterion_06_jacobian_elpd_consistency(capsys):
     draws = laplace_draws(fit, 300, seed=1)
     ll_log_scale = pointwise_loglik(fit, draws, records)
 
-    ages = np.array([r.respondent_age for r in records])
-    sexes = np.array([r.respondent_sex for r in records])
-    partners = np.array([r.partner_age for r in records])
+    ages, sexes, partners = records.respondent_age, records.respondent_sex, records.partner_age
     mats = design_matrices(fit.spec, ages, sexes, slots=fit.slots, center=True)
     a, b = fit.offsets["mu"]
     mu = draws.draws[:, a:b] @ mats["mu"].T
@@ -217,10 +215,8 @@ def test_criterion_06_jacobian_elpd_consistency(capsys):
 def test_criterion_07_elpd_exact_refit_oracle(capsys):
     t0 = time.monotonic()
     rng = np.random.default_rng(7)
-    records = [
-        PartnershipRecord(30.0, 1, float(np.clip(rng.normal(34.0, 2.0), 20, 60)))
-        for _ in range(50)
-    ]
+    partners = [float(np.clip(rng.normal(34.0, 2.0), 20, 60)) for _ in range(50)]
+    records = Records(np.full(50, 30.0), np.ones(50, dtype=int), partners)
     problem = FitProblem(
         Family.NORMAL,
         Transform(TransformKind.LINEAR_AGE),
@@ -234,8 +230,8 @@ def test_criterion_07_elpd_exact_refit_oracle(capsys):
     # brute-force oracle: 50 exact leave-one-out refits
     exact = np.empty(len(records))
     for i in range(len(records)):
-        held_out = records[i]
-        rest = records[:i] + records[i + 1 :]
+        held_out = records[i : i + 1]
+        rest = records[np.arange(len(records)) != i]
         refit = fit_map(
             FitProblem(
                 Family.NORMAL,
@@ -245,7 +241,7 @@ def test_criterion_07_elpd_exact_refit_oracle(capsys):
             )
         )
         refit_draws = laplace_draws(refit, 2000, seed=100 + i)
-        ll = pointwise_loglik(refit, refit_draws, [held_out])
+        ll = pointwise_loglik(refit, refit_draws, held_out)
         exact[i] = float(np.logaddexp.reduce(ll.values[:, 0]) - math.log(ll.n_draws))
     exact_elpd = float(exact.sum())
     exact_se = math.sqrt(len(records) * np.var(exact, ddof=1))
@@ -277,7 +273,7 @@ def test_criterion_08_family_ordering(capsys):
     ok = True
     details = []
     for sex in (0, 1):
-        subset = [r for r in records if r.respondent_sex == sex]
+        subset = records[records.respondent_sex == sex]
         results = {}
         for family in (Family.NORMAL, Family.SKEW_NORMAL, Family.SINH_ARCSINH):
             fit = fit_map(
@@ -366,7 +362,7 @@ def test_criterion_09_model_ordering(capsys):
         elpd[tag] = elpd_loo(pointwise_loglik(fit, draws, records)).elpd
         observed, predictive = {}, {}
         for key, recs in stratify(records).items():
-            observed[str(key)] = np.array([r.partner_age for r in recs])
+            observed[str(key)] = recs.partner_age
             predictive[str(key)] = predictive_for_records(fit, draws, recs, 4000, seed=9)
         qq[tag] = qq_rmse(observed, predictive)
 
@@ -405,17 +401,18 @@ def test_criterion_11_deheaping(capsys):
     out, report = deheap(records, bandwidth=2.0, seed=123)
     after = heaping_index(out)
     reduction_ok = after <= 0.2 * before
-    conserved = Counter(
-        (r.respondent_sex, int(r.respondent_age)) for r in records
-    ) == Counter((r.respondent_sex, int(r.respondent_age)) for r in out) and len(out) == len(records)
+
+    def groups(recs):
+        return Counter(zip(recs.respondent_sex.tolist(), recs.respondent_age.astype(int).tolist()))
+
+    conserved = groups(records) == groups(out) and len(out) == len(records)
 
     # hand spike case: counts (10,10,50,10,10), nhat=10, final (18,...,18)
-    spike = []
-    for p in range(26, 35):
-        n = 50 if p == 30 else 10
-        spike.extend(PartnershipRecord(30, 1, float(p)) for _ in range(n))
+    spike_partners = [float(p) for p in range(26, 35) for _ in range(50 if p == 30 else 10)]
+    n_spike = len(spike_partners)
+    spike = Records(np.full(n_spike, 30.0), np.ones(n_spike, dtype=int), spike_partners)
     spike_out, _ = deheap(spike, bandwidth=2.0, seed=3)
-    counts = Counter(int(r.partner_age) for r in spike_out)
+    counts = Counter(spike_out.partner_age.astype(int).tolist())
     spike_ok = [counts[p] for p in range(28, 33)] == [18, 18, 18, 18, 18]
 
     ok = reduction_ok and conserved and spike_ok

@@ -1,5 +1,5 @@
 import json
-import math
+import logging
 
 import numpy as np
 import pytest
@@ -8,8 +8,8 @@ from agemix.data_io import (
     BIN_STARTS,
     CsvError,
     GeneratorConfig,
-    PartnershipRecord,
     RecordError,
+    Records,
     SubsetKey,
     default_config,
     load_csv,
@@ -21,50 +21,145 @@ from agemix.deheap import heaping_index
 from agemix.design import ModelSpec, ModelTag
 from agemix.distributions import Family
 from agemix.transforms import Transform, TransformKind
+from conftest import assert_same_records
+
+HEADER = "respondent_age,respondent_sex,partner_age\n"
 
 
-class TestPartnershipRecord:
+def rows(*triples):
+    """Records from (respondent_age, respondent_sex, partner_age) triples."""
+    ages, sexes, partners = zip(*triples)
+    return Records(ages, sexes, partners)
+
+
+class TestRecords:
     def test_valid(self):
-        r = PartnershipRecord(30.0, 1, 41.0)
-        assert r.respondent_sex == 1
+        r = Records([30.0, 25.0], [1, 0], [41.0, 22.0])
+        assert len(r) == 2
+        assert r.respondent_sex.dtype == np.int64 and r.respondent_sex.tolist() == [1, 0]
+        assert r.respondent_age.dtype == np.float64 and r.partner_age.dtype == np.float64
 
     @pytest.mark.parametrize(
-        "age,sex,partner",
-        [(70.0, 0, 41.0), (14.9, 1, 30.0), (30.0, 2, 30.0), (30.0, 1, 0.0), (30.0, 1, 150.0)],
+        "age,sex,partner,message",
+        [
+            (70.0, 0, 41.0, r"respondent_age must be in \[15, 64\], got 70.0"),
+            (14.9, 1, 30.0, r"respondent_age must be in \[15, 64\], got 14.9"),
+            (30.0, 2, 30.0, r"respondent_sex must be 0 or 1, got 2"),
+            (30.0, 1, 0.0, r"partner_age must be in \(0, 150\), got 0.0"),
+            (30.0, 1, 150.0, r"partner_age must be in \(0, 150\), got 150.0"),
+        ],
     )
-    def test_invalid(self, age, sex, partner):
-        with pytest.raises(RecordError):
-            PartnershipRecord(age, sex, partner)
+    def test_invalid_names_first_bad_row(self, age, sex, partner, message):
+        with pytest.raises(RecordError, match="record 1: " + message):
+            rows((30.0, 0, 41.0), (age, sex, partner), (70.0, 5, 0.0))
+
+    def test_fractional_sex_rejected(self):
+        with pytest.raises(RecordError, match="respondent_sex must be 0 or 1, got 0.5"):
+            Records([30.0], [0.5], [40.0])
+
+    def test_unequal_columns_rejected(self):
+        with pytest.raises(RecordError, match="equal length"):
+            Records([30.0, 31.0], [1], [40.0, 41.0])
+
+    def test_columns_are_read_only_copies(self):
+        ages = np.array([30.0, 31.0])
+        r = Records(ages, [1, 0], [40.0, 41.0])
+        ages[0] = 99.0
+        assert r.respondent_age[0] == 30.0
+        with pytest.raises(ValueError):
+            r.partner_age[0] = 50.0
+
+    def test_slices_and_index_arrays_return_records(self):
+        r = rows((30.0, 1, 41.0), (25.0, 0, 22.0), (44.5, 1, 50.0))
+        assert_same_records(r[1:], rows((25.0, 0, 22.0), (44.5, 1, 50.0)))
+        assert_same_records(r[np.array([2, 0])], rows((44.5, 1, 50.0), (30.0, 1, 41.0)))
+        assert_same_records(r[r.respondent_sex == 1], rows((30.0, 1, 41.0), (44.5, 1, 50.0)))
+        assert len(r[:0]) == 0
+
+    def test_single_position_rejected(self):
+        r = rows((30.0, 1, 41.0))
+        with pytest.raises(RecordError, match="1-D"):
+            r[0]
 
 
 class TestCsv:
     def test_round_trip(self, tmp_path, tiny_records):
         path = tmp_path / "r.csv"
         save_csv(tiny_records, path)
-        again = load_csv(path)
-        assert again == tiny_records
+        assert_same_records(load_csv(path), tiny_records)
+
+    def test_round_trip_non_integer_ages(self, tmp_path):
+        cfg = default_config(n=300, seed=31)
+        cfg.integer_ages = False
+        records = simulate(cfg)
+        path = tmp_path / "r.csv"
+        save_csv(records, path)
+        lines = path.read_bytes().split(b"\r\n")
+        age, sex, partner = records.respondent_age[0], records.respondent_sex[0], records.partner_age[0]
+        assert not float(partner).is_integer()
+        assert lines[1] == f"{int(age)},{sex},{float(partner)!r}".encode()
+        assert_same_records(load_csv(path), records)
+
+    def test_writes_whole_ages_as_integers_with_crlf(self, tmp_path):
+        path = tmp_path / "r.csv"
+        save_csv(rows((30.0, 1, 41.0), (44.5, 0, 22.25)), path)
+        assert path.read_bytes() == (
+            b"respondent_age,respondent_sex,partner_age\r\n30,1,41\r\n44.5,0,22.25\r\n"
+        )
 
     def test_well_formed_rows_in_order(self, tmp_path):
         path = tmp_path / "r.csv"
-        path.write_text("respondent_age,respondent_sex,partner_age\n30,1,41\n25,0,22\n44.5,1,50\n")
-        records = load_csv(path)
-        assert records == [
-            PartnershipRecord(30.0, 1, 41.0),
-            PartnershipRecord(25.0, 0, 22.0),
-            PartnershipRecord(44.5, 1, 50.0),
-        ]
+        path.write_text(HEADER + "30,1,41\n25,0,22\n44.5,1,50\n")
+        assert_same_records(load_csv(path), rows((30.0, 1, 41.0), (25.0, 0, 22.0), (44.5, 1, 50.0)))
+
+    def test_header_only_file_is_empty(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text(HEADER)
+        assert len(load_csv(path)) == 0
 
     def test_range_error_strict_names_line(self, tmp_path):
         path = tmp_path / "r.csv"
-        path.write_text("respondent_age,respondent_sex,partner_age\n30,1,41\n70,0,41\n")
+        path.write_text(HEADER + "30,1,41\n70,0,41\n")
         with pytest.raises(CsvError, match="line 3"):
             load_csv(path)
 
+    # lines 3 and 9 are blank; line 5 holds an out-of-range value, line 6 a
+    # wrong field count and line 7 a non-numeric field
+    MIXED = HEADER + "30,1,41\n\n25,0,22\n30,1,150\n30,1\nbogus,0,41\n31,0,33\n\n40,1,38\n"
+
+    def test_strict_names_every_malformed_line(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text(self.MIXED)
+        with pytest.raises(CsvError) as info:
+            load_csv(path)
+        message = str(info.value)
+        assert "3 malformed row(s)" in message
+        assert message.endswith(
+            "line 5: partner_age must be in (0, 150), got 150.0; "
+            "line 6: expected 3 fields, got 2; "
+            "line 7: could not convert string to float: 'bogus'"
+        )
+
+    def test_lenient_skips_exactly_the_malformed_rows(self, tmp_path, caplog):
+        path = tmp_path / "r.csv"
+        path.write_text(self.MIXED)
+        with caplog.at_level(logging.WARNING, logger="agemix.data_io"):
+            records = load_csv(path, strict=False)
+        assert_same_records(records, rows((30.0, 1, 41.0), (25.0, 0, 22.0), (31.0, 0, 33.0), (40.0, 1, 38.0)))
+        skipped = [r.getMessage().split("skipped ")[1] for r in caplog.records]
+        assert [s.split(":")[0] for s in skipped] == ["line 5", "line 6", "line 7"]
+
     def test_lenient_skips_and_keeps_good_rows(self, tmp_path, caplog):
         path = tmp_path / "r.csv"
-        path.write_text("respondent_age,respondent_sex,partner_age\n30,1,41\nbogus,0,41\n25,0,22\n")
+        path.write_text(HEADER + "30,1,41\nbogus,0,41\n25,0,22\n")
         records = load_csv(path, strict=False)
         assert len(records) == 2
+
+    def test_quoted_fields_and_fractional_sex(self, tmp_path):
+        # the csv module unquotes fields; sex fields are truncated to integers
+        path = tmp_path / "r.csv"
+        path.write_text(HEADER + '"30",1.0,41\n25,0.7,22\n')
+        assert_same_records(load_csv(path), rows((30.0, 1, 41.0), (25.0, 0, 22.0)))
 
     def test_header_mismatch(self, tmp_path):
         path = tmp_path / "r.csv"
@@ -75,29 +170,27 @@ class TestCsv:
 
 class TestStratify:
     def test_boundary_convention(self):
-        records = [
-            PartnershipRecord(20.0, 0, 30.0),
-            PartnershipRecord(24.9, 0, 30.0),
-            PartnershipRecord(25.0, 0, 30.0),
-        ]
-        out = stratify(records)
+        out = stratify(rows((20.0, 0, 30.0), (24.9, 0, 30.0), (25.0, 0, 30.0)))
         assert len(out[SubsetKey(0, 20)]) == 2
         assert len(out[SubsetKey(0, 25)]) == 1
 
     def test_out_of_range_excluded(self):
-        records = [PartnershipRecord(19.0, 0, 30.0), PartnershipRecord(50.0, 1, 30.0)]
-        assert stratify(records) == {}
+        assert stratify(rows((19.0, 0, 30.0), (50.0, 1, 30.0))) == {}
 
     def test_partition(self, small_records):
         out = stratify(small_records)
-        total = sum(len(v) for v in out.values())
-        in_range = [r for r in small_records if 20 <= math.floor(r.respondent_age) < 50]
-        assert total == len(in_range)
-        seen = set()
-        for key, recs in out.items():
-            for r in recs:
-                assert id(r) not in seen
-                seen.add(id(r))
+        whole = np.floor(small_records.respondent_age)
+        in_range = (whole >= 20) & (whole < 50)
+        # every in-range record lands in exactly one cell, in record order
+        cell = np.full(len(small_records), -1)
+        for n, (key, recs) in enumerate(out.items()):
+            in_bin = (whole >= key.bin_start) & (whole < key.bin_start + 5)
+            mask = in_range & in_bin & (small_records.respondent_sex == key.sex)
+            assert_same_records(recs, small_records[mask])
+            assert np.all(cell[mask] == -1)
+            cell[mask] = n
+        assert np.all((cell >= 0) == in_range)
+        assert list(out) == sorted(out)
 
     def test_twelve_subsets_with_full_coverage(self, small_records):
         out = stratify(small_records)
@@ -142,12 +235,12 @@ class TestGeneratorConfig:
 class TestSimulate:
     def test_bit_reproducible(self):
         cfg = default_config(n=500, seed=11)
-        assert simulate(cfg) == simulate(cfg)
+        assert_same_records(simulate(cfg), simulate(cfg))
 
     def test_seed_changes_output(self):
         a = simulate(default_config(n=500, seed=11))
         b = simulate(default_config(n=500, seed=12))
-        assert a != b
+        assert not np.array_equal(a.partner_age, b.partner_age)
 
     def test_no_heaping_when_intensity_zero(self):
         cfg = default_config(n=30_000, seed=4)
@@ -157,9 +250,9 @@ class TestSimulate:
         cfg = default_config(n=2_000, seed=4)
         cfg.heaping = 1.0
         records = simulate(cfg)
-        offsets = [(int(r.partner_age) - int(r.respondent_age)) % 5 for r in records]
+        offsets = (records.partner_age.astype(int) - records.respondent_age.astype(int)) % 5
         # offsets not at 0 can only come from the boundary guard (rare clips)
-        assert sum(1 for o in offsets if o == 0) >= 0.999 * len(records)
+        assert np.count_nonzero(offsets == 0) >= 0.999 * len(records)
 
     def test_truth_mean_oracle(self):
         # mu row (1, s, a, s*a) with coefficients (2, 0, 1.05, -0.1):
@@ -173,16 +266,16 @@ class TestSimulate:
             coefficients={"mu": [2.0, 0.0, 1.05, -0.1], "sigma": [0.0]},
         )
         records = simulate(cfg)
-        subset = [r.partner_age for r in records if r.respondent_sex == 1 and r.respondent_age == 30.0]
+        subset = records.partner_age[(records.respondent_sex == 1) & (records.respondent_age == 30.0)]
         assert len(subset) > 500
         assert np.mean(subset) == pytest.approx(30.5, abs=0.1)
 
     def test_integer_ages_by_default(self):
         records = simulate(default_config(n=200, seed=5))
-        assert all(float(r.partner_age).is_integer() for r in records)
-        assert all(float(r.respondent_age).is_integer() for r in records)
+        assert np.all(records.partner_age == np.round(records.partner_age))
+        assert np.all(records.respondent_age == np.round(records.respondent_age))
 
     def test_invariants_hold(self):
         records = simulate(default_config(n=5_000, seed=6))
-        assert all(15 <= r.respondent_age <= 64 for r in records)
-        assert all(0 < r.partner_age < 150 for r in records)
+        assert np.all((15 <= records.respondent_age) & (records.respondent_age <= 64))
+        assert np.all((0 < records.partner_age) & (records.partner_age < 150))

@@ -3,19 +3,24 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from agemix.data_io import PartnershipRecord, default_config, simulate
+from agemix.data_io import Records, default_config, simulate
 from agemix.deheap import deheap, heaping_index, is_heaped, nw_expected
+from conftest import assert_same_records
+from deheap_reference import reference_deheap
 
 
 def group_records(counts_by_partner_age, respondent_age=30, sex=1):
-    records = []
-    for p, n in counts_by_partner_age.items():
-        records.extend(PartnershipRecord(respondent_age, sex, float(p)) for _ in range(n))
-    return records
+    partners = [float(p) for p, n in counts_by_partner_age.items() for _ in range(n)]
+    n = len(partners)
+    return Records(np.full(n, float(respondent_age)), np.full(n, sex), partners)
 
 
 def partner_counts(records):
-    return Counter(int(r.partner_age) for r in records)
+    return Counter(records.partner_age.astype(int).tolist())
+
+
+def group_counts(records):
+    return Counter(zip(records.respondent_sex.tolist(), records.respondent_age.astype(int).tolist()))
 
 
 class TestNwExpected:
@@ -80,7 +85,7 @@ class TestDeheapSpikeCases:
     def test_no_heaping_leaves_records_unchanged(self):
         records = group_records(self.wings(10))
         out, report = deheap(records, bandwidth=2.0, seed=3)
-        assert [r.partner_age for r in out] == [r.partner_age for r in records]
+        assert_same_records(out, records)
         assert report.n_moved == 0
 
 
@@ -94,24 +99,15 @@ def heaped_records():
 class TestDeheapProperties:
     def test_counts_conserved_per_group_and_globally(self, heaped_records):
         out, _ = deheap(heaped_records, seed=1)
-        before = Counter((r.respondent_sex, int(r.respondent_age)) for r in heaped_records)
-        after = Counter((r.respondent_sex, int(r.respondent_age)) for r in out)
-        assert before == after
+        assert group_counts(out) == group_counts(heaped_records)
         assert len(out) == len(heaped_records)
 
     def test_heaped_ages_never_gain(self, heaped_records):
         out, _ = deheap(heaped_records, seed=1)
-        for (sex, age) in {(r.respondent_sex, int(r.respondent_age)) for r in heaped_records}:
-            before = Counter(
-                int(r.partner_age)
-                for r in heaped_records
-                if (r.respondent_sex, int(r.respondent_age)) == (sex, age)
-            )
-            after = Counter(
-                int(r.partner_age)
-                for r in out
-                if (r.respondent_sex, int(r.respondent_age)) == (sex, age)
-            )
+        for (sex, age) in group_counts(heaped_records):
+            in_group = (heaped_records.respondent_sex == sex) & (heaped_records.respondent_age == age)
+            before = partner_counts(heaped_records[in_group])
+            after = partner_counts(out[in_group])
             for p in set(before) | set(after):
                 if is_heaped(age, p):
                     assert after[p] <= before[p]
@@ -127,7 +123,7 @@ class TestDeheapProperties:
     def test_deterministic_given_seed(self, heaped_records):
         a, _ = deheap(heaped_records, seed=9)
         b, _ = deheap(heaped_records, seed=9)
-        assert [r.partner_age for r in a] == [r.partner_age for r in b]
+        assert_same_records(a, b)
 
     def test_second_pass_never_increases_index(self, heaped_records):
         once, report1 = deheap(heaped_records, seed=2)
@@ -145,31 +141,81 @@ class TestDeheapProperties:
 
 class TestHeapingIndex:
     def test_uniform_offsets(self):
-        records = [PartnershipRecord(30, 0, 25 + k) for k in range(5)] * 20
+        records = group_records({p: 20 for p in range(25, 30)}, sex=0)
         assert heaping_index(records) == pytest.approx(0.0, abs=1e-12)
 
     def test_all_heaped(self):
-        records = [PartnershipRecord(30, 0, 35)] * 50
+        records = group_records({35: 50}, sex=0)
         assert heaping_index(records) == 1.0
 
     def test_forty_percent_heaped(self):
-        heaped = [PartnershipRecord(30, 0, 35)] * 40
-        rest = [PartnershipRecord(30, 0, p) for p in (26, 27, 28, 29)] * 15
-        assert heaping_index(heaped + rest) == pytest.approx(0.25)
+        records = group_records({35: 40, 26: 15, 27: 15, 28: 15, 29: 15}, sex=0)
+        assert heaping_index(records) == pytest.approx(0.25)
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            heaping_index([])
+            heaping_index(Records([], [], []))
 
 
 class TestValidation:
     def test_non_integer_ages_rejected(self):
-        records = [PartnershipRecord(30.0, 0, 27.5), PartnershipRecord(30.0, 0, 28.0)]
-        with pytest.raises(ValueError, match="integer"):
+        records = Records([30.0, 30.0, 30.0], [0, 0, 0], [28.0, 27.5, 28.0])
+        with pytest.raises(ValueError, match="record 1 has partner_age=27.5"):
             deheap(records)
 
+    def test_empty_set_rejected(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            deheap(Records([], [], []))
+
     def test_tiny_group_passes_through(self):
-        records = [PartnershipRecord(30, 0, 35)]
+        records = group_records({35: 1}, sex=0)
         out, report = deheap(records)
-        assert out[0].partner_age == 35.0
+        assert out.partner_age.tolist() == [35.0]
         assert report.groups[0].skipped is not None
+
+
+class TestMatchesRecordwiseReference:
+    """The columnar deheap equals the record-at-a-time reference exactly."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("bandwidth", [0.5, 2.0, 5.0])
+    def test_heaped_simulated_data(self, heaped_records, seed, bandwidth):
+        records = heaped_records[:6000]
+        out, report = deheap(records, bandwidth=bandwidth, seed=seed)
+        ref_partners, ref_report = reference_deheap(records, bandwidth=bandwidth, seed=seed)
+        np.testing.assert_array_equal(out.partner_age, ref_partners)
+        assert report.n_moved > 0
+        assert report.to_dict() == ref_report.to_dict()
+
+    def test_skipped_groups(self):
+        # a lone record (fewer than 2), a group with one partner age (no
+        # non-heaped support) and a heaped group, interleaved in record order
+        cfg = default_config(n=400, seed=3)
+        cfg.heaping = 0.5
+        cfg.age_weights = [1.0 if a == 33 else 0.0 for a in range(15, 65)]
+        heaped = simulate(cfg)
+        lone = Records([20.0], [1], [30.0])
+        flat = group_records({45: 4}, respondent_age=40, sex=0)
+        ages = np.concatenate([heaped.respondent_age, lone.respondent_age, flat.respondent_age])
+        order = np.random.default_rng(0).permutation(ages.size)
+        records = Records(
+            ages[order],
+            np.concatenate([heaped.respondent_sex, lone.respondent_sex, flat.respondent_sex])[order],
+            np.concatenate([heaped.partner_age, lone.partner_age, flat.partner_age])[order],
+        )
+        out, report = deheap(records, seed=4)
+        ref_partners, ref_report = reference_deheap(records, seed=4)
+        np.testing.assert_array_equal(out.partner_age, ref_partners)
+        skipped = [g.skipped for g in report.groups if g.skipped]
+        assert "fewer than 2 records" in skipped
+        assert any("non-heaped support" in s for s in skipped)
+        assert report.n_moved > 0
+        assert report.to_dict() == ref_report.to_dict()
+
+    def test_non_integer_error_names_the_same_record(self):
+        records = Records([30.0, 30.5, 31.0], [0, 1, 1], [28.0, 27.0, 27.5])
+        with pytest.raises(ValueError) as ours:
+            deheap(records)
+        with pytest.raises(ValueError) as ref:
+            reference_deheap(records)
+        assert str(ours.value) == str(ref.value)

@@ -5,7 +5,6 @@ from agemix.design import (
     AGE_CENTER,
     ModelSpec,
     ModelTag,
-    build_design,
     design_matrices,
     slot_recipes,
     spline_basis,
@@ -54,38 +53,43 @@ class TestSplineBasis:
             spline_basis(30.0, (10.0, 20.0), BOUNDARY)
 
 
-class TestBuildDesign:
+def design_row(spec, age, sex):
+    """Uncentered design row of one observation, per slot."""
+    return {slot: x[0] for slot, x in design_matrices(spec, [age], [sex], center=False).items()}
+
+
+class TestDesignRows:
     def test_conventional_rows(self):
-        row = build_design(ModelSpec(ModelTag.CONVENTIONAL), 30.0, 1)
-        np.testing.assert_array_equal(row.x_mu, [1.0, 1.0, 30.0, 30.0])
+        row = design_row(ModelSpec(ModelTag.CONVENTIONAL), 30.0, 1)
+        np.testing.assert_array_equal(row["mu"], [1.0, 1.0, 30.0, 30.0])
         for slot in ("sigma", "epsilon", "delta"):
-            np.testing.assert_array_equal(row.row(slot), [1.0])
+            np.testing.assert_array_equal(row[slot], [1.0])
 
     def test_distributional2_rows(self):
-        row = build_design(ModelSpec(ModelTag.DISTRIBUTIONAL_2), 20.0, 0)
+        row = design_row(ModelSpec(ModelTag.DISTRIBUTIONAL_2), 20.0, 0)
         for slot in ("mu", "sigma", "epsilon", "delta"):
-            np.testing.assert_array_equal(row.row(slot), [1.0, 0.0, 20.0, 0.0])
+            np.testing.assert_array_equal(row[slot], [1.0, 0.0, 20.0, 0.0])
 
     def test_distributional1_rows(self):
-        row = build_design(ModelSpec(ModelTag.DISTRIBUTIONAL_1), 25.0, 1)
-        np.testing.assert_array_equal(row.x_mu, [1.0, 1.0, 25.0, 25.0])
-        np.testing.assert_array_equal(row.x_sigma, [1.0, 1.0, 25.0])
+        row = design_row(ModelSpec(ModelTag.DISTRIBUTIONAL_1), 25.0, 1)
+        np.testing.assert_array_equal(row["mu"], [1.0, 1.0, 25.0, 25.0])
+        np.testing.assert_array_equal(row["sigma"], [1.0, 1.0, 25.0])
 
     def test_male_spline_interaction_block_is_zero(self):
         spec = ModelSpec(ModelTag.DISTRIBUTIONAL_4)
-        row = build_design(spec, 33.0, 0)
+        row = design_row(spec, 33.0, 0)
         k = spec.interior_knots + 1
         # layout: (1, s, phi_1..phi_K, s*phi_1..s*phi_K)
-        assert row.x_mu.shape == (2 + 2 * k,)
-        assert row.x_mu[1] == 0.0
-        np.testing.assert_array_equal(row.x_mu[2 + k :], np.zeros(k))
-        assert np.any(row.x_mu[2 : 2 + k] != 0)
+        assert row["mu"].shape == (2 + 2 * k,)
+        assert row["mu"][1] == 0.0
+        np.testing.assert_array_equal(row["mu"][2 + k :], np.zeros(k))
+        assert np.any(row["mu"][2 : 2 + k] != 0)
 
     def test_female_spline_interaction_mirrors_main_block(self):
         spec = ModelSpec(ModelTag.DISTRIBUTIONAL_3)
-        row = build_design(spec, 41.0, 1)
+        row = design_row(spec, 41.0, 1)
         k = spec.interior_knots + 1
-        np.testing.assert_array_equal(row.x_mu[2 : 2 + k], row.x_mu[2 + k :])
+        np.testing.assert_array_equal(row["mu"][2 : 2 + k], row["mu"][2 + k :])
 
     def test_row_lengths_constant_and_pure(self):
         rng = np.random.default_rng(0)
@@ -94,12 +98,12 @@ class TestBuildDesign:
             widths = None
             for _ in range(5):
                 a, s = rng.uniform(15, 64), int(rng.integers(0, 2))
-                row = build_design(spec, a, s)
-                got = tuple(row.row(slot).shape[0] for slot in ("mu", "sigma", "epsilon", "delta"))
+                row = design_row(spec, a, s)
+                got = tuple(row[slot].shape[0] for slot in ("mu", "sigma", "epsilon", "delta"))
                 widths = widths or got
                 assert got == widths
-            again = build_design(spec, 30.0, 1)
-            np.testing.assert_array_equal(again.x_mu, build_design(spec, 30.0, 1).x_mu)
+            again = design_row(spec, 30.0, 1)
+            np.testing.assert_array_equal(again["mu"], design_row(spec, 30.0, 1)["mu"])
 
 
 class TestModelSpec:

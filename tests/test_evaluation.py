@@ -54,7 +54,7 @@ class TestPointwiseLoglik:
 
         mu = draws.draws[:, 0:1]
         sigma = np.exp(draws.draws[:, 1:2])
-        y = np.array([r.partner_age for r in small_records[:40]])
+        y = small_records[:40].partner_age
         direct = log_pdf_slots(Family.NORMAL, y[None, :], mu, sigma)
         np.testing.assert_allclose(ll.values, direct, rtol=0, atol=1e-12)
 
@@ -73,9 +73,7 @@ class TestPointwiseLoglik:
         records = problem.records[:100]
         ll = pointwise_loglik(fit, draws, records)
 
-        ages = np.array([r.respondent_age for r in records])
-        sexes = np.array([r.respondent_sex for r in records])
-        p = np.array([r.partner_age for r in records])
+        ages, sexes, p = records.respondent_age, records.respondent_sex, records.partner_age
         from agemix.design import design_matrices
 
         mats = design_matrices(fit.spec, ages, sexes, slots=fit.slots, center=True)
@@ -250,8 +248,14 @@ class TestPsisKernel:
         ll = -lw[:, None]
         assert _psis_column(ll[:, 0])[1] == math.inf
         _assert_kernel_matches_column_oracle(ll)
-        with pytest.warns(RuntimeWarning, match="k-hat"):
+        with pytest.warns(RuntimeWarning, match="k-hat") as caught:
+            _psis_block(np.ascontiguousarray(ll.T))
             assert elpd_loo(LogLikMatrix(ll)).flagged == (0,)
+        # the k-hat warning is the only one: the profile grid of the
+        # unassessable tail raises no numpy RuntimeWarning
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == [
+            "PSIS tail index k-hat exceeds 0.7 for 1 record(s); ELPD may be unreliable"
+        ]
 
     def test_pareto_one_tail(self):
         rng = np.random.default_rng(3)
@@ -296,9 +300,7 @@ class TestStreamedElpd:
         # a reflection offset of 40 years puts every male record with a
         # partner aged 40 or more outside the gamma's support
         shifted = dataclasses.replace(fit, transform=Transform(TransformKind.GAMMA_REFLECTED, offset=40.0))
-        first = next(
-            i for i, r in enumerate(tiny_records) if r.respondent_sex == 0 and r.partner_age >= 40.0
-        )
+        first = int(np.flatnonzero((tiny_records.respondent_sex == 0) & (tiny_records.partner_age >= 40.0))[0])
         assert first >= 7
         monkeypatch.setattr(evaluation, "_BLOCK_BYTES", 7 * 8 * 120)
         with pytest.raises(ValueError, match=f"draw 0, record {first} "):
@@ -363,8 +365,8 @@ class TestKfold:
         res = elpd_loo(method="exact_kfold", problem=problem, folds=3, n_draws=200, seed=4)
         # fold 0 by hand, with scipy's log-sum-exp over the held-out matrix
         held = np.arange(0, 60, 3)
-        fit = fit_map(dataclasses.replace(problem, records=[r for i, r in enumerate(records) if i % 3]))
-        ll = pointwise_loglik(fit, laplace_draws(fit, 200, seed=5), [records[i] for i in held])
+        fit = fit_map(dataclasses.replace(problem, records=records[np.arange(60) % 3 != 0]))
+        ll = pointwise_loglik(fit, laplace_draws(fit, 200, seed=5), records[held])
         expected = logsumexp(ll.values, axis=0) - math.log(200)
         np.testing.assert_allclose(res.pointwise[held], expected, rtol=0, atol=1e-12)
 

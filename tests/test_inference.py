@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from agemix.data_io import GeneratorConfig, default_config, simulate, stratify
-from agemix.design import ModelSpec, ModelTag
+from agemix.data_io import GeneratorConfig, Records, default_config, simulate, stratify
+from agemix.design import ModelSpec, ModelTag, design_matrices
 from agemix.distributions import Family
 from agemix.inference import (
     FitError,
@@ -29,6 +29,9 @@ from agemix.transforms import Transform, TransformKind
 from test_acceptance import GRADIENT_COMBOS, SPEC_TAGS
 
 PRIOR_NORMALIZER = 0.5 * math.log(2 * math.pi * 25.0)
+
+
+NO_RECORDS = Records([], [], [])
 
 
 def make_problem(family, kind, tag, records, **kwargs):
@@ -60,15 +63,15 @@ class TestLinpredToParams:
 
 class TestNegLogPosterior:
     def test_zero_data_prior_only(self):
-        problem = make_problem(Family.SINH_ARCSINH, TransformKind.LOG_RATIO, ModelTag.DISTRIBUTIONAL_1, [])
+        problem = make_problem(Family.SINH_ARCSINH, TransformKind.LOG_RATIO, ModelTag.DISTRIBUTIONAL_1, NO_RECORDS)
         prep = _Prepared(problem)
         assert prep.dim == 4 + 3 + 3 + 3
         value = neg_log_posterior(problem, np.zeros(prep.dim))
         assert value == pytest.approx(prep.dim * PRIOR_NORMALIZER, rel=1e-12)
 
-    def test_single_standard_normal_record(self, tiny_records):
-        rec = type(tiny_records[0])(respondent_age=30.0, respondent_sex=1, partner_age=30.0)
-        problem = make_problem(Family.NORMAL, TransformKind.AGE_DIFFERENCE, ModelTag.CONVENTIONAL, [rec])
+    def test_single_standard_normal_record(self):
+        rec = Records(respondent_age=[30.0], respondent_sex=[1], partner_age=[30.0])
+        problem = make_problem(Family.NORMAL, TransformKind.AGE_DIFFERENCE, ModelTag.CONVENTIONAL, rec)
         # y = 0; Conventional normal has 4 mu + 1 sigma coefficients
         value = neg_log_posterior(problem, np.zeros(5))
         assert value == pytest.approx(5 * PRIOR_NORMALIZER + 0.9189385332046727, rel=1e-12)
@@ -142,7 +145,7 @@ class TestFitMap:
 
     def test_empty_problem_rejected(self):
         with pytest.raises(FitError):
-            fit_map(make_problem(Family.NORMAL, TransformKind.LINEAR_AGE, ModelTag.INTERCEPT_ONLY, []))
+            fit_map(make_problem(Family.NORMAL, TransformKind.LINEAR_AGE, ModelTag.INTERCEPT_ONLY, NO_RECORDS))
 
     def test_prior_limit_approaches_mle(self, small_records):
         records = small_records[:400]
@@ -171,7 +174,7 @@ class TestFitMap:
             integer_ages=False,
         )
         base = simulate(cfg)
-        shifted = [type(r)(r.respondent_age, r.respondent_sex, r.partner_age + 5.0) for r in base]
+        shifted = Records(base.respondent_age, base.respondent_sex, base.partner_age + 5.0)
         fit0 = fit_map(make_problem(Family.NORMAL, TransformKind.LINEAR_AGE, ModelTag.CONVENTIONAL, base))
         fit1 = fit_map(make_problem(Family.NORMAL, TransformKind.LINEAR_AGE, ModelTag.CONVENTIONAL, shifted))
         assert fit1.beta_mu[0] - fit0.beta_mu[0] == pytest.approx(5.0, abs=1e-3)
@@ -325,12 +328,11 @@ class TestPosteriorPredictive:
     def test_plugin_mean(self, normal_fit):
         import dataclasses
 
-        from agemix.design import build_design
-
         draws = laplace_draws(normal_fit, 200, seed=4)
         degenerate = dataclasses.replace(draws, draws=np.tile(normal_fit.beta_packed, (200, 1)))
         out = posterior_predictive(normal_fit, degenerate, 30.0, 1, 500, seed=5)
-        expected = float(build_design(normal_fit.spec, 30.0, 1).x_mu @ normal_fit.beta_mu)
+        x_mu = design_matrices(normal_fit.spec, [30.0], [1], slots=("mu",), center=False)["mu"][0]
+        expected = float(x_mu @ normal_fit.beta_mu)
         sigma = math.exp(normal_fit.beta_sigma[0])
         assert out.mean() == pytest.approx(expected, abs=4 * sigma / math.sqrt(out.size))
 
