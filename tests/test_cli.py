@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -260,3 +261,77 @@ class TestCompareModels:
         _, out = cm_outcome
         rows = read_rows(out / "predictive_histograms.csv")
         assert len(rows) == 5 * 2 * 3 * 100
+
+
+def _fail_fit_map(monkeypatch, should_fail):
+    """Make ``agemix.cli.fit_map`` raise for the problems ``should_fail`` picks."""
+    import agemix.cli
+    from agemix.inference import FitError
+
+    real = agemix.cli.fit_map
+
+    def fit_map(problem, *args, **kwargs):
+        if should_fail(problem):
+            raise FitError("injected failure")
+        return real(problem, *args, **kwargs)
+
+    monkeypatch.setattr(agemix.cli, "fit_map", fit_map)
+
+
+class TestFailureMarkers:
+    """One failed fit leaves marker rows, is left out of rankings and sets exit 1."""
+
+    def test_compare_distributions_marks_failed_family(self, runner, data_csv, tmp_path, monkeypatch):
+        from agemix.distributions import Family
+
+        _fail_fit_map(monkeypatch, lambda problem: problem.family is Family.SKEW_NORMAL)
+        result = runner.invoke(
+            main,
+            ["compare-distributions", str(data_csv), "--out", str(tmp_path), "--seed", "2",
+             "--jobs", "1", "--draws", "150", "--qq-samples", "1500"],
+        )
+        assert result.exit_code == 1, result.output
+        combos = read_rows(tmp_path / "combos.csv")
+        assert len(combos) == 12 * 14
+        failed = [r for r in combos if r["distribution"] == "Skew normal"]
+        assert len(failed) == 12 * 4
+        for row in failed:
+            assert row["error"] == "FitError: injected failure"
+            assert row["elpd"] == row["elpd_se"] == row["qq_rmse"] == "NA"
+            assert row["converged"] == "false" and row["n_flagged"] == "0"
+        assert all(r["error"] == "NA" for r in combos if r["distribution"] != "Skew normal")
+
+        rankings = read_rows(tmp_path / "subset_rankings.csv")
+        assert len(rankings) == 12 * 4
+        assert "Skew normal" not in {r["distribution"] for r in rankings}
+        assert sorted(r["rank"] for r in rankings) == sorted(["1", "2", "3", "4"] * 12)
+        shares = read_rows(tmp_path / "transform_shares.csv")
+        assert all(float(r["skew_normal"]) == 0.0 for r in shares)
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["all_converged"] is False
+        assert report["failures"] == ["FitError: injected failure"] * (12 * 4)
+
+    def test_compare_models_marks_failed_specification(self, runner, data_csv, tmp_path, monkeypatch):
+        from agemix.design import ModelTag
+
+        _fail_fit_map(monkeypatch, lambda problem: problem.spec.tag is ModelTag.DISTRIBUTIONAL_2)
+        result = runner.invoke(
+            main,
+            ["compare-models", str(data_csv), "--out", str(tmp_path), "--seed", "2",
+             "--jobs", "1", "--draws", "150", "--qq-samples", "1500"],
+        )
+        assert result.exit_code == 1, result.output
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["all_converged"] is False
+        failed = report["models"]["distributional_2"]
+        assert failed["error"] == "FitError: injected failure"
+        assert failed["converged"] is False and math.isnan(failed["elpd"])
+        assert all(m["error"] is None for tag, m in report["models"].items() if tag != "distributional_2")
+
+        comparison = read_rows(tmp_path / "model_comparison.csv")
+        assert len(comparison) == 4
+        assert "Distributional 2" not in {r["model"] for r in comparison}
+        curves = read_rows(tmp_path / "parameter_curves.csv")
+        assert len(curves) == 4 * 400
+        assert "distributional_2" not in {r["model"] for r in curves}
+        assert len(read_rows(tmp_path / "predictive_histograms.csv")) == 4 * 600
