@@ -7,6 +7,12 @@ distribution/outcome grid and ranks the families by ELPD; and
 ``compare-models`` fits the five regression specifications with the
 sinh-arcsinh family on the log-ratio outcome.
 
+Both compare commands take the same options and run one path (``_compare``):
+each task is fitted and scored by ``_score`` (MAP fit, Laplace draws, ELPD,
+predictive QQ RMSE), and the fits that succeeded are ranked by
+``ComparisonReport``. A fit that raises becomes a failure marker (NaN scores
+and the error text) in the reports instead of aborting the run.
+
 Every command emits CSV reports plus a ``manifest.json`` sidecar; wall-clock
 time and timestamps live only in the manifest so repeated runs with the same
 seed produce byte-identical CSVs. Exit status is zero only when every fit
@@ -18,11 +24,13 @@ from __future__ import annotations
 import concurrent.futures
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
 import sys
 import time
+from collections import Counter
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -36,10 +44,9 @@ from .design import ModelSpec, ModelTag
 from .distributions import Family, empirical_moments
 # pointwise_loglik is not called here (PSIS streams record blocks inside
 # elpd_loo) but stays importable: perfbench/trace.py wraps agemix.cli's names
-from .evaluation import ComparisonReport, elpd_diff, elpd_loo, pointwise_loglik, qq_rmse  # noqa: F401
+from .evaluation import ComparisonReport, elpd_loo, pointwise_loglik, qq_rmse  # noqa: F401
 from .inference import (
     FitProblem,
-    _full_etas,
     _natural_params,
     draw_etas,
     fit_map,
@@ -49,7 +56,9 @@ from .inference import (
 )
 from .transforms import Transform, TransformKind
 
-FAMILY_ORDER = (Family.NORMAL, Family.SKEW_NORMAL, Family.SINH_ARCSINH, Family.GAMMA, Family.BETA)
+# the families on the real line, fitted under every variable in VARIABLE_ORDER
+REAL_LINE_FAMILIES = (Family.NORMAL, Family.SKEW_NORMAL, Family.SINH_ARCSINH)
+FAMILY_ORDER = (*REAL_LINE_FAMILIES, Family.GAMMA, Family.BETA)
 VARIABLE_ORDER = (
     TransformKind.LINEAR_AGE,
     TransformKind.AGE_DIFFERENCE,
@@ -230,76 +239,77 @@ def deheap_cmd(data, out_dir, bandwidth, seed):
 
 
 # ---------------------------------------------------------------------------
-# compare-distributions
+# the fit-score-rank path shared by compare-distributions and compare-models
 # ---------------------------------------------------------------------------
 
+# the scores of a fit that failed: the marker row carries the error instead
+_FAILED = {
+    "ok": False,
+    "converged": False,
+    "elpd": math.nan,
+    "elpd_se": math.nan,
+    "n_flagged": 0,
+    "elpd_result": None,
+    "qq_rmse": math.nan,
+    "knots": None,
+    "nlp": math.nan,
+    "iterations": None,
+    "gradient_norm": math.nan,
+    "min_curvature_eigenvalue": math.nan,
+}
 
-def _distribution_combos():
-    combos = []
-    for family in (Family.NORMAL, Family.SKEW_NORMAL, Family.SINH_ARCSINH):
-        for kind in VARIABLE_ORDER:
-            combos.append((family, kind))
-    combos.append((Family.GAMMA, TransformKind.GAMMA_REFLECTED))
-    combos.append((Family.BETA, TransformKind.BETA_RESCALED))
-    return combos
 
+def _score(problem: FitProblem, seed_parts, n_draws, elpd_method, qq_samples, groups, extra=None) -> dict:
+    """Fit ``problem``, then score it by ELPD and predictive QQ RMSE.
 
-def _fit_subset_combo(task):
-    """Fit one (subset, family, transform) cell; returns a metrics dict."""
-    (key_sex, key_bin, records, family_value, kind_value, seed, n_draws, elpd_method, qq_samples) = task
-    family = Family(family_value)
-    kind = TransformKind(kind_value)
-    fam_idx = list(Family).index(family)
-    kind_idx = list(TransformKind).index(kind)
-    base = {
-        "sex": key_sex,
-        "bin_start": key_bin,
-        "family": family.value,
-        "transform": kind.value,
-        "n_records": len(records),
-    }
+    ``groups`` lists (name, records, seed parts) per QQ group, and
+    ``extra(fit, draws)`` returns further fields. Any exception turns into
+    the failure marker: ``_FAILED`` plus the error text.
+    """
     try:
-        problem = FitProblem(family, Transform(kind), ModelSpec(ModelTag.INTERCEPT_ONLY), records)
         fit = fit_map(problem)
-        draws = laplace_draws(fit, n_draws, seed=_child_seed(seed, key_sex, key_bin, fam_idx, kind_idx, 1))
+        draws = laplace_draws(fit, n_draws, seed=_child_seed(*seed_parts, 1))
         res = elpd_loo(
             method=elpd_method,
             fit=fit,
             draws=draws,
-            records=records,
+            records=problem.records,
             problem=problem,
-            seed=_child_seed(seed, key_sex, key_bin, fam_idx, kind_idx, 2),
+            seed=_child_seed(*seed_parts, 2),
         )
-        pred = predictive_for_records(
-            fit, draws, records, qq_samples, seed=_child_seed(seed, key_sex, key_bin, fam_idx, kind_idx, 3)
-        )
-        qq = qq_rmse({"subset": records.partner_age}, {"subset": pred})
-        base.update(
-            {
-                "ok": True,
-                "converged": fit.converged,
-                "elpd": res.elpd,
-                "elpd_se": res.se,
-                "pointwise": res.pointwise,
-                "qq_rmse": qq,
-                "n_flagged": len(res.flagged),
-                "error": None,
-            }
-        )
+        observed, predictive = {}, {}
+        for name, recs, parts in groups:
+            observed[name] = recs.partner_age
+            predictive[name] = predictive_for_records(
+                fit, draws, recs, qq_samples, seed=_child_seed(*seed_parts, 3, *parts)
+            )
+        scores = {
+            "ok": True,
+            "converged": fit.converged,
+            "elpd": res.elpd,
+            "elpd_se": res.se,
+            "n_flagged": len(res.flagged),
+            "elpd_result": res,
+            "qq_rmse": qq_rmse(observed, predictive),
+            "knots": list(fit.spec.knots) if fit.spec.knots else None,
+            "nlp": fit.nlp,
+            "iterations": fit.iterations,
+            "gradient_norm": fit.gradient_norm,
+            "min_curvature_eigenvalue": fit.min_curvature_eigenvalue,
+            "error": None,
+        }
+        if extra is not None:
+            scores.update(extra(fit, draws))
+        return scores
     except Exception as exc:  # noqa: BLE001 - failure markers belong in the report
-        base.update(
-            {
-                "ok": False,
-                "converged": False,
-                "elpd": math.nan,
-                "elpd_se": math.nan,
-                "pointwise": None,
-                "qq_rmse": math.nan,
-                "n_flagged": 0,
-                "error": f"{type(exc).__name__}: {exc}",
-            }
-        )
-    return base
+        return {**_FAILED, "error": f"{type(exc).__name__}: {exc}"}
+
+
+def _ranked(results, name) -> list[dict]:
+    """``ComparisonReport`` rows of the fits that succeeded, best ELPD first."""
+    return ComparisonReport.from_models(
+        (name(r), r["elpd_result"], r["qq_rmse"], r["converged"]) for r in results if r["ok"]
+    ).to_dicts()
 
 
 def _run_tasks(tasks, worker, jobs: int):
@@ -309,124 +319,156 @@ def _run_tasks(tasks, worker, jobs: int):
         return list(pool.map(worker, tasks))
 
 
-@main.command("compare-distributions")
-@click.argument("data", type=click.Path(exists=True))
-@click.option("--out", "out_dir", type=click.Path(), required=True, help="Output directory.")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--jobs", type=int, default=None, help="Parallel fits (default: available cores).")
-@click.option("--elpd", "elpd_method", type=click.Choice(["psis", "kfold"]), default="psis", show_default=True)
-@click.option("--draws", type=int, default=4000, show_default=True, help="Laplace draws per fit.")
-@click.option("--qq-samples", type=int, default=10000, show_default=True, help="Predictive samples per subset.")
-def compare_distributions(data, out_dir, seed, jobs, elpd_method, draws, qq_samples):
-    """Rank the five families per (sex, age-bin) subset by ELPD."""
+def _write_table(out_dir: Path, stem: str, header, rows) -> list[Path]:
+    """Write ``rows`` as ``stem``.csv and as a JSON list of objects."""
+    csv_path, json_path = out_dir / f"{stem}.csv", out_dir / f"{stem}.json"
+    _write_csv(csv_path, header, rows)
+    json_path.write_text(json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n")
+    return [csv_path, json_path]
+
+
+def _compare_options(qq_help: str):
+    """The data argument and the options both compare commands take."""
+    options = (
+        click.argument("data", type=click.Path(exists=True)),
+        click.option("--out", "out_dir", type=click.Path(), required=True, help="Output directory."),
+        click.option("--seed", type=int, default=0, show_default=True),
+        click.option("--jobs", type=int, default=None, help="Parallel fits (default: available cores)."),
+        click.option("--elpd", "elpd_method", type=click.Choice(["psis", "kfold"]), default="psis", show_default=True),
+        click.option("--draws", type=int, default=4000, show_default=True, help="Laplace draws per fit."),
+        click.option("--qq-samples", type=int, default=10000, show_default=True, help=qq_help),
+    )
+
+    def decorate(command):
+        for option in reversed(options):
+            command = option(command)
+        return command
+
+    return decorate
+
+
+def _compare(
+    command, tasks_of, worker, write_reports, data, out_dir, seed, jobs, elpd_method, draws, qq_samples
+):
+    """Run one compare command: fit every task, write its reports and manifest.
+
+    ``tasks_of(records)`` gives the leading fields of each task, to which the
+    seed and the scoring settings are appended; ``write_reports(out_dir,
+    results, all_ok)`` returns the paths it wrote and a summary. The exit
+    status is 1 when any fit failed or did not converge.
+    """
     t0 = time.time()
-    jobs = jobs if jobs is not None else (os.cpu_count() or 1)
     records = load_csv(data)
-    subsets = stratify(records)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     method = "exact_kfold" if elpd_method == "kfold" else "psis"
+    tasks = [(*head, seed, draws, method, qq_samples) for head in tasks_of(records)]
+    results = _run_tasks(tasks, worker, jobs if jobs is not None else (os.cpu_count() or 1))
+    all_ok = all(r["ok"] and r["converged"] for r in results)
+    outputs, summary = write_reports(out_dir, results, all_ok)
+    settings = {"data": str(data), "seed": seed, "elpd": elpd_method, "draws": draws, "qq_samples": qq_samples}
+    _write_manifest(out_dir, command, settings, [data], outputs, t0)
+    click.echo(f"fit {summary} -> {out_dir}")
+    if not all_ok:
+        click.echo("warning: some fits failed or did not converge", err=True)
+        sys.exit(1)
 
-    tasks = []
-    for key, recs in subsets.items():
-        for family, kind in _distribution_combos():
-            tasks.append(
-                (key.sex, key.bin_start, recs, family.value, kind.value, seed, draws, method, qq_samples)
-            )
-    results = _run_tasks(tasks, _fit_subset_combo, jobs)
-    results.sort(key=lambda r: (r["sex"], r["bin_start"], r["family"], r["transform"]))
 
-    combo_rows = [
-        [
-            "female" if r["sex"] == 1 else "male",
-            f"{r['bin_start']}-{r['bin_start'] + 4}",
-            FAMILY_LABEL[Family(r["family"])],
-            TRANSFORM_LABEL[TransformKind(r["transform"])],
-            r["n_records"],
-            r["elpd"],
-            r["elpd_se"],
-            r["qq_rmse"],
-            r["converged"],
-            r["n_flagged"],
-            r["error"],
-        ]
-        for r in results
+# ---------------------------------------------------------------------------
+# compare-distributions
+# ---------------------------------------------------------------------------
+
+DISTRIBUTION_COMBOS = tuple((family, kind) for family in REAL_LINE_FAMILIES for kind in VARIABLE_ORDER) + (
+    (Family.GAMMA, TransformKind.GAMMA_REFLECTED),
+    (Family.BETA, TransformKind.BETA_RESCALED),
+)
+
+
+def _subset_tasks(records):
+    return [
+        (key, recs, family, kind) for key, recs in stratify(records).items() for family, kind in DISTRIBUTION_COMBOS
     ]
+
+
+def _fit_subset_combo(task):
+    """Fit and score one (subset, family, transform) cell."""
+    key, records, family, kind, seed, n_draws, elpd_method, qq_samples = task
+    seed_parts = (seed, key.sex, key.bin_start, list(Family).index(family), list(TransformKind).index(kind))
+    problem = FitProblem(family, Transform(kind), ModelSpec(ModelTag.INTERCEPT_ONLY), records)
+    scores = _score(problem, seed_parts, n_draws, elpd_method, qq_samples, [("subset", records, ())])
+    return {"key": key, "family": family, "transform": kind, "n_records": len(records), **scores}
+
+
+def _write_subset_reports(out_dir: Path, results, all_ok):
+    results.sort(key=lambda r: (r["key"], r["family"].value, r["transform"].value))
     combos_path = out_dir / "combos.csv"
     _write_csv(
         combos_path,
         ["sex", "age_bin", "distribution", "variable", "n", "elpd", "elpd_se", "qq_rmse", "converged", "n_flagged", "error"],
-        combo_rows,
+        [
+            [
+                r["key"].sex_label,
+                r["key"].bin_label,
+                FAMILY_LABEL[r["family"]],
+                TRANSFORM_LABEL[r["transform"]],
+                r["n_records"],
+                r["elpd"],
+                r["elpd_se"],
+                r["qq_rmse"],
+                r["converged"],
+                r["n_flagged"],
+                r["error"],
+            ]
+            for r in results
+        ],
     )
 
-    # per-subset family ranking at each family's best variable
+    # per-subset family ranking, each family at its best variable
     ranking_rows = []
-    best_variable: dict[tuple[int, int, str], str] = {}
-    all_ok = all(r["ok"] and r["converged"] for r in results)
-    for key in subsets:
-        cell = [r for r in results if (r["sex"], r["bin_start"]) == (key.sex, key.bin_start)]
-        best_per_family = {}
-        for fam in FAMILY_ORDER:
-            fam_rows = [r for r in cell if r["family"] == fam.value and r["ok"]]
-            if not fam_rows:
-                continue
-            best = max(fam_rows, key=lambda r: r["elpd"])
-            best_per_family[fam] = best
-            best_variable[(key.sex, key.bin_start, fam.value)] = best["transform"]
-        if not best_per_family:
-            continue
-        ranked = sorted(best_per_family.items(), key=lambda kv: -kv[1]["elpd"])
-        top = ranked[0][1]
-        for rank, (fam, row) in enumerate(ranked, start=1):
-            if row is top:
-                diff, dse = 0.0, 0.0
-            else:
-                diff, dse = elpd_diff(row["pointwise"], top["pointwise"])
+    wins = Counter()  # (family, variable) -> subsets where the variable is the family's best
+    n_subsets = 0
+    for key, cell in itertools.groupby(results, key=lambda r: r["key"]):
+        n_subsets += 1
+        cell = list(cell)
+        best = {}
+        for family in FAMILY_ORDER:
+            fitted = [r for r in cell if r["family"] is family and r["ok"]]
+            if fitted:
+                best[family] = max(fitted, key=lambda r: r["elpd"])
+                wins[family, best[family]["transform"]] += 1
+        for d in _ranked(best.values(), lambda r: r["family"]):
             ranking_rows.append(
                 [
                     key.sex_label,
                     key.bin_label,
-                    rank,
-                    FAMILY_LABEL[fam],
-                    row["elpd"],
-                    diff,
-                    dse,
-                    row["qq_rmse"],
-                    TRANSFORM_LABEL[TransformKind(row["transform"])],
+                    d["rank"],
+                    FAMILY_LABEL[d["model"]],
+                    d["elpd"],
+                    d["elpd_diff"],
+                    d["se_of_diff"],
+                    d["qq_rmse"],
+                    TRANSFORM_LABEL[best[d["model"]]["transform"]],
                 ]
             )
-    ranking_header = ["sex", "age_bin", "rank", "distribution", "elpd", "elpd_diff", "se_of_diff", "qq_rmse", "best_variable"]
-    rankings_path = out_dir / "subset_rankings.csv"
-    _write_csv(rankings_path, ranking_header, ranking_rows)
-    rankings_json_path = out_dir / "subset_rankings.json"
-    rankings_json_path.write_text(
-        json.dumps([dict(zip(ranking_header, row)) for row in ranking_rows], indent=2) + "\n"
+    rankings = _write_table(
+        out_dir,
+        "subset_rankings",
+        ["sex", "age_bin", "rank", "distribution", "elpd", "elpd_diff", "se_of_diff", "qq_rmse", "best_variable"],
+        ranking_rows,
     )
 
     # share of subsets in which each variable wins, per real-line family
-    share_rows = []
-    share_families = (Family.NORMAL, Family.SKEW_NORMAL, Family.SINH_ARCSINH)
-    n_subsets = len(subsets)
-    for kind in VARIABLE_ORDER:
-        row = [TRANSFORM_LABEL[kind]]
-        for fam in share_families:
-            wins = sum(
-                1
-                for key in subsets
-                if best_variable.get((key.sex, key.bin_start, fam.value)) == kind.value
-            )
-            row.append(100.0 * wins / n_subsets if n_subsets else math.nan)
-        share_rows.append(row)
     shares_path = out_dir / "transform_shares.csv"
-    _write_csv(shares_path, ["variable", "normal", "skew_normal", "sinh_arcsinh"], share_rows)
+    _write_csv(
+        shares_path,
+        ["variable", "normal", "skew_normal", "sinh_arcsinh"],
+        [
+            [TRANSFORM_LABEL[kind]]
+            + [100.0 * wins[family, kind] / n_subsets if n_subsets else math.nan for family in REAL_LINE_FAMILIES]
+            for kind in VARIABLE_ORDER
+        ],
+    )
 
-    settings = {
-        "data": str(data),
-        "seed": seed,
-        "elpd": elpd_method,
-        "draws": draws,
-        "qq_samples": qq_samples,
-    }
     report = {
         "manifest": "manifest.json",
         "n_subsets": n_subsets,
@@ -436,18 +478,14 @@ def compare_distributions(data, out_dir, seed, jobs, elpd_method, draws, qq_samp
     }
     report_path = out_dir / "report.json"
     report_path.write_text(json.dumps(report, indent=2) + "\n")
-    _write_manifest(
-        out_dir,
-        "compare-distributions",
-        settings,
-        [data],
-        [combos_path, rankings_path, rankings_json_path, shares_path, report_path],
-        t0,
-    )
-    click.echo(f"fit {len(results)} models over {n_subsets} subsets -> {out_dir}")
-    if not all_ok:
-        click.echo("warning: some fits failed or did not converge", err=True)
-        sys.exit(1)
+    return [combos_path, *rankings, shares_path, report_path], f"{len(results)} models over {n_subsets} subsets"
+
+
+@main.command("compare-distributions")
+@_compare_options("Predictive samples per subset.")
+def compare_distributions(**options):
+    """Rank the five families per (sex, age-bin) subset by ELPD."""
+    _compare("compare-distributions", _subset_tasks, _fit_subset_combo, _write_subset_reports, **options)
 
 
 # ---------------------------------------------------------------------------
@@ -455,35 +493,36 @@ def compare_distributions(data, out_dir, seed, jobs, elpd_method, draws, qq_samp
 # ---------------------------------------------------------------------------
 
 
+# the fields of each model in compare-models' report.json, in order
+REPORT_KEYS = (
+    "converged",
+    "elpd",
+    "qq_rmse",
+    "knots",
+    "nlp",
+    "iterations",
+    "gradient_norm",
+    "min_curvature_eigenvalue",
+    "error",
+)
+
+
+def _model_tasks(records):
+    return [(tag, records) for tag in MODEL_TAGS]
+
+
 def _fit_model_spec(task):
-    """Fit one regression specification on the full data set."""
-    (tag_value, records, seed, n_draws, elpd_method, qq_samples) = task
-    tag = ModelTag(tag_value)
-    tag_idx = list(ModelTag).index(tag)
-    out = {"tag": tag.value, "error": None, "ok": True}
-    try:
-        problem = FitProblem(
-            Family.SINH_ARCSINH, Transform(TransformKind.LOG_RATIO), ModelSpec(tag), records
-        )
-        fit = fit_map(problem)
-        draws = laplace_draws(fit, n_draws, seed=_child_seed(seed, tag_idx, 1))
-        res = elpd_loo(
-            method=elpd_method, fit=fit, draws=draws, records=records, problem=problem, seed=_child_seed(seed, tag_idx, 2)
-        )
+    """Fit and score one regression specification on the full data set."""
+    tag, records, seed, n_draws, elpd_method, qq_samples = task
+    seed_parts = (seed, list(ModelTag).index(tag))
+    problem = FitProblem(Family.SINH_ARCSINH, Transform(TransformKind.LOG_RATIO), ModelSpec(tag), records)
+    groups = [(str(key), recs, (key.sex, key.bin_start)) for key, recs in stratify(records).items()]
 
-        observed = {}
-        predictive = {}
-        for key, recs in stratify(records).items():
-            observed[str(key)] = recs.partner_age
-            predictive[str(key)] = predictive_for_records(
-                fit, draws, recs, qq_samples, seed=_child_seed(seed, tag_idx, 3, key.sex, key.bin_start)
-            )
-        qq = qq_rmse(observed, predictive)
-
+    def curves_and_histograms(fit, draws):
         curves = []
         for sex in (0, 1):
             etas = draw_etas(fit, draws.draws, np.array(CURVE_AGES, float), np.full(len(CURVE_AGES), sex))
-            params = _natural_params(fit.family, _full_etas(fit, etas))
+            params = _natural_params(fit.family, etas)
             for name, values in zip(("mu", "sigma", "epsilon", "delta"), params):
                 est = np.mean(values, axis=0)
                 lo = np.quantile(values, 0.025, axis=0)
@@ -491,152 +530,59 @@ def _fit_model_spec(task):
                 for age, e, l, h in zip(CURVE_AGES, est, lo, hi):
                     curves.append([tag.value, name, sex, age, float(e), float(l), float(h)])
 
-        hist_rows = []
+        histograms = []
         n_per_draw = max(1, 50000 // n_draws)
         edges = np.arange(0.0, 101.0)
         for sex in (0, 1):
             for age in HISTOGRAM_AGES:
                 samples = posterior_predictive(
-                    fit, draws, float(age), sex, n_per_draw, seed=_child_seed(seed, tag_idx, 4, sex, age)
+                    fit, draws, float(age), sex, n_per_draw, seed=_child_seed(*seed_parts, 4, sex, age)
                 )
                 density, _ = np.histogram(samples, bins=edges, density=True)
                 for left, d in zip(edges[:-1], density):
-                    hist_rows.append([tag.value, sex, age, int(left), float(d)])
+                    histograms.append([tag.value, sex, age, int(left), float(d)])
+        return {"curves": curves, "histograms": histograms}
 
-        out.update(
-            {
-                "converged": fit.converged,
-                "elpd": res.elpd,
-                "elpd_result": res,
-                "n_flagged": len(res.flagged),
-                "qq_rmse": qq,
-                "curves": curves,
-                "histograms": hist_rows,
-                "knots": list(fit.spec.knots) if fit.spec.knots else None,
-                "nlp": fit.nlp,
-                "iterations": fit.iterations,
-                "gradient_norm": fit.gradient_norm,
-                "min_curvature_eigenvalue": fit.min_curvature_eigenvalue,
-            }
-        )
-    except Exception as exc:  # noqa: BLE001
-        out.update(
-            {
-                "ok": False,
-                "converged": False,
-                "elpd": math.nan,
-                "elpd_result": None,
-                "n_flagged": 0,
-                "qq_rmse": math.nan,
-                "curves": [],
-                "histograms": [],
-                "knots": None,
-                "nlp": math.nan,
-                "iterations": None,
-                "gradient_norm": math.nan,
-                "min_curvature_eigenvalue": math.nan,
-                "error": f"{type(exc).__name__}: {exc}",
-            }
-        )
-    return out
+    scores = _score(problem, seed_parts, n_draws, elpd_method, qq_samples, groups, curves_and_histograms)
+    # a failed fit leaves no curves and no histograms
+    return {"tag": tag, "curves": [], "histograms": [], **scores}
 
 
-@main.command("compare-models")
-@click.argument("data", type=click.Path(exists=True))
-@click.option("--out", "out_dir", type=click.Path(), required=True, help="Output directory.")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--jobs", type=int, default=None, help="Parallel fits (default: available cores).")
-@click.option("--elpd", "elpd_method", type=click.Choice(["psis", "kfold"]), default="psis", show_default=True)
-@click.option("--draws", type=int, default=4000, show_default=True, help="Laplace draws per fit.")
-@click.option("--qq-samples", type=int, default=10000, show_default=True, help="Predictive samples per group.")
-def compare_models(data, out_dir, seed, jobs, elpd_method, draws, qq_samples):
-    """Fit the five regression specifications (sinh-arcsinh, log-ratio)."""
-    t0 = time.time()
-    jobs = jobs if jobs is not None else (os.cpu_count() or 1)
-    records = load_csv(data)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    method = "exact_kfold" if elpd_method == "kfold" else "psis"
-
-    tasks = [(tag.value, records, seed, draws, method, qq_samples) for tag in MODEL_TAGS]
-    results = _run_tasks(tasks, _fit_model_spec, jobs)
-    results.sort(key=lambda r: list(ModelTag).index(ModelTag(r["tag"])))
-    by_tag = {r["tag"]: r for r in results}
-
-    display = {t.value: ModelSpec(t).display_name for t in MODEL_TAGS}
-    ok_rows = [r for r in results if r["ok"]]
-    comparison_rows = []
-    if ok_rows:
-        ranked = ComparisonReport.from_models(
-            (display[r["tag"]], r["elpd_result"], r["qq_rmse"], r["converged"]) for r in ok_rows
-        )
-        comparison_rows = [
-            [d["rank"], d["model"], d["elpd"], d["elpd_diff"], d["se_of_diff"],
-             d["qq_rmse"], d["elpd_se"], d["converged"]]
-            for d in ranked.to_dicts()
-        ]
-    comparison_header = ["rank", "model", "elpd", "elpd_diff", "se_of_diff", "qq_rmse", "elpd_se", "converged"]
-    comparison_path = out_dir / "model_comparison.csv"
-    _write_csv(comparison_path, comparison_header, comparison_rows)
-    comparison_json_path = out_dir / "model_comparison.json"
-    comparison_json_path.write_text(
-        json.dumps([dict(zip(comparison_header, row)) for row in comparison_rows], indent=2) + "\n"
+def _write_model_reports(out_dir: Path, results, all_ok):
+    header = ["rank", "model", "elpd", "elpd_diff", "se_of_diff", "qq_rmse", "elpd_se", "converged"]
+    comparison = _write_table(
+        out_dir,
+        "model_comparison",
+        header,
+        [[d[k] for k in header] for d in _ranked(results, lambda r: ModelSpec(r["tag"]).display_name)],
     )
-
     curves_path = out_dir / "parameter_curves.csv"
     _write_csv(
         curves_path,
         ["model", "parameter", "sex", "age", "estimate", "lower95", "upper95"],
         [row for r in results for row in r["curves"]],
     )
-
     hist_path = out_dir / "predictive_histograms.csv"
     _write_csv(
         hist_path,
         ["model", "sex", "age", "partner_age", "density"],
         [row for r in results for row in r["histograms"]],
     )
-
-    all_ok = all(r["ok"] and r["converged"] for r in results)
-    settings = {
-        "data": str(data),
-        "seed": seed,
-        "elpd": elpd_method,
-        "draws": draws,
-        "qq_samples": qq_samples,
-    }
     report = {
         "manifest": "manifest.json",
-        "models": {
-            tag.value: {
-                "converged": by_tag[tag.value]["converged"],
-                "elpd": by_tag[tag.value]["elpd"],
-                "qq_rmse": by_tag[tag.value]["qq_rmse"],
-                "knots": by_tag[tag.value]["knots"],
-                "nlp": by_tag[tag.value]["nlp"],
-                "iterations": by_tag[tag.value]["iterations"],
-                "gradient_norm": by_tag[tag.value]["gradient_norm"],
-                "min_curvature_eigenvalue": by_tag[tag.value]["min_curvature_eigenvalue"],
-                "error": by_tag[tag.value]["error"],
-            }
-            for tag in MODEL_TAGS
-        },
+        "models": {r["tag"].value: {k: r[k] for k in REPORT_KEYS} for r in results},
         "all_converged": all_ok,
     }
     report_path = out_dir / "report.json"
     report_path.write_text(json.dumps(report, indent=2) + "\n")
-    _write_manifest(
-        out_dir,
-        "compare-models",
-        settings,
-        [data],
-        [comparison_path, comparison_json_path, curves_path, hist_path, report_path],
-        t0,
-    )
-    click.echo(f"fit {len(results)} specifications -> {out_dir}")
-    if not all_ok:
-        click.echo("warning: some fits failed or did not converge", err=True)
-        sys.exit(1)
+    return [*comparison, curves_path, hist_path, report_path], f"{len(results)} specifications"
+
+
+@main.command("compare-models")
+@_compare_options("Predictive samples per group.")
+def compare_models(**options):
+    """Fit the five regression specifications (sinh-arcsinh, log-ratio)."""
+    _compare("compare-models", _model_tasks, _fit_model_spec, _write_model_reports, **options)
 
 
 if __name__ == "__main__":

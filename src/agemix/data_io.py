@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from .design import ModelSpec, design_matrices, slot_recipes, row_width
-from .distributions import Family, linpred_slots
-from .inference import _natural_params, _sample_family
+from .distributions import Family, linpred_slots, sample_slots
+from .inference import _natural_params
 from .transforms import Transform, TransformKind, inverse_array
 
 __all__ = [
@@ -131,8 +131,8 @@ def load_csv(path, strict: bool = True) -> Records:
 
     Blank lines are ignored. In strict mode any malformed row aborts the
     load with a report listing every offending line; otherwise bad rows are
-    logged and skipped. Sex fields are truncated to integers before the
-    range check.
+    logged and skipped. A sex field must equal 0 or 1 (``1.0`` is 1); a
+    fractional one is a malformed row.
     """
     path = Path(path)
     with path.open(newline="") as fh:
@@ -150,7 +150,7 @@ def load_csv(path, strict: bool = True) -> Records:
     try:
         values = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
         if values.shape[1] == 3:
-            return Records(values[:, 0], np.trunc(values[:, 1]), values[:, 2])
+            return Records(values[:, 0], values[:, 1], values[:, 2])
     except ValueError:
         pass
 
@@ -166,7 +166,6 @@ def load_csv(path, strict: bool = True) -> Records:
         except ValueError as exc:
             problems.append((line_no, str(exc)))
     ages, sexes, partners = np.array(rows, dtype=float).reshape(-1, 3).T
-    sexes = np.trunc(sexes)
     out_of_range = _range_problems(ages, sexes, partners)
     problems = sorted(problems + [(line_nos[i], msg) for i, msg in out_of_range])
     if problems:
@@ -355,7 +354,7 @@ def simulate(config: GeneratorConfig) -> Records:
     mats = design_matrices(config.spec, ages, sexes, slots=slots, center=False)
     etas = {slot: mats[slot] @ config.coefficients[slot] for slot in slots}
     params = _natural_params(config.family, etas)
-    y = _sample_family(config.family, params, (config.n,), rng_y)
+    y = sample_slots(config.family, params, (config.n,), rng_y)
     partners = inverse_array(config.transform, ages, sexes, y)
 
     if config.integer_ages:

@@ -43,6 +43,7 @@ __all__ = [
     "sample",
     "empirical_moments",
     "log_pdf_slots",
+    "sample_slots",
     "linpred_slots",
     "params_from_slots",
 ]
@@ -222,6 +223,36 @@ def log_pdf_slots(family: Family, x, *slots):
     return _LOGPDF[family](np.asarray(x, dtype=float), *slots)
 
 
+def sample_slots(family: Family, slots, size, rng: np.random.Generator) -> np.ndarray:
+    """Vectorized sampling of ``size`` values from raw slot arrays.
+
+    The slot arrays broadcast against ``size``; ``rng`` supplies the draws.
+    """
+    if family is Family.NORMAL:
+        mu, sigma = slots
+        return mu + sigma * rng.standard_normal(size)
+    if family is Family.SKEW_NORMAL:
+        # Z = d|U| + sqrt(1-d^2) V with d = eps/sqrt(1+eps^2) has density
+        # 2 phi(z) Phi(eps z)
+        mu, sigma, epsilon = slots
+        d = epsilon / np.hypot(1.0, epsilon)
+        u = rng.standard_normal(size)
+        v = rng.standard_normal(size)
+        return mu + sigma * (d * np.abs(u) + np.sqrt(1.0 - d * d) * v)
+    if family is Family.GAMMA:
+        k, theta = slots
+        return rng.gamma(np.broadcast_to(k, size), np.broadcast_to(theta, size))
+    if family is Family.BETA:
+        alpha, beta_p = slots
+        return rng.beta(np.broadcast_to(alpha, size), np.broadcast_to(beta_p, size))
+    if family is Family.SINH_ARCSINH:
+        # closed-form quantile applied to uniforms
+        mu, sigma, epsilon, delta = slots
+        u = rng.uniform(size=size)
+        return mu + sigma * np.sinh((np.arcsinh(ndtri(u)) - epsilon) / delta)
+    raise ValueError(f"unknown family {family!r}")  # pragma: no cover
+
+
 def _check_support(family: Family, x: float) -> None:
     if family is Family.GAMMA and not x > 0:
         raise DomainError(f"gamma support is x > 0, got x={x!r}")
@@ -395,32 +426,7 @@ def sample(family: Family, params: ParamVector, n: int, seed: int) -> np.ndarray
     """Draw ``n`` i.i.d. values; deterministic for a given ``seed``."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    slots = params.require(family)
-    rng = np.random.default_rng(seed)
-
-    if family is Family.NORMAL:
-        mu, sigma = slots
-        return mu + sigma * rng.standard_normal(n)
-    if family is Family.SKEW_NORMAL:
-        # Z = d|U| + sqrt(1-d^2) V with d = eps/sqrt(1+eps^2) has density
-        # 2 phi(z) Phi(eps z)
-        mu, sigma, epsilon = slots
-        d = epsilon / math.hypot(1.0, epsilon)
-        u = rng.standard_normal(n)
-        v = rng.standard_normal(n)
-        z = d * np.abs(u) + math.sqrt(1.0 - d * d) * v
-        return mu + sigma * z
-    if family is Family.GAMMA:
-        k, theta = slots
-        return rng.gamma(shape=k, scale=theta, size=n)
-    if family is Family.BETA:
-        alpha, beta_p = slots
-        return rng.beta(alpha, beta_p, size=n)
-    if family is Family.SINH_ARCSINH:
-        # closed-form quantile applied to uniforms
-        u = rng.uniform(size=n)
-        return quantile(family, params, u)
-    raise ValueError(f"unknown family {family!r}")  # pragma: no cover
+    return sample_slots(family, params.require(family), n, np.random.default_rng(seed))
 
 
 # ---------------------------------------------------------------------------

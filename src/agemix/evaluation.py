@@ -495,15 +495,17 @@ class ComparisonReport:
 
     @classmethod
     def from_models(cls, entries) -> "ComparisonReport":
-        """Build from (name, ElpdResult, qq_rmse, converged) tuples."""
+        """Build from (name, ElpdResult, qq_rmse, converged) tuples.
+
+        The sort is stable, so entries with equal ELPD keep their given order.
+        """
         entries = list(entries)
         order = sorted(range(len(entries)), key=lambda i: -entries[i][1].elpd)
-        best = entries[order[0]][1]
         rows = []
         for rank, i in enumerate(order, start=1):
             name, res, qq, converged = entries[i]
-            if i == order[0]:
-                diff, dse = 0.0, 0.0
+            if rank == 1:
+                best, diff, dse = res, 0.0, 0.0
             else:
                 diff, dse = elpd_diff(res.pointwise, best.pointwise)
             rows.append(

@@ -39,7 +39,7 @@ from scipy.special import digamma, log_ndtr, polygamma
 
 from . import transforms
 from .design import ModelSpec, SLOT_NAMES, design_matrices, uncenter_matrix
-from .distributions import Family, ParamVector, linpred_slots, log_pdf_slots, params_from_slots
+from .distributions import Family, ParamVector, linpred_slots, log_pdf_slots, params_from_slots, sample_slots
 from .transforms import Transform
 
 if TYPE_CHECKING:  # data_io imports this module
@@ -635,40 +635,6 @@ def draw_etas(fit: FitResult, draws: np.ndarray, ages, sexes) -> dict[str, np.nd
     return out
 
 
-def _full_etas(fit: FitResult, etas: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    any_eta = next(iter(etas.values()))
-    full = dict(etas)
-    for slot in SLOT_NAMES:
-        full.setdefault(slot, np.zeros_like(any_eta))
-    return full
-
-
-def _sample_family(family: Family, params, size, rng) -> np.ndarray:
-    """Vectorized family sampling with broadcastable parameter arrays."""
-    if family is Family.NORMAL:
-        mu, sigma = params
-        return mu + sigma * rng.standard_normal(size)
-    if family is Family.SKEW_NORMAL:
-        mu, sigma, epsilon = params
-        d = epsilon / np.hypot(1.0, epsilon)
-        u = rng.standard_normal(size)
-        v = rng.standard_normal(size)
-        return mu + sigma * (d * np.abs(u) + np.sqrt(1.0 - d * d) * v)
-    if family is Family.GAMMA:
-        k, theta = params
-        return rng.gamma(np.broadcast_to(k, size), np.broadcast_to(theta, size))
-    if family is Family.BETA:
-        alpha, beta_p = params
-        return rng.beta(np.broadcast_to(alpha, size), np.broadcast_to(beta_p, size))
-    if family is Family.SINH_ARCSINH:
-        from scipy.special import ndtri
-
-        mu, sigma, epsilon, delta = params
-        u = rng.uniform(size=size)
-        return mu + sigma * np.sinh((np.arcsinh(ndtri(u)) - epsilon) / delta)
-    raise ValueError(f"unknown family {family!r}")  # pragma: no cover
-
-
 def posterior_predictive(
     fit: FitResult,
     draws: PosteriorDraws,
@@ -683,12 +649,10 @@ def posterior_predictive(
     them back through the inverse transform; returns the pooled vector.
     """
     etas = {s: e[:, 0] for s, e in draw_etas(fit, draws.draws, [respondent_age], [respondent_sex]).items()}
-    params = _natural_params(fit.family, _full_etas(fit, etas))
+    params = _natural_params(fit.family, etas)
     n_draw_rows = draws.draws.shape[0]
     rng = np.random.default_rng(seed)
-    y = _sample_family(
-        fit.family, tuple(p[:, None] for p in params), (n_draw_rows, n_per_draw), rng
-    ).ravel()
+    y = sample_slots(fit.family, tuple(p[:, None] for p in params), (n_draw_rows, n_per_draw), rng).ravel()
     ages = np.full(y.shape, float(respondent_age))
     sexes = np.full(y.shape, int(respondent_sex))
     return transforms.inverse_array(fit.transform, ages, sexes, y)
@@ -718,6 +682,6 @@ def predictive_for_records(
     for slot in fit.slots:
         a, b = fit.offsets[slot]
         etas[slot] = np.einsum("ij,ij->i", mats[slot], draws.draws[draw_idx, a:b])
-    params = _natural_params(fit.family, _full_etas(fit, etas))
-    y = _sample_family(fit.family, params, (n_total,), rng)
+    params = _natural_params(fit.family, etas)
+    y = sample_slots(fit.family, params, (n_total,), rng)
     return transforms.inverse_array(fit.transform, sel.respondent_age, sel.respondent_sex, y)

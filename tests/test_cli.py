@@ -7,8 +7,12 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import agemix.cli
 from agemix.cli import main
 from agemix.data_io import default_config, load_csv, save_csv, simulate
+from agemix.design import ModelTag
+from agemix.distributions import Family
+from agemix.inference import FitError
 
 
 @pytest.fixture(scope="module")
@@ -265,9 +269,6 @@ class TestCompareModels:
 
 def _fail_fit_map(monkeypatch, should_fail):
     """Make ``agemix.cli.fit_map`` raise for the problems ``should_fail`` picks."""
-    import agemix.cli
-    from agemix.inference import FitError
-
     real = agemix.cli.fit_map
 
     def fit_map(problem, *args, **kwargs):
@@ -282,8 +283,6 @@ class TestFailureMarkers:
     """One failed fit leaves marker rows, is left out of rankings and sets exit 1."""
 
     def test_compare_distributions_marks_failed_family(self, runner, data_csv, tmp_path, monkeypatch):
-        from agemix.distributions import Family
-
         _fail_fit_map(monkeypatch, lambda problem: problem.family is Family.SKEW_NORMAL)
         result = runner.invoke(
             main,
@@ -312,8 +311,6 @@ class TestFailureMarkers:
         assert report["failures"] == ["FitError: injected failure"] * (12 * 4)
 
     def test_compare_models_marks_failed_specification(self, runner, data_csv, tmp_path, monkeypatch):
-        from agemix.design import ModelTag
-
         _fail_fit_map(monkeypatch, lambda problem: problem.spec.tag is ModelTag.DISTRIBUTIONAL_2)
         result = runner.invoke(
             main,

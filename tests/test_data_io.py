@@ -156,10 +156,15 @@ class TestCsv:
         assert len(records) == 2
 
     def test_quoted_fields_and_fractional_sex(self, tmp_path):
-        # the csv module unquotes fields; sex fields are truncated to integers
+        # the csv module unquotes fields; 1.0 is sex 1, a fractional sex is
+        # malformed, whether the file takes the row-by-row parse (quotes) or not
         path = tmp_path / "r.csv"
-        path.write_text(HEADER + '"30",1.0,41\n25,0.7,22\n')
-        assert_same_records(load_csv(path), rows((30.0, 1, 41.0), (25.0, 0, 22.0)))
+        only_line_3 = r"1 malformed row\(s\): line 3: respondent_sex must be 0 or 1, got 0.7$"
+        for first in ('"30",1.0,41', "30,1.0,41"):
+            path.write_text(HEADER + first + "\n25,0.7,22\n31,0,40\n")
+            with pytest.raises(CsvError, match=only_line_3):
+                load_csv(path)
+            assert_same_records(load_csv(path, strict=False), rows((30.0, 1, 41.0), (31.0, 0, 40.0)))
 
     def test_header_mismatch(self, tmp_path):
         path = tmp_path / "r.csv"
