@@ -117,12 +117,28 @@ def _write_csv(path: Path, header, rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
+def _finite(value):
+    """``value`` with every non-finite float inside it replaced by None."""
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
+def _json(value, **kwargs) -> str:
+    """Strict JSON text of ``value``: non-finite floats become null."""
+    return json.dumps(_finite(value), allow_nan=False, **kwargs)
+
+
 def _child_seed(*parts) -> int:
     return int(np.random.SeedSequence([int(p) for p in parts]).generate_state(1)[0])
 
 
 def _settings_hash(settings: dict) -> str:
-    return hashlib.sha256(json.dumps(settings, sort_keys=True).encode()).hexdigest()
+    return hashlib.sha256(_json(settings, sort_keys=True).encode()).hexdigest()
 
 
 def _write_manifest(out_dir: Path, command: str, settings: dict, inputs, outputs, t0: float) -> Path:
@@ -138,7 +154,7 @@ def _write_manifest(out_dir: Path, command: str, settings: dict, inputs, outputs
         "written_at": datetime.now(timezone.utc).isoformat(),
     }
     path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2) + "\n")
+    path.write_text(_json(manifest, indent=2) + "\n")
     return path
 
 
@@ -229,7 +245,7 @@ def deheap_cmd(data, out_dir, bandwidth, seed):
     save_csv(new_records, csv_path)
     report_path = out_dir / "heap_report.json"
     report_blob = {"manifest": "manifest.json", **report.to_dict()}
-    report_path.write_text(json.dumps(report_blob, indent=2) + "\n")
+    report_path.write_text(_json(report_blob, indent=2) + "\n")
     settings = {"data": str(data), "bandwidth": bandwidth, "seed": seed}
     _write_manifest(out_dir, "deheap", settings, [data], [csv_path, report_path], t0)
     click.echo(
@@ -323,7 +339,7 @@ def _write_table(out_dir: Path, stem: str, header, rows) -> list[Path]:
     """Write ``rows`` as ``stem``.csv and as a JSON list of objects."""
     csv_path, json_path = out_dir / f"{stem}.csv", out_dir / f"{stem}.json"
     _write_csv(csv_path, header, rows)
-    json_path.write_text(json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n")
+    json_path.write_text(_json([dict(zip(header, row)) for row in rows], indent=2) + "\n")
     return [csv_path, json_path]
 
 
@@ -477,7 +493,7 @@ def _write_subset_reports(out_dir: Path, results, all_ok):
         "failures": [r["error"] for r in results if not r["ok"]],
     }
     report_path = out_dir / "report.json"
-    report_path.write_text(json.dumps(report, indent=2) + "\n")
+    report_path.write_text(_json(report, indent=2) + "\n")
     return [combos_path, *rankings, shares_path, report_path], f"{len(results)} models over {n_subsets} subsets"
 
 
@@ -574,7 +590,7 @@ def _write_model_reports(out_dir: Path, results, all_ok):
         "all_converged": all_ok,
     }
     report_path = out_dir / "report.json"
-    report_path.write_text(json.dumps(report, indent=2) + "\n")
+    report_path.write_text(_json(report, indent=2) + "\n")
     return [*comparison, curves_path, hist_path, report_path], f"{len(results)} specifications"
 
 

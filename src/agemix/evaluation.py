@@ -15,8 +15,12 @@ se = sqrt(n * var(pointwise)).
 PSIS is independent per record, so ``elpd_loo`` streams blocks of records
 (records x draws, about ``_BLOCK_BYTES`` each) from the fit through one
 kernel and keeps only the pointwise ELPD and k-hat: memory is
-O(draws x block), not O(records x draws). ``pointwise_loglik`` builds the
-full matrix from the same blocks for callers that want it.
+O(draws x block), not O(records x draws). A record's log likelihood depends
+only on its (respondent age, sex, partner age), and ages are mostly whole
+years, so the stream holds each distinct record once and copies its scores
+to every duplicate: work is O(distinct records x draws). Exact k-fold scores
+its held-out records the same way. ``pointwise_loglik`` builds the full
+matrix from the same blocks for callers that want it.
 """
 
 from __future__ import annotations
@@ -80,12 +84,13 @@ def _block_rows(n_draws: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * n_draws))
 
 
-def _loglik_blocks(fit: FitResult, draws: PosteriorDraws, records, transform=None):
+def _loglik_blocks(fit: FitResult, draws: PosteriorDraws, records, transform=None, origin=None):
     """Yield (start, block): log likelihoods of consecutive record blocks.
 
     ``block`` is C-contiguous (records x draws); entry (i, d) is the log
     density of record ``start + i`` under draw d. Any non-finite entry
-    raises, naming the offending record and draw.
+    raises, naming the offending draw and record; ``origin[i]``, when given,
+    is the index the message gives record i.
     """
     t = transform if transform is not None else fit.transform
     ages, sexes, partners = records.respondent_age, records.respondent_sex, records.partner_age
@@ -107,10 +112,25 @@ def _loglik_blocks(fit: FitResult, draws: PosteriorDraws, records, transform=Non
             i, d = np.argwhere(~np.isfinite(block))[0]
             i += start
             raise ValueError(
-                f"non-finite log likelihood at draw {d}, record {i} "
+                f"non-finite log likelihood at draw {d}, record {i if origin is None else origin[i]} "
                 f"(respondent_age={ages[i]}, respondent_sex={sexes[i]}, partner_age={partners[i]})"
             )
         yield start, block
+
+
+def _distinct(records) -> tuple[np.ndarray, np.ndarray]:
+    """(first, inverse) over the distinct rows of ``records``.
+
+    ``first`` holds the index of each distinct record's first occurrence, in
+    ascending order, and ``records[first][inverse]`` equals ``records``.
+    """
+    columns = np.column_stack([records.respondent_age, records.respondent_sex, records.partner_age])
+    _, first, inverse = np.unique(columns, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    # the shape of the inverse differs between numpy versions
+    return first[order], rank[inverse.ravel()]
 
 
 def _matrix_blocks(values: np.ndarray):
@@ -157,73 +177,6 @@ def _logsumexp_rows(a: np.ndarray, scratch: np.ndarray | None = None) -> np.ndar
 # ---------------------------------------------------------------------------
 
 
-def gpd_fit(exceedances: np.ndarray) -> tuple[float, float]:
-    """Empirical-Bayes fit of a generalized Pareto to sorted exceedances.
-
-    Returns (k, sigma); ``exceedances`` must be ascending with a positive
-    maximum. The shape estimate is regularized toward 0.5 by a weak prior.
-    """
-    x = np.asarray(exceedances, dtype=float)
-    n = x.size
-    m = 30 + int(math.isqrt(n))
-    idx = np.arange(1.0, m + 1.0)
-    bs = 1.0 - np.sqrt(m / (idx - 0.5))
-    quart = x[n // 4] if x[n // 4] > 0 else x[x > 0][0]
-    bs = bs / (3.0 * quart) + 1.0 / x[-1]
-    ks = np.mean(np.log1p(-bs[:, None] * x[None, :]), axis=1)
-    profile = n * (np.log(-bs / ks) - ks - 1.0)
-    weights = 1.0 / np.sum(np.exp(profile[None, :] - profile[:, None]), axis=1)
-    weights /= weights.sum()
-    b = float(np.sum(bs * weights))
-    k = float(np.mean(np.log1p(-b * x)))
-    sigma = -k / b
-    prior_n = 10.0
-    k = k * n / (n + prior_n) + prior_n * 0.5 / (n + prior_n)
-    if math.isnan(k):
-        # a tail reaching below the floating-point floor (the clamped cutoff
-        # leaves negative exceedances) can turn the profile NaN; unassessable
-        return math.inf, math.nan
-    return k, sigma
-
-
-def _gpd_quantiles(p: np.ndarray, k: float, sigma: float) -> np.ndarray:
-    if abs(k) < 1e-12:
-        return sigma * (-np.log1p(-p))
-    return sigma * np.expm1(-k * np.log1p(-p)) / k
-
-
-def _psis_column(ll_col: np.ndarray) -> tuple[np.ndarray, float]:
-    """Smoothed, self-normalized log importance weights for one record.
-
-    Reference implementation; ``_psis_block`` is the vectorized equivalent
-    used in production and is tested against this one.
-    """
-    lw = -ll_col
-    lw = lw - lw.max()
-    n = lw.size
-    m = int(math.floor(_TAIL_FRACTION * n))
-    khat = -math.inf
-    if m >= _MIN_TAIL:
-        order = np.argsort(lw, kind="stable")
-        tail_idx = order[n - m :]
-        cutoff = max(lw[order[n - m - 1]], math.log(np.finfo(float).tiny))
-        exp_cutoff = math.exp(cutoff)
-        exceed = np.exp(lw[tail_idx]) - exp_cutoff
-        if exceed[-1] > 0:
-            if np.count_nonzero(exceed > 0) < _MIN_TAIL:
-                # weights so concentrated the tail underflows; unassessable
-                khat = math.inf
-            else:
-                k, sigma = gpd_fit(exceed)
-                khat = k
-                if np.isfinite(k) and k >= 1.0 / 3.0:
-                    probs = (np.arange(m) + 0.5) / m
-                    smoothed = np.log(_gpd_quantiles(probs, k, sigma) + exp_cutoff)
-                    lw = lw.copy()
-                    lw[tail_idx] = np.minimum(smoothed, 0.0)
-    return lw - _logsumexp_rows(lw[None, :])[0], khat
-
-
 def _gpd_fit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise generalized Pareto fits; x is (rows, n) ascending per row.
 
@@ -255,7 +208,7 @@ def _gpd_fit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sigma = -k / b
     prior_n = 10.0
     k = k * n / (n + prior_n) + prior_n * 0.5 / (n + prior_n)
-    k[np.isnan(k)] = math.inf  # unassessable, as in gpd_fit
+    k[np.isnan(k)] = math.inf  # a tail below the floating-point floor; unassessable
     return k, sigma
 
 
@@ -307,8 +260,8 @@ def _psis_block(ll: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """PSIS-LOO for a records-major block ``ll`` (records x draws).
 
     Returns the self-normalized smoothed log weights (records x draws), the
-    pointwise ELPD and k-hat of each record; row by row they equal
-    ``_psis_column`` up to rounding.
+    pointwise ELPD and k-hat of each record; row by row they equal the
+    record-at-a-time reference in ``tests/psis_reference.py`` up to rounding.
     """
     lw = np.negative(ll)
     lw -= lw.max(axis=1, keepdims=True)
@@ -357,19 +310,22 @@ def elpd_loo(
 
     ``method="psis"`` estimates LOO from the draws alone (requires at least
     100 draws): either from the matrix ``ll`` or, when ``ll`` is None, by
-    streaming record blocks of ``records`` under ``fit`` and ``draws``
-    without building the matrix. ``method="exact_kfold"`` refits ``problem``
-    on K training folds and scores each record out of fold; it needs the
-    originating FitProblem and uses ``ll``, if given, only to check the
-    record count.
+    streaming record blocks of the distinct rows of ``records`` under
+    ``fit`` and ``draws`` without building the matrix.
+    ``method="exact_kfold"`` refits ``problem`` on K training folds and
+    scores each record out of fold; it needs the originating FitProblem and
+    uses ``ll``, if given, only to check the record count.
     """
     if method == "psis":
+        inverse = None
         if ll is not None:
             (n_samples, n), blocks = ll.values.shape, _matrix_blocks(ll.values)
         elif fit is None or draws is None or records is None:
             raise ValueError("psis needs a log-likelihood matrix or fit, draws and records")
         else:
-            (n_samples, n), blocks = (draws.draws.shape[0], len(records)), _loglik_blocks(fit, draws, records)
+            first, inverse = _distinct(records)
+            n_samples, n = draws.draws.shape[0], first.size
+            blocks = _loglik_blocks(fit, draws, records[first], origin=first)
         if n_samples < 100:
             raise ValueError("psis requires at least 100 draws")
         pointwise = np.empty(n)
@@ -377,6 +333,8 @@ def elpd_loo(
         for start, block in blocks:
             rows = slice(start, start + block.shape[0])
             _, pointwise[rows], khat[rows] = _psis_block(block)
+        if inverse is not None:
+            pointwise, khat = pointwise[inverse], khat[inverse]
         flagged = tuple(int(i) for i in np.nonzero(khat > KHAT_WARN)[0])
         if flagged:
             warnings.warn(
@@ -414,9 +372,11 @@ def elpd_loo(
                 continue
             fit = fit_map(replace(base, records=records[assignment != fold]))
             draws = laplace_draws(fit, n_draws, seed=seed + fold + 1)
-            for start, block in _loglik_blocks(fit, draws, records[held]):
-                rows = held[start : start + block.shape[0]]
-                pointwise[rows] = _logsumexp_rows(block, block) - math.log(n_draws)
+            first, inverse = _distinct(records[held])
+            scores = np.empty(first.size)
+            for start, block in _loglik_blocks(fit, draws, records[held[first]], origin=held[first]):
+                scores[start : start + block.shape[0]] = _logsumexp_rows(block, block) - math.log(n_draws)
+            pointwise[held] = scores[inverse]
         return ElpdResult(
             elpd=float(pointwise.sum()),
             se=_pointwise_se(pointwise),

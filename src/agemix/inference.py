@@ -668,7 +668,8 @@ def predictive_for_records(
     """Posterior predictive partner ages mirroring a record set's covariates.
 
     Each of the ``n_total`` samples pairs a uniformly chosen record (its age
-    and sex) with a uniformly chosen posterior draw.
+    and sex) with a uniformly chosen posterior draw. Design rows are built
+    once per distinct (age, sex) cell of ``records``.
     """
     if not len(records):
         raise ValueError("predictive_for_records requires a nonempty record set")
@@ -676,12 +677,15 @@ def predictive_for_records(
     rec_idx = rng.integers(0, len(records), size=n_total)
     draw_idx = rng.integers(0, draws.draws.shape[0], size=n_total)
 
-    sel = records[rec_idx]
-    mats = design_matrices(fit.spec, sel.respondent_age, sel.respondent_sex, slots=fit.slots, center=True)
+    ages, sexes = records.respondent_age, records.respondent_sex
+    cells, cell_of = np.unique(np.column_stack([ages, sexes]), axis=0, return_inverse=True)
+    mats = design_matrices(fit.spec, cells[:, 0], cells[:, 1], slots=fit.slots, center=True)
+    # the shape of the inverse differs between numpy versions
+    rows = cell_of.ravel()[rec_idx]
     etas = {}
     for slot in fit.slots:
         a, b = fit.offsets[slot]
-        etas[slot] = np.einsum("ij,ij->i", mats[slot], draws.draws[draw_idx, a:b])
+        etas[slot] = np.einsum("ij,ij->i", np.take(mats[slot], rows, axis=0), draws.draws[draw_idx, a:b])
     params = _natural_params(fit.family, etas)
     y = sample_slots(fit.family, params, (n_total,), rng)
-    return transforms.inverse_array(fit.transform, sel.respondent_age, sel.respondent_sex, y)
+    return transforms.inverse_array(fit.transform, ages[rec_idx], sexes[rec_idx], y)

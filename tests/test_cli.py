@@ -322,7 +322,7 @@ class TestFailureMarkers:
         assert report["all_converged"] is False
         failed = report["models"]["distributional_2"]
         assert failed["error"] == "FitError: injected failure"
-        assert failed["converged"] is False and math.isnan(failed["elpd"])
+        assert failed["converged"] is False and failed["elpd"] is None
         assert all(m["error"] is None for tag, m in report["models"].items() if tag != "distributional_2")
 
         comparison = read_rows(tmp_path / "model_comparison.csv")
@@ -332,3 +332,23 @@ class TestFailureMarkers:
         assert len(curves) == 4 * 400
         assert "distributional_2" not in {r["model"] for r in curves}
         assert len(read_rows(tmp_path / "predictive_histograms.csv")) == 4 * 600
+
+    def test_failed_fit_report_is_strict_json(self, runner, data_csv, tmp_path, monkeypatch):
+        # a failed fit's NaN scores are written as null, never as a bare NaN
+        _fail_fit_map(monkeypatch, lambda problem: problem.spec.tag is ModelTag.DISTRIBUTIONAL_2)
+        result = runner.invoke(
+            main,
+            ["compare-models", str(data_csv), "--out", str(tmp_path), "--seed", "2",
+             "--jobs", "1", "--draws", "100", "--qq-samples", "500"],
+        )
+        assert result.exit_code == 1, result.output
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        for path in sorted(tmp_path.glob("*.json")):
+            json.loads(path.read_text(), parse_constant=reject)
+        report = json.loads((tmp_path / "report.json").read_text(), parse_constant=reject)
+        failed = report["models"]["distributional_2"]
+        for key in ("elpd", "qq_rmse", "nlp", "gradient_norm", "min_curvature_eigenvalue"):
+            assert failed[key] is None, key

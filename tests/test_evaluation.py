@@ -16,7 +16,6 @@ from agemix.evaluation import (
     ElpdResult,
     LogLikMatrix,
     _psis_block,
-    _psis_column,
     elpd_diff,
     elpd_loo,
     pointwise_loglik,
@@ -24,6 +23,7 @@ from agemix.evaluation import (
 )
 from agemix.inference import FitProblem, fit_map, laplace_draws
 from agemix.transforms import Transform, TransformKind
+from psis_reference import _psis_column
 
 
 @pytest.fixture(scope="module")
@@ -308,6 +308,56 @@ class TestStreamedElpd:
         with pytest.raises(ValueError, match=f"draw 0, record {first} "):
             pointwise_loglik(shifted, draws, tiny_records)
 
+    def test_non_finite_names_caller_record_after_duplicates(self, tiny_records, monkeypatch):
+        # as above, with a copy of every record before the offending one
+        # ahead of it: the distinct stream holds the offending record at a
+        # lower row than the caller's, and the message must give the caller's
+        problem = FitProblem(
+            Family.GAMMA,
+            Transform(TransformKind.GAMMA_REFLECTED),
+            ModelSpec(ModelTag.INTERCEPT_ONLY),
+            tiny_records,
+        )
+        fit = fit_map(problem)
+        draws = laplace_draws(fit, 120, seed=0)
+        shifted = dataclasses.replace(fit, transform=Transform(TransformKind.GAMMA_REFLECTED, offset=40.0))
+        first = int(np.flatnonzero((tiny_records.respondent_sex == 0) & (tiny_records.partner_age >= 40.0))[0])
+        order = np.concatenate([np.arange(first), np.arange(len(tiny_records))])
+        records = tiny_records[order]
+        assert int(np.flatnonzero(order == first)[0]) == 2 * first
+        monkeypatch.setattr(evaluation, "_BLOCK_BYTES", 7 * 8 * 120)
+        with pytest.raises(ValueError, match=f"draw 0, record {2 * first} "):
+            elpd_loo(fit=shifted, draws=draws, records=records)
+
+    def test_duplicate_records_scored_once(self, tiny_records, monkeypatch):
+        # every record twice, the copies permuted: each distinct record is
+        # scored once and its scores copied to its duplicates
+        perm = np.random.default_rng(7).permutation(len(tiny_records))
+        records = tiny_records[np.concatenate([np.arange(len(tiny_records)), perm])]
+        problem = FitProblem(
+            Family.SKEW_NORMAL,
+            Transform(TransformKind.LOG_RATIO),
+            ModelSpec(ModelTag.DISTRIBUTIONAL_1),
+            records,
+        )
+        fit = fit_map(problem)
+        draws = laplace_draws(fit, 300, seed=6)
+        monkeypatch.setattr(evaluation, "_BLOCK_BYTES", 7 * 8 * 300)
+        with pytest.warns(RuntimeWarning, match="k-hat"):
+            matrix = elpd_loo(pointwise_loglik(fit, draws, records))
+            streamed = elpd_loo(fit=fit, draws=draws, records=records)
+        np.testing.assert_allclose(streamed.pointwise, matrix.pointwise, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(streamed.khat, matrix.khat, rtol=0, atol=1e-10)
+        assert streamed.flagged == matrix.flagged and matrix.flagged
+        columns = np.column_stack([records.respondent_age, records.respondent_sex, records.partner_age])
+        _, inverse = np.unique(columns, axis=0, return_inverse=True)
+        inverse = inverse.ravel()
+        assert np.unique(inverse).size < len(tiny_records)  # duplicates beyond the copies
+        for values in (streamed.pointwise, streamed.khat):
+            one = np.empty(inverse.max() + 1)
+            one[inverse] = values
+            np.testing.assert_array_equal(values, one[inverse])
+
     def test_needs_matrix_or_fit(self, log_age_fit):
         _, fit, draws = log_age_fit
         with pytest.raises(ValueError, match="fit, draws and records"):
@@ -369,6 +419,24 @@ class TestKfold:
         ll = pointwise_loglik(fit, laplace_draws(fit, 200, seed=5), records[held])
         expected = logsumexp(ll.values, axis=0) - math.log(200)
         np.testing.assert_allclose(res.pointwise[held], expected, rtol=0, atol=1e-12)
+
+    def test_kfold_with_duplicate_records(self, tiny_records):
+        # each fold's held-out matrix by hand, duplicates and all
+        records = tiny_records[np.concatenate([np.arange(60), np.arange(60)[::-1]])]
+        problem = FitProblem(
+            Family.NORMAL,
+            Transform(TransformKind.AGE_DIFFERENCE),
+            ModelSpec(ModelTag.CONVENTIONAL),
+            records,
+        )
+        res = elpd_loo(method="exact_kfold", problem=problem, folds=3, n_draws=200, seed=4)
+        assignment = np.arange(120) % 3
+        for fold in range(3):
+            held = np.flatnonzero(assignment == fold)
+            fit = fit_map(dataclasses.replace(problem, records=records[assignment != fold]))
+            ll = pointwise_loglik(fit, laplace_draws(fit, 200, seed=5 + fold), records[held])
+            expected = logsumexp(ll.values, axis=0) - math.log(200)
+            np.testing.assert_allclose(res.pointwise[held], expected, rtol=0, atol=1e-12)
 
     def test_kfold_needs_problem(self):
         with pytest.raises(ValueError):

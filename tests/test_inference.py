@@ -6,7 +6,7 @@ import pytest
 
 from agemix.data_io import GeneratorConfig, Records, default_config, simulate, stratify
 from agemix.design import ModelSpec, ModelTag, design_matrices
-from agemix.distributions import Family
+from agemix.distributions import Family, sample_slots
 from agemix.inference import (
     FitError,
     FitProblem,
@@ -24,7 +24,7 @@ from agemix.inference import (
     posterior_predictive,
     predictive_for_records,
 )
-from agemix.transforms import Transform, TransformKind
+from agemix.transforms import Transform, TransformKind, inverse_array
 
 from test_acceptance import GRADIENT_COMBOS, SPEC_TAGS
 
@@ -354,6 +354,26 @@ class TestPosteriorPredictive:
         a = predictive_for_records(normal_fit, draws, small_records[:50], 1000, seed=9)
         b = predictive_for_records(normal_fit, draws, small_records[:50], 1000, seed=9)
         np.testing.assert_array_equal(a, b)
+
+    def test_predictive_for_records_matches_per_sample_design(self, small_records):
+        # one design row per sampled record, with the same random stream:
+        # building rows per distinct (age, sex) cell must give the same samples
+        records = small_records[:400]
+        fit = fit_map(make_problem(Family.SINH_ARCSINH, TransformKind.LOG_RATIO, ModelTag.DISTRIBUTIONAL_2, records))
+        draws = laplace_draws(fit, 150, seed=8)
+        out = predictive_for_records(fit, draws, records, 3000, seed=9)
+
+        rng = np.random.default_rng(9)
+        sel = records[rng.integers(0, len(records), size=3000)]
+        draw_idx = rng.integers(0, 150, size=3000)
+        mats = design_matrices(fit.spec, sel.respondent_age, sel.respondent_sex, slots=fit.slots, center=True)
+        etas = {
+            slot: np.einsum("ij,ij->i", mats[slot], draws.draws[draw_idx, slice(*fit.offsets[slot])])
+            for slot in fit.slots
+        }
+        y = sample_slots(fit.family, _natural_params(fit.family, etas), (3000,), rng)
+        expected = inverse_array(fit.transform, sel.respondent_age, sel.respondent_sex, y)
+        np.testing.assert_array_equal(out, expected)
 
     def test_plugin_deciles_match_analytic_quantiles(self):
         # degenerate (MAP-only) draws: predictive deciles must match the
