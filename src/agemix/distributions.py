@@ -178,30 +178,51 @@ def _logpdf_beta(x, alpha, beta_p):
     return np.where(inside, out, -np.inf)
 
 
-def _sas_w(x, mu, sigma, epsilon, delta):
-    z = (x - mu) / sigma
-    w = epsilon + delta * np.arcsinh(z)
-    return z, np.clip(w, -SINH_ARG_CLAMP, SINH_ARG_CLAMP)
-
-
-def _log_cosh(w):
-    a = np.abs(w)
-    return a + np.log1p(np.exp(-2.0 * a)) - math.log(2.0)
-
-
 def _logpdf_sinh_arcsinh(x, mu, sigma, epsilon, delta):
-    z, w = _sas_w(x, mu, sigma, epsilon, delta)
-    s = np.sinh(w)
-    # log sqrt(1 + z^2) via hypot avoids overflow for extreme z
-    with np.errstate(over="ignore"):
-        return (
-            -np.log(sigma)
-            - _HALF_LOG_2PI
-            + np.log(delta)
-            + _log_cosh(w)
-            - np.log(np.hypot(1.0, z))
-            - 0.5 * s * s
-        )
+    # With z = (x - mu) / sigma, w = epsilon + delta * asinh(z) clamped at
+    # +/- SINH_ARG_CLAMP and s = sinh(w), the log density is
+    #     log(delta / sigma) - log(2 pi) / 2 - log(1 + z^2) / 2
+    #         + log cosh(w) - s^2 / 2,
+    # evaluated through two identities that need no hypot and no second
+    # exponential:
+    #     log cosh(w) - s^2 / 2 = (log1p(s^2) - s^2) / 2,
+    #     log sqrt(1 + z^2)     = log1p(z^2) / 2.
+    # Overflow edges, the same as evaluating those terms one by one: where
+    # s^2 overflows (|w| > ~355.6), log1p(s^2) / 2 is log|s| in double
+    # precision, so those entries take log|s| - s^2 / 2, which is -inf, never
+    # NaN, once s^2 / 2 overflows (|w| > ~355.9); where z^2 overflows
+    # (|z| > ~1.3e154), log1p(z^2) / 2 is log|z|, so the density stays
+    # finite. Both squares are >= 0, so a max below inf (NaN fails it too)
+    # skips both repairs.
+    shape = np.broadcast_shapes(*(np.shape(a) for a in (x, mu, sigma, epsilon, delta)))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        z = np.subtract(x, mu, out=np.empty(shape))
+        z /= sigma
+        s = np.arcsinh(z, out=np.empty(shape))
+        s *= delta
+        s += epsilon
+        np.clip(s, -SINH_ARG_CLAMP, SINH_ARG_CLAMP, out=s)
+        np.sinh(s, out=s)
+        s *= s
+        out = np.log1p(s, out=np.empty(shape))
+        out -= s
+        wide = None if s.max(initial=0.0) < np.inf else np.isinf(s)
+        q = np.multiply(z, z, out=s)
+        np.log1p(q, out=q)
+        if not q.max(initial=0.0) < np.inf:
+            big = np.isinf(q)
+            q[big] = 2.0 * np.log(np.abs(z[big]))
+        out -= q
+        out *= 0.5
+        if wide is not None:
+            w = np.broadcast_to(epsilon, shape)[wide] + np.broadcast_to(delta, shape)[wide] * np.arcsinh(z[wide])
+            sw = np.sinh(np.clip(w, -SINH_ARG_CLAMP, SINH_ARG_CLAMP))
+            out[wide] = np.log(np.abs(sw)) - 0.5 * sw * sw - 0.5 * q[wide]
+        np.divide(delta, sigma, out=q)
+        np.log(q, out=q)
+        out += q
+        out -= _HALF_LOG_2PI
+    return out
 
 
 _LOGPDF = {
@@ -347,8 +368,8 @@ def cdf(family: Family, params: ParamVector, x):
         out = betainc(alpha, beta_p, np.clip(xa, 0.0, 1.0))
     elif family is Family.SINH_ARCSINH:
         mu, sigma, epsilon, delta = slots
-        _, w = _sas_w(xa, mu, sigma, epsilon, delta)
-        out = ndtr(np.sinh(w))
+        w = epsilon + delta * np.arcsinh((xa - mu) / sigma)
+        out = ndtr(np.sinh(np.clip(w, -SINH_ARG_CLAMP, SINH_ARG_CLAMP)))
     elif family is Family.SKEW_NORMAL:
         mu, sigma, epsilon = slots
         if xa.size == 1:

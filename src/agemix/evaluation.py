@@ -106,7 +106,8 @@ def _loglik_blocks(fit: FitResult, draws: PosteriorDraws, records, transform=Non
         etas = {slot: mats[slot][rows] @ coefs[slot] for slot in fit.slots}
         params = _natural_params(fit.family, etas)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            block = log_pdf_slots(fit.family, y[rows, None], *params) + jac[rows, None]
+            block = log_pdf_slots(fit.family, y[rows, None], *params)
+        block += jac[rows, None]
         del etas, params  # only the block stays alive while the caller holds it
         if not np.all(np.isfinite(block)):
             i, d = np.argwhere(~np.isfinite(block))[0]

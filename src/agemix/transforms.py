@@ -66,76 +66,19 @@ def _record_tag(age, sex, partner_age) -> str:
 
 def forward(t: Transform, respondent_age: float, respondent_sex: int, partner_age: float) -> float:
     """Map a partner age to the dependent-variable scale."""
-    k = t.kind
-    if k is TransformKind.LINEAR_AGE:
-        return float(partner_age)
-    if k is TransformKind.AGE_DIFFERENCE:
-        return float(partner_age - respondent_age)
-    if k is TransformKind.LOG_AGE:
-        if not partner_age > 0:
-            raise TransformError(
-                "log-age requires partner_age > 0 for record "
-                + _record_tag(respondent_age, respondent_sex, partner_age)
-            )
-        return math.log(partner_age)
-    if k is TransformKind.LOG_RATIO:
-        if not partner_age > 0:
-            raise TransformError(
-                "log-ratio requires partner_age > 0 for record "
-                + _record_tag(respondent_age, respondent_sex, partner_age)
-            )
-        return math.log(partner_age / respondent_age)
-    if k is TransformKind.GAMMA_REFLECTED:
-        if respondent_sex == MALE:
-            return float(t.offset - partner_age)
-        return float(partner_age)
-    if k is TransformKind.BETA_RESCALED:
-        if not 0.0 < partner_age < t.upper_bound:
-            raise TransformError(
-                f"beta rescaling requires 0 < partner_age < {t.upper_bound} for record "
-                + _record_tag(respondent_age, respondent_sex, partner_age)
-            )
-        return float(partner_age / t.upper_bound)
-    raise ValueError(f"unknown transform {k!r}")  # pragma: no cover
+    return float(forward_array(t, [respondent_age], [respondent_sex], [partner_age])[0])
 
 
 def inverse(t: Transform, respondent_age: float, respondent_sex: int, y: float) -> float:
     """Map a dependent-variable value back to the partner-age scale."""
-    k = t.kind
-    if k is TransformKind.LINEAR_AGE:
-        return float(y)
-    if k is TransformKind.AGE_DIFFERENCE:
-        return float(y + respondent_age)
-    if k is TransformKind.LOG_AGE:
-        return math.exp(y)
-    if k is TransformKind.LOG_RATIO:
-        return float(respondent_age * math.exp(y))
-    if k is TransformKind.GAMMA_REFLECTED:
-        if respondent_sex == MALE:
-            return float(t.offset - y)
-        return float(y)
-    if k is TransformKind.BETA_RESCALED:
-        if not 0.0 < y < 1.0:
-            raise TransformError(f"beta rescaling image is (0, 1); got y={y!r}")
-        return float(y * t.upper_bound)
-    raise ValueError(f"unknown transform {k!r}")  # pragma: no cover
+    if t.kind is TransformKind.BETA_RESCALED and not 0.0 < y < 1.0:
+        raise TransformError(f"beta rescaling image is (0, 1); got y={y!r}")
+    return float(inverse_array(t, [respondent_age], [respondent_sex], [y])[0])
 
 
 def log_jacobian(t: Transform, respondent_age: float, respondent_sex: int, partner_age: float) -> float:
     """log |dy/dp|, the change-of-variables correction onto the age scale."""
-    k = t.kind
-    if k in (TransformKind.LINEAR_AGE, TransformKind.AGE_DIFFERENCE, TransformKind.GAMMA_REFLECTED):
-        return 0.0
-    if k in (TransformKind.LOG_AGE, TransformKind.LOG_RATIO):
-        if not partner_age > 0:
-            raise TransformError(
-                "log transforms require partner_age > 0 for record "
-                + _record_tag(respondent_age, respondent_sex, partner_age)
-            )
-        return -math.log(partner_age)
-    if k is TransformKind.BETA_RESCALED:
-        return -math.log(t.upper_bound)
-    raise ValueError(f"unknown transform {k!r}")  # pragma: no cover
+    return float(log_jacobian_array(t, [respondent_age], [respondent_sex], [partner_age])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,13 @@ from agemix.distributions import (
     cdf,
     empirical_moments,
     log_pdf,
+    log_pdf_slots,
     quantile,
     sample,
 )
 
 from conftest import ks_statistic
+from sinh_arcsinh_reference import logpdf_sinh_arcsinh as sas_reference
 
 HALF_LOG_2PI = 0.5 * math.log(2 * math.pi)
 
@@ -93,6 +95,76 @@ class TestLogPdf:
             ParamVector(mu=0, sigma=-1)
         with pytest.raises(ParameterError):
             ParamVector(k=0.0, theta=1)
+
+
+def _sas_kernel(x, mu, sigma, epsilon, delta):
+    return log_pdf_slots(Family.SINH_ARCSINH, x, mu, sigma, epsilon, delta)
+
+
+def _assert_matches_reference(got, want):
+    # same infinities, no NaN, finite entries within 1e-12 * max(1, |value|)
+    assert not np.isnan(got).any()
+    np.testing.assert_array_equal(np.isfinite(got), np.isfinite(want))
+    np.testing.assert_array_equal(got[~np.isfinite(got)], want[~np.isfinite(want)])
+    finite = np.isfinite(want)
+    err = np.abs(got[finite] - want[finite]) / np.maximum(1.0, np.abs(want[finite]))
+    assert err.max() <= 1e-12
+
+
+class TestSinhArcsinhKernel:
+    def test_matches_reference_on_seeded_grid(self):
+        rng = np.random.default_rng(20090761)
+        n = 200_000
+        sigma = np.exp(rng.uniform(-12.0, 5.0, n))
+        delta = np.exp(rng.uniform(-3.0, 2.0, n))
+        epsilon = rng.uniform(-10.0, 10.0, n)
+        mu = rng.uniform(-5.0, 5.0, n)
+        # half the standardized values are moderate, half reach |z| = 1e300
+        z = np.where(
+            rng.random(n) < 0.5,
+            rng.normal(0.0, 3.0, n),
+            rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3.0, 300.0, n),
+        )
+        x = mu + sigma * z
+        want = sas_reference(x, mu, sigma, epsilon, delta)
+        # the grid reaches both overflow edges: -inf and huge-|z| finite values
+        assert np.isneginf(want).any() and (np.isfinite(want) & (np.abs(z) > 1e160)).any()
+        _assert_matches_reference(_sas_kernel(x, mu, sigma, epsilon, delta), want)
+
+    def test_broadcasts_like_a_likelihood_block(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(7, 1))
+        mu, epsilon = rng.normal(size=(2, 7, 11))
+        sigma, delta = np.exp(rng.normal(size=(2, 7, 11)))
+        got = _sas_kernel(x, mu, sigma, epsilon, delta)
+        assert got.shape == (7, 11)
+        _assert_matches_reference(got, sas_reference(x, mu, sigma, epsilon, delta))
+
+    def test_overflowing_sinh_square_is_minus_inf(self):
+        # w = epsilon at z = 0; sinh(w)^2 / 2 overflows from |w| ~ 355.9 up
+        # to the clamp at 700 and beyond it
+        w = np.concatenate([np.linspace(356.0, 700.0, 60), [701.0, 1e6]])
+        w = np.concatenate([w, -w])
+        got = _sas_kernel(1.5, 1.5, 0.3, w, 1.0)
+        assert np.all(got == -np.inf)
+        assert np.all(sas_reference(1.5, 1.5, 0.3, w, 1.0) == -np.inf)
+        assert log_pdf(Family.SINH_ARCSINH, ParamVector(mu=0, sigma=1, epsilon=400, delta=1), 0.0) == -math.inf
+
+    def test_finite_edge_of_sinh_square_matches_reference(self):
+        # sinh(w)^2 is finite at |w| = 355.5 and overflows at 355.75, where
+        # sinh(w)^2 / 2 is still finite and so is the density
+        w = np.array([-355.75, -355.5, 355.5, 355.75])
+        got = _sas_kernel(0.0, 0.0, 1.0, w, 1.0)
+        assert np.all(np.isfinite(got))
+        _assert_matches_reference(got, sas_reference(0.0, 0.0, 1.0, w, 1.0))
+
+    @pytest.mark.parametrize("z", [1e200, -1e200])
+    def test_overflowing_z_square_stays_finite(self, z):
+        mu, sigma, epsilon, delta = 2.0, 0.5, 0.3, math.exp(-3.0)
+        x = np.array([mu + sigma * z])
+        got = _sas_kernel(x, mu, sigma, epsilon, delta)
+        assert np.isfinite(got).all()
+        _assert_matches_reference(got, sas_reference(x, mu, sigma, epsilon, delta))
 
 
 class TestNormalizationAndReduction:

@@ -21,9 +21,10 @@ from agemix.evaluation import (
     pointwise_loglik,
     qq_rmse,
 )
-from agemix.inference import FitProblem, fit_map, laplace_draws
-from agemix.transforms import Transform, TransformKind
+from agemix.inference import FitProblem, _natural_params, draw_etas, fit_map, laplace_draws
+from agemix.transforms import Transform, TransformKind, forward_array
 from psis_reference import _psis_column
+from sinh_arcsinh_reference import logpdf_sinh_arcsinh as sas_reference
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +101,29 @@ class TestPointwiseLoglik:
         bad = dataclasses.replace(draws, draws=corrupted)
         with pytest.raises(ValueError, match="draw 7"):
             pointwise_loglik(fit, bad, small_records[:5])
+
+    def test_overflowing_sinh_arcsinh_draw_names_first_minus_inf_record(self, small_records):
+        # draw 3 gets epsilon - 355 and sigma / 1000, so w = epsilon + delta *
+        # asinh(z) passes -355.9, where sinh(w)^2 / 2 overflows, for the
+        # records below the location only: their density is -inf
+        records = small_records[:40]
+        t = Transform(TransformKind.LOG_RATIO)
+        problem = FitProblem(Family.SINH_ARCSINH, t, ModelSpec(ModelTag.INTERCEPT_ONLY), records)
+        fit = fit_map(problem)
+        draws = laplace_draws(fit, 50, seed=0)
+        corrupted = draws.draws.copy()
+        corrupted[3, fit.offsets["epsilon"][0]] -= 355.0
+        corrupted[3, fit.offsets["sigma"][0]] -= math.log(1000.0)
+        etas = draw_etas(fit, corrupted[3:4], records.respondent_age, records.respondent_sex)
+        y = forward_array(t, records.respondent_age, records.respondent_sex, records.partner_age)
+        with np.errstate(over="ignore"):
+            want = sas_reference(y[None, :], *_natural_params(fit.family, etas))[0]
+        overflowed = np.isneginf(want)
+        assert overflowed.any() and not overflowed.all() and not np.isnan(want).any()
+        first = int(np.argmax(overflowed))
+        bad = dataclasses.replace(draws, draws=corrupted)
+        with pytest.raises(ValueError, match=rf"non-finite log likelihood at draw 3, record {first} "):
+            list(evaluation._loglik_blocks(fit, bad, records))
 
 
 def _assert_kernel_matches_column_oracle(ll):
