@@ -14,9 +14,9 @@ predictive QQ RMSE), and the fits that succeeded are ranked by
 and the error text) in the reports instead of aborting the run.
 
 Every command emits CSV reports plus a ``manifest.json`` sidecar; wall-clock
-time and timestamps live only in the manifest so repeated runs with the same
-seed produce byte-identical CSVs. Exit status is zero only when every fit
-converged and all reports were written.
+time, peak memory and timestamps live only in the manifest so repeated runs
+with the same seed produce byte-identical CSVs. Exit status is zero only when
+every fit converged and all reports were written.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import itertools
 import json
 import math
 import os
+import resource
 import sys
 import time
 from collections import Counter
@@ -141,6 +142,13 @@ def _settings_hash(settings: dict) -> str:
     return hashlib.sha256(_json(settings, sort_keys=True).encode()).hexdigest()
 
 
+def _peak_rss_mb(who) -> float:
+    # ru_maxrss is in KiB on Linux; for RUSAGE_CHILDREN it is the largest
+    # peak among reaped children (worker processes), not a sum, and it
+    # survives exec, so a launcher's own children count too
+    return resource.getrusage(who).ru_maxrss / 1024.0
+
+
 def _write_manifest(out_dir: Path, command: str, settings: dict, inputs, outputs, t0: float) -> Path:
     manifest = {
         "command": command,
@@ -151,6 +159,10 @@ def _write_manifest(out_dir: Path, command: str, settings: dict, inputs, outputs
         "inputs": [str(p) for p in inputs],
         "outputs": [str(p) for p in outputs],
         "wall_clock_seconds": time.time() - t0,
+        "peak_rss_mb": {
+            "process": _peak_rss_mb(resource.RUSAGE_SELF),
+            "children": _peak_rss_mb(resource.RUSAGE_CHILDREN),
+        },
         "written_at": datetime.now(timezone.utc).isoformat(),
     }
     path = out_dir / "manifest.json"

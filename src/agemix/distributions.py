@@ -10,6 +10,10 @@ found in the literature).
 
 Large sinh/cosh arguments are guarded by clamping the argument
 epsilon + delta * asinh(x_z) at +/- 700 before exponentiation.
+
+scipy is imported inside the functions that call it, not at module level, so
+importing this module (and the CLI commands that never evaluate a scipy
+special function) does not load scipy.
 """
 
 from __future__ import annotations
@@ -19,17 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import (
-    betainc,
-    betaincinv,
-    betaln,
-    gammainc,
-    gammaincinv,
-    gammaln,
-    log_ndtr,
-    ndtr,
-    ndtri,
-)
 
 __all__ = [
     "Family",
@@ -158,11 +151,15 @@ def _logpdf_normal(x, mu, sigma):
 
 
 def _logpdf_skew_normal(x, mu, sigma, epsilon):
+    from scipy.special import log_ndtr
+
     z = (x - mu) / sigma
     return math.log(2.0) - np.log(sigma) - _HALF_LOG_2PI - 0.5 * z * z + log_ndtr(epsilon * z)
 
 
 def _logpdf_gamma(x, k, theta):
+    from scipy.special import gammaln
+
     out = np.where(
         x > 0,
         -gammaln(k) - k * np.log(theta) + (k - 1.0) * np.log(np.where(x > 0, x, 1.0)) - x / theta,
@@ -172,6 +169,8 @@ def _logpdf_gamma(x, k, theta):
 
 
 def _logpdf_beta(x, alpha, beta_p):
+    from scipy.special import betaln
+
     inside = (x > 0) & (x < 1)
     xs = np.where(inside, x, 0.5)
     out = (alpha - 1.0) * np.log(xs) + (beta_p - 1.0) * np.log1p(-xs) - betaln(alpha, beta_p)
@@ -268,6 +267,8 @@ def sample_slots(family: Family, slots, size, rng: np.random.Generator) -> np.nd
         return rng.beta(np.broadcast_to(alpha, size), np.broadcast_to(beta_p, size))
     if family is Family.SINH_ARCSINH:
         # closed-form quantile applied to uniforms
+        from scipy.special import ndtri
+
         mu, sigma, epsilon, delta = slots
         u = rng.uniform(size=size)
         return mu + sigma * np.sinh((np.arcsinh(ndtri(u)) - epsilon) / delta)
@@ -305,6 +306,7 @@ _SKEWNORM_Z_ANCHOR = 40.0
 
 def _skew_normal_cdf_scalar(x: float, mu: float, sigma: float, epsilon: float) -> float:
     from scipy.integrate import quad
+    from scipy.special import ndtr
 
     z = (x - mu) / sigma
     if z <= -_SKEWNORM_Z_ANCHOR:
@@ -325,6 +327,7 @@ def _skew_normal_cdf_scalar(x: float, mu: float, sigma: float, epsilon: float) -
 def _skew_normal_cdf_array(x: np.ndarray, mu: float, sigma: float, epsilon: float) -> np.ndarray:
     """Cumulative quadrature over sorted points; one short quad per segment."""
     from scipy.integrate import quad
+    from scipy.special import ndtr
 
     order = np.argsort(x, kind="stable")
     xs = x[order]
@@ -353,6 +356,8 @@ def _skew_normal_cdf_array(x: np.ndarray, mu: float, sigma: float, epsilon: floa
 
 def cdf(family: Family, params: ParamVector, x):
     """Cumulative distribution function; accepts a scalar or an array of x."""
+    from scipy.special import betainc, gammainc, ndtr
+
     slots = params.require(family)
     scalar = np.isscalar(x) or np.ndim(x) == 0
     xa = np.atleast_1d(np.asarray(x, dtype=float))
@@ -389,6 +394,7 @@ def cdf(family: Family, params: ParamVector, x):
 
 def _skew_normal_quantile_scalar(q: float, mu: float, sigma: float, epsilon: float) -> float:
     from scipy.optimize import brentq
+    from scipy.special import ndtri
 
     # bracket around the normal quantile, expanding geometrically
     z0 = ndtri(q)
@@ -411,6 +417,8 @@ def _skew_normal_quantile_scalar(q: float, mu: float, sigma: float, epsilon: flo
 
 def quantile(family: Family, params: ParamVector, q):
     """Inverse CDF; accepts a scalar or an array of probabilities in (0, 1)."""
+    from scipy.special import betaincinv, gammaincinv, ndtri
+
     slots = params.require(family)
     scalar = np.isscalar(q) or np.ndim(q) == 0
     qa = np.atleast_1d(np.asarray(q, dtype=float))

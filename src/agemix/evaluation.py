@@ -404,6 +404,13 @@ def qq_rmse(observed, predictive, quantiles=DEFAULT_QUANTILES) -> float:
     ``observed`` and ``predictive`` map group keys to sample vectors; every
     observed group must be present and nonempty on both sides. Quantiles use
     linear interpolation of the empirical CDF (numpy's default, R type 7).
+
+    Infinite predictive samples (partner ages that overflow the inverse
+    transform) sort to the ends, so the default 0.1-0.9 quantiles, which read
+    only order statistics between ranks floor(0.1 (n - 1)) and
+    floor(0.9 (n - 1)) + 1, stay finite while fewer than about 10% of a
+    group's n samples are infinite on either side. A quantile that still
+    comes out non-finite raises ValueError naming the group.
     """
     problems = []
     for key, obs in observed.items():
@@ -422,8 +429,11 @@ def qq_rmse(observed, predictive, quantiles=DEFAULT_QUANTILES) -> float:
     errors = []
     for key in observed:
         q_obs = np.quantile(np.asarray(observed[key], dtype=float), qs)
-        q_pred = np.quantile(np.asarray(predictive[key], dtype=float), qs)
-        errors.append(q_obs - q_pred)
+        with np.errstate(invalid="ignore"):  # inf - inf when reading infinite samples
+            error = q_obs - np.quantile(np.asarray(predictive[key], dtype=float), qs)
+        if not np.all(np.isfinite(error)):
+            raise ValueError(f"qq_rmse: non-finite quantile in group {key}")
+        errors.append(error)
     stacked = np.concatenate(errors)
     return float(np.sqrt(np.mean(stacked**2)))
 

@@ -23,6 +23,10 @@ reparameterized as sigma = sigma_star * delta with log sigma_star the linear
 predictor, so the tail-weight predictor moves both delta and the effective
 scale. Gamma and beta use the first two linear-predictor slots for their own
 positive parameters (log k / log theta and log alpha / log beta).
+
+scipy (special functions, LAPACK Cholesky, triangular solves) is imported
+inside the functions that call it, so importing this module does not load
+scipy; a process loads it at its first fit.
 """
 
 from __future__ import annotations
@@ -33,9 +37,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dpotrf, dpotrs
-from scipy.special import digamma, log_ndtr, polygamma
 
 from . import transforms
 from .design import ModelSpec, SLOT_NAMES, design_matrices, uncenter_matrix
@@ -169,6 +170,8 @@ def linpred_to_params(
 
 def _inv_mills(u: np.ndarray) -> np.ndarray:
     # phi(u) / Phi(u), stable for very negative u
+    from scipy.special import log_ndtr
+
     return np.exp(-0.5 * u * u - 0.5 * math.log(2.0 * math.pi) - log_ndtr(u))
 
 
@@ -204,6 +207,8 @@ def _derivs_skew_normal(x, mu, sigma, epsilon):
 
 def _derivs_gamma(x, k, theta):
     # slots: log k, log theta
+    from scipy.special import digamma, polygamma
+
     dk = k * (np.log(x) - digamma(k) - np.log(theta))
     return {"mu": dk, "sigma": x / theta - k}, {
         ("mu", "mu"): dk - k * k * polygamma(1, k),
@@ -214,6 +219,8 @@ def _derivs_gamma(x, k, theta):
 
 def _derivs_beta(x, alpha, beta_p):
     # slots: log alpha, log beta
+    from scipy.special import digamma, polygamma
+
     dab = digamma(alpha + beta_p)
     tab = polygamma(1, alpha + beta_p)
     da = alpha * (np.log(x) - digamma(alpha) + dab)
@@ -360,6 +367,8 @@ def _newton_direction(hess: np.ndarray, g: np.ndarray) -> np.ndarray | None:
     lam is 0 when H is positive definite, else the first of
     1e-8 mean|diag H| * 10^j that makes the factorisation succeed.
     """
+    from scipy.linalg.lapack import dpotrf, dpotrs
+
     if not np.all(np.isfinite(hess)):
         return None
     shift = 0.0
@@ -607,6 +616,8 @@ class PosteriorDraws:
 
 def laplace_draws(fit: FitResult, n_draws: int, seed: int) -> PosteriorDraws:
     """Gaussian posterior draws centered at the MAP estimate."""
+    from scipy.linalg import solve_triangular
+
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
     if not fit.converged:

@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +90,13 @@ class TestMomentsCommand:
         rows = read_rows(tmp_path / "moments.csv")
         assert rows[0]["sd"] == "0.0"
         assert rows[0]["skewness"] == "NA" and rows[0]["kurtosis"] == "NA"
+
+    def test_manifest_records_peak_rss(self, runner, data_csv, tmp_path):
+        result = runner.invoke(main, ["moments", str(data_csv), "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        rss = json.loads((tmp_path / "manifest.json").read_text())["peak_rss_mb"]
+        assert rss["process"] > 0
+        assert rss["children"] >= 0
 
 
 class TestDeheapCommand:
@@ -352,3 +362,50 @@ class TestFailureMarkers:
         failed = report["models"]["distributional_2"]
         for key in ("elpd", "qq_rmse", "nlp", "gradient_norm", "min_curvature_eigenvalue"):
             assert failed[key] is None, key
+
+
+# Runs the CLI with the arguments it is given (or only imports the package
+# when there are none) and prints the scipy modules loaded by then.
+_SCIPY_PROBE = """
+import json, sys
+try:
+    import agemix, agemix.cli
+    if sys.argv[1:]:
+        agemix.cli.main(sys.argv[1:], prog_name="agemix")
+except SystemExit as exc:
+    if exc.code:
+        raise
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def _scipy_modules_after(args, cwd) -> list[str]:
+    """scipy modules a fresh process has loaded after running ``args``."""
+    src = str(Path(agemix.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestStartupImports:
+    """Commands that fit nothing load no scipy.
+
+    Each case runs in a fresh process: this one imported scipy long ago.
+    """
+
+    @pytest.mark.parametrize(
+        "args",
+        [[], ["--version"], ["moments", "{data}", "--out", "out"], ["deheap", "{data}", "--out", "out"]],
+        ids=["import", "version", "moments", "deheap"],
+    )
+    def test_no_scipy(self, args, data_csv, tmp_path):
+        args = [a.format(data=data_csv) for a in args]
+        assert _scipy_modules_after(args, tmp_path) == []
+
+    def test_simulate_loads_no_linalg(self, tmp_path):
+        loaded = _scipy_modules_after(["simulate", "--n", "200", "--out", "sim.csv", "--seed", "1"], tmp_path)
+        assert "scipy.special" in loaded
+        assert not [m for m in loaded if m.startswith("scipy.linalg")]

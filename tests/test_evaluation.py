@@ -547,3 +547,23 @@ class TestQqRmse:
     def test_missing_predictive_group_listed(self):
         with pytest.raises(ValueError, match="g1"):
             qq_rmse({"g1": [1.0, 2.0]}, {})
+
+    def test_infinite_tail_samples_sort_past_the_quantiles(self):
+        rng = np.random.default_rng(2)
+        obs = rng.normal(30, 5, 1000)
+        pred = rng.normal(31, 5, 10_000)
+        pred[:400] = np.inf  # 4% at each end
+        pred[400:800] = -np.inf
+        capped = np.clip(pred, -1e6, 1e6)
+        value = qq_rmse({"g": obs}, {"g": pred})
+        assert math.isfinite(value)
+        assert value == qq_rmse({"g": obs}, {"g": capped})
+
+    def test_non_finite_quantile_names_the_group(self):
+        rng = np.random.default_rng(3)
+        obs = {"fine": rng.normal(30, 5, 100), "wild": rng.normal(30, 5, 100)}
+        wild = rng.normal(30, 5, 1000)
+        wild[:150] = np.inf  # 15%: the 0.9 quantile reads an infinite sample
+        pred = {"fine": rng.normal(30, 5, 1000), "wild": wild}
+        with pytest.raises(ValueError, match="non-finite quantile in group wild"):
+            qq_rmse(obs, pred)
