@@ -277,6 +277,7 @@ _FAILED = {
     "elpd": math.nan,
     "elpd_se": math.nan,
     "n_flagged": 0,
+    "max_khat": math.nan,
     "elpd_result": None,
     "qq_rmse": math.nan,
     "knots": None,
@@ -317,6 +318,8 @@ def _score(problem: FitProblem, seed_parts, n_draws, elpd_method, qq_samples, gr
             "elpd": res.elpd,
             "elpd_se": res.se,
             "n_flagged": len(res.flagged),
+            # k-fold has no k-hat
+            "max_khat": float(res.khat.max()) if res.khat is not None else math.nan,
             "elpd_result": res,
             "qq_rmse": qq_rmse(observed, predictive),
             "knots": list(fit.spec.knots) if fit.spec.knots else None,
@@ -432,7 +435,8 @@ def _write_subset_reports(out_dir: Path, results, all_ok):
     combos_path = out_dir / "combos.csv"
     _write_csv(
         combos_path,
-        ["sex", "age_bin", "distribution", "variable", "n", "elpd", "elpd_se", "qq_rmse", "converged", "n_flagged", "error"],
+        ["sex", "age_bin", "distribution", "variable", "n", "elpd", "elpd_se", "qq_rmse", "converged", "n_flagged",
+         "max_khat", "error"],
         [
             [
                 r["key"].sex_label,
@@ -445,6 +449,7 @@ def _write_subset_reports(out_dir: Path, results, all_ok):
                 r["qq_rmse"],
                 r["converged"],
                 r["n_flagged"],
+                r["max_khat"],
                 r["error"],
             ]
             for r in results
@@ -476,12 +481,14 @@ def _write_subset_reports(out_dir: Path, results, all_ok):
                     d["se_of_diff"],
                     d["qq_rmse"],
                     TRANSFORM_LABEL[best[d["model"]]["transform"]],
+                    d["n_flagged"],
                 ]
             )
     rankings = _write_table(
         out_dir,
         "subset_rankings",
-        ["sex", "age_bin", "rank", "distribution", "elpd", "elpd_diff", "se_of_diff", "qq_rmse", "best_variable"],
+        ["sex", "age_bin", "rank", "distribution", "elpd", "elpd_diff", "se_of_diff", "qq_rmse", "best_variable",
+         "n_flagged"],
         ranking_rows,
     )
 
@@ -501,6 +508,8 @@ def _write_subset_reports(out_dir: Path, results, all_ok):
         "manifest": "manifest.json",
         "n_subsets": n_subsets,
         "n_models": len(results),
+        # ranking rows whose cell has records with k-hat above KHAT_WARN
+        "n_flagged_ranking_rows": sum(row[-1] > 0 for row in ranking_rows),
         "all_converged": all_ok,
         "failures": [r["error"] for r in results if not r["ok"]],
     }
@@ -531,6 +540,7 @@ REPORT_KEYS = (
     "iterations",
     "gradient_norm",
     "min_curvature_eigenvalue",
+    "max_khat",
     "error",
 )
 

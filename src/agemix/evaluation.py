@@ -5,10 +5,14 @@ adding the log Jacobian of the dependent-variable transform, which makes
 ELPD values comparable across models fit on different outcome
 parametrisations.
 
-The PSIS estimator smooths, per record, the top 20% of importance weights by
-an empirical-Bayes generalized Pareto fit (Zhang & Stephens style), truncates
-the smoothed weights at the largest raw weight, and reports the Pareto tail
-index k-hat per record; records with k-hat > 0.7 are flagged as unreliable.
+The PSIS estimator smooths, per record, the largest
+M = ceil(min(S / 5, 3 sqrt(S))) of its S importance weights (the tail length
+of Vehtari et al. 2024 and of the loo package) by an empirical-Bayes
+generalized Pareto fit (Zhang & Stephens style) to those that exceed the
+cutoff, the next-largest weight clamped at the smallest normal double;
+it truncates the smoothed weights at the largest raw weight and reports the
+Pareto tail index k-hat per record. A record with fewer than five such draws
+gets k-hat = inf; records with k-hat > 0.7 are flagged as unreliable.
 Standard errors follow the usual pointwise convention
 se = sqrt(n * var(pointwise)).
 
@@ -57,7 +61,6 @@ __all__ = [
 
 DEFAULT_QUANTILES = tuple(np.round(np.arange(0.1, 0.91, 0.1), 10))
 KHAT_WARN = 0.7
-_TAIL_FRACTION = 0.2
 _MIN_TAIL = 5
 # bytes of log likelihood per streamed record block
 _BLOCK_BYTES = 2 << 20
@@ -179,7 +182,7 @@ def _logsumexp_rows(a: np.ndarray, scratch: np.ndarray | None = None) -> np.ndar
 
 
 def _gpd_fit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise generalized Pareto fits; x is (rows, n) ascending per row.
+    """Row-wise generalized Pareto fits; x is (rows, n), positive and ascending per row.
 
     The (rows, grid, n) profile scratch lives in one buffer, so callers pass
     row chunks of about ``_GPD_CHUNK_BYTES``.
@@ -188,12 +191,7 @@ def _gpd_fit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m = 30 + int(math.isqrt(n))
     idx = np.arange(1.0, m + 1.0)
     bs0 = 1.0 - np.sqrt(m / (idx - 0.5))
-    quart = x[:, n // 4].copy()
-    bad = quart <= 0
-    if bad.any():
-        # fall back to each row's smallest positive exceedance
-        quart[bad] = np.where(x[bad] > 0, x[bad], np.inf).min(axis=1)
-    bs = bs0[None, :] / (3.0 * quart[:, None]) + 1.0 / x[:, -1][:, None]
+    bs = bs0[None, :] / (3.0 * x[:, n // 4][:, None]) + 1.0 / x[:, -1][:, None]
     buf = np.empty((rows, m, n))
     np.multiply(-bs[:, :, None], x[:, None, :], out=buf)
     # a row whose profile turns NaN here ends with k = NaN, mapped to inf below
@@ -209,14 +207,27 @@ def _gpd_fit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sigma = -k / b
     prior_n = 10.0
     k = k * n / (n + prior_n) + prior_n * 0.5 / (n + prior_n)
-    k[np.isnan(k)] = math.inf  # a tail below the floating-point floor; unassessable
+    k[np.isnan(k)] = math.inf  # a degenerate profile (subnormal exceedances); unassessable
     return k, sigma
 
 
-def _smooth_tails(lw: np.ndarray, m: int, khat: np.ndarray) -> None:
-    """Pareto-smooth the top ``m`` log weights of each row of ``lw`` in place.
+def _tail_length(n_draws: int) -> int:
+    """Pareto tail length M = ceil(min(S / 5, 3 sqrt(S))) for S draws.
 
-    Rows are max-shifted to 0; ``khat`` receives each row's tail index.
+    The rule of Vehtari et al. (2024, JMLR) and of the loo package: 95 of
+    1000 draws, 190 of 4000.
+    """
+    return math.ceil(min(n_draws / 5, 3.0 * math.sqrt(n_draws)))
+
+
+def _smooth_tails(lw: np.ndarray, m: int, khat: np.ndarray) -> np.ndarray:
+    """Pareto-smooth the tail of each row of ``lw`` in place.
+
+    Rows are max-shifted to 0. A row's tail is those of its ``m`` largest
+    weights that exceed the cutoff, the next-largest weight clamped at the
+    smallest normal double; ``khat`` receives each row's tail index. Returns
+    each row's log sum over draws of smoothed / raw weight, log(S) where
+    nothing was smoothed.
     """
     s = lw.shape[1]
     # the m + 1 largest weights per row (the cutoff and the tail), ordered by
@@ -233,28 +244,37 @@ def _smooth_tails(lw: np.ndarray, m: int, khat: np.ndarray) -> None:
     order = np.argsort(vals, axis=1, kind="stable")
     tail_idx = np.take_along_axis(top, order[:, 1:], axis=1)
     vals = np.take_along_axis(vals, order, axis=1)
-
     exp_cutoff = np.exp(np.maximum(vals[:, 0], math.log(np.finfo(float).tiny)))
-    exceed = np.exp(vals[:, 1:]) - exp_cutoff[:, None]
-    positive = exceed[:, -1] > 0
+    vals = vals[:, 1:]
+    exceed = np.exp(vals) - exp_cutoff[:, None]
+    # only the positive exceedances enter the fit, as in ArviZ: draws tied with
+    # the cutoff or below the floating-point floor stay raw; exceed ascends, so
+    # a row's n positive ones are its last n columns
     n_pos = np.count_nonzero(exceed > 0, axis=1)
-    # weights so concentrated the tail underflows; unassessable
-    khat[positive & (n_pos < _MIN_TAIL)] = math.inf
-    valid = np.nonzero(positive & (n_pos >= _MIN_TAIL))[0]
-    log_tail_probs = np.log1p(-(np.arange(m) + 0.5) / m)
-    step = max(1, _GPD_CHUNK_BYTES // (8 * m * (30 + math.isqrt(m))))
-    for start in range(0, valid.size, step):
-        chunk = valid[start : start + step]
-        k, sigma = _gpd_fit_rows(exceed[chunk])
-        khat[chunk] = k
-        smooth = np.isfinite(k) & (k >= 1.0 / 3.0)
-        if not smooth.any():
-            continue
-        sm = chunk[smooth]
-        ks = k[smooth][:, None]
-        quantiles = sigma[smooth][:, None] * np.expm1(-ks * log_tail_probs[None, :]) / ks
-        smoothed = np.log(quantiles + exp_cutoff[sm][:, None])
-        lw[sm[:, None], tail_idx[sm]] = np.minimum(smoothed, 0.0)
+    khat[(n_pos > 0) & (n_pos < _MIN_TAIL)] = math.inf  # too few to assess
+    log_ratio = np.full(lw.shape[0], math.log(s))
+    for n in np.unique(n_pos[n_pos >= _MIN_TAIL]):
+        rows = np.nonzero(n_pos == n)[0]
+        log_tail_probs = np.log1p(-(np.arange(n) + 0.5) / n)
+        step = max(1, _GPD_CHUNK_BYTES // (8 * n * (30 + math.isqrt(n))))
+        for start in range(0, rows.size, step):
+            chunk = rows[start : start + step]
+            k, sigma = _gpd_fit_rows(exceed[chunk, m - n :])
+            khat[chunk] = k
+            smooth = np.isfinite(k) & (k >= 1.0 / 3.0)
+            if not smooth.any():
+                continue
+            sm = chunk[smooth]
+            ks = k[smooth][:, None]
+            quantiles = sigma[smooth][:, None] * np.expm1(-ks * log_tail_probs[None, :]) / ks
+            smoothed = np.minimum(np.log(quantiles + exp_cutoff[sm][:, None]), 0.0)
+            lw[sm[:, None], tail_idx[sm, m - n :]] = smoothed
+            # the s - n raw draws add a ratio of 1 each
+            ratio = smoothed - vals[sm, m - n :]
+            top_ratio = np.maximum(ratio.max(axis=1), 0.0)
+            np.exp(ratio - top_ratio[:, None], out=ratio)
+            log_ratio[sm] = top_ratio + np.log((s - n) * np.exp(-top_ratio) + ratio.sum(axis=1))
+    return log_ratio
 
 
 def _psis_block(ll: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -265,15 +285,17 @@ def _psis_block(ll: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     record-at-a-time reference in ``tests/psis_reference.py`` up to rounding.
     """
     lw = np.negative(ll)
-    lw -= lw.max(axis=1, keepdims=True)
-    m = int(math.floor(_TAIL_FRACTION * ll.shape[1]))
+    shift = lw.max(axis=1)
+    lw -= shift[:, None]
     khat = np.full(ll.shape[0], -math.inf)
-    if m >= _MIN_TAIL:
-        _smooth_tails(lw, m, khat)
-    scratch = np.empty_like(lw)
-    lw -= _logsumexp_rows(lw, scratch)[:, None]
-    np.add(lw, ll, out=scratch)
-    return lw, _logsumexp_rows(scratch, scratch), khat
+    log_ratio = _smooth_tails(lw, _tail_length(ll.shape[1]), khat)
+    # elpd = log sum exp(lw + ll) - log sum exp(lw). Where lw is raw, lw + ll
+    # is -shift, so the first term is log_ratio - shift; lw <= 0 and its
+    # largest entry is at least the clamped cutoff, so the one exponential
+    # pass needs no shift
+    log_norm = np.log(np.exp(lw).sum(axis=1))
+    lw -= log_norm[:, None]
+    return lw, log_ratio - shift - log_norm, khat
 
 
 @dataclass

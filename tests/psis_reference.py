@@ -12,22 +12,21 @@ import math
 
 import numpy as np
 
-from agemix.evaluation import _MIN_TAIL, _TAIL_FRACTION, _logsumexp_rows
+from agemix.evaluation import _MIN_TAIL, _logsumexp_rows, _tail_length
 
 
 def gpd_fit(exceedances: np.ndarray) -> tuple[float, float]:
     """Empirical-Bayes fit of a generalized Pareto to sorted exceedances.
 
-    Returns (k, sigma); ``exceedances`` must be ascending with a positive
-    maximum. The shape estimate is regularized toward 0.5 by a weak prior.
+    Returns (k, sigma); ``exceedances`` must be positive and ascending. The
+    shape estimate is regularized toward 0.5 by a weak prior.
     """
     x = np.asarray(exceedances, dtype=float)
     n = x.size
     m = 30 + int(math.isqrt(n))
     idx = np.arange(1.0, m + 1.0)
     bs = 1.0 - np.sqrt(m / (idx - 0.5))
-    quart = x[n // 4] if x[n // 4] > 0 else x[x > 0][0]
-    bs = bs / (3.0 * quart) + 1.0 / x[-1]
+    bs = bs / (3.0 * x[n // 4]) + 1.0 / x[-1]
     ks = np.mean(np.log1p(-bs[:, None] * x[None, :]), axis=1)
     profile = n * (np.log(-bs / ks) - ks - 1.0)
     weights = 1.0 / np.sum(np.exp(profile[None, :] - profile[:, None]), axis=1)
@@ -38,8 +37,7 @@ def gpd_fit(exceedances: np.ndarray) -> tuple[float, float]:
     prior_n = 10.0
     k = k * n / (n + prior_n) + prior_n * 0.5 / (n + prior_n)
     if math.isnan(k):
-        # a tail reaching below the floating-point floor (the clamped cutoff
-        # leaves negative exceedances) can turn the profile NaN; unassessable
+        # subnormal exceedances can turn the profile NaN; unassessable
         return math.inf, math.nan
     return k, sigma
 
@@ -55,24 +53,24 @@ def _psis_column(ll_col: np.ndarray) -> tuple[np.ndarray, float]:
     lw = -ll_col
     lw = lw - lw.max()
     n = lw.size
-    m = int(math.floor(_TAIL_FRACTION * n))
+    m = _tail_length(n)
     khat = -math.inf
-    if m >= _MIN_TAIL:
-        order = np.argsort(lw, kind="stable")
-        tail_idx = order[n - m :]
-        cutoff = max(lw[order[n - m - 1]], math.log(np.finfo(float).tiny))
-        exp_cutoff = math.exp(cutoff)
-        exceed = np.exp(lw[tail_idx]) - exp_cutoff
-        if exceed[-1] > 0:
-            if np.count_nonzero(exceed > 0) < _MIN_TAIL:
-                # weights so concentrated the tail underflows; unassessable
-                khat = math.inf
-            else:
-                k, sigma = gpd_fit(exceed)
-                khat = k
-                if np.isfinite(k) and k >= 1.0 / 3.0:
-                    probs = (np.arange(m) + 0.5) / m
-                    smoothed = np.log(_gpd_quantiles(probs, k, sigma) + exp_cutoff)
-                    lw = lw.copy()
-                    lw[tail_idx] = np.minimum(smoothed, 0.0)
+    order = np.argsort(lw, kind="stable")
+    cutoff = max(lw[order[n - m - 1]], math.log(np.finfo(float).tiny))
+    exp_cutoff = math.exp(cutoff)
+    tail_idx = order[n - m :]
+    exceed = np.exp(lw[tail_idx]) - exp_cutoff
+    # only draws above the clamped cutoff enter the fit
+    tail_idx, exceed = tail_idx[exceed > 0], exceed[exceed > 0]
+    if exceed.size:
+        if exceed.size < _MIN_TAIL:
+            khat = math.inf  # too few tail draws to assess
+        else:
+            k, sigma = gpd_fit(exceed)
+            khat = k
+            if np.isfinite(k) and k >= 1.0 / 3.0:
+                probs = (np.arange(exceed.size) + 0.5) / exceed.size
+                smoothed = np.log(_gpd_quantiles(probs, k, sigma) + exp_cutoff)
+                lw = lw.copy()
+                lw[tail_idx] = np.minimum(smoothed, 0.0)
     return lw - _logsumexp_rows(lw[None, :])[0], khat

@@ -194,6 +194,27 @@ class TestCompareDistributions:
         assert len(blob) == len(rows)
         assert blob[0]["rank"] == 1 and blob[0]["elpd_diff"] == 0.0
 
+    def test_rankings_carry_the_flagged_count_of_their_cell(self, cd_outcome):
+        _, out = cd_outcome
+        combos = {
+            (r["sex"], r["age_bin"], r["distribution"], r["variable"]): r for r in read_rows(out / "combos.csv")
+        }
+        rows = read_rows(out / "subset_rankings.csv")
+        for row in rows:
+            cell = combos[row["sex"], row["age_bin"], row["distribution"], row["best_variable"]]
+            assert row["n_flagged"] == cell["n_flagged"]
+        blob = json.loads((out / "subset_rankings.json").read_text())
+        assert [r["n_flagged"] for r in blob] == [int(r["n_flagged"]) for r in rows]
+        report = json.loads((out / "report.json").read_text())
+        assert report["n_flagged_ranking_rows"] == sum(int(r["n_flagged"]) > 0 for r in rows)
+        assert 0 < report["n_flagged_ranking_rows"] < len(rows)
+
+    def test_combos_carry_max_khat(self, cd_outcome):
+        _, out = cd_outcome
+        for row in read_rows(out / "combos.csv"):
+            max_khat = float(row["max_khat"])
+            assert (max_khat > 0.7) == (int(row["n_flagged"]) > 0)
+
 
 @pytest.fixture(scope="module")
 def one_subset_csv(tmp_path_factory):
@@ -252,6 +273,12 @@ class TestCompareModels:
             assert isinstance(entry["iterations"], int) and entry["iterations"] >= 1
             assert entry["gradient_norm"] < 1e-6
             assert entry["min_curvature_eigenvalue"] > 0
+
+    def test_report_carries_max_khat(self, cm_outcome):
+        _, out = cm_outcome
+        models = json.loads((out / "report.json").read_text())["models"]
+        for entry in models.values():
+            assert isinstance(entry["max_khat"], float) and 0.0 < entry["max_khat"] < math.inf
 
     def test_parameter_curve_grid(self, cm_outcome):
         _, out = cm_outcome
@@ -362,6 +389,50 @@ class TestFailureMarkers:
         failed = report["models"]["distributional_2"]
         for key in ("elpd", "qq_rmse", "nlp", "gradient_norm", "min_curvature_eigenvalue"):
             assert failed[key] is None, key
+
+
+def _infinite_khat(monkeypatch, should_mark):
+    """Make ``agemix.cli.elpd_loo`` report record 0 as unassessable (k-hat = inf)
+    for the problems ``should_mark`` picks."""
+    real = agemix.cli.elpd_loo
+
+    def elpd_loo(*args, **kwargs):
+        res = real(*args, **kwargs)
+        if should_mark(kwargs["problem"]):
+            res.khat[0] = math.inf
+            res.flagged = tuple(sorted({0, *res.flagged}))
+        return res
+
+    monkeypatch.setattr(agemix.cli, "elpd_loo", elpd_loo)
+
+
+class TestInfiniteKhat:
+    """An infinite max k-hat reads inf in CSV and null in JSON."""
+
+    def test_compare_distributions(self, runner, one_subset_csv, tmp_path, monkeypatch):
+        _infinite_khat(monkeypatch, lambda problem: problem.family is Family.GAMMA)
+        result = runner.invoke(
+            main,
+            ["compare-distributions", str(one_subset_csv), "--out", str(tmp_path), "--seed", "3",
+             "--jobs", "1", "--draws", "100", "--qq-samples", "500"],
+        )
+        assert result.exit_code == 0, result.output
+        for row in read_rows(tmp_path / "combos.csv"):
+            assert (row["max_khat"] == "inf") == (row["distribution"] == "Gamma")
+        gamma = [r for r in read_rows(tmp_path / "subset_rankings.csv") if r["distribution"] == "Gamma"]
+        assert int(gamma[0]["n_flagged"]) >= 1
+
+    def test_compare_models(self, runner, data_csv, tmp_path, monkeypatch):
+        _infinite_khat(monkeypatch, lambda problem: problem.spec.tag is ModelTag.DISTRIBUTIONAL_2)
+        result = runner.invoke(
+            main,
+            ["compare-models", str(data_csv), "--out", str(tmp_path), "--seed", "2",
+             "--jobs", "1", "--draws", "100", "--qq-samples", "500"],
+        )
+        assert result.exit_code == 0, result.output
+        models = json.loads((tmp_path / "report.json").read_text())["models"]
+        for tag, entry in models.items():
+            assert (entry["max_khat"] is None) == (tag == "distributional_2")
 
 
 # Runs the CLI with the arguments it is given (or only imports the package

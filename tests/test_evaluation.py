@@ -23,7 +23,7 @@ from agemix.evaluation import (
 )
 from agemix.inference import FitProblem, _natural_params, draw_etas, fit_map, laplace_draws
 from agemix.transforms import Transform, TransformKind, forward_array
-from psis_reference import _psis_column
+from psis_reference import _psis_column, gpd_fit
 from sinh_arcsinh_reference import logpdf_sinh_arcsinh as sas_reference
 
 
@@ -154,14 +154,16 @@ class TestPsis:
         _assert_kernel_matches_column_oracle(ll)
 
     def test_heavy_tail_flagged(self):
+        # the diagnostic's power at 400 draws (a 60-draw tail): most Pareto(1)
+        # weight tails (true GPD shape k = 1) are flagged, few Pareto(2) ones (k = 0.5)
         rng = np.random.default_rng(2)
-        ll = rng.normal(-2, 0.2, (400, 8))
-        # importance weights with a Pareto(1) tail: true GPD shape k = 1
-        ll[:, 3] = -np.log1p(rng.pareto(1.0, 400))
+        heavy = -np.log1p(rng.pareto(1.0, (400, 200)))
+        light = -np.log1p(rng.pareto(2.0, (400, 200)))
         with pytest.warns(RuntimeWarning, match="k-hat"):
-            res = elpd_loo(LogLikMatrix(ll))
-        assert 3 in res.flagged
-        assert res.khat[3] > 0.7
+            res = elpd_loo(LogLikMatrix(np.hstack([heavy, light])))
+        flagged = np.array(res.flagged)
+        assert np.count_nonzero(flagged < 200) >= 0.75 * 200
+        assert np.count_nonzero(flagged >= 200) <= 0.20 * 200
 
     def test_underflowing_tail_flagged_as_unassessable(self):
         rng = np.random.default_rng(2)
@@ -214,8 +216,9 @@ def _heavy_log_weights(rng, s=400):
 
 
 class TestPsisKernel:
-    # with 400 draws the tail is the top 80 weights and the cutoff is the
-    # weight at stable-sorted position 319
+    # with 400 draws the tail is the top 60 weights and the cutoff is the
+    # weight at stable-sorted position 339 (positions 319 and 80 under the
+    # former 20% tail, which the older cases below were built around)
 
     def test_ties_at_tail_cutoff(self):
         rng = np.random.default_rng(11)
@@ -263,14 +266,17 @@ class TestPsisKernel:
 
     def test_tail_below_the_floating_point_floor(self):
         # 20 weights between the smallest normal double and the largest one,
-        # the other 60 of the tail below it: the exceedances over the clipped
-        # cutoff are negative or subnormal, which turned the Pareto profile
-        # NaN (neither flagged nor smoothed); such a tail is unassessable
+        # the other 40 of the tail below it: their exceedances over the
+        # clipped cutoff are negative, which turned the Pareto profile NaN
+        # (neither flagged nor smoothed) while they entered the fit; now only
+        # the 20 positive ones do, and their exponentially spread tail is flagged
         rng = np.random.default_rng(13)
         lw = -800.0 - rng.exponential(5.0, 400)
         lw[:20] = np.linspace(math.log(np.finfo(float).tiny) + 0.5, 0.0, 20)
         ll = -lw[:, None]
-        assert _psis_column(ll[:, 0])[1] == math.inf
+        khat = _psis_column(ll[:, 0])[1]
+        assert khat == gpd_fit(np.exp(lw[:20]) - np.finfo(float).tiny)[0]
+        assert 0.7 < khat < math.inf
         _assert_kernel_matches_column_oracle(ll)
         with pytest.warns(RuntimeWarning, match="k-hat") as caught:
             _psis_block(np.ascontiguousarray(ll.T))
@@ -280,6 +286,33 @@ class TestPsisKernel:
         assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == [
             "PSIS tail index k-hat exceeds 0.7 for 1 record(s); ELPD may be unreliable"
         ]
+
+    def test_tail_partly_below_the_floating_point_floor(self):
+        # 30 Pareto(1) weights above the smallest normal double, the other 370
+        # draws below it: the 60-draw tail holds 30 of each, and only the 30
+        # positive exceedances over the clipped cutoff are fitted and smoothed
+        rng = np.random.default_rng(14)
+        lw = -800.0 - rng.exponential(5.0, 400)
+        lw[:30] = _heavy_log_weights(rng, 30)
+        lw[:30] -= lw[:30].max()
+        ll = -lw[:, None]
+        lw_s, khat = _psis_column(ll[:, 0])
+        assert khat == gpd_fit(np.sort(np.exp(lw[:30])) - np.finfo(float).tiny)[0]
+        assert 1.0 / 3.0 <= khat < math.inf  # the positive tail is smoothed
+        assert not np.allclose(lw_s[:30] - lw_s[30:].max(), lw[:30] - lw[30:].max())
+        np.testing.assert_allclose(lw_s[30:] - lw_s[30], lw[30:] - lw[30], rtol=0, atol=1e-10)
+        _assert_kernel_matches_column_oracle(ll)
+
+    def test_ties_straddling_the_cutoff_of_a_60_draw_tail(self):
+        rng = np.random.default_rng(15)
+        cols = []
+        for first, last in ((330, 350), (339, 350), (320, 339), (320, 341)):
+            lw = _heavy_log_weights(rng)
+            order = np.argsort(lw, kind="stable")
+            lw[order[first:last]] = lw[order[first]]
+            cols.append(-lw)
+        ll = np.stack(cols, axis=1)
+        _assert_kernel_matches_column_oracle(ll)
 
     def test_pareto_one_tail(self):
         rng = np.random.default_rng(3)
