@@ -16,7 +16,6 @@ each group's records, and hence its random draws, keep their record order.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -151,9 +150,6 @@ class HeapReport:
                 for g in self.groups
             ],
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
 
 
 def deheap(records: Records, bandwidth: float = 2.0, seed: int = 0):

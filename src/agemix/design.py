@@ -13,7 +13,6 @@ knots. Columns are rescaled by the boundary span so values stay O(1).
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -141,13 +140,6 @@ class ModelSpec:
             boundary=tuple(d.get("boundary", (15.0, 64.0))),
             knots=None if d.get("knots") is None else tuple(d["knots"]),
         )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "ModelSpec":
-        return cls.from_dict(json.loads(text))
 
 
 def _check_knots(knots, boundary) -> None:

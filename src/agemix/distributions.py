@@ -11,6 +11,10 @@ found in the literature).
 Large sinh/cosh arguments are guarded by clamping the argument
 epsilon + delta * asinh(x_z) at +/- 700 before exponentiation.
 
+Every CDF is in closed form. The skew-normal one is Phi(z) - 2 T(z, epsilon)
+(Azzalini 1985, Scand. J. Statist.), with T Owen's function; its quantile
+bisects that CDF inside a bracket that holds for every epsilon.
+
 scipy is imported inside the functions that call it, not at module level, so
 importing this module (and the CLI commands that never evaluate a scipy
 special function) does not load scipy.
@@ -299,59 +303,12 @@ def log_pdf(family: Family, params: ParamVector, x: float, *, strict: bool = Tru
 # CDFs
 # ---------------------------------------------------------------------------
 
-# standardized left anchor for skew-normal quadrature; the left tail mass
-# below it is bounded by 2*Phi(-40) ~ 1e-349
-_SKEWNORM_Z_ANCHOR = 40.0
 
+def _skew_normal_cdf(z, epsilon):
+    """Skew-normal CDF at standardized z: Phi(z) - 2 T(z, epsilon) (Azzalini 1985)."""
+    from scipy.special import ndtr, owens_t
 
-def _skew_normal_cdf_scalar(x: float, mu: float, sigma: float, epsilon: float) -> float:
-    from scipy.integrate import quad
-    from scipy.special import ndtr
-
-    z = (x - mu) / sigma
-    if z <= -_SKEWNORM_Z_ANCHOR:
-        return 0.0
-    if z >= _SKEWNORM_Z_ANCHOR:
-        return 1.0
-
-    def integrand(t):
-        return 2.0 * math.exp(-0.5 * t * t - _HALF_LOG_2PI) * ndtr(epsilon * t)
-
-    if z > 0:
-        val, _ = quad(integrand, -_SKEWNORM_Z_ANCHOR, z, epsabs=1e-12, limit=300, points=[0.0])
-    else:
-        val, _ = quad(integrand, -_SKEWNORM_Z_ANCHOR, z, epsabs=1e-12, limit=300)
-    return min(max(val, 0.0), 1.0)
-
-
-def _skew_normal_cdf_array(x: np.ndarray, mu: float, sigma: float, epsilon: float) -> np.ndarray:
-    """Cumulative quadrature over sorted points; one short quad per segment."""
-    from scipy.integrate import quad
-    from scipy.special import ndtr
-
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-
-    def integrand(t):
-        return (2.0 / sigma) * math.exp(-0.5 * ((t - mu) / sigma) ** 2 - _HALF_LOG_2PI) * ndtr(
-            epsilon * (t - mu) / sigma
-        )
-
-    out = np.empty_like(xs)
-    lo = mu - _SKEWNORM_Z_ANCHOR * sigma
-    acc = 0.0
-    prev = lo
-    for i, xi in enumerate(xs):
-        if xi <= lo:
-            out[i] = 0.0
-            continue
-        seg, _ = quad(integrand, prev, xi, epsabs=1e-13, limit=200)
-        acc += seg
-        prev = xi
-        out[i] = min(max(acc, 0.0), 1.0)
-    result = np.empty_like(out)
-    result[order] = out
-    return result
+    return np.clip(ndtr(z) - 2.0 * owens_t(z, epsilon), 0.0, 1.0)
 
 
 def cdf(family: Family, params: ParamVector, x):
@@ -377,10 +334,7 @@ def cdf(family: Family, params: ParamVector, x):
         out = ndtr(np.sinh(np.clip(w, -SINH_ARG_CLAMP, SINH_ARG_CLAMP)))
     elif family is Family.SKEW_NORMAL:
         mu, sigma, epsilon = slots
-        if xa.size == 1:
-            out = np.array([_skew_normal_cdf_scalar(float(xa[0]), mu, sigma, epsilon)])
-        else:
-            out = _skew_normal_cdf_array(xa, mu, sigma, epsilon)
+        out = _skew_normal_cdf((xa - mu) / sigma, epsilon)
     else:  # pragma: no cover
         raise ValueError(f"unknown family {family!r}")
 
@@ -390,29 +344,6 @@ def cdf(family: Family, params: ParamVector, x):
 # ---------------------------------------------------------------------------
 # quantile functions
 # ---------------------------------------------------------------------------
-
-
-def _skew_normal_quantile_scalar(q: float, mu: float, sigma: float, epsilon: float) -> float:
-    from scipy.optimize import brentq
-    from scipy.special import ndtri
-
-    # bracket around the normal quantile, expanding geometrically
-    z0 = ndtri(q)
-    lo, hi = z0 - 1.0, z0 + 1.0
-    f = lambda z: _skew_normal_cdf_scalar(mu + sigma * z, mu, sigma, epsilon) - q
-    flo, fhi = f(lo), f(hi)
-    width = 2.0
-    while flo > 0.0:
-        lo -= width
-        width *= 2.0
-        flo = f(lo)
-    width = 2.0
-    while fhi < 0.0:
-        hi += width
-        width *= 2.0
-        fhi = f(hi)
-    z = brentq(f, lo, hi, xtol=1e-13, rtol=8.9e-16)
-    return mu + sigma * z
 
 
 def quantile(family: Family, params: ParamVector, q):
@@ -439,7 +370,20 @@ def quantile(family: Family, params: ParamVector, q):
         out = mu + sigma * np.sinh((np.arcsinh(ndtri(qa)) - epsilon) / delta)
     elif family is Family.SKEW_NORMAL:
         mu, sigma, epsilon = slots
-        out = np.array([_skew_normal_quantile_scalar(float(v), mu, sigma, epsilon) for v in qa])
+        # F falls as epsilon rises: Phi(z) <= F(z) <= 2 Phi(z) for epsilon <= 0
+        # and 2 Phi(z) - 1 <= F(z) <= Phi(z) for epsilon >= 0, so for every
+        # epsilon F(z) = q lies in [Phi^-1(q / 2), Phi^-1((1 + q) / 2)]. The
+        # clamp at +/-40, where Phi rounds to 0 or 1, keeps the bracket finite
+        # when q / 2 rounds to 0 or (1 + q) / 2 to 1; 64 halvings shrink its
+        # width, under 40, below 3e-18
+        lo = np.maximum(ndtri(0.5 * qa), -40.0)
+        hi = np.minimum(ndtri(0.5 + 0.5 * qa), 40.0)
+        for _ in range(64):
+            mid = 0.5 * (lo + hi)
+            below = _skew_normal_cdf(mid, epsilon) < qa
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+        out = mu + sigma * hi
     else:  # pragma: no cover
         raise ValueError(f"unknown family {family!r}")
 

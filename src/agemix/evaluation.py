@@ -277,12 +277,12 @@ def _smooth_tails(lw: np.ndarray, m: int, khat: np.ndarray) -> np.ndarray:
     return log_ratio
 
 
-def _psis_block(ll: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _psis_block(ll: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """PSIS-LOO for a records-major block ``ll`` (records x draws).
 
-    Returns the self-normalized smoothed log weights (records x draws), the
-    pointwise ELPD and k-hat of each record; row by row they equal the
-    record-at-a-time reference in ``tests/psis_reference.py`` up to rounding.
+    Returns the pointwise ELPD and k-hat of each record; row by row they equal
+    the record-at-a-time reference in ``tests/psis_reference.py`` up to
+    rounding.
     """
     lw = np.negative(ll)
     shift = lw.max(axis=1)
@@ -293,9 +293,8 @@ def _psis_block(ll: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # is -shift, so the first term is log_ratio - shift; lw <= 0 and its
     # largest entry is at least the clamped cutoff, so the one exponential
     # pass needs no shift
-    log_norm = np.log(np.exp(lw).sum(axis=1))
-    lw -= log_norm[:, None]
-    return lw, log_ratio - shift - log_norm, khat
+    log_norm = np.log(np.exp(lw, out=lw).sum(axis=1))
+    return log_ratio - shift - log_norm, khat
 
 
 @dataclass
@@ -355,7 +354,7 @@ def elpd_loo(
         khat = np.empty(n)
         for start, block in blocks:
             rows = slice(start, start + block.shape[0])
-            _, pointwise[rows], khat[rows] = _psis_block(block)
+            pointwise[rows], khat[rows] = _psis_block(block)
         if inverse is not None:
             pointwise, khat = pointwise[inverse], khat[inverse]
         flagged = tuple(int(i) for i in np.nonzero(khat > KHAT_WARN)[0])

@@ -31,7 +31,6 @@ scipy; a process loads it at its first fit.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -299,16 +298,7 @@ def neg_log_posterior(problem, beta) -> float:
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (prep.dim,):
         raise ValueError(f"beta must have shape ({prep.dim},), got {beta.shape}")
-    prior_val, _ = _prior_terms(prep, beta)
-    if prep.y.size == 0:
-        return prior_val
-    params = _natural_params(prep.problem.family, prep.etas(beta), prep)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        ll = log_pdf_slots(prep.problem.family, prep.y, *params)
-    total = float(np.sum(ll))
-    if not np.isfinite(total):
-        return math.inf
-    return -total + prior_val
+    return neg_log_posterior_and_grad(prep, beta)[0]
 
 
 def neg_log_posterior_and_grad(problem, beta):
@@ -483,31 +473,6 @@ class FitResult:
         if not np.all(np.isfinite(self.curvature)):
             return math.nan
         return float(np.linalg.eigvalsh(self.curvature)[0])
-
-    def to_dict(self) -> dict:
-        blocks = {}
-        for slot in self.slots:
-            blocks[slot] = [float(v) for v in self.coef(slot)]
-        return {
-            "family": self.family.value,
-            "transform": self.transform.kind.value,
-            "spec": self.spec.to_dict(),
-            "prior_sd": self.prior_sd,
-            "coefficients": blocks,
-            "nlp": self.nlp,
-            "convergence": {
-                "converged": self.converged,
-                "iterations": self.iterations,
-                "gradient_norm": self.gradient_norm,
-                "curvature_pd": self.curvature_pd,
-                "min_curvature_eigenvalue": self.min_curvature_eigenvalue,
-                "exp_clamps": self.exp_clamps,
-            },
-            "n_records": self.n_records,
-        }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
 
 
 def _default_init(prep: _Prepared) -> np.ndarray:

@@ -270,6 +270,7 @@ class TestCompareModels:
         _, out = cm_outcome
         models = json.loads((out / "report.json").read_text())["models"]
         for entry in models.values():
+            assert entry["converged"] is True
             assert isinstance(entry["iterations"], int) and entry["iterations"] >= 1
             assert entry["gradient_norm"] < 1e-6
             assert entry["min_curvature_eigenvalue"] > 0

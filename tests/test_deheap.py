@@ -134,7 +134,7 @@ class TestDeheapProperties:
         import json
 
         _, report = deheap(heaped_records, seed=1)
-        blob = json.loads(report.to_json())
+        blob = json.loads(json.dumps(report.to_dict()))
         assert blob["n_records"] == len(heaped_records)
         assert blob["heaping_index_before"] > blob["heaping_index_after"]
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -109,7 +111,7 @@ class TestDesignRows:
 class TestModelSpec:
     def test_json_round_trip(self):
         spec = ModelSpec(ModelTag.DISTRIBUTIONAL_3, interior_knots=4, boundary=(18.0, 60.0), knots=(25.0, 33.0, 41.0, 52.0))
-        again = ModelSpec.from_json(spec.to_json())
+        again = ModelSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert again == spec
 
     def test_knots_from_age_quantiles(self):

@@ -1,10 +1,16 @@
+import json
 import math
+import os
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad, trapezoid
 
+import agemix
 from agemix.distributions import (
     DomainError,
     Family,
@@ -210,7 +216,7 @@ class TestCdf:
         # (mu=2, sigma=3, eps=-0.4, delta=0.8) at x=5; trapezoid over (-200, 5)
         p = ParamVector(mu=2, sigma=3, epsilon=-0.4, delta=0.8)
         grid = np.linspace(-200.0, 5.0, 400001)
-        pdf = np.exp([log_pdf(Family.SINH_ARCSINH, p, float(x), strict=False) for x in grid])
+        pdf = np.exp(log_pdf_slots(Family.SINH_ARCSINH, grid, *p.require(Family.SINH_ARCSINH)))
         trap = trapezoid(pdf, grid)
         value = cdf(Family.SINH_ARCSINH, p, 5.0)
         assert value == pytest.approx(trap, abs=1e-6)
@@ -229,6 +235,23 @@ class TestCdf:
         values = cdf(family, params, grid)
         assert np.all(np.diff(values) >= -1e-14)
         assert np.all((values >= 0) & (values <= 1))
+
+    def test_skew_normal_matches_quadrature_of_the_density(self):
+        # quad of exp(log_pdf) from 12 sigma below mu (the mass below it is
+        # under 2 Phi(-12) ~ 4e-33), split at mu, where the density bends
+        # sharply when |epsilon| is large; quad's default relative tolerance
+        # (1.5e-8) would stop short of 1e-10
+        rng = np.random.default_rng(29)
+        for epsilon in (-20.0, 20.0, *rng.uniform(-20, 20, 8)):
+            mu, sigma = rng.uniform(-5, 5), rng.uniform(0.2, 5)
+            p = ParamVector(mu=mu, sigma=sigma, epsilon=epsilon)
+            density = lambda x: math.exp(log_pdf(Family.SKEW_NORMAL, p, x))
+            lo = mu - 12.0 * sigma
+            for z in (-8.0, -5.0, -2.0, -0.3, 0.0, 0.4, 2.0, 5.0, 8.0):
+                x = mu + z * sigma
+                points = [mu] if z > 0 else None
+                want = quad(density, lo, x, points=points, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+                assert cdf(Family.SKEW_NORMAL, p, x) == pytest.approx(want, abs=1e-10)
 
 
 class TestQuantile:
@@ -255,6 +278,51 @@ class TestQuantile:
         for q in qs:
             x = quantile(family, params, float(q))
             assert cdf(family, params, x) == pytest.approx(q, abs=1e-9)
+
+    @pytest.mark.parametrize("epsilon", [-50.0, 50.0])
+    def test_skew_normal_round_trip_in_the_far_tails(self, epsilon):
+        # the outer two are the smallest double and the largest below 1, whose
+        # bisection brackets q / 2 and (1 + q) / 2 round to 0 and 1
+        p = ParamVector(mu=1.5, sigma=0.7, epsilon=epsilon)
+        qs = np.array([5e-324, 1e-12, 1.0 - 1e-12, 1.0 - 2.0**-53])
+        x = quantile(Family.SKEW_NORMAL, p, qs)
+        np.testing.assert_allclose(cdf(Family.SKEW_NORMAL, p, x), qs, rtol=0, atol=1e-15)
+
+
+# Evaluates cdf and quantile for every family and prints the scipy modules
+# loaded by then.
+_CDF_QUANTILE_PROBE = """
+import json, sys
+from agemix.distributions import Family, ParamVector, cdf, quantile
+params = {
+    Family.NORMAL: ParamVector(mu=0.5, sigma=2.0),
+    Family.SKEW_NORMAL: ParamVector(mu=0.5, sigma=2.0, epsilon=3.0),
+    Family.GAMMA: ParamVector(k=2.0, theta=1.5),
+    Family.BETA: ParamVector(alpha=2.0, beta_p=3.0),
+    Family.SINH_ARCSINH: ParamVector(mu=0.5, sigma=2.0, epsilon=0.3, delta=1.2),
+}
+for family, p in params.items():
+    cdf(family, p, 0.4)
+    cdf(family, p, [0.2, 0.4, 0.6])
+    quantile(family, p, 0.3)
+    quantile(family, p, [0.1, 0.5, 0.9])
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+class TestScipyImports:
+    def test_cdf_and_quantile_load_no_integrate_or_optimize(self, tmp_path):
+        # a fresh process: this one imported scipy.integrate long ago
+        src = str(Path(agemix.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-c", _CDF_QUANTILE_PROBE], cwd=tmp_path, env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert "scipy.special" in loaded
+        assert [m for m in loaded if m.startswith(("scipy.integrate", "scipy.optimize"))] == []
 
 
 class TestSample:

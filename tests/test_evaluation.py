@@ -16,6 +16,7 @@ from agemix.evaluation import (
     ElpdResult,
     LogLikMatrix,
     _psis_block,
+    _tail_length,
     elpd_diff,
     elpd_loo,
     pointwise_loglik,
@@ -128,10 +129,9 @@ class TestPointwiseLoglik:
 
 def _assert_kernel_matches_column_oracle(ll):
     """``_psis_block`` on ll (draws x records) equals ``_psis_column`` per record."""
-    lw_b, pointwise_b, khat_b = _psis_block(np.ascontiguousarray(ll.T))
+    pointwise_b, khat_b = _psis_block(np.ascontiguousarray(ll.T))
     for i in range(ll.shape[1]):
         lw_s, khat_s = _psis_column(ll[:, i])
-        np.testing.assert_allclose(lw_b[i], lw_s, rtol=0, atol=1e-10)
         np.testing.assert_allclose(pointwise_b[i], logsumexp(lw_s + ll[:, i]), rtol=0, atol=1e-10)
         np.testing.assert_allclose(khat_b[i], khat_s, rtol=0, atol=1e-10)
 
@@ -216,40 +216,53 @@ def _heavy_log_weights(rng, s=400):
 
 
 class TestPsisKernel:
-    # with 400 draws the tail is the top 60 weights and the cutoff is the
-    # weight at stable-sorted position 339 (positions 319 and 80 under the
-    # former 20% tail, which the older cases below were built around)
+    # with S = 400 draws the tail is the top _tail_length(400) = 60 weights and
+    # the cutoff is the weight at stable-sorted position 339; the cases below
+    # derive their positions from that
 
     def test_ties_at_tail_cutoff(self):
+        # tie ranges of sorted positions around the cutoff c: across it, from
+        # it into the tail, up to just below it, just past it, and at the top
+        # of the tail; every column also ties 10 weights inside the tail.
+        # Pareto(1/2) weights (k = 2) keep every tied tail above the
+        # smoothing threshold, which Pareto(1) tails miss for some ranges
+        s = 400
+        c = s - _tail_length(s) - 1
         rng = np.random.default_rng(11)
         cols = []
-        for first, last in ((310, 330), (319, 330), (300, 319), (395, 400)):
-            lw = _heavy_log_weights(rng)
+        for first, last in ((c - 9, c + 11), (c, c + 11), (c - 19, c), (c - 19, c + 2), (s - 5, s)):
+            lw = np.log1p(rng.pareto(0.5, s))
             order = np.argsort(lw, kind="stable")
             lw[order[first:last]] = lw[order[first]]
-            lw[order[360:370]] = lw[order[365]]  # ties inside the tail too
+            lw[order[c + 21 : c + 31]] = lw[order[c + 26]]
+            ranked = np.sort(lw)
+            assert ranked[first] == ranked[last - 1] and ranked[c + 21] == ranked[c + 30]
+            assert (ranked[c] == ranked[first]) == (first <= c < last)
             cols.append(-lw)
         ll = np.stack(cols, axis=1)
         for i in range(ll.shape[1]):
             assert _psis_column(ll[:, i])[1] >= 1.0 / 3.0  # the tied tail is smoothed
         _assert_kernel_matches_column_oracle(ll)
 
-    def test_nonpositive_exceedance_quartile(self):
+    def test_zero_exceedances_stay_raw(self):
+        # the lowest quarter of the tail ties with the cutoff: those draws
+        # exceed it by zero and stay raw; only the 45 above them are smoothed
+        s = 400
+        m = _tail_length(s)
+        c = s - m - 1
         rng = np.random.default_rng(12)
-        tied = _heavy_log_weights(rng)
-        order = np.argsort(tied, kind="stable")
-        # the lowest quarter of the tail ties with the cutoff: zero exceedances
-        tied[order[290:341]] = tied[order[320]]
-        # the cutoff and most of the tail lie below the smallest normal double,
-        # so their exceedances over the clipped cutoff are negative
-        sunk = -800.0 - rng.exponential(5.0, 400)
-        sunk[:10] = rng.normal(0.0, 0.5, 10)
-        ll = np.stack([-tied, -sunk], axis=1)
-        for i in range(2):
-            lw = -ll[:, i] - (-ll[:, i]).max()
-            tail = np.sort(lw)[320:]
-            cutoff = max(np.sort(lw)[319], math.log(np.finfo(float).tiny))
-            assert np.exp(tail[80 // 4]) - math.exp(cutoff) <= 0
+        lw = _heavy_log_weights(rng, s)
+        order = np.argsort(lw, kind="stable")
+        lw[order[c - 49 : c + 1 + m // 4]] = lw[order[c]]
+        ranked = np.sort(lw)
+        assert ranked[c - 49] == ranked[c + m // 4] < ranked[c + m // 4 + 1]
+        ll = -lw[:, None]
+        lw_s, khat = _psis_column(ll[:, 0])
+        assert 1.0 / 3.0 <= khat < math.inf
+        raw, smoothed = order[: c + 1 + m // 4], order[c + 1 + m // 4 :]
+        offset = lw_s[raw] - lw[raw]
+        np.testing.assert_allclose(offset, offset[0], rtol=0, atol=1e-12)
+        assert not np.allclose(lw_s[smoothed] - lw[smoothed], offset[0])
         _assert_kernel_matches_column_oracle(ll)
 
     def test_underflowing_tail(self):
@@ -301,17 +314,6 @@ class TestPsisKernel:
         assert 1.0 / 3.0 <= khat < math.inf  # the positive tail is smoothed
         assert not np.allclose(lw_s[:30] - lw_s[30:].max(), lw[:30] - lw[30:].max())
         np.testing.assert_allclose(lw_s[30:] - lw_s[30], lw[30:] - lw[30], rtol=0, atol=1e-10)
-        _assert_kernel_matches_column_oracle(ll)
-
-    def test_ties_straddling_the_cutoff_of_a_60_draw_tail(self):
-        rng = np.random.default_rng(15)
-        cols = []
-        for first, last in ((330, 350), (339, 350), (320, 339), (320, 341)):
-            lw = _heavy_log_weights(rng)
-            order = np.argsort(lw, kind="stable")
-            lw[order[first:last]] = lw[order[first]]
-            cols.append(-lw)
-        ll = np.stack(cols, axis=1)
         _assert_kernel_matches_column_oracle(ll)
 
     def test_pareto_one_tail(self):

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -212,18 +211,6 @@ class TestFitMap:
         assert fit.converged and fit.curvature_pd
         assert fit.iterations <= 10
         assert fit.min_curvature_eigenvalue > 0
-
-    def test_json_serialization(self, tiny_records):
-        fit = fit_map(
-            make_problem(Family.SINH_ARCSINH, TransformKind.LOG_RATIO, ModelTag.CONVENTIONAL, tiny_records)
-        )
-        blob = json.loads(fit.to_json())
-        assert blob["family"] == "sinh_arcsinh"
-        assert blob["transform"] == "log_ratio"
-        assert set(blob["coefficients"]) == {"mu", "sigma", "epsilon", "delta"}
-        assert blob["convergence"]["converged"] is True
-        assert blob["convergence"]["min_curvature_eigenvalue"] > 0
-        assert len(blob["coefficients"]["mu"]) == 4
 
 
 class TestHessian:
