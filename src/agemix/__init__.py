@@ -5,21 +5,19 @@ from .deheap import HeapReport, deheap, heaping_index, nw_expected
 from .design import ModelSpec, ModelTag, spline_basis
 from .distributions import Family, Moments, ParamVector, cdf, empirical_moments, log_pdf, quantile, sample
 from .evaluation import (
-    ComparisonReport,
     ElpdResult,
     LogLikMatrix,
     elpd_diff,
     elpd_loo,
     pointwise_loglik,
     qq_rmse,
+    rank_by_elpd,
 )
 from .inference import (
     FitProblem,
     FitResult,
-    PosteriorDraws,
     fit_map,
     laplace_draws,
-    linpred_to_params,
     neg_log_posterior,
     neg_log_posterior_and_grad,
     posterior_predictive,

@@ -8,10 +8,11 @@ distribution/outcome grid and ranks the families by ELPD; and
 sinh-arcsinh family on the log-ratio outcome.
 
 Both compare commands take the same options and run one path (``_compare``):
-each task is fitted and scored by ``_score`` (MAP fit, Laplace draws, ELPD,
-predictive QQ RMSE), and the fits that succeeded are ranked by
-``ComparisonReport``. A fit that raises becomes a failure marker (NaN scores
-and the error text) in the reports instead of aborting the run.
+each task is fitted and scored by ``_score`` (MAP fit, ``--draws`` Laplace
+draws, ELPD, predictive QQ RMSE; k-fold draws as many per fold fit), and the
+fits that succeeded are ranked by ``evaluation.rank_by_elpd``. A fit that
+raises becomes a failure marker (NaN scores and the error text) in the
+reports instead of aborting the run.
 
 Every command emits CSV reports plus a ``manifest.json`` sidecar; wall-clock
 time, peak memory and timestamps live only in the manifest so repeated runs
@@ -45,7 +46,7 @@ from .design import ModelSpec, ModelTag
 from .distributions import Family, empirical_moments
 # pointwise_loglik is not called here (PSIS streams record blocks inside
 # elpd_loo) but stays importable: perfbench/trace.py wraps agemix.cli's names
-from .evaluation import ComparisonReport, elpd_loo, pointwise_loglik, qq_rmse  # noqa: F401
+from .evaluation import elpd_loo, pointwise_loglik, qq_rmse, rank_by_elpd  # noqa: F401
 from .inference import (
     FitProblem,
     _natural_params,
@@ -304,6 +305,7 @@ def _score(problem: FitProblem, seed_parts, n_draws, elpd_method, qq_samples, gr
             draws=draws,
             records=problem.records,
             problem=problem,
+            n_draws=n_draws,
             seed=_child_seed(*seed_parts, 2),
         )
         observed, predictive = {}, {}
@@ -337,10 +339,10 @@ def _score(problem: FitProblem, seed_parts, n_draws, elpd_method, qq_samples, gr
 
 
 def _ranked(results, name) -> list[dict]:
-    """``ComparisonReport`` rows of the fits that succeeded, best ELPD first."""
-    return ComparisonReport.from_models(
+    """``rank_by_elpd`` rows of the fits that succeeded, best ELPD first."""
+    return rank_by_elpd(
         (name(r), r["elpd_result"], r["qq_rmse"], r["converged"]) for r in results if r["ok"]
-    ).to_dicts()
+    )
 
 
 def _run_tasks(tasks, worker, jobs: int):
@@ -541,6 +543,7 @@ REPORT_KEYS = (
     "gradient_norm",
     "min_curvature_eigenvalue",
     "max_khat",
+    "n_flagged",
     "error",
 )
 
@@ -559,12 +562,11 @@ def _fit_model_spec(task):
     def curves_and_histograms(fit, draws):
         curves = []
         for sex in (0, 1):
-            etas = draw_etas(fit, draws.draws, np.array(CURVE_AGES, float), np.full(len(CURVE_AGES), sex))
+            etas = draw_etas(fit, draws, np.array(CURVE_AGES, float), np.full(len(CURVE_AGES), sex))
             params = _natural_params(fit.family, etas)
             for name, values in zip(("mu", "sigma", "epsilon", "delta"), params):
                 est = np.mean(values, axis=0)
-                lo = np.quantile(values, 0.025, axis=0)
-                hi = np.quantile(values, 0.975, axis=0)
+                lo, hi = np.quantile(values, (0.025, 0.975), axis=0)
                 for age, e, l, h in zip(CURVE_AGES, est, lo, hi):
                     curves.append([tag.value, name, sex, age, float(e), float(l), float(h)])
 

@@ -111,11 +111,13 @@ class ModelSpec:
 
     def with_knots_from_ages(self, ages) -> "ModelSpec":
         """Spec with interior knots at quantiles {1/(m+1), ..., m/(m+1)} of
-        ``ages``; falls back to even spacing when the quantiles collide or
-        leave the boundary interval."""
+        ``ages``; falls back to even spacing when there are no ages or the
+        quantiles collide or leave the boundary interval."""
         if not self.uses_splines or self.knots is not None:
             return self
         ages = np.asarray(ages, dtype=float)
+        if not ages.size:
+            return self.resolved()
         m = self.interior_knots
         lo, hi = self.boundary
         qs = np.quantile(ages, [(i + 1) / (m + 1) for i in range(m)])

@@ -42,7 +42,6 @@ __all__ = [
     "log_pdf_slots",
     "sample_slots",
     "linpred_slots",
-    "params_from_slots",
 ]
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -132,16 +131,6 @@ class ParamVector:
 def linpred_slots(family: Family) -> tuple[str, ...]:
     """Linear-predictor slots a family's parameters are driven by."""
     return _LINPRED_SLOTS[family]
-
-
-def params_from_slots(family: Family, values) -> ParamVector:
-    """ParamVector for ``family`` from its slot values, in slot order."""
-    names = _SLOTS[family]
-    if len(values) != len(names):
-        raise ParameterError(
-            f"{family.value} takes {len(names)} parameters, got {len(values)}"
-        )
-    return ParamVector(**dict(zip(names, (float(v) for v in values))))
 
 
 # ---------------------------------------------------------------------------

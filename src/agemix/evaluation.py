@@ -1,4 +1,5 @@
-"""Model comparison: ELPD (PSIS-LOO or exact k-fold) and QQ RMSE.
+"""Model comparison: ELPD (PSIS-LOO or exact k-fold), QQ RMSE, and the
+ranking of models by ELPD (``rank_by_elpd``).
 
 Pointwise log likelihoods are always evaluated on the partner-age scale by
 adding the log Jacobian of the dependent-variable transform, which makes
@@ -22,9 +23,10 @@ kernel and keeps only the pointwise ELPD and k-hat: memory is
 O(draws x block), not O(records x draws). A record's log likelihood depends
 only on its (respondent age, sex, partner age), and ages are mostly whole
 years, so the stream holds each distinct record once and copies its scores
-to every duplicate: work is O(distinct records x draws). Exact k-fold scores
-its held-out records the same way. ``pointwise_loglik`` builds the full
-matrix from the same blocks for callers that want it.
+to every duplicate: work is O(distinct records x draws). Exact k-fold draws
+``n_draws`` per fold fit and scores its held-out records the same way.
+``pointwise_loglik`` builds the full matrix from the same blocks for callers
+that want it.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .design import design_matrices
 from .distributions import log_pdf_slots
 from .inference import (
     FitResult,
-    PosteriorDraws,
     _natural_params,
     fit_map,
     laplace_draws,
@@ -49,11 +50,10 @@ from .inference import (
 __all__ = [
     "LogLikMatrix",
     "ElpdResult",
-    "ComparisonReport",
-    "ComparisonRow",
     "pointwise_loglik",
     "elpd_loo",
     "elpd_diff",
+    "rank_by_elpd",
     "qq_rmse",
     "DEFAULT_QUANTILES",
     "KHAT_WARN",
@@ -87,7 +87,7 @@ def _block_rows(n_draws: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * n_draws))
 
 
-def _loglik_blocks(fit: FitResult, draws: PosteriorDraws, records, transform=None, origin=None):
+def _loglik_blocks(fit: FitResult, draws: np.ndarray, records, transform=None, origin=None):
     """Yield (start, block): log likelihoods of consecutive record blocks.
 
     ``block`` is C-contiguous (records x draws); entry (i, d) is the log
@@ -101,8 +101,8 @@ def _loglik_blocks(fit: FitResult, draws: PosteriorDraws, records, transform=Non
     jac = transforms.log_jacobian_array(t, ages, sexes, partners)
 
     mats = design_matrices(fit.spec, ages, sexes, slots=fit.slots, center=True)
-    coefs = {slot: draws.draws[:, slice(*fit.offsets[slot])].T for slot in fit.slots}
-    step = _block_rows(draws.draws.shape[0])
+    coefs = {slot: draws[:, slice(*fit.offsets[slot])].T for slot in fit.slots}
+    step = _block_rows(draws.shape[0])
     for start in range(0, len(records), step):
         rows = slice(start, start + step)
         # fit.slots are exactly the slots the family's parameters read
@@ -146,7 +146,7 @@ def _matrix_blocks(values: np.ndarray):
 
 def pointwise_loglik(
     fit: FitResult,
-    draws: PosteriorDraws,
+    draws: np.ndarray,
     records,
     *,
     transform=None,
@@ -156,7 +156,7 @@ def pointwise_loglik(
     Entry (d, i) is the log density of record i's partner age under draw d.
     Any non-finite entry raises, naming the offending record and draw.
     """
-    out = np.empty((draws.draws.shape[0], len(records)))
+    out = np.empty((draws.shape[0], len(records)))
     for start, block in _loglik_blocks(fit, draws, records, transform):
         out[:, start : start + block.shape[0]] = block.T
     return LogLikMatrix(values=out)
@@ -321,7 +321,7 @@ def elpd_loo(
     method: str = "psis",
     *,
     fit: FitResult | None = None,
-    draws: PosteriorDraws | None = None,
+    draws: np.ndarray | None = None,
     records=None,
     problem=None,
     folds: int = 10,
@@ -346,7 +346,7 @@ def elpd_loo(
             raise ValueError("psis needs a log-likelihood matrix or fit, draws and records")
         else:
             first, inverse = _distinct(records)
-            n_samples, n = draws.draws.shape[0], first.size
+            n_samples, n = draws.shape[0], first.size
             blocks = _loglik_blocks(fit, draws, records[first], origin=first)
         if n_samples < 100:
             raise ValueError("psis requires at least 100 draws")
@@ -382,10 +382,7 @@ def elpd_loo(
         if ll is not None and ll.n_records != n:
             raise ValueError("log-likelihood matrix does not match the problem's records")
         # pin spline knots on the full data so folds share one design
-        from .inference import _Prepared
-
-        spec = _Prepared(problem).spec
-        base = replace(problem, spec=spec)
+        base = replace(problem, spec=problem.spec.with_knots_from_ages(records.respondent_age))
         assignment = np.arange(n) % folds
         pointwise = np.empty(n)
         for fold in range(folds):
@@ -460,73 +457,32 @@ def qq_rmse(observed, predictive, quantiles=DEFAULT_QUANTILES) -> float:
 
 
 # ---------------------------------------------------------------------------
-# comparison reports
+# comparison ranking
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ComparisonRow:
-    """One model's metrics inside a ranked comparison."""
+def rank_by_elpd(entries) -> list[dict]:
+    """Rank (name, ElpdResult, qq_rmse, converged) entries, best ELPD first.
 
-    rank: int
-    name: str
-    elpd: float
-    elpd_se: float
-    elpd_diff: float
-    diff_se: float
-    qq_rmse: float
-    converged: bool = True
-    n_flagged: int = 0
-
-
-@dataclass
-class ComparisonReport:
-    """Ranked model comparison (higher ELPD is better)."""
-
-    rows: list[ComparisonRow]
-
-    @classmethod
-    def from_models(cls, entries) -> "ComparisonReport":
-        """Build from (name, ElpdResult, qq_rmse, converged) tuples.
-
-        The sort is stable, so entries with equal ELPD keep their given order.
-        """
-        entries = list(entries)
-        order = sorted(range(len(entries)), key=lambda i: -entries[i][1].elpd)
-        rows = []
-        for rank, i in enumerate(order, start=1):
-            name, res, qq, converged = entries[i]
-            if rank == 1:
-                best, diff, dse = res, 0.0, 0.0
-            else:
-                diff, dse = elpd_diff(res.pointwise, best.pointwise)
-            rows.append(
-                ComparisonRow(
-                    rank=rank,
-                    name=name,
-                    elpd=res.elpd,
-                    elpd_se=res.se,
-                    elpd_diff=diff,
-                    diff_se=dse,
-                    qq_rmse=qq,
-                    converged=converged,
-                    n_flagged=len(res.flagged),
-                )
-            )
-        return cls(rows=rows)
-
-    def to_dicts(self) -> list[dict]:
-        return [
+    Each row holds the model's rank, its ELPD and the paired difference to
+    the best model with that difference's standard error. The sort is
+    stable, so entries with equal ELPD keep their given order.
+    """
+    entries = sorted(entries, key=lambda e: -e[1].elpd)
+    rows = []
+    for rank, (name, res, qq, converged) in enumerate(entries, start=1):
+        diff, dse = (0.0, 0.0) if rank == 1 else elpd_diff(res.pointwise, entries[0][1].pointwise)
+        rows.append(
             {
-                "rank": r.rank,
-                "model": r.name,
-                "elpd": r.elpd,
-                "elpd_diff": r.elpd_diff,
-                "se_of_diff": r.diff_se,
-                "qq_rmse": r.qq_rmse,
-                "elpd_se": r.elpd_se,
-                "converged": r.converged,
-                "n_flagged": r.n_flagged,
+                "rank": rank,
+                "model": name,
+                "elpd": res.elpd,
+                "elpd_diff": diff,
+                "se_of_diff": dse,
+                "qq_rmse": qq,
+                "elpd_se": res.se,
+                "converged": converged,
+                "n_flagged": len(res.flagged),
             }
-            for r in self.rows
-        ]
+        )
+    return rows

@@ -4,9 +4,10 @@ The posterior combines the per-record log density of the transformed outcome
 with independent N(0, prior_sd^2) priors on every regression coefficient
 (including the prior normalizing constants, so objective values are
 comparable across dimensionalities). Coefficients act on the *centered*
-design (linear-age columns shifted by ``design.AGE_CENTER``); reported
-coefficient blocks are translated back to the uncentered scale, which is an
-exact linear reparameterization.
+design (linear-age columns shifted by ``design.AGE_CENTER``);
+``FitResult.coef`` translates a slot's block back to the uncentered scale,
+which is an exact linear reparameterization. Posterior draws are plain
+(draws, coefficients) arrays in the fit's packed order.
 
 Optimization is damped Newton on the exact Hessian of the negative log
 posterior: closed-form per-record second derivatives of log f in the linear
@@ -38,8 +39,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import transforms
-from .design import ModelSpec, SLOT_NAMES, design_matrices, uncenter_matrix
-from .distributions import Family, ParamVector, linpred_slots, log_pdf_slots, params_from_slots, sample_slots
+from .design import ModelSpec, design_matrices, uncenter_matrix
+from .distributions import Family, linpred_slots, log_pdf_slots, sample_slots
 from .transforms import Transform
 
 if TYPE_CHECKING:  # data_io imports this module
@@ -48,9 +49,7 @@ if TYPE_CHECKING:  # data_io imports this module
 __all__ = [
     "FitProblem",
     "FitResult",
-    "PosteriorDraws",
     "FitError",
-    "linpred_to_params",
     "neg_log_posterior",
     "neg_log_posterior_and_grad",
     "fit_map",
@@ -87,15 +86,9 @@ class _Prepared:
         self.ages, self.sexes, self.partners = recs.respondent_age, recs.respondent_sex, recs.partner_age
         self.y = transforms.forward_array(problem.transform, self.ages, self.sexes, self.partners)
 
-        spec = problem.spec
-        if spec.uses_splines and spec.knots is None:
-            spec = spec.with_knots_from_ages(self.ages) if len(recs) else spec.resolved()
-        else:
-            spec = spec.resolved()
-        self.spec = spec
-
+        self.spec = problem.spec.with_knots_from_ages(self.ages)
         self.slots = linpred_slots(problem.family)
-        self.X = design_matrices(spec, self.ages, self.sexes, slots=self.slots, center=True)
+        self.X = design_matrices(self.spec, self.ages, self.sexes, slots=self.slots, center=True)
         self.offsets: dict[str, tuple[int, int]] = {}
         start = 0
         for slot in self.slots:
@@ -104,62 +97,36 @@ class _Prepared:
             start += d
         self.dim = start
         self.prior_var = None if problem.prior_sd in (None, math.inf) else float(problem.prior_sd) ** 2
-        self.exp_clamps = 0
-
-    def split(self, beta: np.ndarray) -> dict[str, np.ndarray]:
-        return {slot: beta[a:b] for slot, (a, b) in self.offsets.items()}
 
     def etas(self, beta: np.ndarray) -> dict[str, np.ndarray]:
-        parts = self.split(beta)
-        return {slot: self.X[slot] @ parts[slot] for slot in self.slots}
+        return {slot: self.X[slot] @ beta[slice(*self.offsets[slot])] for slot in self.slots}
 
 
-def _clamped_exp(eta: np.ndarray, prep: _Prepared | None = None) -> np.ndarray:
-    over = np.abs(eta) > EXP_CLAMP
-    if over.any():
-        if prep is not None:
-            prep.exp_clamps += int(over.sum())
+def _clamped_exp(eta: np.ndarray) -> np.ndarray:
+    if np.any(np.abs(eta) > EXP_CLAMP):
         eta = np.clip(eta, -EXP_CLAMP, EXP_CLAMP)
     return np.exp(eta)
 
 
-def _natural_params(family: Family, etas: dict, prep: _Prepared | None = None):
+def _natural_params(family: Family, etas: dict):
     """Family parameters (in slot order) from the linear predictors."""
     if family is Family.NORMAL:
-        return etas["mu"], _clamped_exp(etas["sigma"], prep)
+        return etas["mu"], _clamped_exp(etas["sigma"])
     if family is Family.SKEW_NORMAL:
-        return etas["mu"], _clamped_exp(etas["sigma"], prep), etas["epsilon"]
+        return etas["mu"], _clamped_exp(etas["sigma"]), etas["epsilon"]
     if family is Family.GAMMA:
-        return _clamped_exp(etas["mu"], prep), _clamped_exp(etas["sigma"], prep)
+        return _clamped_exp(etas["mu"]), _clamped_exp(etas["sigma"])
     if family is Family.BETA:
-        return _clamped_exp(etas["mu"], prep), _clamped_exp(etas["sigma"], prep)
+        return _clamped_exp(etas["mu"]), _clamped_exp(etas["sigma"])
     if family is Family.SINH_ARCSINH:
-        sigma_star = _clamped_exp(etas["sigma"], prep)
-        delta = _clamped_exp(etas["delta"], prep)
+        sigma_star = _clamped_exp(etas["sigma"])
+        delta = _clamped_exp(etas["delta"])
         # the product can overflow to inf during wild line-search steps; the
         # likelihood then evaluates to -inf and the step is rejected
         with np.errstate(over="ignore"):
             sigma = sigma_star * delta
         return etas["mu"], sigma, etas["epsilon"], delta
     raise ValueError(f"unknown family {family!r}")  # pragma: no cover
-
-
-def linpred_to_params(
-    family: Family,
-    eta_mu: float = 0.0,
-    eta_sigma: float = 0.0,
-    eta_epsilon: float = 0.0,
-    eta_delta: float = 0.0,
-) -> ParamVector:
-    """Apply the link functions to scalar linear predictors."""
-    etas = {
-        "mu": np.asarray(eta_mu, dtype=float),
-        "sigma": np.asarray(eta_sigma, dtype=float),
-        "epsilon": np.asarray(eta_epsilon, dtype=float),
-        "delta": np.asarray(eta_delta, dtype=float),
-    }
-    values = _natural_params(family, etas)
-    return params_from_slots(family, [float(v) for v in values])
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +276,7 @@ def neg_log_posterior_and_grad(problem, beta):
     prior_val, prior_grad = _prior_terms(prep, beta)
     if prep.y.size == 0:
         return prior_val, prior_grad
-    params = _natural_params(prep.problem.family, prep.etas(beta), prep)
+    params = _natural_params(prep.problem.family, prep.etas(beta))
     grad = np.empty(prep.dim)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         ll = log_pdf_slots(prep.problem.family, prep.y, *params)
@@ -417,47 +384,35 @@ def _minimize_newton(fg, hess, x0, max_iter: int, grad_tol: float):
 
 @dataclass
 class FitResult:
-    """MAP fit: coefficient blocks, curvature, and convergence metadata.
+    """MAP fit: coefficients, curvature, and convergence metadata.
 
-    ``beta_mu`` .. ``beta_delta`` are on the uncentered design scale (None
-    for slots the family does not use); ``beta_packed`` is the concatenated
-    centered-scale vector the curvature and posterior draws refer to.
+    ``beta_packed`` is the concatenated centered-scale coefficient vector the
+    curvature and posterior draws refer to; ``offsets[slot]`` is the (start,
+    stop) of each slot's block in it.
     """
 
     family: Family
     transform: Transform
     spec: ModelSpec
-    prior_sd: float | None
-    beta_mu: np.ndarray | None
-    beta_sigma: np.ndarray | None
-    beta_epsilon: np.ndarray | None
-    beta_delta: np.ndarray | None
     beta_packed: np.ndarray
+    offsets: dict = field(repr=False)
     nlp: float
     curvature: np.ndarray
     converged: bool
     iterations: int
     gradient_norm: float
     curvature_pd: bool
-    exp_clamps: int
-    n_records: int
-    offsets: dict = field(repr=False, default_factory=dict)
 
     @property
     def slots(self) -> tuple[str, ...]:
         return linpred_slots(self.family)
 
-    def block(self, slot: str) -> np.ndarray:
-        """Centered-scale coefficients for one distributional parameter."""
-        a, b = self.offsets[slot]
-        return self.beta_packed[a:b]
-
     def coef(self, slot: str) -> np.ndarray:
-        """Uncentered coefficients for one slot."""
-        value = getattr(self, f"beta_{slot}")
-        if value is None:
+        """Coefficients for one slot on the uncentered design scale."""
+        if slot not in self.offsets:
             raise KeyError(f"{self.family.value} has no {slot} block")
-        return value
+        a, b = self.offsets[slot]
+        return uncenter_matrix(self.spec, slot) @ self.beta_packed[a:b]
 
     def coef_sd(self, slot: str) -> np.ndarray:
         """Laplace standard deviations of the uncentered coefficients."""
@@ -536,30 +491,18 @@ def fit_map(
     except np.linalg.LinAlgError:
         pd = False
 
-    parts = prep.split(x)
-    uncentered: dict[str, np.ndarray | None] = {slot: None for slot in SLOT_NAMES}
-    for slot in prep.slots:
-        uncentered[slot] = uncenter_matrix(prep.spec, slot) @ parts[slot]
-
     return FitResult(
         family=problem.family,
         transform=problem.transform,
         spec=prep.spec,
-        prior_sd=problem.prior_sd,
-        beta_mu=uncentered["mu"],
-        beta_sigma=uncentered["sigma"],
-        beta_epsilon=uncentered["epsilon"],
-        beta_delta=uncentered["delta"],
         beta_packed=x,
+        offsets=dict(prep.offsets),
         nlp=float(f),
         curvature=curvature,
         converged=bool(ok),
         iterations=iters,
         gradient_norm=float(np.max(np.abs(g))),
         curvature_pd=pd,
-        exp_clamps=prep.exp_clamps,
-        n_records=len(problem.records),
-        offsets=dict(prep.offsets),
     )
 
 
@@ -568,19 +511,12 @@ def fit_map(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PosteriorDraws:
-    """Draws from the Laplace approximation, one coefficient vector per row.
+def laplace_draws(fit: FitResult, n_draws: int, seed: int) -> np.ndarray:
+    """Gaussian posterior draws centered at the MAP estimate.
 
-    Columns follow the packed (centered-scale) coefficient order of the fit.
+    Returns an (n_draws, dim) array, one coefficient vector per row, in the
+    packed (centered-scale) order of ``fit.beta_packed``.
     """
-
-    draws: np.ndarray
-    seed: int
-
-
-def laplace_draws(fit: FitResult, n_draws: int, seed: int) -> PosteriorDraws:
-    """Gaussian posterior draws centered at the MAP estimate."""
     from scipy.linalg import solve_triangular
 
     if n_draws < 1:
@@ -593,7 +529,7 @@ def laplace_draws(fit: FitResult, n_draws: int, seed: int) -> PosteriorDraws:
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n_draws, fit.beta_packed.size))
     offset = solve_triangular(chol, z.T, trans="T", lower=True).T
-    return PosteriorDraws(draws=fit.beta_packed + offset, seed=seed)
+    return fit.beta_packed + offset
 
 
 def draw_etas(fit: FitResult, draws: np.ndarray, ages, sexes) -> dict[str, np.ndarray]:
@@ -613,7 +549,7 @@ def draw_etas(fit: FitResult, draws: np.ndarray, ages, sexes) -> dict[str, np.nd
 
 def posterior_predictive(
     fit: FitResult,
-    draws: PosteriorDraws,
+    draws: np.ndarray,
     respondent_age: float,
     respondent_sex: int,
     n_per_draw: int,
@@ -624,11 +560,10 @@ def posterior_predictive(
     Samples ``n_per_draw`` outcome values under each posterior draw and maps
     them back through the inverse transform; returns the pooled vector.
     """
-    etas = {s: e[:, 0] for s, e in draw_etas(fit, draws.draws, [respondent_age], [respondent_sex]).items()}
+    etas = {s: e[:, 0] for s, e in draw_etas(fit, draws, [respondent_age], [respondent_sex]).items()}
     params = _natural_params(fit.family, etas)
-    n_draw_rows = draws.draws.shape[0]
     rng = np.random.default_rng(seed)
-    y = sample_slots(fit.family, tuple(p[:, None] for p in params), (n_draw_rows, n_per_draw), rng).ravel()
+    y = sample_slots(fit.family, tuple(p[:, None] for p in params), (draws.shape[0], n_per_draw), rng).ravel()
     ages = np.full(y.shape, float(respondent_age))
     sexes = np.full(y.shape, int(respondent_sex))
     return transforms.inverse_array(fit.transform, ages, sexes, y)
@@ -636,7 +571,7 @@ def posterior_predictive(
 
 def predictive_for_records(
     fit: FitResult,
-    draws: PosteriorDraws,
+    draws: np.ndarray,
     records: Records,
     n_total: int,
     seed: int,
@@ -651,7 +586,7 @@ def predictive_for_records(
         raise ValueError("predictive_for_records requires a nonempty record set")
     rng = np.random.default_rng(seed)
     rec_idx = rng.integers(0, len(records), size=n_total)
-    draw_idx = rng.integers(0, draws.draws.shape[0], size=n_total)
+    draw_idx = rng.integers(0, draws.shape[0], size=n_total)
 
     ages, sexes = records.respondent_age, records.respondent_sex
     cells, cell_of = np.unique(np.column_stack([ages, sexes]), axis=0, return_inverse=True)
@@ -661,7 +596,7 @@ def predictive_for_records(
     etas = {}
     for slot in fit.slots:
         a, b = fit.offsets[slot]
-        etas[slot] = np.einsum("ij,ij->i", np.take(mats[slot], rows, axis=0), draws.draws[draw_idx, a:b])
+        etas[slot] = np.einsum("ij,ij->i", np.take(mats[slot], rows, axis=0), draws[draw_idx, a:b])
     params = _natural_params(fit.family, etas)
     y = sample_slots(fit.family, params, (n_total,), rng)
     return transforms.inverse_array(fit.transform, ages[rec_idx], sexes[rec_idx], y)

@@ -196,9 +196,9 @@ def test_criterion_06_jacobian_elpd_consistency(capsys):
     ages, sexes, partners = records.respondent_age, records.respondent_sex, records.partner_age
     mats = design_matrices(fit.spec, ages, sexes, slots=fit.slots, center=True)
     a, b = fit.offsets["mu"]
-    mu = draws.draws[:, a:b] @ mats["mu"].T
+    mu = draws[:, a:b] @ mats["mu"].T
     a, b = fit.offsets["sigma"]
-    sigma = np.exp(draws.draws[:, a:b] @ mats["sigma"].T)
+    sigma = np.exp(draws[:, a:b] @ mats["sigma"].T)
     ll_lognormal = lognorm.logpdf(partners[None, :], s=sigma, scale=np.exp(mu))
 
     worst = float(np.max(np.abs(ll_log_scale.values - ll_lognormal)))

@@ -11,6 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import agemix.cli
+import agemix.evaluation
 from agemix.cli import main
 from agemix.data_io import default_config, load_csv, save_csv, simulate
 from agemix.design import ModelTag
@@ -227,7 +228,16 @@ def one_subset_csv(tmp_path_factory):
 
 
 class TestElpdAndJobsFlags:
-    def test_kfold_elpd_flag(self, runner, one_subset_csv, tmp_path):
+    def test_kfold_elpd_flag(self, runner, one_subset_csv, tmp_path, monkeypatch):
+        # every fold fit draws --draws samples, not elpd_loo's default
+        real = agemix.evaluation.laplace_draws
+        counts = []
+
+        def laplace_draws(fit, n_draws, seed):
+            counts.append(n_draws)
+            return real(fit, n_draws, seed)
+
+        monkeypatch.setattr(agemix.evaluation, "laplace_draws", laplace_draws)
         result = runner.invoke(
             main,
             ["compare-distributions", str(one_subset_csv), "--out", str(tmp_path),
@@ -237,6 +247,7 @@ class TestElpdAndJobsFlags:
         assert result.exit_code == 0, result.output
         rows = read_rows(tmp_path / "subset_rankings.csv")
         assert len(rows) == 5
+        assert counts == [150] * (14 * 10)  # 14 fits of the one subset, 10 folds each
 
     def test_parallel_jobs_match_serial_bytes(self, runner, data_csv, tmp_path):
         blobs = []
@@ -280,6 +291,8 @@ class TestCompareModels:
         models = json.loads((out / "report.json").read_text())["models"]
         for entry in models.values():
             assert isinstance(entry["max_khat"], float) and 0.0 < entry["max_khat"] < math.inf
+            assert isinstance(entry["n_flagged"], int)
+            assert (entry["max_khat"] > 0.7) == (entry["n_flagged"] > 0)
 
     def test_parameter_curve_grid(self, cm_outcome):
         _, out = cm_outcome
@@ -360,7 +373,7 @@ class TestFailureMarkers:
         assert report["all_converged"] is False
         failed = report["models"]["distributional_2"]
         assert failed["error"] == "FitError: injected failure"
-        assert failed["converged"] is False and failed["elpd"] is None
+        assert failed["converged"] is False and failed["elpd"] is None and failed["n_flagged"] == 0
         assert all(m["error"] is None for tag, m in report["models"].items() if tag != "distributional_2")
 
         comparison = read_rows(tmp_path / "model_comparison.csv")

@@ -121,8 +121,9 @@ class TestModelSpec:
         assert all(15.0 < k < 64.0 for k in spec.knots)
         assert list(spec.knots) == sorted(spec.knots)
 
-    def test_degenerate_ages_fall_back_to_even_spacing(self):
-        spec = ModelSpec(ModelTag.DISTRIBUTIONAL_4).with_knots_from_ages(np.full(50, 30.0))
+    @pytest.mark.parametrize("ages", [np.full(50, 30.0), np.empty(0)], ids=["degenerate", "empty"])
+    def test_degenerate_ages_fall_back_to_even_spacing(self, ages):
+        spec = ModelSpec(ModelTag.DISTRIBUTIONAL_4).with_knots_from_ages(ages)
         assert spec.knots == ModelSpec(ModelTag.DISTRIBUTIONAL_4).resolved().knots
 
     def test_invalid_boundary(self):

@@ -12,7 +12,6 @@ from agemix.data_io import default_config, simulate
 from agemix.design import ModelSpec, ModelTag
 from agemix.distributions import Family
 from agemix.evaluation import (
-    ComparisonReport,
     ElpdResult,
     LogLikMatrix,
     _psis_block,
@@ -21,6 +20,7 @@ from agemix.evaluation import (
     elpd_loo,
     pointwise_loglik,
     qq_rmse,
+    rank_by_elpd,
 )
 from agemix.inference import FitProblem, _natural_params, draw_etas, fit_map, laplace_draws
 from agemix.transforms import Transform, TransformKind, forward_array
@@ -54,18 +54,15 @@ class TestPointwiseLoglik:
         ll = pointwise_loglik(fit, draws, small_records[:40])
         from agemix.distributions import log_pdf_slots
 
-        mu = draws.draws[:, 0:1]
-        sigma = np.exp(draws.draws[:, 1:2])
+        mu = draws[:, 0:1]
+        sigma = np.exp(draws[:, 1:2])
         y = small_records[:40].partner_age
         direct = log_pdf_slots(Family.NORMAL, y[None, :], mu, sigma)
         np.testing.assert_allclose(ll.values, direct, rtol=0, atol=1e-12)
 
     def test_shape(self, log_age_fit):
         problem, fit, draws = log_age_fit
-        import dataclasses
-
-        small = dataclasses.replace(draws, draws=draws.draws[:3])
-        ll = pointwise_loglik(fit, small, problem.records[:4])
+        ll = pointwise_loglik(fit, draws[:3], problem.records[:4])
         assert ll.values.shape == (3, 4)
 
     def test_lognormal_change_of_variables_identity(self, log_age_fit):
@@ -80,9 +77,9 @@ class TestPointwiseLoglik:
 
         mats = design_matrices(fit.spec, ages, sexes, slots=fit.slots, center=True)
         a, b = fit.offsets["mu"]
-        mu = draws.draws[:, a:b] @ mats["mu"].T
+        mu = draws[:, a:b] @ mats["mu"].T
         a, b = fit.offsets["sigma"]
-        sigma = np.exp(draws.draws[:, a:b] @ mats["sigma"].T)
+        sigma = np.exp(draws[:, a:b] @ mats["sigma"].T)
         direct = lognorm.logpdf(p[None, :], s=sigma, scale=np.exp(mu))
         np.testing.assert_allclose(ll.values, direct, rtol=0, atol=1e-12)
 
@@ -95,13 +92,10 @@ class TestPointwiseLoglik:
         )
         fit = fit_map(problem)
         draws = laplace_draws(fit, 120, seed=0)
-        import dataclasses
-
-        corrupted = draws.draws.copy()
+        corrupted = draws.copy()
         corrupted[7, 1] = -800.0  # sigma underflows for draw 7
-        bad = dataclasses.replace(draws, draws=corrupted)
         with pytest.raises(ValueError, match="draw 7"):
-            pointwise_loglik(fit, bad, small_records[:5])
+            pointwise_loglik(fit, corrupted, small_records[:5])
 
     def test_overflowing_sinh_arcsinh_draw_names_first_minus_inf_record(self, small_records):
         # draw 3 gets epsilon - 355 and sigma / 1000, so w = epsilon + delta *
@@ -112,7 +106,7 @@ class TestPointwiseLoglik:
         problem = FitProblem(Family.SINH_ARCSINH, t, ModelSpec(ModelTag.INTERCEPT_ONLY), records)
         fit = fit_map(problem)
         draws = laplace_draws(fit, 50, seed=0)
-        corrupted = draws.draws.copy()
+        corrupted = draws.copy()
         corrupted[3, fit.offsets["epsilon"][0]] -= 355.0
         corrupted[3, fit.offsets["sigma"][0]] -= math.log(1000.0)
         etas = draw_etas(fit, corrupted[3:4], records.respondent_age, records.respondent_sex)
@@ -122,9 +116,8 @@ class TestPointwiseLoglik:
         overflowed = np.isneginf(want)
         assert overflowed.any() and not overflowed.all() and not np.isnan(want).any()
         first = int(np.argmax(overflowed))
-        bad = dataclasses.replace(draws, draws=corrupted)
         with pytest.raises(ValueError, match=rf"non-finite log likelihood at draw 3, record {first} "):
-            list(evaluation._loglik_blocks(fit, bad, records))
+            list(evaluation._loglik_blocks(fit, corrupted, records))
 
 
 def _assert_kernel_matches_column_oracle(ll):
@@ -339,7 +332,7 @@ class TestStreamedElpd:
     def test_equals_matrix_path(self, log_age_fit, monkeypatch, block_records):
         problem, fit, draws = log_age_fit
         if block_records is not None:
-            monkeypatch.setattr(evaluation, "_BLOCK_BYTES", block_records * 8 * draws.draws.shape[0])
+            monkeypatch.setattr(evaluation, "_BLOCK_BYTES", block_records * 8 * draws.shape[0])
         matrix = elpd_loo(pointwise_loglik(fit, draws, problem.records))
         streamed = elpd_loo(fit=fit, draws=draws, records=problem.records)
         np.testing.assert_allclose(streamed.pointwise, matrix.pointwise, rtol=0, atol=1e-10)
@@ -534,7 +527,7 @@ class TestElpdDiff:
             elpd_diff(np.zeros(3), np.zeros(4))
 
 
-class TestComparisonReport:
+class TestRankByElpd:
     def make_result(self, pointwise):
         pointwise = np.asarray(pointwise, dtype=float)
         return ElpdResult(
@@ -547,17 +540,23 @@ class TestComparisonReport:
     def test_ranking_and_diffs(self):
         good = self.make_result([-1.0, -1.1, -0.9])
         worse = self.make_result([-2.0, -1.6, -1.5])
-        report = ComparisonReport.from_models(
-            [("worse", worse, 0.9, True), ("good", good, 0.4, True)]
-        )
-        assert [r.name for r in report.rows] == ["good", "worse"]
-        assert report.rows[0].rank == 1
-        assert report.rows[0].elpd_diff == 0.0 and report.rows[0].diff_se == 0.0
+        rows = rank_by_elpd([("worse", worse, 0.9, True), ("good", good, 0.4, True)])
+        assert [r["model"] for r in rows] == ["good", "worse"]
+        assert rows[0]["rank"] == 1 and rows[1]["rank"] == 2
+        assert rows[0]["elpd_diff"] == 0.0 and rows[0]["se_of_diff"] == 0.0
         diff, se = elpd_diff(worse.pointwise, good.pointwise)
-        assert report.rows[1].elpd_diff == pytest.approx(diff)
-        assert report.rows[1].diff_se == pytest.approx(se)
-        dicts = report.to_dicts()
-        assert dicts[0]["model"] == "good" and dicts[1]["rank"] == 2
+        assert rows[1]["elpd_diff"] == pytest.approx(diff)
+        assert rows[1]["se_of_diff"] == pytest.approx(se)
+
+    def test_equal_elpd_keeps_given_order(self):
+        a = self.make_result([-1.0, -2.0])
+        b = self.make_result([-2.0, -1.0])
+        rows = rank_by_elpd([("a", a, 0.5, False), ("b", b, 0.4, True)])
+        assert [r["model"] for r in rows] == ["a", "b"]
+        assert rows[0] == {
+            "rank": 1, "model": "a", "elpd": -3.0, "elpd_diff": 0.0, "se_of_diff": 0.0,
+            "qq_rmse": 0.5, "elpd_se": a.se, "converged": False, "n_flagged": 0,
+        }
 
 
 class TestQqRmse:

@@ -5,7 +5,7 @@ import pytest
 
 from agemix.data_io import GeneratorConfig, Records, default_config, simulate, stratify
 from agemix.design import ModelSpec, ModelTag, design_matrices
-from agemix.distributions import Family, sample_slots
+from agemix.distributions import Family, ParamVector, linpred_slots, sample_slots
 from agemix.inference import (
     FitError,
     FitProblem,
@@ -17,7 +17,6 @@ from agemix.inference import (
     _Prepared,
     fit_map,
     laplace_draws,
-    linpred_to_params,
     neg_log_posterior,
     neg_log_posterior_and_grad,
     posterior_predictive,
@@ -37,27 +36,33 @@ def make_problem(family, kind, tag, records, **kwargs):
     return FitProblem(family, Transform(kind), ModelSpec(tag), records, **kwargs)
 
 
-class TestLinpredToParams:
+def natural_params(family, *etas):
+    """_natural_params of scalar linear predictors given in slot order."""
+    values = _natural_params(family, {s: np.asarray(e, dtype=float) for s, e in zip(linpred_slots(family), etas)})
+    return tuple(float(v) for v in values)
+
+
+class TestNaturalParams:
     def test_identity_point(self):
-        p = linpred_to_params(Family.SINH_ARCSINH, 0.0, 0.0, 0.0, 0.0)
-        assert (p.mu, p.sigma, p.epsilon, p.delta) == (0.0, 1.0, 0.0, 1.0)
+        mu, sigma, epsilon, delta = natural_params(Family.SINH_ARCSINH, 0.0, 0.0, 0.0, 0.0)
+        assert (mu, sigma, epsilon, delta) == (0.0, 1.0, 0.0, 1.0)
 
     def test_scale_reparameterization(self):
-        p = linpred_to_params(Family.SINH_ARCSINH, 0.0, math.log(2), 0.0, math.log(3))
-        assert p.sigma == pytest.approx(6.0, rel=1e-12)
-        assert p.delta == pytest.approx(3.0, rel=1e-12)
+        _, sigma, _, delta = natural_params(Family.SINH_ARCSINH, 0.0, math.log(2), 0.0, math.log(3))
+        assert sigma == pytest.approx(6.0, rel=1e-12)
+        assert delta == pytest.approx(3.0, rel=1e-12)
 
     def test_log_link(self):
-        p = linpred_to_params(Family.SINH_ARCSINH, 0.0, 0.0, 0.0, -0.5)
-        assert p.delta == pytest.approx(math.exp(-0.5), rel=1e-12)
+        *_, delta = natural_params(Family.SINH_ARCSINH, 0.0, 0.0, 0.0, -0.5)
+        assert delta == pytest.approx(math.exp(-0.5), rel=1e-12)
 
     def test_gamma_slots(self):
-        p = linpred_to_params(Family.GAMMA, math.log(4), math.log(0.5))
-        assert (p.k, p.theta) == (pytest.approx(4.0), pytest.approx(0.5))
+        k, theta = natural_params(Family.GAMMA, math.log(4), math.log(0.5))
+        assert (k, theta) == (pytest.approx(4.0), pytest.approx(0.5))
 
     def test_overflow_clamped(self):
-        p = linpred_to_params(Family.NORMAL, 0.0, 1e6)
-        assert math.isfinite(p.sigma)
+        _, sigma = natural_params(Family.NORMAL, 0.0, 1e6)
+        assert math.isfinite(sigma)
 
 
 class TestNegLogPosterior:
@@ -130,8 +135,8 @@ class TestFitMap:
         records = simulate(cfg)
         fit = fit_map(make_problem(Family.NORMAL, TransformKind.LINEAR_AGE, ModelTag.INTERCEPT_ONLY, records))
         assert fit.converged
-        assert fit.beta_mu[0] == pytest.approx(35.0, abs=0.05)
-        assert math.exp(fit.beta_sigma[0]) == pytest.approx(2.0, abs=0.05)
+        assert fit.coef("mu")[0] == pytest.approx(35.0, abs=0.05)
+        assert math.exp(fit.coef("sigma")[0]) == pytest.approx(2.0, abs=0.05)
 
     def test_deterministic_given_init(self, small_records):
         problem = make_problem(
@@ -176,9 +181,9 @@ class TestFitMap:
         shifted = Records(base.respondent_age, base.respondent_sex, base.partner_age + 5.0)
         fit0 = fit_map(make_problem(Family.NORMAL, TransformKind.LINEAR_AGE, ModelTag.CONVENTIONAL, base))
         fit1 = fit_map(make_problem(Family.NORMAL, TransformKind.LINEAR_AGE, ModelTag.CONVENTIONAL, shifted))
-        assert fit1.beta_mu[0] - fit0.beta_mu[0] == pytest.approx(5.0, abs=1e-3)
-        assert np.max(np.abs(fit1.beta_mu[1:] - fit0.beta_mu[1:])) < 1e-3
-        assert np.max(np.abs(fit1.beta_sigma - fit0.beta_sigma)) < 1e-3
+        assert fit1.coef("mu")[0] - fit0.coef("mu")[0] == pytest.approx(5.0, abs=1e-3)
+        assert np.max(np.abs(fit1.coef("mu")[1:] - fit0.coef("mu")[1:])) < 1e-3
+        assert np.max(np.abs(fit1.coef("sigma") - fit0.coef("sigma"))) < 1e-3
 
     def test_objective_decreases_along_accepted_steps(self, small_records):
         problem = make_problem(
@@ -277,16 +282,16 @@ def normal_fit(small_records):
 class TestLaplaceDraws:
     def test_single_draw_shape(self, seven_param_fit):
         draws = laplace_draws(seven_param_fit, 1, seed=0)
-        assert draws.draws.shape == (1, 7)
+        assert draws.shape == (1, 7)
 
     def test_mean_matches_map(self, seven_param_fit):
-        draws = laplace_draws(seven_param_fit, 100_000, seed=1).draws
+        draws = laplace_draws(seven_param_fit, 100_000, seed=1)
         sd = np.sqrt(np.diag(np.linalg.inv(seven_param_fit.curvature)))
         bound = 4.0 * sd / math.sqrt(100_000)
         assert np.all(np.abs(draws.mean(axis=0) - seven_param_fit.beta_packed) < bound)
 
     def test_covariance_matches_inverse_curvature(self, seven_param_fit):
-        draws = laplace_draws(seven_param_fit, 100_000, seed=2).draws
+        draws = laplace_draws(seven_param_fit, 100_000, seed=2)
         target = np.linalg.inv(seven_param_fit.curvature)
         got = np.cov(draws.T)
         scale = np.sqrt(np.outer(np.diag(target), np.diag(target)))
@@ -299,8 +304,8 @@ class TestLaplaceDraws:
         assert np.max(rel[~meaningful]) < 0.02
 
     def test_deterministic(self, seven_param_fit):
-        a = laplace_draws(seven_param_fit, 10, seed=3).draws
-        b = laplace_draws(seven_param_fit, 10, seed=3).draws
+        a = laplace_draws(seven_param_fit, 10, seed=3)
+        b = laplace_draws(seven_param_fit, 10, seed=3)
         np.testing.assert_array_equal(a, b)
 
     def test_non_converged_fit_rejected(self, seven_param_fit):
@@ -313,14 +318,11 @@ class TestLaplaceDraws:
 
 class TestPosteriorPredictive:
     def test_plugin_mean(self, normal_fit):
-        import dataclasses
-
-        draws = laplace_draws(normal_fit, 200, seed=4)
-        degenerate = dataclasses.replace(draws, draws=np.tile(normal_fit.beta_packed, (200, 1)))
+        degenerate = np.tile(normal_fit.beta_packed, (200, 1))
         out = posterior_predictive(normal_fit, degenerate, 30.0, 1, 500, seed=5)
         x_mu = design_matrices(normal_fit.spec, [30.0], [1], slots=("mu",), center=False)["mu"][0]
-        expected = float(x_mu @ normal_fit.beta_mu)
-        sigma = math.exp(normal_fit.beta_sigma[0])
+        expected = float(x_mu @ normal_fit.coef("mu"))
+        sigma = math.exp(normal_fit.coef("sigma")[0])
         assert out.mean() == pytest.approx(expected, abs=4 * sigma / math.sqrt(out.size))
 
     def test_log_ratio_outputs_positive(self, small_records):
@@ -355,7 +357,7 @@ class TestPosteriorPredictive:
         draw_idx = rng.integers(0, 150, size=3000)
         mats = design_matrices(fit.spec, sel.respondent_age, sel.respondent_sex, slots=fit.slots, center=True)
         etas = {
-            slot: np.einsum("ij,ij->i", mats[slot], draws.draws[draw_idx, slice(*fit.offsets[slot])])
+            slot: np.einsum("ij,ij->i", mats[slot], draws[draw_idx, slice(*fit.offsets[slot])])
             for slot in fit.slots
         }
         y = sample_slots(fit.family, _natural_params(fit.family, etas), (3000,), rng)
@@ -365,9 +367,7 @@ class TestPosteriorPredictive:
     def test_plugin_deciles_match_analytic_quantiles(self):
         # degenerate (MAP-only) draws: predictive deciles must match the
         # fitted distribution's quantile function within Monte Carlo error
-        import dataclasses
-
-        from agemix.distributions import params_from_slots, quantile
+        from agemix.distributions import quantile
 
         cfg = GeneratorConfig(
             n=20_000,
@@ -389,15 +389,12 @@ class TestPosteriorPredictive:
                 Family.SINH_ARCSINH, TransformKind.LINEAR_AGE, ModelTag.INTERCEPT_ONLY, records
             )
         )
-        draws = laplace_draws(fit, 100, seed=1)
-        degenerate = dataclasses.replace(draws, draws=np.tile(fit.beta_packed, (100, 1)))
+        degenerate = np.tile(fit.beta_packed, (100, 1))
         out = posterior_predictive(fit, degenerate, 30.0, 1, 10_000, seed=2)
         assert out.size == 1_000_000
         mu, log_sigma_star, eps, log_delta = (fit.beta_packed[i] for i in range(4))
         delta = math.exp(log_delta)
-        params = params_from_slots(
-            Family.SINH_ARCSINH, [mu, math.exp(log_sigma_star) * delta, eps, delta]
-        )
+        params = ParamVector(mu=mu, sigma=math.exp(log_sigma_star) * delta, epsilon=eps, delta=delta)
         for q in np.arange(0.1, 0.91, 0.1):
             analytic = quantile(Family.SINH_ARCSINH, params, float(q))
             assert np.quantile(out, q) == pytest.approx(analytic, abs=0.05)
