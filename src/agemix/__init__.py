@@ -6,7 +6,6 @@ from .design import ModelSpec, ModelTag, spline_basis
 from .distributions import Family, Moments, ParamVector, cdf, empirical_moments, log_pdf, quantile, sample
 from .evaluation import (
     ElpdResult,
-    LogLikMatrix,
     elpd_diff,
     elpd_loo,
     pointwise_loglik,
@@ -16,9 +15,9 @@ from .evaluation import (
 from .inference import (
     FitProblem,
     FitResult,
+    draw_params,
     fit_map,
     laplace_draws,
-    neg_log_posterior,
     neg_log_posterior_and_grad,
     posterior_predictive,
     predictive_for_records,

@@ -12,7 +12,8 @@ each task is fitted and scored by ``_score`` (MAP fit, ``--draws`` Laplace
 draws, ELPD, predictive QQ RMSE; k-fold draws as many per fold fit), and the
 fits that succeeded are ranked by ``evaluation.rank_by_elpd``. A fit that
 raises becomes a failure marker (NaN scores and the error text) in the
-reports instead of aborting the run.
+reports instead of aborting the run. The parameter curves of
+``compare-models`` come from ``inference.draw_params``.
 
 Every command emits CSV reports plus a ``manifest.json`` sidecar; wall-clock
 time, peak memory and timestamps live only in the manifest so repeated runs
@@ -44,13 +45,10 @@ from .data_io import GeneratorConfig, load_csv, save_csv, stratify
 from .deheap import deheap as run_deheap
 from .design import ModelSpec, ModelTag
 from .distributions import Family, empirical_moments
-# pointwise_loglik is not called here (PSIS streams record blocks inside
-# elpd_loo) but stays importable: perfbench/trace.py wraps agemix.cli's names
-from .evaluation import elpd_loo, pointwise_loglik, qq_rmse, rank_by_elpd  # noqa: F401
+from .evaluation import elpd_loo, qq_rmse, rank_by_elpd
 from .inference import (
     FitProblem,
-    _natural_params,
-    draw_etas,
+    draw_params,
     fit_map,
     laplace_draws,
     posterior_predictive,
@@ -461,6 +459,7 @@ def _write_subset_reports(out_dir: Path, results, all_ok):
     # per-subset family ranking, each family at its best variable
     ranking_rows = []
     wins = Counter()  # (family, variable) -> subsets where the variable is the family's best
+    flagged_wins = Counter()  # the same, counting only winning cells with a k-hat flag
     n_subsets = 0
     for key, cell in itertools.groupby(results, key=lambda r: r["key"]):
         n_subsets += 1
@@ -471,6 +470,7 @@ def _write_subset_reports(out_dir: Path, results, all_ok):
             if fitted:
                 best[family] = max(fitted, key=lambda r: r["elpd"])
                 wins[family, best[family]["transform"]] += 1
+                flagged_wins[family, best[family]["transform"]] += best[family]["n_flagged"] > 0
         for d in _ranked(best.values(), lambda r: r["family"]):
             ranking_rows.append(
                 [
@@ -494,14 +494,17 @@ def _write_subset_reports(out_dir: Path, results, all_ok):
         ranking_rows,
     )
 
-    # share of subsets in which each variable wins, per real-line family
+    # share of subsets in which each variable wins, per real-line family, and
+    # how many of those wins rest on a cell with k-hat flags
     shares_path = out_dir / "transform_shares.csv"
+    families = [family.value for family in REAL_LINE_FAMILIES]
     _write_csv(
         shares_path,
-        ["variable", "normal", "skew_normal", "sinh_arcsinh"],
+        ["variable", *families, *(f"{family}_flagged" for family in families)],
         [
             [TRANSFORM_LABEL[kind]]
             + [100.0 * wins[family, kind] / n_subsets if n_subsets else math.nan for family in REAL_LINE_FAMILIES]
+            + [flagged_wins[family, kind] for family in REAL_LINE_FAMILIES]
             for kind in VARIABLE_ORDER
         ],
     )
@@ -562,9 +565,10 @@ def _fit_model_spec(task):
     def curves_and_histograms(fit, draws):
         curves = []
         for sex in (0, 1):
-            etas = draw_etas(fit, draws, np.array(CURVE_AGES, float), np.full(len(CURVE_AGES), sex))
-            params = _natural_params(fit.family, etas)
+            params, cell_of = draw_params(fit, draws, CURVE_AGES, np.full(len(CURVE_AGES), sex))
             for name, values in zip(("mu", "sigma", "epsilon", "delta"), params):
+                # np.take gathers C-ordered, which fixes the reductions' summation order
+                values = np.take(values, cell_of, axis=1)
                 est = np.mean(values, axis=0)
                 lo, hi = np.quantile(values, (0.025, 0.975), axis=0)
                 for age, e, l, h in zip(CURVE_AGES, est, lo, hi):

@@ -181,9 +181,7 @@ def spline_basis(age, interior_knots, boundary) -> np.ndarray:
     return out[0] if scalar else out
 
 
-def _columns(recipe, spec: ModelSpec, ages, sexes, *, center: bool) -> np.ndarray:
-    ages = np.atleast_1d(np.asarray(ages, dtype=float))
-    sexes = np.atleast_1d(np.asarray(sexes, dtype=float))
+def _columns(recipe, ages: np.ndarray, sexes: np.ndarray, basis, *, center: bool) -> np.ndarray:
     n = ages.shape[0]
     a = ages - AGE_CENTER if center else ages
     cols = []
@@ -197,10 +195,8 @@ def _columns(recipe, spec: ModelSpec, ages, sexes, *, center: bool) -> np.ndarra
         elif kind == "sexage":
             cols.append(sexes * a)
         elif kind == "spline":
-            basis = spline_basis(ages, spec.knots, spec.boundary)
             cols.extend(basis.T)
         elif kind == "sexspline":
-            basis = spline_basis(ages, spec.knots, spec.boundary)
             cols.extend((sexes[:, None] * basis).T)
         else:  # pragma: no cover
             raise ValueError(f"unknown column kind {kind!r}")
@@ -228,7 +224,11 @@ def design_matrices(
     """
     s = spec.resolved()
     recipes = slot_recipes(s)
-    return {slot: _columns(recipes[slot], s, ages, sexes, center=center) for slot in slots}
+    ages = np.atleast_1d(np.asarray(ages, dtype=float))
+    sexes = np.atleast_1d(np.asarray(sexes, dtype=float))
+    # the spline and sex x spline columns of every slot share one basis
+    basis = spline_basis(ages, s.knots, s.boundary) if s.uses_splines else None
+    return {slot: _columns(recipes[slot], ages, sexes, basis, center=center) for slot in slots}
 
 
 def uncenter_matrix(spec: ModelSpec, slot: str) -> np.ndarray:

@@ -23,10 +23,12 @@ kernel and keeps only the pointwise ELPD and k-hat: memory is
 O(draws x block), not O(records x draws). A record's log likelihood depends
 only on its (respondent age, sex, partner age), and ages are mostly whole
 years, so the stream holds each distinct record once and copies its scores
-to every duplicate: work is O(distinct records x draws). Exact k-fold draws
+to every duplicate: work is O(distinct records x draws). Within a block,
+``inference.draw_params`` computes the family parameters once per distinct
+(age, sex) cell, and each record gathers its cell's. Exact k-fold draws
 ``n_draws`` per fold fit and scores its held-out records the same way.
-``pointwise_loglik`` builds the full matrix from the same blocks for callers
-that want it.
+``pointwise_loglik`` builds the full (draws x records) array from the same
+blocks for callers that want it.
 """
 
 from __future__ import annotations
@@ -38,17 +40,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import transforms
-from .design import design_matrices
 from .distributions import log_pdf_slots
-from .inference import (
-    FitResult,
-    _natural_params,
-    fit_map,
-    laplace_draws,
-)
+from .inference import FitResult, draw_params, fit_map, laplace_draws
 
 __all__ = [
-    "LogLikMatrix",
     "ElpdResult",
     "pointwise_loglik",
     "elpd_loo",
@@ -68,26 +63,11 @@ _BLOCK_BYTES = 2 << 20
 _GPD_CHUNK_BYTES = 1 << 20
 
 
-@dataclass
-class LogLikMatrix:
-    """Per-draw, per-record log densities on the partner-age scale."""
-
-    values: np.ndarray  # (n_draws, n_records)
-
-    @property
-    def n_draws(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_records(self) -> int:
-        return self.values.shape[1]
-
-
 def _block_rows(n_draws: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * n_draws))
 
 
-def _loglik_blocks(fit: FitResult, draws: np.ndarray, records, transform=None, origin=None):
+def _loglik_blocks(fit: FitResult, draws: np.ndarray, records, origin=None):
     """Yield (start, block): log likelihoods of consecutive record blocks.
 
     ``block`` is C-contiguous (records x draws); entry (i, d) is the log
@@ -95,23 +75,21 @@ def _loglik_blocks(fit: FitResult, draws: np.ndarray, records, transform=None, o
     raises, naming the offending draw and record; ``origin[i]``, when given,
     is the index the message gives record i.
     """
-    t = transform if transform is not None else fit.transform
     ages, sexes, partners = records.respondent_age, records.respondent_sex, records.partner_age
-    y = transforms.forward_array(t, ages, sexes, partners)
-    jac = transforms.log_jacobian_array(t, ages, sexes, partners)
+    y = transforms.forward_array(fit.transform, ages, sexes, partners)
+    jac = transforms.log_jacobian_array(fit.transform, ages, sexes, partners)
 
-    mats = design_matrices(fit.spec, ages, sexes, slots=fit.slots, center=True)
-    coefs = {slot: draws[:, slice(*fit.offsets[slot])].T for slot in fit.slots}
     step = _block_rows(draws.shape[0])
     for start in range(0, len(records), step):
         rows = slice(start, start + step)
-        # fit.slots are exactly the slots the family's parameters read
-        etas = {slot: mats[slot][rows] @ coefs[slot] for slot in fit.slots}
-        params = _natural_params(fit.family, etas)
+        # a block has at most as many (age, sex) cells as records
+        cell_params, cell_of = draw_params(fit, draws, ages[rows], sexes[rows])
+        params = [np.take(p.T, cell_of, axis=0) for p in cell_params]
+        del cell_params  # freed before the density call, which peaks memory
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             block = log_pdf_slots(fit.family, y[rows, None], *params)
         block += jac[rows, None]
-        del etas, params  # only the block stays alive while the caller holds it
+        del params  # only the block stays alive while the caller holds it
         if not np.all(np.isfinite(block)):
             i, d = np.argwhere(~np.isfinite(block))[0]
             i += start
@@ -144,22 +122,17 @@ def _matrix_blocks(values: np.ndarray):
         yield start, np.ascontiguousarray(values[:, start : start + step].T)
 
 
-def pointwise_loglik(
-    fit: FitResult,
-    draws: np.ndarray,
-    records,
-    *,
-    transform=None,
-) -> LogLikMatrix:
-    """Jacobian-adjusted log-likelihood matrix for ``records`` under ``fit``.
+def pointwise_loglik(fit: FitResult, draws: np.ndarray, records) -> np.ndarray:
+    """Jacobian-adjusted log likelihoods of ``records`` under ``fit``.
 
-    Entry (d, i) is the log density of record i's partner age under draw d.
-    Any non-finite entry raises, naming the offending record and draw.
+    Returns an (n_draws, n_records) array whose entry (d, i) is the log
+    density of record i's partner age under draw d. Any non-finite entry
+    raises, naming the offending record and draw.
     """
     out = np.empty((draws.shape[0], len(records)))
-    for start, block in _loglik_blocks(fit, draws, records, transform):
+    for start, block in _loglik_blocks(fit, draws, records):
         out[:, start : start + block.shape[0]] = block.T
-    return LogLikMatrix(values=out)
+    return out
 
 
 def _logsumexp_rows(a: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
@@ -317,7 +290,7 @@ def _pointwise_se(pointwise: np.ndarray) -> float:
 
 
 def elpd_loo(
-    ll: LogLikMatrix | None = None,
+    ll: np.ndarray | None = None,
     method: str = "psis",
     *,
     fit: FitResult | None = None,
@@ -331,9 +304,9 @@ def elpd_loo(
     """Leave-one-out expected log predictive density.
 
     ``method="psis"`` estimates LOO from the draws alone (requires at least
-    100 draws): either from the matrix ``ll`` or, when ``ll`` is None, by
-    streaming record blocks of the distinct rows of ``records`` under
-    ``fit`` and ``draws`` without building the matrix.
+    100 draws): either from the (n_draws, n_records) array ``ll`` or, when
+    ``ll`` is None, by streaming record blocks of the distinct rows of
+    ``records`` under ``fit`` and ``draws`` without building the array.
     ``method="exact_kfold"`` refits ``problem`` on K training folds and
     scores each record out of fold; it needs the originating FitProblem and
     uses ``ll``, if given, only to check the record count.
@@ -341,7 +314,7 @@ def elpd_loo(
     if method == "psis":
         inverse = None
         if ll is not None:
-            (n_samples, n), blocks = ll.values.shape, _matrix_blocks(ll.values)
+            (n_samples, n), blocks = ll.shape, _matrix_blocks(ll)
         elif fit is None or draws is None or records is None:
             raise ValueError("psis needs a log-likelihood matrix or fit, draws and records")
         else:
@@ -379,7 +352,7 @@ def elpd_loo(
             raise ValueError("exact_kfold needs the originating FitProblem")
         records = problem.records
         n = len(records)
-        if ll is not None and ll.n_records != n:
+        if ll is not None and ll.shape[1] != n:
             raise ValueError("log-likelihood matrix does not match the problem's records")
         # pin spline knots on the full data so folds share one design
         base = replace(problem, spec=problem.spec.with_knots_from_ages(records.respondent_age))

@@ -7,7 +7,9 @@ comparable across dimensionalities). Coefficients act on the *centered*
 design (linear-age columns shifted by ``design.AGE_CENTER``);
 ``FitResult.coef`` translates a slot's block back to the uncentered scale,
 which is an exact linear reparameterization. Posterior draws are plain
-(draws, coefficients) arrays in the fit's packed order.
+(draws, coefficients) arrays in the fit's packed order; ``draw_params`` maps
+them to family parameters once per distinct (age, sex) cell for the
+log-likelihood blocks, ``posterior_predictive`` and the parameter curves.
 
 Optimization is damped Newton on the exact Hessian of the negative log
 posterior: closed-form per-record second derivatives of log f in the linear
@@ -50,10 +52,10 @@ __all__ = [
     "FitProblem",
     "FitResult",
     "FitError",
-    "neg_log_posterior",
     "neg_log_posterior_and_grad",
     "fit_map",
     "laplace_draws",
+    "draw_params",
     "posterior_predictive",
     "predictive_for_records",
 ]
@@ -244,10 +246,6 @@ _DERIVS = {
 # ---------------------------------------------------------------------------
 
 
-def _prepare(problem) -> _Prepared:
-    return problem if isinstance(problem, _Prepared) else _Prepared(problem)
-
-
 def _prior_terms(prep: _Prepared, beta: np.ndarray):
     if prep.prior_var is None:
         return 0.0, np.zeros_like(beta)
@@ -256,23 +254,17 @@ def _prior_terms(prep: _Prepared, beta: np.ndarray):
     return value, beta / v
 
 
-def neg_log_posterior(problem, beta) -> float:
-    """Negative log posterior at coefficient vector ``beta`` (centered scale).
+def neg_log_posterior_and_grad(problem, beta):
+    """Negative log posterior at coefficient vector ``beta`` (centered scale)
+    and its analytic gradient.
 
-    Returns +inf when the likelihood is non-finite at ``beta``.
+    The value is +inf where the likelihood is non-finite at ``beta``; the
+    gradient is NaN-free only where the value is finite.
     """
-    prep = _prepare(problem)
+    prep = problem if isinstance(problem, _Prepared) else _Prepared(problem)
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (prep.dim,):
         raise ValueError(f"beta must have shape ({prep.dim},), got {beta.shape}")
-    return neg_log_posterior_and_grad(prep, beta)[0]
-
-
-def neg_log_posterior_and_grad(problem, beta):
-    """Objective and its analytic gradient; gradient is NaN-free only where
-    the objective is finite."""
-    prep = _prepare(problem)
-    beta = np.asarray(beta, dtype=float)
     prior_val, prior_grad = _prior_terms(prep, beta)
     if prep.y.size == 0:
         return prior_val, prior_grad
@@ -532,19 +524,21 @@ def laplace_draws(fit: FitResult, n_draws: int, seed: int) -> np.ndarray:
     return fit.beta_packed + offset
 
 
-def draw_etas(fit: FitResult, draws: np.ndarray, ages, sexes) -> dict[str, np.ndarray]:
-    """Linear predictors for every (draw, observation) pair.
+def draw_params(fit: FitResult, draws: np.ndarray, ages, sexes):
+    """Family parameters under every draw at every distinct (age, sex) cell.
 
-    Returns one (n_draws, n_obs) array per active slot.
+    Returns (params, cell_of): ``params`` holds one (n_draws, n_cells) array
+    per family parameter, in slot order, and observation i lies in cell
+    ``cell_of[i]``. Linear predictors depend only on (age, sex), so design
+    rows, the matmul and the links run once per cell, not per observation.
     """
-    ages = np.atleast_1d(np.asarray(ages, dtype=float))
-    sexes = np.atleast_1d(np.asarray(sexes))
-    mats = design_matrices(fit.spec, ages, sexes, slots=fit.slots, center=True)
-    out = {}
-    for slot in fit.slots:
-        a, b = fit.offsets[slot]
-        out[slot] = draws[:, a:b] @ mats[slot].T
-    return out
+    cells, cell_of = np.unique(np.column_stack([ages, sexes]), axis=0, return_inverse=True)
+    mats = design_matrices(fit.spec, cells[:, 0], cells[:, 1], slots=fit.slots, center=True)
+    # computed cells x draws, as a per-record design would, and returned
+    # transposed, so a gather of p.T's rows is a C-ordered records x draws array
+    etas = {slot: (mats[slot] @ draws[:, slice(*fit.offsets[slot])].T).T for slot in fit.slots}
+    # the shape of the inverse differs between numpy versions
+    return _natural_params(fit.family, etas), cell_of.ravel()
 
 
 def posterior_predictive(
@@ -560,10 +554,9 @@ def posterior_predictive(
     Samples ``n_per_draw`` outcome values under each posterior draw and maps
     them back through the inverse transform; returns the pooled vector.
     """
-    etas = {s: e[:, 0] for s, e in draw_etas(fit, draws, [respondent_age], [respondent_sex]).items()}
-    params = _natural_params(fit.family, etas)
+    params, _ = draw_params(fit, draws, [respondent_age], [respondent_sex])
     rng = np.random.default_rng(seed)
-    y = sample_slots(fit.family, tuple(p[:, None] for p in params), (draws.shape[0], n_per_draw), rng).ravel()
+    y = sample_slots(fit.family, params, (draws.shape[0], n_per_draw), rng).ravel()
     ages = np.full(y.shape, float(respondent_age))
     sexes = np.full(y.shape, int(respondent_sex))
     return transforms.inverse_array(fit.transform, ages, sexes, y)

@@ -180,6 +180,21 @@ class TestCompareDistributions:
         for family in ("normal", "skew_normal", "sinh_arcsinh"):
             assert sum(float(r[family]) for r in shares) == pytest.approx(100.0)
 
+    def test_share_flag_columns_count_flagged_winning_cells(self, cd_outcome):
+        _, out = cd_outcome
+        shares = read_rows(out / "transform_shares.csv")
+        rankings = read_rows(out / "subset_rankings.csv")
+        total = 0
+        for family, label in (("normal", "Normal"), ("skew_normal", "Skew normal"), ("sinh_arcsinh", "Sinh-arcsinh")):
+            for share in shares:
+                flagged = sum(
+                    r["distribution"] == label and r["best_variable"] == share["variable"] and int(r["n_flagged"]) > 0
+                    for r in rankings
+                )
+                assert share[f"{family}_flagged"] == str(flagged)
+                total += flagged
+        assert total > 0
+
     def test_manifest_lists_outputs(self, cd_outcome):
         _, out = cd_outcome
         manifest = json.loads((out / "manifest.json").read_text())

@@ -15,9 +15,9 @@ from agemix.inference import (
     _natural_params,
     _neg_log_posterior_hessian,
     _Prepared,
+    draw_params,
     fit_map,
     laplace_draws,
-    neg_log_posterior,
     neg_log_posterior_and_grad,
     posterior_predictive,
     predictive_for_records,
@@ -70,26 +70,26 @@ class TestNegLogPosterior:
         problem = make_problem(Family.SINH_ARCSINH, TransformKind.LOG_RATIO, ModelTag.DISTRIBUTIONAL_1, NO_RECORDS)
         prep = _Prepared(problem)
         assert prep.dim == 4 + 3 + 3 + 3
-        value = neg_log_posterior(problem, np.zeros(prep.dim))
+        value = neg_log_posterior_and_grad(problem, np.zeros(prep.dim))[0]
         assert value == pytest.approx(prep.dim * PRIOR_NORMALIZER, rel=1e-12)
 
     def test_single_standard_normal_record(self):
         rec = Records(respondent_age=[30.0], respondent_sex=[1], partner_age=[30.0])
         problem = make_problem(Family.NORMAL, TransformKind.AGE_DIFFERENCE, ModelTag.CONVENTIONAL, rec)
         # y = 0; Conventional normal has 4 mu + 1 sigma coefficients
-        value = neg_log_posterior(problem, np.zeros(5))
+        value = neg_log_posterior_and_grad(problem, np.zeros(5))[0]
         assert value == pytest.approx(5 * PRIOR_NORMALIZER + 0.9189385332046727, rel=1e-12)
 
     def test_infinite_sentinel(self, tiny_records):
         problem = make_problem(Family.NORMAL, TransformKind.LINEAR_AGE, ModelTag.CONVENTIONAL, tiny_records)
         beta = np.zeros(5)
         beta[-1] = -800.0  # sigma underflows, density -inf
-        assert neg_log_posterior(problem, beta) == math.inf
+        assert neg_log_posterior_and_grad(problem, beta)[0] == math.inf
 
     def test_wrong_length_rejected(self, tiny_records):
         problem = make_problem(Family.NORMAL, TransformKind.LINEAR_AGE, ModelTag.CONVENTIONAL, tiny_records)
-        with pytest.raises(ValueError):
-            neg_log_posterior(problem, np.zeros(3))
+        with pytest.raises(ValueError, match=r"beta must have shape \(5,\), got \(3,\)"):
+            neg_log_posterior_and_grad(problem, np.zeros(3))
 
     @pytest.mark.parametrize(
         "family,kind",
@@ -116,7 +116,8 @@ class TestNegLogPosterior:
             for j in range(prep.dim):
                 e = np.zeros(prep.dim)
                 e[j] = h
-                fd[j] = (neg_log_posterior(prep, beta + e) - neg_log_posterior(prep, beta - e)) / (2 * h)
+                plus, minus = neg_log_posterior_and_grad(prep, beta + e), neg_log_posterior_and_grad(prep, beta - e)
+                fd[j] = (plus[0] - minus[0]) / (2 * h)
             rel = np.linalg.norm(grad - fd) / (np.linalg.norm(grad) + np.linalg.norm(fd))
             assert rel < 1e-5
 
@@ -194,7 +195,7 @@ class TestFitMap:
         accepted = []  # the Hessian is evaluated at the start and at every accepted point
 
         def hess(beta):
-            accepted.append(neg_log_posterior(prep, beta))
+            accepted.append(neg_log_posterior_and_grad(prep, beta)[0])
             return _neg_log_posterior_hessian(prep, beta)
 
         x, f, g, h, iters, ok = _minimize_newton(fg, hess, _default_init(prep), max_iter=200, grad_tol=1e-6)
@@ -314,6 +315,78 @@ class TestLaplaceDraws:
         broken = dataclasses.replace(seven_param_fit, converged=False)
         with pytest.raises(FitError):
             laplace_draws(broken, 10, seed=0)
+
+
+DRAW_PARAMS_COMBOS = [
+    (Family.NORMAL, TransformKind.LINEAR_AGE),
+    (Family.SKEW_NORMAL, TransformKind.AGE_DIFFERENCE),
+    (Family.SINH_ARCSINH, TransformKind.LOG_RATIO),
+    (Family.GAMMA, TransformKind.GAMMA_REFLECTED),
+    (Family.BETA, TransformKind.BETA_RESCALED),
+]
+
+
+@pytest.fixture(scope="module", params=["whole", "fractional"])
+def cell_records(request):
+    """Whole ages, where many records share an (age, sex) cell, or
+    fractional ones, where every record is its own cell."""
+    records = simulate(default_config(n=300, seed=31))
+    ages = records.respondent_age
+    if request.param == "fractional":
+        u = np.random.default_rng(32).uniform(size=ages.size)
+        ages = np.where(ages < 64.0, ages + u, ages - u)
+        records = Records(ages, records.respondent_sex, records.partner_age)
+    n_cells = len(np.unique(np.column_stack([ages, records.respondent_sex]), axis=0))
+    assert n_cells < 120 if request.param == "whole" else n_cells == len(records)
+    return records
+
+
+class TestDrawParams:
+    @staticmethod
+    def fit_and_draws(family, kind, tag, records):
+        # no Newton steps: draw_params reads only the fit's spec and layout
+        fit = fit_map(make_problem(family, kind, tag, records), max_iter=0)
+        rng = np.random.default_rng(5)
+        return fit, fit.beta_packed + 0.01 * rng.standard_normal((40, fit.beta_packed.size))
+
+    @staticmethod
+    def per_observation(fit, draws, records):
+        """The family parameters from one design row per observation."""
+        mats = design_matrices(fit.spec, records.respondent_age, records.respondent_sex, slots=fit.slots, center=True)
+        etas = {slot: (mats[slot] @ draws[:, slice(*fit.offsets[slot])].T).T for slot in fit.slots}
+        return _natural_params(fit.family, etas)
+
+    @pytest.mark.parametrize("tag", [ModelTag.INTERCEPT_ONLY, ModelTag.DISTRIBUTIONAL_4])
+    @pytest.mark.parametrize("family,kind", DRAW_PARAMS_COMBOS)
+    def test_cells_gathered_equal_per_observation(self, family, kind, tag, cell_records):
+        fit, draws = self.fit_and_draws(family, kind, tag, cell_records)
+        params, cell_of = draw_params(fit, draws, cell_records.respondent_age, cell_records.respondent_sex)
+        want = self.per_observation(fit, draws, cell_records)
+        assert len(params) == len(want) == len(fit.slots)
+        assert cell_of.shape == (len(cell_records),)
+        for p, w in zip(params, want):
+            assert p.shape == (draws.shape[0], cell_of.max() + 1)
+            np.testing.assert_array_equal(np.take(p, cell_of, axis=1), w)
+
+    @pytest.mark.parametrize("family,kind", DRAW_PARAMS_COMBOS)
+    def test_loglik_blocks_are_c_contiguous_per_observation_densities(self, family, kind, cell_records, monkeypatch):
+        from agemix import evaluation
+        from agemix.distributions import log_pdf_slots
+        from agemix.transforms import forward_array, log_jacobian_array
+
+        fit, draws = self.fit_and_draws(family, kind, ModelTag.DISTRIBUTIONAL_4, cell_records)
+        monkeypatch.setattr(evaluation, "_BLOCK_BYTES", 8 * draws.shape[0] * 64)  # 64 records per block
+        recs = cell_records
+        args = (fit.transform, recs.respondent_age, recs.respondent_sex, recs.partner_age)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            want = log_pdf_slots(family, forward_array(*args)[None, :], *self.per_observation(fit, draws, recs))
+        want += log_jacobian_array(*args)[None, :]
+        starts = []
+        for start, block in evaluation._loglik_blocks(fit, draws, recs):
+            assert block.flags.c_contiguous and block.shape[1] == draws.shape[0]
+            np.testing.assert_array_equal(block, want[:, start : start + block.shape[0]].T)
+            starts.append(start)
+        assert starts == list(range(0, len(recs), 64))
 
 
 class TestPosteriorPredictive:
