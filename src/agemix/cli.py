@@ -8,11 +8,12 @@ distribution/outcome grid and ranks the families by ELPD; and
 sinh-arcsinh family on the log-ratio outcome.
 
 Both compare commands take the same options and run one path (``_compare``):
-each task is fitted and scored by ``_score`` (MAP fit, ``--draws`` Laplace
-draws, ELPD, predictive QQ RMSE; k-fold draws as many per fold fit), and the
-fits that succeeded are ranked by ``evaluation.rank_by_elpd``. A fit that
-raises becomes a failure marker (NaN scores and the error text) in the
-reports instead of aborting the run. The parameter curves of
+each fit is scored by ``_score`` (``--draws`` Laplace draws, ELPD, predictive
+QQ RMSE; k-fold draws as many per fold fit), and the fits that succeeded are
+ranked by ``evaluation.rank_by_elpd``. A compare-distributions task fits the
+12 subsets of one (family, transform) combination as one batch. A fit or
+batch that raises gives a failure marker per fit (NaN scores and the error
+text) in the reports instead of aborting the run. The parameter curves of
 ``compare-models`` come from ``inference.draw_params``.
 
 Every command emits CSV reports plus a ``manifest.json`` sidecar; wall-clock
@@ -50,6 +51,7 @@ from .inference import (
     FitProblem,
     draw_params,
     fit_map,
+    fit_map_batch,
     laplace_draws,
     posterior_predictive,
     predictive_for_records,
@@ -287,15 +289,17 @@ _FAILED = {
 }
 
 
-def _score(problem: FitProblem, seed_parts, n_draws, elpd_method, qq_samples, groups, extra=None) -> dict:
-    """Fit ``problem``, then score it by ELPD and predictive QQ RMSE.
+def _score(problem: FitProblem, fit, seed_parts, n_draws, elpd_method, qq_samples, groups, extra=None) -> dict:
+    """Score the MAP fit of ``problem`` by ELPD and predictive QQ RMSE.
 
+    ``fit`` is the FitResult, or the exception that fitting raised.
     ``groups`` lists (name, records, seed parts) per QQ group, and
     ``extra(fit, draws)`` returns further fields. Any exception turns into
     the failure marker: ``_FAILED`` plus the error text.
     """
     try:
-        fit = fit_map(problem)
+        if isinstance(fit, Exception):
+            raise fit
         draws = laplace_draws(fit, n_draws, seed=_child_seed(*seed_parts, 1))
         res = elpd_loo(
             method=elpd_method,
@@ -384,7 +388,8 @@ def _compare(
     """Run one compare command: fit every task, write its reports and manifest.
 
     ``tasks_of(records)`` gives the leading fields of each task, to which the
-    seed and the scoring settings are appended; ``write_reports(out_dir,
+    seed and the scoring settings are appended; ``worker(task)`` returns the
+    task's result rows, one per fit; ``write_reports(out_dir,
     results, all_ok)`` returns the paths it wrote and a summary. The exit
     status is 1 when any fit failed or did not converge.
     """
@@ -394,7 +399,8 @@ def _compare(
     out_dir.mkdir(parents=True, exist_ok=True)
     method = "exact_kfold" if elpd_method == "kfold" else "psis"
     tasks = [(*head, seed, draws, method, qq_samples) for head in tasks_of(records)]
-    results = _run_tasks(tasks, worker, jobs if jobs is not None else (os.cpu_count() or 1))
+    per_task = _run_tasks(tasks, worker, jobs if jobs is not None else (os.cpu_count() or 1))
+    results = [r for rows in per_task for r in rows]
     all_ok = all(r["ok"] and r["converged"] for r in results)
     outputs, summary = write_reports(out_dir, results, all_ok)
     settings = {"data": str(data), "seed": seed, "elpd": elpd_method, "draws": draws, "qq_samples": qq_samples}
@@ -416,18 +422,26 @@ DISTRIBUTION_COMBOS = tuple((family, kind) for family in REAL_LINE_FAMILIES for 
 
 
 def _subset_tasks(records):
-    return [
-        (key, recs, family, kind) for key, recs in stratify(records).items() for family, kind in DISTRIBUTION_COMBOS
-    ]
+    subsets = list(stratify(records).items())
+    return [(subsets, family, kind) for family, kind in DISTRIBUTION_COMBOS]
 
 
 def _fit_subset_combo(task):
-    """Fit and score one (subset, family, transform) cell."""
-    key, records, family, kind, seed, n_draws, elpd_method, qq_samples = task
-    seed_parts = (seed, key.sex, key.bin_start, list(Family).index(family), list(TransformKind).index(kind))
-    problem = FitProblem(family, Transform(kind), ModelSpec(ModelTag.INTERCEPT_ONLY), records)
-    scores = _score(problem, seed_parts, n_draws, elpd_method, qq_samples, [("subset", records, ())])
-    return {"key": key, "family": family, "transform": kind, "n_records": len(records), **scores}
+    """Fit every subset (cell) of one (family, transform) combination as one
+    batch, then score each cell; if the batch raises, each cell gets a marker."""
+    subsets, family, kind, seed, n_draws, elpd_method, qq_samples = task
+    spec = ModelSpec(ModelTag.INTERCEPT_ONLY)
+    problems = [FitProblem(family, Transform(kind), spec, records) for _, records in subsets]
+    try:
+        fits = fit_map_batch(problems)
+    except Exception as exc:  # noqa: BLE001 - failure markers belong in the report
+        fits = [exc] * len(problems)
+    results = []
+    for (key, records), problem, fit in zip(subsets, problems, fits):
+        seed_parts = (seed, key.sex, key.bin_start, list(Family).index(family), list(TransformKind).index(kind))
+        scores = _score(problem, fit, seed_parts, n_draws, elpd_method, qq_samples, [("subset", records, ())])
+        results.append({"key": key, "family": family, "transform": kind, "n_records": len(records), **scores})
+    return results
 
 
 def _write_subset_reports(out_dir: Path, results, all_ok):
@@ -587,9 +601,13 @@ def _fit_model_spec(task):
                     histograms.append([tag.value, sex, age, int(left), float(d)])
         return {"curves": curves, "histograms": histograms}
 
-    scores = _score(problem, seed_parts, n_draws, elpd_method, qq_samples, groups, curves_and_histograms)
+    try:
+        fit = fit_map(problem)
+    except Exception as exc:  # noqa: BLE001 - failure markers belong in the report
+        fit = exc
+    scores = _score(problem, fit, seed_parts, n_draws, elpd_method, qq_samples, groups, curves_and_histograms)
     # a failed fit leaves no curves and no histograms
-    return {"tag": tag, "curves": [], "histograms": [], **scores}
+    return [{"tag": tag, "curves": [], "histograms": [], **scores}]
 
 
 def _write_model_reports(out_dir: Path, results, all_ok):

@@ -14,11 +14,16 @@ log-likelihood blocks, ``posterior_predictive`` and the parameter curves.
 Optimization is damped Newton on the exact Hessian of the negative log
 posterior: closed-form per-record second derivatives of log f in the linear
 predictors, assembled as sum_ab X_a' diag(w_ab) X_b plus the prior
-precision. Steps solve by Cholesky (with a Levenberg shift where the Hessian
-is not positive definite) under a backtracking (Armijo) line search;
-non-finite objective values act as +inf sentinels that the line search backs
-away from. The same Hessian at the optimum is the curvature of the Gaussian
+precision. Steps solve it (with a Levenberg shift where its Cholesky
+factorisation fails) under a backtracking (Armijo) line search; non-finite
+objective values act as +inf sentinels that the line search backs away
+from. The same Hessian at the optimum is the curvature of the Gaussian
 (Laplace) approximation that posterior draws come from.
+
+``fit_map_batch`` fits problems of one family as one batch of cells: each
+Newton iteration evaluates every cell at once and solves their systems with
+numpy's stacked ``linalg``, while each cell keeps its own step, shift and
+stopping test. ``fit_map`` is the batch of one, so there is one Newton path.
 
 Link functions: location-like parameters are identity-linked, positive
 parameters log-linked. For the sinh-arcsinh family the scale is
@@ -27,9 +32,8 @@ predictor, so the tail-weight predictor moves both delta and the effective
 scale. Gamma and beta use the first two linear-predictor slots for their own
 positive parameters (log k / log theta and log alpha / log beta).
 
-scipy (special functions, LAPACK Cholesky, triangular solves) is imported
-inside the functions that call it, so importing this module does not load
-scipy; a process loads it at its first fit.
+scipy.special is imported inside the functions that call it, so importing
+this module does not load scipy; no fit loads ``scipy.linalg``.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ __all__ = [
     "FitError",
     "neg_log_posterior_and_grad",
     "fit_map",
+    "fit_map_batch",
     "laplace_draws",
     "draw_params",
     "posterior_predictive",
@@ -80,28 +85,59 @@ class FitProblem:
 
 
 class _Prepared:
-    """Arrays and bookkeeping shared by objective/gradient evaluations."""
+    """Arrays shared by objective, gradient and Hessian evaluations of one
+    problem, or of a batch of problems of one family and prior. A batch
+    stacks its cells' records and puts each cell's design rows in its own
+    column block, so one product per slot (pair) serves every cell.
+    Coefficients are (dim,) for one problem and (cells, dim) for a batch.
+    """
 
-    def __init__(self, problem: FitProblem):
-        self.problem = problem
-        recs = problem.records
-        self.ages, self.sexes, self.partners = recs.respondent_age, recs.respondent_sex, recs.partner_age
-        self.y = transforms.forward_array(problem.transform, self.ages, self.sexes, self.partners)
-
-        self.spec = problem.spec.with_knots_from_ages(self.ages)
-        self.slots = linpred_slots(problem.family)
-        self.X = design_matrices(self.spec, self.ages, self.sexes, slots=self.slots, center=True)
+    def __init__(self, problems):
+        batch = not isinstance(problems, FitProblem)
+        problems = list(problems) if batch else [problems]
+        self.problem = problems[0]
+        if any((p.family, p.prior_sd) != (self.problem.family, self.problem.prior_sd) for p in problems):
+            raise ValueError("the problems of a batch share one family and one prior")
+        self.slots = linpred_slots(self.problem.family)
+        ys, self.specs, mats = [], [], []
+        for p in problems:
+            ages, sexes = p.records.respondent_age, p.records.respondent_sex
+            ys.append(transforms.forward_array(p.transform, ages, sexes, p.records.partner_age))
+            self.specs.append(p.spec.with_knots_from_ages(ages))
+            mats.append(design_matrices(self.specs[-1], ages, sexes, slots=self.slots, center=True))
+        self.y = np.concatenate(ys)
+        bounds = np.cumsum([0, *map(len, ys)])
+        self.segments = list(zip(bounds[:-1], bounds[1:]))
+        self.n_cells = len(problems)
+        self.cell_of = np.repeat(np.arange(self.n_cells), np.diff(bounds))
+        self.X: dict[str, np.ndarray] = {}
         self.offsets: dict[str, tuple[int, int]] = {}
         start = 0
         for slot in self.slots:
-            d = self.X[slot].shape[1]
+            d = mats[0][slot].shape[1]
             self.offsets[slot] = (start, start + d)
             start += d
+            self.X[slot] = np.zeros((self.y.size, self.n_cells * d))
+            for c, ((lo, hi), m) in enumerate(zip(self.segments, mats)):
+                self.X[slot][lo:hi, c * d : (c + 1) * d] = m[slot]
         self.dim = start
-        self.prior_var = None if problem.prior_sd in (None, math.inf) else float(problem.prior_sd) ** 2
+        self.coef_shape = (self.n_cells, self.dim) if batch else (self.dim,)
+        prior_sd = self.problem.prior_sd
+        self.prior_var = None if prior_sd in (None, math.inf) else float(prior_sd) ** 2
+
+    def isolate(self, values: dict):
+        """Per-record ``values`` with every non-finite entry zeroed, and a mask
+        of the cells that held one: a stacked product multiplies each record by
+        the zeros of the other cells' column blocks, and 0 * inf is NaN."""
+        finite = np.all([np.isfinite(v) for v in values.values()], axis=0)
+        if finite.all():
+            return values, np.zeros(self.n_cells, dtype=bool)
+        bad = np.bincount(self.cell_of[~finite], minlength=self.n_cells) > 0
+        return {key: np.where(finite, v, 0.0) for key, v in values.items()}, bad
 
     def etas(self, beta: np.ndarray) -> dict[str, np.ndarray]:
-        return {slot: self.X[slot] @ beta[slice(*self.offsets[slot])] for slot in self.slots}
+        b = beta.reshape(-1, self.dim)
+        return {slot: self.X[slot] @ b[:, lo:hi].ravel() for slot, (lo, hi) in self.offsets.items()}
 
 
 def _clamped_exp(eta: np.ndarray) -> np.ndarray:
@@ -246,126 +282,154 @@ _DERIVS = {
 # ---------------------------------------------------------------------------
 
 
-def _prior_terms(prep: _Prepared, beta: np.ndarray):
+def _prior_terms(prep: _Prepared, b: np.ndarray):
+    """Per-cell value and gradient of the negative log prior at coefficient rows ``b``."""
     if prep.prior_var is None:
-        return 0.0, np.zeros_like(beta)
+        return np.zeros(len(b)), np.zeros_like(b)
     v = prep.prior_var
-    value = float(np.sum(beta * beta) / (2.0 * v) + beta.size * 0.5 * math.log(2.0 * math.pi * v))
-    return value, beta / v
+    return np.sum(b * b, axis=1) / (2.0 * v) + prep.dim * 0.5 * math.log(2.0 * math.pi * v), b / v
 
 
 def neg_log_posterior_and_grad(problem, beta):
     """Negative log posterior at coefficient vector ``beta`` (centered scale)
     and its analytic gradient.
 
-    The value is +inf where the likelihood is non-finite at ``beta``; the
-    gradient is NaN-free only where the value is finite.
+    ``problem`` is a FitProblem, or a prepared batch whose cells'
+    coefficients are the rows of ``beta``; the value then holds one entry per
+    cell. A cell's value is +inf where its likelihood is non-finite, and its
+    gradient is NaN-free only where its value is finite.
     """
     prep = problem if isinstance(problem, _Prepared) else _Prepared(problem)
     beta = np.asarray(beta, dtype=float)
-    if beta.shape != (prep.dim,):
-        raise ValueError(f"beta must have shape ({prep.dim},), got {beta.shape}")
-    prior_val, prior_grad = _prior_terms(prep, beta)
-    if prep.y.size == 0:
-        return prior_val, prior_grad
-    params = _natural_params(prep.problem.family, prep.etas(beta))
-    grad = np.empty(prep.dim)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        ll = log_pdf_slots(prep.problem.family, prep.y, *params)
-        total = float(np.sum(ll))
-        if not np.isfinite(total):
-            return math.inf, prior_grad
-        dl, _ = _DERIVS[prep.problem.family](prep.y, *params)
-        # dl can still hold inf at near-overflow points the line search is
-        # about to reject; the matmul may then produce NaN entries
-        for slot, (a, b) in prep.offsets.items():
-            grad[a:b] = -(prep.X[slot].T @ dl[slot])
-    grad += prior_grad
-    return -total + prior_val, grad
+    if beta.shape != prep.coef_shape:
+        raise ValueError(f"beta must have shape {prep.coef_shape}, got {beta.shape}")
+    b = beta.reshape(-1, prep.dim)
+    value, grad = _prior_terms(prep, b)
+    if prep.y.size:
+        family = prep.problem.family
+        params = _natural_params(family, prep.etas(b))
+        lik_grad = np.empty_like(b)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            ll = log_pdf_slots(family, prep.y, *params)
+            total = np.array([np.sum(ll[lo:hi]) for lo, hi in prep.segments])
+            # dl can still hold inf at near-overflow points the line search is
+            # about to reject; that cell's gradient is then NaN
+            dl, nonfinite = prep.isolate(_DERIVS[family](prep.y, *params)[0])
+            for slot, (lo, hi) in prep.offsets.items():
+                lik_grad[:, lo:hi] = -(prep.X[slot].T @ dl[slot]).reshape(prep.n_cells, hi - lo)
+            lik_grad[nonfinite] = np.nan
+        finite = np.isfinite(total)
+        value = np.where(finite, -total + value, math.inf)
+        grad = np.where(finite[:, None], lik_grad + grad, grad)
+    return (float(value[0]), grad[0]) if len(prep.coef_shape) == 1 else (value, grad)
 
 
 def _neg_log_posterior_hessian(prep: _Prepared, beta: np.ndarray) -> np.ndarray:
-    """Exact Hessian of the negative log posterior at ``beta``.
+    """Exact Hessian of the negative log posterior at ``beta`` (per cell).
 
     Per slot pair (a, b) it adds -X_a' diag(w_ab) X_b, with w_ab the
-    per-record second derivatives of log f, plus I / prior_var.
+    per-record second derivatives of log f, plus I / prior_var; a cell's
+    block is the diagonal block of that product.
     """
-    hess = np.zeros((prep.dim, prep.dim))
+    b = beta.reshape(-1, prep.dim)
+    n = prep.n_cells
+    hess = np.zeros((n, prep.dim, prep.dim))
     if prep.y.size:
-        params = _natural_params(prep.problem.family, prep.etas(beta))
+        params = _natural_params(prep.problem.family, prep.etas(b))
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            _, weights = _DERIVS[prep.problem.family](prep.y, *params)
+            weights, nonfinite = prep.isolate(_DERIVS[prep.problem.family](prep.y, *params)[1])
         for (sa, sb), w in weights.items():
             (a0, a1), (b0, b1) = prep.offsets[sa], prep.offsets[sb]
-            block = prep.X[sa].T @ (w[:, None] * prep.X[sb])
-            hess[a0:a1, b0:b1] = -block
-            hess[b0:b1, a0:a1] = -block.T
+            product = (prep.X[sa].T @ (w[:, None] * prep.X[sb])).reshape(n, a1 - a0, n, b1 - b0)
+            block = np.diagonal(product, axis1=0, axis2=2).transpose(2, 0, 1)
+            hess[:, a0:a1, b0:b1] = -block
+            hess[:, b0:b1, a0:a1] = -block.transpose(0, 2, 1)
+        hess[nonfinite] = np.nan
     if prep.prior_var is not None:
-        hess[np.diag_indices(prep.dim)] += 1.0 / prep.prior_var
-    return 0.5 * (hess + hess.T)
+        hess[:, np.arange(prep.dim), np.arange(prep.dim)] += 1.0 / prep.prior_var
+    hess = 0.5 * (hess + hess.transpose(0, 2, 1))
+    return hess.reshape(*prep.coef_shape, prep.dim)
 
 
 # ---------------------------------------------------------------------------
-# damped Newton with backtracking line search
+# damped Newton with backtracking line search, one cell per row
 # ---------------------------------------------------------------------------
 
 
-def _newton_direction(hess: np.ndarray, g: np.ndarray) -> np.ndarray | None:
-    """Solve (H + lam I) d = -g by Cholesky; None if H is not finite.
+def _cholesky_ok(mats: np.ndarray) -> np.ndarray:
+    """Whether each matrix of the stack ``mats`` has a Cholesky factor."""
+    try:
+        np.linalg.cholesky(mats)
+        return np.ones(len(mats), dtype=bool)
+    except np.linalg.LinAlgError:
+        return np.array([len(mats) > 1 and _cholesky_ok(m[None])[0] for m in mats])
 
-    lam is 0 when H is positive definite, else the first of
-    1e-8 mean|diag H| * 10^j that makes the factorisation succeed.
+
+def _newton_direction(hess: np.ndarray, g: np.ndarray, todo: np.ndarray) -> np.ndarray:
+    """Solve (H + lam I) d = -g for the cells in ``todo``; NaN rows for the
+    other cells and where H is not finite. lam is 0 where H is positive
+    definite, else the first of 1e-8 mean|diag H| * 10^j that makes the
+    Cholesky factorisation succeed.
     """
-    from scipy.linalg.lapack import dpotrf, dpotrs
-
-    if not np.all(np.isfinite(hess)):
-        return None
-    shift = 0.0
-    while True:
-        factor, info = dpotrf(hess + shift * np.eye(g.size), lower=1)
-        if info == 0:
-            return dpotrs(factor, -g, lower=1)[0]
-        shift = 10.0 * shift if shift else max(1e-8 * float(np.mean(np.abs(np.diag(hess)))), 1e-300)
+    d = np.full_like(g, np.nan)
+    todo = np.flatnonzero(todo & np.all(np.isfinite(hess), axis=(1, 2)))
+    shift, eye = np.zeros(len(g)), np.eye(g.shape[1])
+    while todo.size:
+        shifted = hess[todo] + shift[todo, None, None] * eye
+        ok = _cholesky_ok(shifted)
+        d[todo[ok]] = np.linalg.solve(shifted[ok], -g[todo[ok], :, None])[..., 0]
+        todo = todo[~ok]
+        if not todo.size:
+            break
+        scale = np.mean(np.abs(np.diagonal(hess[todo], axis1=1, axis2=2)), axis=1)
+        shift[todo] = np.where(shift[todo] > 0, 10.0 * shift[todo], np.maximum(1e-8 * scale, 1e-300))
+    return d
 
 
 def _minimize_newton(fg, hess, x0, max_iter: int, grad_tol: float):
-    """Damped Newton minimisation of ``fg`` (value, gradient) with ``hess``.
-
-    Returns (x, f, g, hess(x), iterations, converged); converged means
+    """Damped Newton minimisation of independent objectives, one cell per row
+    of ``x0``, with per-cell values and gradients from ``fg`` and Hessians
+    from ``hess``. Every cell keeps its own step length, line search,
+    Levenberg shift, stopping test and iteration count; a cell that has
+    converged or stopped is frozen while the others carry on. Returns
+    per-cell (x, f, g, hess(x), iterations, converged); converged means
     max|g| < grad_tol.
     """
-    x = np.asarray(x0, dtype=float).copy()
+    x = np.array(x0, dtype=float)
     f, g = fg(x)
     h = hess(x)
-    iterations = 0
-    while np.isfinite(f) and iterations < max_iter:
-        gnorm = float(np.max(np.abs(g)))
-        if gnorm < grad_tol:
+    iterations = np.zeros(len(x), dtype=int)
+    running = np.isfinite(f)
+    while True:
+        gnorm = np.max(np.abs(g), axis=1)
+        running &= (iterations < max_iter) & ~(gnorm < grad_tol)
+        direction = _newton_direction(h, g, running)
+        running &= np.all(np.isfinite(direction), axis=1)
+        if not running.any():
             break
-        direction = _newton_direction(h, g)
-        if direction is None:
-            break
-        slope = float(g @ direction)
+        slope = np.einsum("ij,ij->i", g, direction)
         # the objective is flat to summation round-off near the optimum, so a
         # step that keeps f within that round-off and lowers the gradient is
         # accepted as well as one with Armijo decrease
-        f_slack = 1e-10 * max(1.0, abs(f))
-        step = 1.0
+        f_slack = 1e-10 * np.maximum(1.0, np.abs(f))
+        step, searching = np.ones(len(x)), running.copy()
         for _ in range(60):
-            x_new = x + step * direction
+            x_new = np.where(searching[:, None], x + step[:, None] * direction, x)
             f_new, g_new = fg(x_new)
-            if np.isfinite(f_new) and np.all(np.isfinite(g_new)) and (
-                f_new <= f + 1e-4 * step * slope
-                or (f_new <= f + f_slack and np.max(np.abs(g_new)) < gnorm)
-            ):
+            gnorm_new = np.max(np.abs(g_new), axis=1)  # NaN or inf where g_new is not finite
+            accept = searching & np.isfinite(f_new) & np.isfinite(gnorm_new) & (
+                (f_new <= f + 1e-4 * step * slope) | ((f_new <= f + f_slack) & (gnorm_new < gnorm))
+            )
+            x[accept], f[accept], g[accept] = x_new[accept], f_new[accept], g_new[accept]
+            searching &= ~accept
+            if not searching.any():
                 break
-            step *= 0.5
-        else:
-            break
-        x, f, g = x_new, f_new, g_new
-        h = hess(x)
-        iterations += 1
-    converged = bool(np.isfinite(f) and np.max(np.abs(g)) < grad_tol)
+            step[searching] *= 0.5
+        running &= ~searching  # a cell whose line search failed stops; the others moved
+        if running.any():
+            h[running] = hess(x)[running]
+            iterations += running
+    converged = np.isfinite(f) & (np.max(np.abs(g), axis=1) < grad_tol)
     return x, f, g, h, iterations, converged
 
 
@@ -422,80 +486,67 @@ class FitResult:
         return float(np.linalg.eigvalsh(self.curvature)[0])
 
 
-def _default_init(prep: _Prepared) -> np.ndarray:
-    y = prep.y
-    beta = np.zeros(prep.dim)
+def _start(family: Family, y: np.ndarray) -> dict[str, float]:
+    """Moment-based starting intercepts of one cell's outcome ``y``."""
     mean = float(y.mean()) if y.size else 0.0
-    sd = float(y.std()) if y.size else 1.0
-    sd = max(sd, 1e-6)
-    family = prep.problem.family
-
-    def set_intercept(slot, value):
-        beta[prep.offsets[slot][0]] = value
-
+    sd = max(float(y.std()) if y.size else 1.0, 1e-6)
     if family in (Family.NORMAL, Family.SKEW_NORMAL, Family.SINH_ARCSINH):
-        set_intercept("mu", mean)
-        set_intercept("sigma", math.log(sd))
-    elif family is Family.GAMMA:
+        return {"mu": mean, "sigma": math.log(sd)}
+    if family is Family.GAMMA:
         var = sd * sd
         if var > 0 and mean > 0:
-            k = mean * mean / var
-            theta = var / mean
+            k, theta = mean * mean / var, var / mean
         else:
             k, theta = 1.0, max(mean, 1.0)
-        set_intercept("mu", math.log(k))
-        set_intercept("sigma", math.log(theta))
-    elif family is Family.BETA:
-        var = max(sd * sd, 1e-12)
-        m = min(max(mean, 1e-6), 1.0 - 1e-6)
-        common = m * (1.0 - m) / var - 1.0
-        if common <= 0:
-            common = 2.0
-        set_intercept("mu", math.log(m * common))
-        set_intercept("sigma", math.log((1.0 - m) * common))
-    return beta
+        return {"mu": math.log(k), "sigma": math.log(theta)}
+    var = max(sd * sd, 1e-12)  # beta
+    m = min(max(mean, 1e-6), 1.0 - 1e-6)
+    common = m * (1.0 - m) / var - 1.0
+    if common <= 0:
+        common = 2.0
+    return {"mu": math.log(m * common), "sigma": math.log((1.0 - m) * common)}
 
 
-def fit_map(
-    problem: FitProblem,
-    init=None,
-    *,
-    max_iter: int = 100,
-    grad_tol: float = 1e-6,
-) -> FitResult:
-    """MAP fit by damped Newton; non-convergence is flagged on the result, not raised.
+def _default_init(prep: _Prepared) -> np.ndarray:
+    """Starting coefficients, shaped as ``prep``'s: every coefficient 0 but
+    each cell's intercepts, which come from its outcome's moments."""
+    beta = np.zeros((prep.n_cells, prep.dim))
+    for row, (lo, hi) in zip(beta, prep.segments):
+        for slot, value in _start(prep.problem.family, prep.y[lo:hi]).items():
+            row[prep.offsets[slot][0]] = value
+    return beta.reshape(prep.coef_shape)
 
-    The exact Hessian at the optimum is the Laplace curvature.
+
+def fit_map_batch(problems, init=None, *, max_iter: int = 100, grad_tol: float = 1e-6) -> list[FitResult]:
+    """MAP fits of problems of one family and prior by one batched damped
+    Newton; ``init`` holds one start per problem (row).
+
+    Each fit matches its batch-of-one fit up to summation round-off, and its
+    non-convergence is flagged on its result, not raised. The exact Hessian
+    at each optimum is that fit's Laplace curvature.
     """
-    if not len(problem.records):
+    if not all(len(p.records) for p in problems):
         raise FitError("fit_map requires at least one record")
-    prep = _Prepared(problem)
+    prep = _Prepared(problems)
     fg = lambda b: neg_log_posterior_and_grad(prep, b)
     hess = lambda b: _neg_log_posterior_hessian(prep, b)
-    x0 = np.asarray(init, dtype=float).copy() if init is not None else _default_init(prep)
-    if x0.shape != (prep.dim,):
-        raise ValueError(f"init must have shape ({prep.dim},), got {x0.shape}")
+    x0 = np.array(init, dtype=float) if init is not None else _default_init(prep)
+    if x0.shape != prep.coef_shape:
+        raise ValueError(f"init must have shape {prep.coef_shape}, got {x0.shape}")
 
     x, f, g, curvature, iters, ok = _minimize_newton(fg, hess, x0, max_iter=max_iter, grad_tol=grad_tol)
-    try:
-        np.linalg.cholesky(curvature)
-        pd = True
-    except np.linalg.LinAlgError:
-        pd = False
+    pd = _cholesky_ok(curvature)
+    return [
+        FitResult(p.family, p.transform, prep.specs[c], x[c], dict(prep.offsets), float(f[c]), curvature[c],
+                  bool(ok[c]), int(iters[c]), float(np.max(np.abs(g[c]))), bool(pd[c]))
+        for c, p in enumerate(problems)
+    ]
 
-    return FitResult(
-        family=problem.family,
-        transform=problem.transform,
-        spec=prep.spec,
-        beta_packed=x,
-        offsets=dict(prep.offsets),
-        nlp=float(f),
-        curvature=curvature,
-        converged=bool(ok),
-        iterations=iters,
-        gradient_norm=float(np.max(np.abs(g))),
-        curvature_pd=pd,
-    )
+
+def fit_map(problem: FitProblem, init=None, *, max_iter: int = 100, grad_tol: float = 1e-6) -> FitResult:
+    """MAP fit of one problem: the batch of one of ``fit_map_batch``."""
+    init = None if init is None else [init]
+    return fit_map_batch([problem], init, max_iter=max_iter, grad_tol=grad_tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -509,8 +560,6 @@ def laplace_draws(fit: FitResult, n_draws: int, seed: int) -> np.ndarray:
     Returns an (n_draws, dim) array, one coefficient vector per row, in the
     packed (centered-scale) order of ``fit.beta_packed``.
     """
-    from scipy.linalg import solve_triangular
-
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
     if not fit.converged:
@@ -520,7 +569,9 @@ def laplace_draws(fit: FitResult, n_draws: int, seed: int) -> np.ndarray:
     chol = np.linalg.cholesky(fit.curvature)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n_draws, fit.beta_packed.size))
-    offset = solve_triangular(chol, z.T, trans="T", lower=True).T
+    # chol.T is upper triangular, so LU's elimination is exact and the solve
+    # is back substitution
+    offset = np.linalg.solve(chol.T, z.T).T
     return fit.beta_packed + offset
 
 

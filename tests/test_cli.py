@@ -274,7 +274,10 @@ class TestElpdAndJobsFlags:
                  "--seed", "2", "--jobs", jobs, "--draws", "150", "--qq-samples", "1500"],
             )
             assert result.exit_code == 0, result.output
-            blobs.append((out / "subset_rankings.csv").read_bytes())
+            reports = sorted(p for p in out.iterdir() if p.suffix in (".csv", ".json") and p.name != "manifest.json")
+            blobs.append({p.name: p.read_bytes() for p in reports})
+        assert sorted(blobs[0]) == ["combos.csv", "report.json", "subset_rankings.csv", "subset_rankings.json",
+                                    "transform_shares.csv"]
         assert blobs[0] == blobs[1]
 
 
@@ -334,15 +337,23 @@ class TestCompareModels:
 
 
 def _fail_fit_map(monkeypatch, should_fail):
-    """Make ``agemix.cli.fit_map`` raise for the problems ``should_fail`` picks."""
-    real = agemix.cli.fit_map
+    """Make the CLI's fits raise for the problems ``should_fail`` picks: a
+    single fit (``agemix.cli.fit_map``) or a whole batch that holds one
+    (``agemix.cli.fit_map_batch``)."""
+    real, real_batch = agemix.cli.fit_map, agemix.cli.fit_map_batch
 
     def fit_map(problem, *args, **kwargs):
         if should_fail(problem):
             raise FitError("injected failure")
         return real(problem, *args, **kwargs)
 
+    def fit_map_batch(problems, *args, **kwargs):
+        if any(map(should_fail, problems)):
+            raise FitError("injected failure")
+        return real_batch(problems, *args, **kwargs)
+
     monkeypatch.setattr(agemix.cli, "fit_map", fit_map)
+    monkeypatch.setattr(agemix.cli, "fit_map_batch", fit_map_batch)
 
 
 class TestFailureMarkers:
@@ -507,5 +518,13 @@ class TestStartupImports:
 
     def test_simulate_loads_no_linalg(self, tmp_path):
         loaded = _scipy_modules_after(["simulate", "--n", "200", "--out", "sim.csv", "--seed", "1"], tmp_path)
+        assert "scipy.special" in loaded
+        assert not [m for m in loaded if m.startswith("scipy.linalg")]
+
+    @pytest.mark.parametrize("command", ["compare-distributions", "compare-models"])
+    def test_fitting_loads_no_linalg(self, command, data_csv, tmp_path):
+        # the Newton solves and the Laplace draws use numpy.linalg
+        args = [command, str(data_csv), "--out", "out", "--jobs", "1", "--draws", "100", "--qq-samples", "500"]
+        loaded = _scipy_modules_after(args, tmp_path)
         assert "scipy.special" in loaded
         assert not [m for m in loaded if m.startswith("scipy.linalg")]

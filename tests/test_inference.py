@@ -17,6 +17,7 @@ from agemix.inference import (
     _Prepared,
     draw_params,
     fit_map,
+    fit_map_batch,
     laplace_draws,
     neg_log_posterior_and_grad,
     posterior_predictive,
@@ -190,16 +191,16 @@ class TestFitMap:
         problem = make_problem(
             Family.SINH_ARCSINH, TransformKind.LOG_RATIO, ModelTag.DISTRIBUTIONAL_1, small_records
         )
-        prep = _Prepared(problem)
+        prep = _Prepared([problem])  # the Newton runs on batches; this is the batch of one
         fg = lambda b: neg_log_posterior_and_grad(prep, b)
         accepted = []  # the Hessian is evaluated at the start and at every accepted point
 
         def hess(beta):
-            accepted.append(neg_log_posterior_and_grad(prep, beta)[0])
+            accepted.append(neg_log_posterior_and_grad(prep, beta)[0][0])
             return _neg_log_posterior_hessian(prep, beta)
 
         x, f, g, h, iters, ok = _minimize_newton(fg, hess, _default_init(prep), max_iter=200, grad_tol=1e-6)
-        assert ok and len(accepted) == iters + 1 > 5
+        assert ok[0] and len(accepted) == iters[0] + 1 > 5
         assert all(b <= a + 1e-9 for a, b in zip(accepted, accepted[1:]))
         assert accepted[-1] < accepted[0]
 
@@ -217,6 +218,80 @@ class TestFitMap:
         assert fit.converged and fit.curvature_pd
         assert fit.iterations <= 10
         assert fit.min_curvature_eigenvalue > 0
+
+
+# one (family, outcome) combination per family, as compare-distributions fits them
+BATCH_COMBOS = [
+    (Family.NORMAL, TransformKind.LOG_RATIO),
+    (Family.SKEW_NORMAL, TransformKind.LOG_RATIO),
+    (Family.SINH_ARCSINH, TransformKind.LOG_RATIO),
+    (Family.GAMMA, TransformKind.GAMMA_REFLECTED),
+    (Family.BETA, TransformKind.BETA_RESCALED),
+]
+
+
+@pytest.fixture(scope="module")
+def subsets():
+    return list(stratify(simulate(default_config(n=500, seed=7))).values())
+
+
+def assert_fit_matches(batched, single, grad_tol=1e-6):
+    """``batched`` stopped where ``single`` did, up to what the gradient
+    tolerance implies: each fit's gradient is below grad_tol, so each lies
+    within ||H^-1||_inf * grad_tol of the optimum."""
+    assert batched.converged == single.converged
+    bound = 2.0 * grad_tol * np.abs(np.linalg.inv(single.curvature)).sum(axis=1).max()
+    assert np.max(np.abs(batched.beta_packed - single.beta_packed)) <= bound
+    assert batched.nlp == pytest.approx(single.nlp, rel=1e-12, abs=1e-9)
+
+
+class TestBatchedFit:
+    """``fit_map_batch`` fits each cell as its batch-of-one fit would."""
+
+    @pytest.mark.parametrize("family,kind", BATCH_COMBOS)
+    def test_cells_match_their_batch_of_one(self, family, kind, subsets):
+        problems = [make_problem(family, kind, ModelTag.INTERCEPT_ONLY, recs) for recs in subsets]
+        assert len(problems) == 12
+        fits = fit_map_batch(problems)
+        for problem, fit in zip(problems, fits):
+            single = fit_map_batch([problem])[0]
+            assert fit.converged
+            assert_fit_matches(fit, single)
+
+    def test_fit_map_is_the_batch_of_one(self, small_records):
+        problem = make_problem(Family.SINH_ARCSINH, TransformKind.LOG_RATIO, ModelTag.DISTRIBUTIONAL_1, small_records)
+        a, b = fit_map(problem), fit_map_batch([problem])[0]
+        np.testing.assert_array_equal(a.beta_packed, b.beta_packed)
+        np.testing.assert_array_equal(a.curvature, b.curvature)
+        assert (a.nlp, a.iterations, a.converged, a.gradient_norm) == (b.nlp, b.iterations, b.converged, b.gradient_norm)
+
+    def test_cell_outside_the_support_stops_alone(self, subsets):
+        # with the reflection at 30 years, male respondents' partner ages
+        # above 30 map below 0, outside the gamma's support: that cell's
+        # objective is +inf from the start and it can never converge
+        kind = TransformKind.GAMMA_REFLECTED
+        problems = [make_problem(Family.GAMMA, kind, ModelTag.INTERCEPT_ONLY, recs) for recs in subsets]
+        stuck = 4
+        assert np.any(subsets[stuck].respondent_sex == 0) and np.max(subsets[stuck].partner_age) > 30
+        problems[stuck] = FitProblem(
+            Family.GAMMA, Transform(kind, offset=30.0), ModelSpec(ModelTag.INTERCEPT_ONLY), subsets[stuck]
+        )
+        fits = fit_map_batch(problems)
+        assert not fits[stuck].converged and fits[stuck].iterations == 0 and fits[stuck].nlp == math.inf
+        for c, (problem, fit) in enumerate(zip(problems, fits)):
+            if c != stuck:
+                assert fit.converged
+                assert_fit_matches(fit, fit_map(problem))
+
+    def test_mixed_families_rejected(self, subsets):
+        problems = [make_problem(family, kind, ModelTag.INTERCEPT_ONLY, subsets[0]) for family, kind in BATCH_COMBOS[:2]]
+        with pytest.raises(ValueError, match="one family"):
+            fit_map_batch(problems)
+
+    def test_empty_cell_rejected(self, subsets):
+        problems = [make_problem(Family.NORMAL, TransformKind.LOG_RATIO, ModelTag.INTERCEPT_ONLY, r) for r in (subsets[0], NO_RECORDS)]
+        with pytest.raises(FitError, match="at least one record"):
+            fit_map_batch(problems)
 
 
 class TestHessian:
