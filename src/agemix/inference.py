@@ -490,7 +490,17 @@ def _start(family: Family, y: np.ndarray) -> dict[str, float]:
     """Moment-based starting intercepts of one cell's outcome ``y``."""
     mean = float(y.mean()) if y.size else 0.0
     sd = max(float(y.std()) if y.size else 1.0, 1e-6)
-    if family in (Family.NORMAL, Family.SKEW_NORMAL, Family.SINH_ARCSINH):
+    if family is Family.SKEW_NORMAL:
+        # method-of-moments direct parameters (Azzalini & Capitanio 1999): at
+        # epsilon = 0 the likelihood is stationary in epsilon, and Newton can
+        # stop there
+        skew = float(np.clip(np.mean(((y - mean) / sd) ** 3), -0.99, 0.99)) if y.size else 0.0
+        c = float(np.cbrt(2.0 * skew / (4.0 - math.pi)))
+        mu_z = c / math.sqrt(1.0 + c * c)
+        delta = mu_z / math.sqrt(2.0 / math.pi)
+        omega = sd / math.sqrt(1.0 - mu_z * mu_z)
+        return {"mu": mean - omega * mu_z, "sigma": math.log(omega), "epsilon": delta / math.sqrt(1.0 - delta**2)}
+    if family in (Family.NORMAL, Family.SINH_ARCSINH):
         return {"mu": mean, "sigma": math.log(sd)}
     if family is Family.GAMMA:
         var = sd * sd
