@@ -287,7 +287,7 @@ def _prior_terms(prep: _Prepared, b: np.ndarray):
     if prep.prior_var is None:
         return np.zeros(len(b)), np.zeros_like(b)
     v = prep.prior_var
-    return np.sum(b * b, axis=1) / (2.0 * v) + prep.dim * 0.5 * math.log(2.0 * math.pi * v), b / v
+    return (b * b).sum(axis=1) / (2.0 * v) + prep.dim * 0.5 * math.log(2.0 * math.pi * v), b / v
 
 
 def neg_log_posterior_and_grad(problem, beta):
@@ -311,7 +311,7 @@ def neg_log_posterior_and_grad(problem, beta):
         lik_grad = np.empty_like(b)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             ll = log_pdf_slots(family, prep.y, *params)
-            total = np.array([np.sum(ll[lo:hi]) for lo, hi in prep.segments])
+            total = np.array([ll[lo:hi].sum() for lo, hi in prep.segments])
             # dl can still hold inf at near-overflow points the line search is
             # about to reject; that cell's gradient is then NaN
             dl, nonfinite = prep.isolate(_DERIVS[family](prep.y, *params)[0])
@@ -372,17 +372,17 @@ def _newton_direction(hess: np.ndarray, g: np.ndarray, todo: np.ndarray) -> np.n
     Cholesky factorisation succeed.
     """
     d = np.full_like(g, np.nan)
-    todo = np.flatnonzero(todo & np.all(np.isfinite(hess), axis=(1, 2)))
-    shift, eye = np.zeros(len(g)), np.eye(g.shape[1])
+    todo = np.flatnonzero(todo & np.isfinite(hess).all(axis=(1, 2)))
+    shifted, shift = hess[todo], np.zeros(len(todo))
     while todo.size:
-        shifted = hess[todo] + shift[todo, None, None] * eye
         ok = _cholesky_ok(shifted)
         d[todo[ok]] = np.linalg.solve(shifted[ok], -g[todo[ok], :, None])[..., 0]
-        todo = todo[~ok]
-        if not todo.size:
+        if ok.all():
             break
-        scale = np.mean(np.abs(np.diagonal(hess[todo], axis1=1, axis2=2)), axis=1)
-        shift[todo] = np.where(shift[todo] > 0, 10.0 * shift[todo], np.maximum(1e-8 * scale, 1e-300))
+        todo, shift = todo[~ok], shift[~ok]
+        scale = np.abs(np.diagonal(hess[todo], axis1=1, axis2=2)).mean(axis=1)
+        shift = np.where(shift > 0, 10.0 * shift, np.maximum(1e-8 * scale, 1e-300))
+        shifted = hess[todo] + shift[:, None, None] * np.eye(g.shape[1])
     return d
 
 
@@ -401,13 +401,13 @@ def _minimize_newton(fg, hess, x0, max_iter: int, grad_tol: float):
     iterations = np.zeros(len(x), dtype=int)
     running = np.isfinite(f)
     while True:
-        gnorm = np.max(np.abs(g), axis=1)
+        gnorm = np.abs(g).max(axis=1)
         running &= (iterations < max_iter) & ~(gnorm < grad_tol)
         direction = _newton_direction(h, g, running)
-        running &= np.all(np.isfinite(direction), axis=1)
+        running &= np.isfinite(direction).all(axis=1)
         if not running.any():
             break
-        slope = np.einsum("ij,ij->i", g, direction)
+        slope = (g * direction).sum(axis=1)
         # the objective is flat to summation round-off near the optimum, so a
         # step that keeps f within that round-off and lowers the gradient is
         # accepted as well as one with Armijo decrease
@@ -416,7 +416,7 @@ def _minimize_newton(fg, hess, x0, max_iter: int, grad_tol: float):
         for _ in range(60):
             x_new = np.where(searching[:, None], x + step[:, None] * direction, x)
             f_new, g_new = fg(x_new)
-            gnorm_new = np.max(np.abs(g_new), axis=1)  # NaN or inf where g_new is not finite
+            gnorm_new = np.abs(g_new).max(axis=1)  # NaN or inf where g_new is not finite
             accept = searching & np.isfinite(f_new) & np.isfinite(gnorm_new) & (
                 (f_new <= f + 1e-4 * step * slope) | ((f_new <= f + f_slack) & (gnorm_new < gnorm))
             )
@@ -547,8 +547,19 @@ def fit_map_batch(problems, init=None, *, max_iter: int = 100, grad_tol: float =
     x, f, g, curvature, iters, ok = _minimize_newton(fg, hess, x0, max_iter=max_iter, grad_tol=grad_tol)
     pd = _cholesky_ok(curvature)
     return [
-        FitResult(p.family, p.transform, prep.specs[c], x[c], dict(prep.offsets), float(f[c]), curvature[c],
-                  bool(ok[c]), int(iters[c]), float(np.max(np.abs(g[c]))), bool(pd[c]))
+        FitResult(
+            family=p.family,
+            transform=p.transform,
+            spec=prep.specs[c],
+            beta_packed=x[c],
+            offsets=dict(prep.offsets),
+            nlp=float(f[c]),
+            curvature=curvature[c],
+            converged=bool(ok[c]),
+            iterations=int(iters[c]),
+            gradient_norm=float(np.max(np.abs(g[c]))),
+            curvature_pd=bool(pd[c]),
+        )
         for c, p in enumerate(problems)
     ]
 
