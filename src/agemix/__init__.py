@@ -17,6 +17,7 @@ from .inference import (
     FitResult,
     draw_params,
     fit_map,
+    fit_map_batch,
     laplace_draws,
     neg_log_posterior_and_grad,
     posterior_predictive,

@@ -32,8 +32,9 @@ predictor, so the tail-weight predictor moves both delta and the effective
 scale. Gamma and beta use the first two linear-predictor slots for their own
 positive parameters (log k / log theta and log alpha / log beta).
 
-scipy.special is imported inside the functions that call it, so importing
-this module does not load scipy; no fit loads ``scipy.linalg``.
+scipy's special functions are imported inside the functions that call
+them, so importing this module does not load scipy; the linear algebra is
+numpy's.
 """
 
 from __future__ import annotations

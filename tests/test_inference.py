@@ -265,7 +265,8 @@ class TestBatchedFit:
         a, b = fit_map(problem), fit_map_batch([problem])[0]
         np.testing.assert_array_equal(a.beta_packed, b.beta_packed)
         np.testing.assert_array_equal(a.curvature, b.curvature)
-        assert (a.nlp, a.iterations, a.converged, a.gradient_norm) == (b.nlp, b.iterations, b.converged, b.gradient_norm)
+        for name in ("nlp", "iterations", "converged", "gradient_norm", "curvature_pd"):
+            assert getattr(a, name) == getattr(b, name), name
 
     def test_cell_outside_the_support_stops_alone(self, subsets):
         # with the reflection at 30 years, male respondents' partner ages
@@ -286,12 +287,13 @@ class TestBatchedFit:
                 assert_fit_matches(fit, fit_map(problem))
 
     def test_mixed_families_rejected(self, subsets):
-        problems = [make_problem(family, kind, ModelTag.INTERCEPT_ONLY, subsets[0]) for family, kind in BATCH_COMBOS[:2]]
+        problems = [make_problem(f, k, ModelTag.INTERCEPT_ONLY, subsets[0]) for f, k in BATCH_COMBOS[:2]]
         with pytest.raises(ValueError, match="one family"):
             fit_map_batch(problems)
 
     def test_empty_cell_rejected(self, subsets):
-        problems = [make_problem(Family.NORMAL, TransformKind.LOG_RATIO, ModelTag.INTERCEPT_ONLY, r) for r in (subsets[0], NO_RECORDS)]
+        kind = TransformKind.LOG_RATIO
+        problems = [make_problem(Family.NORMAL, kind, ModelTag.INTERCEPT_ONLY, r) for r in (subsets[0], NO_RECORDS)]
         with pytest.raises(FitError, match="at least one record"):
             fit_map_batch(problems)
 
