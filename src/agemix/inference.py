@@ -20,10 +20,13 @@ objective values act as +inf sentinels that the line search backs away
 from. The same Hessian at the optimum is the curvature of the Gaussian
 (Laplace) approximation that posterior draws come from.
 
-``fit_map_batch`` fits problems of one family as one batch of cells: each
-Newton iteration evaluates every cell at once and solves their systems with
-numpy's stacked ``linalg``, while each cell keeps its own step, shift and
-stopping test. ``fit_map`` is the batch of one, so there is one Newton path.
+``fit_map_batch`` fits problems of one family, prior and design width as one
+batch of cells: their records are stacked, each Newton iteration evaluates
+every cell at once (each cell's sums and products over its own records) and
+solves their systems with numpy's stacked ``linalg``, while each cell keeps
+its own step, shift and stopping test. A cell's fit thus equals its
+batch-of-one fit, and ``fit_map`` is the batch of one: there is one Newton
+path.
 
 Link functions: location-like parameters are identity-linked, positive
 parameters log-linked. For the sinh-arcsinh family the scale is
@@ -87,18 +90,17 @@ class FitProblem:
 
 class _Prepared:
     """Arrays shared by objective, gradient and Hessian evaluations of one
-    problem, or of a batch of problems of one family and prior. A batch
-    stacks its cells' records and puts each cell's design rows in its own
-    column block, so one product per slot (pair) serves every cell.
-    Coefficients are (dim,) for one problem and (cells, dim) for a batch.
+    problem, or of a batch of problems of one family, prior and design width.
+    A batch stacks its cells' records and design rows; each cell's sums and
+    products run over its own segment of them, so a non-finite record value
+    stays in its cell. Coefficients are (dim,) for one problem and
+    (cells, dim) for a batch.
     """
 
     def __init__(self, problems):
         batch = not isinstance(problems, FitProblem)
         problems = list(problems) if batch else [problems]
         self.problem = problems[0]
-        if any((p.family, p.prior_sd) != (self.problem.family, self.problem.prior_sd) for p in problems):
-            raise ValueError("the problems of a batch share one family and one prior")
         self.slots = linpred_slots(self.problem.family)
         ys, self.specs, mats = [], [], []
         for p in problems:
@@ -106,39 +108,39 @@ class _Prepared:
             ys.append(transforms.forward_array(p.transform, ages, sexes, p.records.partner_age))
             self.specs.append(p.spec.with_knots_from_ages(ages))
             mats.append(design_matrices(self.specs[-1], ages, sexes, slots=self.slots, center=True))
+        if len({(p.family, p.prior_sd, *(m[s].shape[1] for s in self.slots)) for p, m in zip(problems, mats)}) > 1:
+            raise ValueError("the problems of a batch share one family, one prior and one design width")
         self.y = np.concatenate(ys)
         bounds = np.cumsum([0, *map(len, ys)])
-        self.segments = list(zip(bounds[:-1], bounds[1:]))
-        self.n_cells = len(problems)
-        self.cell_of = np.repeat(np.arange(self.n_cells), np.diff(bounds))
-        self.X: dict[str, np.ndarray] = {}
-        self.offsets: dict[str, tuple[int, int]] = {}
-        start = 0
-        for slot in self.slots:
-            d = mats[0][slot].shape[1]
-            self.offsets[slot] = (start, start + d)
-            start += d
-            self.X[slot] = np.zeros((self.y.size, self.n_cells * d))
-            for c, ((lo, hi), m) in enumerate(zip(self.segments, mats)):
-                self.X[slot][lo:hi, c * d : (c + 1) * d] = m[slot]
-        self.dim = start
-        self.coef_shape = (self.n_cells, self.dim) if batch else (self.dim,)
+        self.segments, self.starts = list(zip(bounds[:-1], bounds[1:])), bounds[:-1]
+        self.cell_of = np.repeat(np.arange(len(problems)), np.diff(bounds))
+        self.X = {slot: np.concatenate([m[slot] for m in mats]) for slot in self.slots}
+        ends = np.cumsum([self.X[slot].shape[1] for slot in self.slots]).tolist()
+        self.offsets = {slot: (end - self.X[slot].shape[1], end) for slot, end in zip(self.slots, ends)}
+        self.dim = ends[-1]
+        self.coef_shape = (len(problems), self.dim) if batch else (self.dim,)
         prior_sd = self.problem.prior_sd
         self.prior_var = None if prior_sd in (None, math.inf) else float(prior_sd) ** 2
 
-    def isolate(self, values: dict):
-        """Per-record ``values`` with every non-finite entry zeroed, and a mask
-        of the cells that held one: a stacked product multiplies each record by
-        the zeros of the other cells' column blocks, and 0 * inf is NaN."""
-        finite = np.all([np.isfinite(v) for v in values.values()], axis=0)
-        if finite.all():
-            return values, np.zeros(self.n_cells, dtype=bool)
-        bad = np.bincount(self.cell_of[~finite], minlength=self.n_cells) > 0
-        return {key: np.where(finite, v, 0.0) for key, v in values.items()}, bad
+    def etas(self, b: np.ndarray) -> dict[str, np.ndarray]:
+        """Linear predictors of every record under its cell's row of ``b``."""
+        b, etas = b.reshape(-1, self.dim), {}
+        for slot, (lo, hi) in self.offsets.items():
+            x = self.X[slot]
+            if x.shape[1] == 1:
+                etas[slot] = x[:, 0] * b[self.cell_of, lo]
+            else:
+                etas[slot] = np.concatenate([x[s0:s1] @ b[c, lo:hi] for c, (s0, s1) in enumerate(self.segments)])
+        return etas
 
-    def etas(self, beta: np.ndarray) -> dict[str, np.ndarray]:
-        b = beta.reshape(-1, self.dim)
-        return {slot: self.X[slot] @ b[:, lo:hi].ravel() for slot, (lo, hi) in self.offsets.items()}
+    def products(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Per-cell products a_c' b_c of record-row blocks ``a`` (n, p) and
+        ``b`` (n, q), as a (cells, p, q) stack. Intercept-only blocks (p = q =
+        1) take segment sums of a * b; wider ones one matmul per cell, which
+        beats summing the (n, p, q) outer products."""
+        if a.shape[1] == b.shape[1] == 1:
+            return np.add.reduceat(a * b, self.starts)[:, :, None]
+        return np.stack([a[lo:hi].T @ b[lo:hi] for lo, hi in self.segments])
 
 
 def _clamped_exp(eta: np.ndarray) -> np.ndarray:
@@ -309,16 +311,12 @@ def neg_log_posterior_and_grad(problem, beta):
     if prep.y.size:
         family = prep.problem.family
         params = _natural_params(family, prep.etas(b))
-        lik_grad = np.empty_like(b)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            ll = log_pdf_slots(family, prep.y, *params)
-            total = np.array([ll[lo:hi].sum() for lo, hi in prep.segments])
+            total = np.add.reduceat(log_pdf_slots(family, prep.y, *params), prep.starts)
             # dl can still hold inf at near-overflow points the line search is
-            # about to reject; that cell's gradient is then NaN
-            dl, nonfinite = prep.isolate(_DERIVS[family](prep.y, *params)[0])
-            for slot, (lo, hi) in prep.offsets.items():
-                lik_grad[:, lo:hi] = -(prep.X[slot].T @ dl[slot]).reshape(prep.n_cells, hi - lo)
-            lik_grad[nonfinite] = np.nan
+            # about to reject; that cell's gradient may then be NaN
+            dl = _DERIVS[family](prep.y, *params)[0]
+            lik_grad = np.hstack([-prep.products(prep.X[slot], dl[slot][:, None])[..., 0] for slot in prep.slots])
         finite = np.isfinite(total)
         value = np.where(finite, -total + value, math.inf)
         grad = np.where(finite[:, None], lik_grad + grad, grad)
@@ -328,24 +326,20 @@ def neg_log_posterior_and_grad(problem, beta):
 def _neg_log_posterior_hessian(prep: _Prepared, beta: np.ndarray) -> np.ndarray:
     """Exact Hessian of the negative log posterior at ``beta`` (per cell).
 
-    Per slot pair (a, b) it adds -X_a' diag(w_ab) X_b, with w_ab the
-    per-record second derivatives of log f, plus I / prior_var; a cell's
-    block is the diagonal block of that product.
+    Per slot pair (a, b) it adds -X_a' diag(w_ab) X_b over the cell's records,
+    with w_ab the per-record second derivatives of log f, plus I / prior_var.
     """
     b = beta.reshape(-1, prep.dim)
-    n = prep.n_cells
-    hess = np.zeros((n, prep.dim, prep.dim))
+    hess = np.zeros((len(b), prep.dim, prep.dim))
     if prep.y.size:
         params = _natural_params(prep.problem.family, prep.etas(b))
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            weights, nonfinite = prep.isolate(_DERIVS[prep.problem.family](prep.y, *params)[1])
-        for (sa, sb), w in weights.items():
-            (a0, a1), (b0, b1) = prep.offsets[sa], prep.offsets[sb]
-            product = (prep.X[sa].T @ (w[:, None] * prep.X[sb])).reshape(n, a1 - a0, n, b1 - b0)
-            block = np.diagonal(product, axis1=0, axis2=2).transpose(2, 0, 1)
-            hess[:, a0:a1, b0:b1] = -block
-            hess[:, b0:b1, a0:a1] = -block.transpose(0, 2, 1)
-        hess[nonfinite] = np.nan
+            weights = _DERIVS[prep.problem.family](prep.y, *params)[1]
+            for (sa, sb), w in weights.items():
+                (a0, a1), (b0, b1) = prep.offsets[sa], prep.offsets[sb]
+                block = prep.products(prep.X[sa], w[:, None] * prep.X[sb])
+                hess[:, a0:a1, b0:b1] = -block
+                hess[:, b0:b1, a0:a1] = -block.transpose(0, 2, 1)
     if prep.prior_var is not None:
         hess[:, np.arange(prep.dim), np.arange(prep.dim)] += 1.0 / prep.prior_var
     hess = 0.5 * (hess + hess.transpose(0, 2, 1))
@@ -521,7 +515,7 @@ def _start(family: Family, y: np.ndarray) -> dict[str, float]:
 def _default_init(prep: _Prepared) -> np.ndarray:
     """Starting coefficients, shaped as ``prep``'s: every coefficient 0 but
     each cell's intercepts, which come from its outcome's moments."""
-    beta = np.zeros((prep.n_cells, prep.dim))
+    beta = np.zeros((len(prep.segments), prep.dim))
     for row, (lo, hi) in zip(beta, prep.segments):
         for slot, value in _start(prep.problem.family, prep.y[lo:hi]).items():
             row[prep.offsets[slot][0]] = value
@@ -529,13 +523,15 @@ def _default_init(prep: _Prepared) -> np.ndarray:
 
 
 def fit_map_batch(problems, init=None, *, max_iter: int = 100, grad_tol: float = 1e-6) -> list[FitResult]:
-    """MAP fits of problems of one family and prior by one batched damped
-    Newton; ``init`` holds one start per problem (row).
+    """MAP fits of problems of one family, prior and design width by one
+    batched damped Newton; ``init`` holds one start per problem (row).
 
-    Each fit matches its batch-of-one fit up to summation round-off, and its
-    non-convergence is flagged on its result, not raised. The exact Hessian
-    at each optimum is that fit's Laplace curvature.
+    Each fit equals its batch-of-one fit, and its non-convergence is flagged
+    on its result, not raised. The exact Hessian at each optimum is that
+    fit's Laplace curvature.
     """
+    if not problems:
+        return []
     if not all(len(p.records) for p in problems):
         raise FitError("fit_map requires at least one record")
     prep = _Prepared(problems)

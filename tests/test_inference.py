@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -237,14 +238,13 @@ def subsets():
     return list(stratify(simulate(default_config(n=500, seed=7))).values())
 
 
-def assert_fit_matches(batched, single, grad_tol=1e-6):
-    """``batched`` stopped where ``single`` did, up to what the gradient
-    tolerance implies: each fit's gradient is below grad_tol, so each lies
-    within ||H^-1||_inf * grad_tol of the optimum."""
-    assert batched.converged == single.converged
-    bound = 2.0 * grad_tol * np.abs(np.linalg.inv(single.curvature)).sum(axis=1).max()
-    assert np.max(np.abs(batched.beta_packed - single.beta_packed)) <= bound
-    assert batched.nlp == pytest.approx(single.nlp, rel=1e-12, abs=1e-9)
+def assert_same_fit(batched, single):
+    """``batched`` is ``single``: a cell's sums and products run over its own
+    records only, so its Newton path is its batch-of-one path."""
+    np.testing.assert_array_equal(batched.beta_packed, single.beta_packed)
+    np.testing.assert_array_equal(batched.curvature, single.curvature)
+    for name in ("nlp", "iterations", "converged", "gradient_norm", "curvature_pd"):
+        assert getattr(batched, name) == getattr(single, name), name
 
 
 class TestBatchedFit:
@@ -258,15 +258,20 @@ class TestBatchedFit:
         for problem, fit in zip(problems, fits):
             single = fit_map_batch([problem])[0]
             assert fit.converged
-            assert_fit_matches(fit, single)
+            assert_same_fit(fit, single)
 
     def test_fit_map_is_the_batch_of_one(self, small_records):
         problem = make_problem(Family.SINH_ARCSINH, TransformKind.LOG_RATIO, ModelTag.DISTRIBUTIONAL_1, small_records)
-        a, b = fit_map(problem), fit_map_batch([problem])[0]
-        np.testing.assert_array_equal(a.beta_packed, b.beta_packed)
-        np.testing.assert_array_equal(a.curvature, b.curvature)
-        for name in ("nlp", "iterations", "converged", "gradient_norm", "curvature_pd"):
-            assert getattr(a, name) == getattr(b, name), name
+        assert_same_fit(fit_map(problem), fit_map_batch([problem])[0])
+
+    def test_regression_cells_match_their_batch_of_one(self, small_records):
+        # wider designs take one matmul per cell instead of segment sums
+        problem = make_problem(Family.SINH_ARCSINH, TransformKind.LOG_RATIO, ModelTag.DISTRIBUTIONAL_1, small_records)
+        folds = np.arange(len(small_records)) % 3
+        problems = [dataclasses.replace(problem, records=small_records[folds != f]) for f in range(3)]
+        for problem, fit in zip(problems, fit_map_batch(problems)):
+            assert fit.converged
+            assert_same_fit(fit, fit_map(problem))
 
     def test_cell_outside_the_support_stops_alone(self, subsets):
         # with the reflection at 30 years, male respondents' partner ages
@@ -284,11 +289,16 @@ class TestBatchedFit:
         for c, (problem, fit) in enumerate(zip(problems, fits)):
             if c != stuck:
                 assert fit.converged
-                assert_fit_matches(fit, fit_map(problem))
+                assert_same_fit(fit, fit_map(problem))
 
     def test_mixed_families_rejected(self, subsets):
         problems = [make_problem(f, k, ModelTag.INTERCEPT_ONLY, subsets[0]) for f, k in BATCH_COMBOS[:2]]
         with pytest.raises(ValueError, match="one family"):
+            fit_map_batch(problems)
+        # one family, but designs of different widths
+        family, kind = BATCH_COMBOS[0]
+        problems = [make_problem(family, kind, tag, subsets[0]) for tag in (ModelTag.INTERCEPT_ONLY, ModelTag.CONVENTIONAL)]
+        with pytest.raises(ValueError, match="one design width"):
             fit_map_batch(problems)
 
     def test_empty_cell_rejected(self, subsets):
