@@ -25,8 +25,9 @@ only on its (respondent age, sex, partner age), and ages are mostly whole
 years, so the stream holds each distinct record once and copies its scores
 to every duplicate: work is O(distinct records x draws). Within a block,
 ``inference.draw_params`` computes the family parameters once per distinct
-(age, sex) cell, and each record gathers its cell's. Exact k-fold draws
-``n_draws`` per fold fit and scores its held-out records the same way.
+(age, sex) cell, and each record gathers its cell's. Exact k-fold fits
+its folds as one ``inference.fit_map_batch``, draws ``n_draws`` per fold
+fit and scores its held-out records the same way.
 ``pointwise_loglik`` builds the full (draws x records) array from the same
 blocks for callers that want it.
 """
@@ -41,7 +42,7 @@ import numpy as np
 
 from . import transforms
 from .distributions import log_pdf_slots
-from .inference import FitResult, draw_params, fit_map, laplace_draws
+from .inference import FitResult, draw_params, fit_map_batch, laplace_draws
 
 __all__ = [
     "ElpdResult",
@@ -358,11 +359,10 @@ def elpd_loo(
         base = replace(problem, spec=problem.spec.with_knots_from_ages(records.respondent_age))
         assignment = np.arange(n) % folds
         pointwise = np.empty(n)
-        for fold in range(folds):
+        used = [fold for fold in range(folds) if np.any(assignment == fold)]
+        fits = fit_map_batch([replace(base, records=records[assignment != fold]) for fold in used])
+        for fold, fit in zip(used, fits):
             held = np.nonzero(assignment == fold)[0]
-            if held.size == 0:
-                continue
-            fit = fit_map(replace(base, records=records[assignment != fold]))
             draws = laplace_draws(fit, n_draws, seed=seed + fold + 1)
             first, inverse = _distinct(records[held])
             scores = np.empty(first.size)
