@@ -10,10 +10,11 @@ sinh-arcsinh family on the log-ratio outcome.
 Both compare commands take the same options and run one path (``_compare``):
 each fit is scored by ``_score`` (``--draws`` Laplace draws, ELPD, predictive
 QQ RMSE; k-fold draws as many per fold fit), and the fits that succeeded are
-ranked by ``evaluation.rank_by_elpd``. A compare-distributions task fits the
-12 subsets of one (family, transform) combination as one batch. A fit or
-batch that raises gives a failure marker per fit (NaN scores and the error
-text) in the reports instead of aborting the run. The parameter curves of
+ranked by ``evaluation.rank_by_elpd``. compare-distributions runs in two
+stages: one task per (family, transform) combination fits its 12 subsets as
+one batch, then one task per subset scores its fit. A fit or batch that
+raises gives a failure marker per fit (NaN scores and the error text) in the
+reports instead of aborting the run. The parameter curves of
 ``compare-models`` come from ``inference.draw_params``.
 
 Every command emits CSV reports plus a ``manifest.json`` sidecar; wall-clock
@@ -25,6 +26,7 @@ every fit converged and all reports were written.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import csv
 import hashlib
 import itertools
@@ -347,11 +349,16 @@ def _ranked(results, name) -> list[dict]:
     )
 
 
-def _run_tasks(tasks, worker, jobs: int):
-    if jobs <= 1 or len(tasks) <= 1:
-        return [worker(t) for t in tasks]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, tasks))
+def _run_stages(tasks, stages, jobs: int):
+    """Pass ``tasks`` through ``stages``: each stage maps every task to a list
+    of the next stage's tasks (the last stage's to result rows). With more
+    than one job, one process pool runs every stage."""
+    pool = concurrent.futures.ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
+    with pool or contextlib.nullcontext():
+        for stage in stages:
+            done = pool.map(stage, tasks) if pool and len(tasks) > 1 else map(stage, tasks)
+            tasks = [t for out in done for t in out]
+    return tasks
 
 
 def _write_table(out_dir: Path, stem: str, header, rows) -> list[Path]:
@@ -383,13 +390,13 @@ def _compare_options(qq_help: str):
 
 
 def _compare(
-    command, tasks_of, worker, write_reports, data, out_dir, seed, jobs, elpd_method, draws, qq_samples
+    command, tasks_of, stages, write_reports, data, out_dir, seed, jobs, elpd_method, draws, qq_samples
 ):
     """Run one compare command: fit every task, write its reports and manifest.
 
     ``tasks_of(records)`` gives the leading fields of each task, to which the
-    seed and the scoring settings are appended; ``worker(task)`` returns the
-    task's result rows, one per fit; ``write_reports(out_dir,
+    seed and the scoring settings are appended; ``stages`` take them to
+    result rows, one per fit (``_run_stages``); ``write_reports(out_dir,
     results, all_ok)`` returns the paths it wrote and a summary. The exit
     status is 1 when any fit failed or did not converge.
     """
@@ -399,8 +406,7 @@ def _compare(
     out_dir.mkdir(parents=True, exist_ok=True)
     method = "exact_kfold" if elpd_method == "kfold" else "psis"
     tasks = [(*head, seed, draws, method, qq_samples) for head in tasks_of(records)]
-    per_task = _run_tasks(tasks, worker, jobs if jobs is not None else (os.cpu_count() or 1))
-    results = [r for rows in per_task for r in rows]
+    results = _run_stages(tasks, stages, jobs if jobs is not None else (os.cpu_count() or 1))
     all_ok = all(r["ok"] and r["converged"] for r in results)
     outputs, summary = write_reports(out_dir, results, all_ok)
     settings = {"data": str(data), "seed": seed, "elpd": elpd_method, "draws": draws, "qq_samples": qq_samples}
@@ -428,20 +434,25 @@ def _subset_tasks(records):
 
 def _fit_subset_combo(task):
     """Fit every subset (cell) of one (family, transform) combination as one
-    batch, then score each cell; if the batch raises, each cell gets a marker."""
-    subsets, family, kind, seed, n_draws, elpd_method, qq_samples = task
+    batch; return one scoring task per cell, with its fit or, if the batch
+    raised, the exception."""
+    subsets, family, kind, *settings = task
     spec = ModelSpec(ModelTag.INTERCEPT_ONLY)
     problems = [FitProblem(family, Transform(kind), spec, records) for _, records in subsets]
     try:
         fits = fit_map_batch(problems)
     except Exception as exc:  # noqa: BLE001 - failure markers belong in the report
         fits = [exc] * len(problems)
-    results = []
-    for (key, records), problem, fit in zip(subsets, problems, fits):
-        seed_parts = (seed, key.sex, key.bin_start, list(Family).index(family), list(TransformKind).index(kind))
-        scores = _score(problem, fit, seed_parts, n_draws, elpd_method, qq_samples, [("subset", records, ())])
-        results.append({"key": key, "family": family, "transform": kind, "n_records": len(records), **scores})
-    return results
+    return [(key, problem, fit, *settings) for (key, _), problem, fit in zip(subsets, problems, fits)]
+
+
+def _score_subset_cell(task):
+    """Score one cell's fit (a failure marker if fitting raised)."""
+    key, problem, fit, seed, n_draws, elpd_method, qq_samples = task
+    family, kind, records = problem.family, problem.transform.kind, problem.records
+    seed_parts = (seed, key.sex, key.bin_start, list(Family).index(family), list(TransformKind).index(kind))
+    scores = _score(problem, fit, seed_parts, n_draws, elpd_method, qq_samples, [("subset", records, ())])
+    return [{"key": key, "family": family, "transform": kind, "n_records": len(records), **scores}]
 
 
 def _write_subset_reports(out_dir: Path, results, all_ok):
@@ -541,7 +552,8 @@ def _write_subset_reports(out_dir: Path, results, all_ok):
 @_compare_options("Predictive samples per subset.")
 def compare_distributions(**options):
     """Rank the five families per (sex, age-bin) subset by ELPD."""
-    _compare("compare-distributions", _subset_tasks, _fit_subset_combo, _write_subset_reports, **options)
+    stages = (_fit_subset_combo, _score_subset_cell)
+    _compare("compare-distributions", _subset_tasks, stages, _write_subset_reports, **options)
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +656,7 @@ def _write_model_reports(out_dir: Path, results, all_ok):
 @_compare_options("Predictive samples per group.")
 def compare_models(**options):
     """Fit the five regression specifications (sinh-arcsinh, log-ratio)."""
-    _compare("compare-models", _model_tasks, _fit_model_spec, _write_model_reports, **options)
+    _compare("compare-models", _model_tasks, (_fit_model_spec,), _write_model_reports, **options)
 
 
 if __name__ == "__main__":
