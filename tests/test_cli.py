@@ -502,29 +502,34 @@ def _scipy_modules_after(args, cwd) -> list[str]:
 
 
 class TestStartupImports:
-    """Commands that fit nothing load no scipy.
+    """Commands that evaluate no scipy special function load no scipy.
 
     Each case runs in a fresh process: this one imported scipy long ago.
     """
 
+    _FIT = ["--out", "out", "--jobs", "1", "--draws", "100", "--qq-samples", "500"]
+
     @pytest.mark.parametrize(
         "args",
-        [[], ["--version"], ["moments", "{data}", "--out", "out"], ["deheap", "{data}", "--out", "out"]],
-        ids=["import", "version", "moments", "deheap"],
+        [
+            [],
+            ["--version"],
+            ["moments", "{data}", "--out", "out"],
+            ["deheap", "{data}", "--out", "out"],
+            # the sinh-arcsinh sampler's normal quantile is numpy code
+            ["simulate", "--n", "200", "--out", "sim.csv", "--seed", "1"],
+            # compare-models fits only sinh-arcsinh models
+            ["compare-models", "{data}", *_FIT],
+        ],
+        ids=["import", "version", "moments", "deheap", "simulate", "compare-models"],
     )
     def test_no_scipy(self, args, data_csv, tmp_path):
         args = [a.format(data=data_csv) for a in args]
         assert _scipy_modules_after(args, tmp_path) == []
 
-    def test_simulate_loads_no_linalg(self, tmp_path):
-        loaded = _scipy_modules_after(["simulate", "--n", "200", "--out", "sim.csv", "--seed", "1"], tmp_path)
-        assert "scipy.special" in loaded
-        assert not [m for m in loaded if m.startswith("scipy.linalg")]
-
-    @pytest.mark.parametrize("command", ["compare-distributions", "compare-models"])
-    def test_fitting_loads_no_linalg(self, command, data_csv, tmp_path):
-        # the Newton solves and the Laplace draws use numpy.linalg
-        args = [command, str(data_csv), "--out", "out", "--jobs", "1", "--draws", "100", "--qq-samples", "500"]
-        loaded = _scipy_modules_after(args, tmp_path)
+    def test_compare_distributions_loads_special_not_linalg(self, data_csv, tmp_path):
+        # skew normal, gamma and beta need scipy.special; the Newton solves
+        # and the Laplace draws use numpy.linalg
+        loaded = _scipy_modules_after(["compare-distributions", str(data_csv), *self._FIT], tmp_path)
         assert "scipy.special" in loaded
         assert not [m for m in loaded if m.startswith("scipy.linalg")]

@@ -3,12 +3,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad, trapezoid
+from scipy.special import ndtri
 
 import agemix
 from agemix.distributions import (
@@ -16,6 +18,7 @@ from agemix.distributions import (
     Family,
     ParameterError,
     ParamVector,
+    _ndtri,
     cdf,
     empirical_moments,
     log_pdf,
@@ -287,6 +290,47 @@ class TestQuantile:
         qs = np.array([5e-324, 1e-12, 1.0 - 1e-12, 1.0 - 2.0**-53])
         x = quantile(Family.SKEW_NORMAL, p, qs)
         np.testing.assert_allclose(cdf(Family.SKEW_NORMAL, p, x), qs, rtol=0, atol=1e-15)
+
+
+class TestNdtri:
+    """The numpy port of Cephes ndtri against scipy's compiled one."""
+
+    CENTRAL_LO = math.exp(-2.0)
+
+    def test_central_region_bit_for_bit(self):
+        u = np.random.default_rng(20).uniform(size=10**6)
+        central = u[(u > self.CENTRAL_LO) & (u < 1.0 - self.CENTRAL_LO)]
+        assert np.array_equal(_ndtri(central), ndtri(central))
+
+    def test_tails_within_1e15_relative(self):
+        rng = np.random.default_rng(21)
+        u = rng.uniform(size=10**6)
+        tails = u[(u <= self.CENTRAL_LO) | (u >= 1.0 - self.CENTRAL_LO)]
+        # beyond x = sqrt(-2 log q) = 8, i.e. q < exp(-32), on both sides
+        deep = 10.0 ** -rng.uniform(13.9, 323.0, 10**5)
+        q = np.concatenate([tails, deep, 1.0 - deep[deep > 2.0**-53]])
+        np.testing.assert_allclose(_ndtri(q), ndtri(q), rtol=1e-15, atol=0)
+
+    def test_edge_inputs(self):
+        below, above = np.nextafter(self.CENTRAL_LO, 0.0), np.nextafter(self.CENTRAL_LO, 1.0)
+        q = np.array([0.0, 1.0, 5e-324, 1e-300, 1.0 - 2.0**-53, 0.5, math.exp(-32.0),
+                      below, self.CENTRAL_LO, above, 1.0 - below, 1.0 - self.CENTRAL_LO, 1.0 - above])
+        np.testing.assert_allclose(_ndtri(q), ndtri(q), rtol=1e-15, atol=0)
+        assert _ndtri(q)[0] == -np.inf and _ndtri(q)[1] == np.inf
+
+    def test_keeps_shape(self):
+        q = np.random.default_rng(22).uniform(size=(40, 25))
+        out = _ndtri(q)
+        assert out.shape == (40, 25)
+        assert np.array_equal(out.ravel(), _ndtri(q.ravel()))
+        assert _ndtri(np.array(0.3)).shape == ()
+
+    def test_no_runtime_warning(self):
+        q = np.array([0.0, 1.0, 5e-324, 1e-300, 0.5, 1.0 - 2.0**-53])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _ndtri(q)
+            _ndtri(q.reshape(2, 3))
 
 
 # Evaluates cdf and quantile for every family and prints the scipy modules
