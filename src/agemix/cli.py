@@ -281,6 +281,7 @@ _FAILED = {
     "elpd_se": math.nan,
     "n_flagged": 0,
     "max_khat": math.nan,
+    "n_inf_predictive": 0,
     "elpd_result": None,
     "qq_rmse": math.nan,
     "knots": None,
@@ -326,6 +327,7 @@ def _score(problem: FitProblem, fit, seed_parts, n_draws, elpd_method, qq_sample
             "n_flagged": len(res.flagged),
             # k-fold has no k-hat
             "max_khat": float(res.khat.max()) if res.khat is not None else math.nan,
+            "n_inf_predictive": int(sum(np.isinf(p).sum() for p in predictive.values())),
             "elpd_result": res,
             "qq_rmse": qq_rmse(observed, predictive),
             "knots": list(fit.spec.knots) if fit.spec.knots else None,
@@ -461,7 +463,7 @@ def _write_subset_reports(out_dir: Path, results, all_ok):
     _write_csv(
         combos_path,
         ["sex", "age_bin", "distribution", "variable", "n", "elpd", "elpd_se", "qq_rmse", "converged", "n_flagged",
-         "max_khat", "error"],
+         "max_khat", "n_inf_predictive", "error"],
         [
             [
                 r["key"].sex_label,
@@ -475,6 +477,7 @@ def _write_subset_reports(out_dir: Path, results, all_ok):
                 r["converged"],
                 r["n_flagged"],
                 r["max_khat"],
+                r["n_inf_predictive"],
                 r["error"],
             ]
             for r in results
@@ -573,6 +576,7 @@ REPORT_KEYS = (
     "min_curvature_eigenvalue",
     "max_khat",
     "n_flagged",
+    "n_inf_predictive",
     "error",
 )
 

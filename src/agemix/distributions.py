@@ -15,12 +15,18 @@ Every CDF is in closed form. The skew-normal one is Phi(z) - 2 T(z, epsilon)
 (Azzalini 1985, Scand. J. Statist.), with T Owen's function; its quantile
 bisects that CDF inside a bracket that holds for every epsilon.
 
-The standard normal quantile ``_ndtri`` is a numpy port of Cephes ``ndtri``,
-which ``scipy.special.ndtri`` runs: bit for bit equal for exp(-2) < q <
-1 - exp(-2), within 1e-15 relative in the tails (at most 7.9e-16 over 10^7
-uniforms: numpy's vectorised ``log`` may round differently). Other special
-functions come from ``scipy.special``, imported inside the functions that call
-them, so importing this module does not load scipy.
+Special functions are numpy ports of Cephes (Moshier 1989), which
+``scipy.special`` runs, so the densities, fits and samplers load no scipy.
+Against scipy over 10^6 log-uniform arguments (numpy's vectorised ``log`` and
+``exp`` may round unlike libm's): ``_ndtri`` is bit for bit for exp(-2) < q <
+1 - exp(-2), 7.9e-16 relative in the tails; ``_ndtr`` and ``_log_ndtr``, from
+the erf/erfc rational approximations (Cody 1969), 5.6e-16 relative and
+9.1e-16 * max(1, |ref|); ``_gammaln`` (``lgam``) 3.9e-16 * max(1, |ref|);
+``_betaln`` 3.8e-13 relative for a + b <= 171.6 and, above, within 2 ulps of
+lgam(a + b), the sum ``lbeta`` takes there; ``_digamma_trigamma`` (recurrence
+to x >= 10, then the asymptotic series) 1.6e-15 * max(1, |ref|). The gamma,
+beta and skew-normal CDFs and quantiles import ``scipy.special`` in their
+branches.
 """
 
 from __future__ import annotations
@@ -147,29 +153,19 @@ def _logpdf_normal(x, mu, sigma):
 
 
 def _logpdf_skew_normal(x, mu, sigma, epsilon):
-    from scipy.special import log_ndtr
-
     z = (x - mu) / sigma
-    return math.log(2.0) - np.log(sigma) - _HALF_LOG_2PI - 0.5 * z * z + log_ndtr(epsilon * z)
+    return math.log(2.0) - np.log(sigma) - _HALF_LOG_2PI - 0.5 * z * z + _log_ndtr(epsilon * z)
 
 
 def _logpdf_gamma(x, k, theta):
-    from scipy.special import gammaln
-
-    out = np.where(
-        x > 0,
-        -gammaln(k) - k * np.log(theta) + (k - 1.0) * np.log(np.where(x > 0, x, 1.0)) - x / theta,
-        -np.inf,
-    )
-    return out
+    xs = np.where(x > 0, x, 1.0)
+    return np.where(x > 0, -_gammaln(k) - k * np.log(theta) + (k - 1.0) * np.log(xs) - x / theta, -np.inf)
 
 
 def _logpdf_beta(x, alpha, beta_p):
-    from scipy.special import betaln
-
     inside = (x > 0) & (x < 1)
     xs = np.where(inside, x, 0.5)
-    out = (alpha - 1.0) * np.log(xs) + (beta_p - 1.0) * np.log1p(-xs) - betaln(alpha, beta_p)
+    out = (alpha - 1.0) * np.log(xs) + (beta_p - 1.0) * np.log1p(-xs) - _betaln(alpha, beta_p)
     return np.where(inside, out, -np.inf)
 
 
@@ -239,6 +235,28 @@ def log_pdf_slots(family: Family, x, *slots):
     return _LOGPDF[family](np.asarray(x, dtype=float), *slots)
 
 
+# ---------------------------------------------------------------------------
+# special functions: numpy ports of Cephes (Moshier 1989), elementwise on arrays
+# ---------------------------------------------------------------------------
+
+
+def _pair(p, q):
+    """``_horner`` table of the polynomials ``p`` and ``q``, coefficients from the highest power down."""
+    n = max(len(p), len(q))
+    return np.array([(0.0,) * (n - len(c)) + tuple(c) for c in (p, q)]).T[:, :, None]
+
+
+def _horner(table, x):
+    """A polynomial (coefficients from the highest power down) at a 1-d ``x``, or both of a ``_pair``
+    table as a (2, len(x)) array, by Horner's rule in Cephes' order; in place, unlike ``np.polyval``."""
+    out = x * table[0]
+    for c in table[1:-1]:
+        out += c
+        out *= x
+    out += table[-1]
+    return out
+
+
 # Cephes ndtri: P0/Q0 in (q - 1/2)^2 for exp(-2) < q < 1 - exp(-2), then P1/Q1 and P2/Q2 in
 # z = 1/x, x = sqrt(-2 log q), below and above x = 8; each Q with its implied leading 1
 _NDTRI_P0 = (-59.96335010141079, 98.00107541859997, -56.67628574690703, 13.931260938727968, -1.2391658386738125)
@@ -255,6 +273,39 @@ _NDTRI_Q2 = (1.0, 6.02427039364742, 3.6798356385616087, 1.3770209948908132, 0.21
 _EXP_M2 = math.exp(-2.0)
 _SQRT_2PI = 2.5066282746310007  # Cephes' rounding, one ulp above math.sqrt(2 pi)
 
+# erf(x) / 2 = x T(x^2) / U(x^2) for |x| < 1; erfc(x) / 2 = exp(-x^2) P(x) / Q(x) for 1 <= x < 8
+# and exp(-x^2) R(x) / S(x) from 8 on; T, P and R are halved here, which is exact
+_ERF_TU = _pair([c / 2 for c in (9.604973739870516, 90.02601972038427, 2232.005345946843, 7003.325141128051,
+                                 55592.30130103949)],
+                (1.0, 33.56171416475031, 521.3579497801527, 4594.323829709801, 22629.000061389095, 49267.39426086359))
+_ERFC_PQ = _pair([c / 2 for c in (2.461969814735305e-10, 0.5641895648310689, 7.463210564422699, 48.63719709856814,
+                                  196.5208329560771, 526.4451949954773, 934.5285271719576, 1027.5518868951572,
+                                  557.5353353693994)],
+                 (1.0, 13.228195115474499, 86.70721408859897, 354.9377788878199, 975.7085017432055,
+                  1823.9091668790973, 2246.3376081871097, 1656.6630919416134, 557.5353408177277))
+_ERFC_RS = _pair([c / 2 for c in (0.5641895835477551, 1.275366707599781, 5.019050422511805, 6.160210979930536,
+                                  7.4097426995044895, 2.9788666537210022)],
+                 (1.0, 2.2605286322011726, 9.396035249380015, 12.048953980809666, 17.08144507475659,
+                  9.608968090632859, 3.369076451000815))
+_SQRT1_2 = math.sqrt(0.5)
+_MAXLOG = 709.782712893384  # Cephes' erfc underflows to 0 once x^2 > MAXLOG
+
+# lgam: Stirling's series in 1/x^2 (A) from x = 13 on, also past 1000, where Cephes' shorter one moved
+# no result of 10^6; below 13 the recurrence onto [2, 3) and x B(x) / C(x) there
+_LGAM_A = (0.0008116141674705085, -0.0005950619042843014, 0.0007936503404577169, -0.002777777777300997,
+           0.08333333333333319)
+_LGAM_BC = _pair((-1378.2515256912086, -38801.631513463784, -331612.9927388712, -1162370.974927623,
+                  -1721737.0082083966, -853555.6642457654),
+                 (1.0, -351.81570143652345, -17064.210665188115, -220528.59055385445, -1139334.4436798252,
+                  -2532523.0717758294, -2018891.4143353277))
+_LS2PI = 0.9189385332046728  # log(sqrt(2 pi))
+_MAXLGM = 2.556348e305  # lgam overflows above
+
+# digamma's and trigamma's asymptotic series from x = 10 on, in z = 1/x^2: B_2k / 2k for
+# k = 7, ..., 1 and B_2k for k = 8, ..., 1, with B_2k the Bernoulli numbers
+_DIGAMMA_B = (1 / 12, -691 / 32760, 1 / 132, -1 / 240, 1 / 252, -1 / 120, 1 / 12)
+_TRIGAMMA_B = (-3617 / 510, 7 / 6, -691 / 2730, 5 / 66, -1 / 30, 1 / 42, -1 / 30, 1 / 6)
+
 
 def _ndtri(q):
     """Standard normal quantile (Cephes ``ndtri``) of an array ``q``, elementwise and in its shape.
@@ -264,23 +315,134 @@ def _ndtri(q):
     q = np.asarray(q, dtype=float)
     flat = q.ravel()
     # the central branch for every entry, then the tails by index arrays (faster than boolean
-    # masks); np.polyval is Horner's rule in Cephes' order
+    # masks)
     y = flat - 0.5
     y2 = y * y
-    out = (y + y * (y2 * np.polyval(_NDTRI_P0, y2) / np.polyval(_NDTRI_Q0, y2))) * _SQRT_2PI
+    out = (y + y * (y2 * _horner(_NDTRI_P0, y2) / _horner(_NDTRI_Q0, y2))) * _SQRT_2PI
     upper = flat > 1.0 - _EXP_M2
     tail = np.flatnonzero(upper | (flat <= _EXP_M2))
     y = np.minimum(flat[tail], 1.0 - flat[tail])
     with np.errstate(divide="ignore", invalid="ignore"):
         x = np.sqrt(-2.0 * np.log(y))
         z = 1.0 / x
-        x1 = z * np.polyval(_NDTRI_P1, z) / np.polyval(_NDTRI_Q1, z)
+        x1 = z * _horner(_NDTRI_P1, z) / _horner(_NDTRI_Q1, z)
         far = np.flatnonzero(x >= 8.0)
-        x1[far] = z[far] * np.polyval(_NDTRI_P2, z[far]) / np.polyval(_NDTRI_Q2, z[far])
+        x1[far] = z[far] * _horner(_NDTRI_P2, z[far]) / _horner(_NDTRI_Q2, z[far])
         x = x - np.log(x) / x - x1
     x[y == 0.0] = np.inf  # inf - inf above; the limit is inf
     out[tail] = np.where(upper[tail], x, -x)
     return out.reshape(q.shape)
+
+
+def _erfc_scaled(a):
+    """exp(a^2) erfc(a) / 2 for a 1-d array ``a >= 1``."""
+    p, q = _horner(_ERFC_PQ, a)
+    p /= q
+    far = np.flatnonzero(a >= 8.0)
+    if far.size:
+        # R/S tends to R_0 / a; beyond 1e20 that changes log erfc by under 1e-38 relative
+        p[far] = np.divide(*_horner(_ERFC_RS, np.minimum(a[far], 1e20)))
+    return p
+
+
+def _ndtr(x):
+    """Standard normal CDF (Cephes ``ndtr``), elementwise and in the shape of ``x``."""
+    x = np.asarray(x, dtype=float)
+    t = x.ravel() * _SQRT1_2
+    a = np.abs(t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p, q = _horner(_ERF_TU, t * t)
+        half_erf = t * p / q
+        scaled = _erfc_scaled(np.maximum(a, 1.0))
+        half_erfc = np.where(a < 1.0, 0.5 - np.abs(half_erf), np.where(a * a > _MAXLOG, 0.0, np.exp(-a * a) * scaled))
+        out = np.where(a < _SQRT1_2, 0.5 + half_erf, np.where(t > 0.0, 1.0 - half_erfc, half_erfc))
+    return out.reshape(x.shape)
+
+
+def _log_ndtr(x):
+    """log Phi(x) from Cephes ``erf`` and ``erfc``, elementwise and in the shape of ``x``.
+
+    Below x = -sqrt(2) it is log(P/Q) - x^2 / 2 with P/Q = exp(x^2 / 2) erfc(-x / sqrt(2)) / 2, so
+    it neither underflows nor takes an exp/log round trip.
+    """
+    x = np.asarray(x, dtype=float)
+    t = x.ravel() * _SQRT1_2
+    out = np.empty_like(t)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # neither branch holds most entries in the fits (43% central, 57% tail), so each runs on
+        # its own index array; log(1/2 + erf(t)/2) for |t| < 1
+        wide = np.abs(t) >= 1.0
+        central = np.flatnonzero(~wide)
+        tc = t[central]
+        p, q = _horner(_ERF_TU, tc * tc)
+        out[central] = np.log(tc * p / q + 0.5)
+        tail = np.flatnonzero(wide)
+        tt = t[tail]
+        a = np.abs(tt)
+        lower = np.log(_erfc_scaled(a))
+        a *= a
+        lower -= a  # log(erfc(a) / 2) = log Phi(-a sqrt 2)
+        upper = np.exp(lower)
+        upper[a > _MAXLOG] = 0.0  # erfc underflows to 0, as in Cephes
+        out[tail] = np.where(tt > 0.0, np.log1p(-upper), lower)
+    return out.reshape(x.shape)
+
+
+def _gammaln(x):
+    """log Gamma(x) for x > 0 (Cephes ``lgam``), elementwise and in the shape of ``x``."""
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # Stirling's series for every entry, then x < 13 by index arrays
+        out = (flat - 0.5) * np.log(flat) - flat + _LS2PI + _horner(_LGAM_A, 1.0 / (flat * flat)) / flat
+        out[flat > _MAXLGM] = np.inf
+        small = np.flatnonzero(flat < 13.0)
+        if small.size:
+            # Gamma(x) = Gamma(x - n) (x-1)...(x-n) onto [2, 3), or Gamma(x + 1 or 2) / (x (x+1))
+            xs = flat[small]
+            n = np.maximum(np.floor(xs) - 2.0, -2.0)
+            z = np.ones_like(xs)
+            for k in range(1, 11):
+                z = np.where(n >= k, z * (xs - k), z)
+            z = np.where(n < 0.0, z / xs, z)
+            z = np.where(n < -1.0, z / (xs + 1.0), z)
+            w = xs - (n + 2.0)
+            p, q = _horner(_LGAM_BC, w)
+            out[small] = np.log(z) + w * p / q
+    return out.reshape(x.shape)
+
+
+def _betaln(a, b):
+    """log B(a, b) for a, b > 0 from ``_gammaln``, summed in Cephes ``lbeta``'s order."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    hi, lo = np.maximum(a, b), np.minimum(a, b)
+    g = _gammaln(np.stack([hi, lo, hi + lo]))
+    return g[0] + (g[1] - g[2])
+
+
+def _digamma_trigamma(x):
+    """digamma and trigamma of x > 0, elementwise and in the shape of ``x``: the recurrences
+    psi(x) = psi(x + 1) - 1/x and psi'(x) = psi'(x + 1) + 1/x^2 up to x >= 10, then the series
+    log x - 1/(2x) - sum B_2k / (2k x^2k) and 1/x + 1/(2x^2) + sum B_2k / x^(2k+1)."""
+    x = np.asarray(x, dtype=float)
+    y = x.ravel().copy()
+    s0, s1 = np.zeros_like(y), np.zeros_like(y)  # the recurrences' sums of 1/x and 1/x^2
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        small = np.flatnonzero(y < 10.0)
+        if small.size:
+            ys, r0, r1 = y[small], s0[small], s1[small]
+            for _ in range(10):
+                step = ys < 10.0
+                r = np.where(step, 1.0 / ys, 0.0)
+                r0 += r
+                r1 += r * r
+                ys += step
+            y[small], s0[small], s1[small] = ys, r0, r1
+        r = 1.0 / y
+        z = r * r
+        psi = np.log(y) - 0.5 * r - z * _horner(_DIGAMMA_B, z) - s0
+        psi1 = r + 0.5 * z + r * z * _horner(_TRIGAMMA_B, z) + s1
+    return psi.reshape(x.shape), psi1.reshape(x.shape)
 
 
 def sample_slots(family: Family, slots, size, rng: np.random.Generator) -> np.ndarray:
@@ -306,11 +468,11 @@ def sample_slots(family: Family, slots, size, rng: np.random.Generator) -> np.nd
         alpha, beta_p = slots
         return rng.beta(np.broadcast_to(alpha, size), np.broadcast_to(beta_p, size))
     if family is Family.SINH_ARCSINH:
-        # closed-form quantile applied to uniforms; _ndtri (Cephes) equals scipy's ndtri
-        # bit for bit for exp(-2) < u < 1 - exp(-2) and within 1e-15 relative beyond
+        # the closed-form quantile of uniforms; extreme draws overflow sinh to +-inf, silently
         mu, sigma, epsilon, delta = slots
         u = rng.uniform(size=size)
-        return mu + sigma * np.sinh((np.arcsinh(_ndtri(u)) - epsilon) / delta)
+        with np.errstate(over="ignore"):
+            return mu + sigma * np.sinh((np.arcsinh(_ndtri(u)) - epsilon) / delta)
     raise ValueError(f"unknown family {family!r}")  # pragma: no cover
 
 
@@ -341,32 +503,32 @@ def log_pdf(family: Family, params: ParamVector, x: float, *, strict: bool = Tru
 
 def _skew_normal_cdf(z, epsilon):
     """Skew-normal CDF at standardized z: Phi(z) - 2 T(z, epsilon) (Azzalini 1985)."""
-    from scipy.special import ndtr, owens_t
+    from scipy.special import owens_t
 
-    return np.clip(ndtr(z) - 2.0 * owens_t(z, epsilon), 0.0, 1.0)
+    return np.clip(_ndtr(z) - 2.0 * owens_t(z, epsilon), 0.0, 1.0)
 
 
 def cdf(family: Family, params: ParamVector, x):
     """Cumulative distribution function; accepts a scalar or an array of x."""
-    from scipy.special import betainc, gammainc, ndtr
-
     slots = params.require(family)
     scalar = np.isscalar(x) or np.ndim(x) == 0
     xa = np.atleast_1d(np.asarray(x, dtype=float))
 
     if family is Family.NORMAL:
         mu, sigma = slots
-        out = ndtr((xa - mu) / sigma)
+        out = _ndtr((xa - mu) / sigma)
     elif family is Family.GAMMA:
+        from scipy.special import gammainc
         k, theta = slots
         out = np.where(xa > 0, gammainc(k, np.maximum(xa, 0.0) / theta), 0.0)
     elif family is Family.BETA:
+        from scipy.special import betainc
         alpha, beta_p = slots
         out = betainc(alpha, beta_p, np.clip(xa, 0.0, 1.0))
     elif family is Family.SINH_ARCSINH:
         mu, sigma, epsilon, delta = slots
         w = epsilon + delta * np.arcsinh((xa - mu) / sigma)
-        out = ndtr(np.sinh(np.clip(w, -SINH_ARG_CLAMP, SINH_ARG_CLAMP)))
+        out = _ndtr(np.sinh(np.clip(w, -SINH_ARG_CLAMP, SINH_ARG_CLAMP)))
     elif family is Family.SKEW_NORMAL:
         mu, sigma, epsilon = slots
         out = _skew_normal_cdf((xa - mu) / sigma, epsilon)
@@ -383,8 +545,6 @@ def cdf(family: Family, params: ParamVector, x):
 
 def quantile(family: Family, params: ParamVector, q):
     """Inverse CDF; accepts a scalar or an array of probabilities in (0, 1)."""
-    from scipy.special import betaincinv, gammaincinv
-
     slots = params.require(family)
     scalar = np.isscalar(q) or np.ndim(q) == 0
     qa = np.atleast_1d(np.asarray(q, dtype=float))
@@ -395,9 +555,11 @@ def quantile(family: Family, params: ParamVector, q):
         mu, sigma = slots
         out = mu + sigma * _ndtri(qa)
     elif family is Family.GAMMA:
+        from scipy.special import gammaincinv
         k, theta = slots
         out = theta * gammaincinv(k, qa)
     elif family is Family.BETA:
+        from scipy.special import betaincinv
         alpha, beta_p = slots
         out = betaincinv(alpha, beta_p, qa)
     elif family is Family.SINH_ARCSINH:

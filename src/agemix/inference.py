@@ -35,9 +35,10 @@ predictor, so the tail-weight predictor moves both delta and the effective
 scale. Gamma and beta use the first two linear-predictor slots for their own
 positive parameters (log k / log theta and log alpha / log beta).
 
-scipy's special functions are imported inside the functions that call
-them, so importing this module does not load scipy; the linear algebra is
-numpy's.
+The derivatives' special functions (log Phi in the skew normal's inverse
+Mills ratio; digamma and trigamma in the gamma's and beta's) are the numpy
+ports of Cephes in ``distributions``, and the linear algebra is numpy's, so
+this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ import numpy as np
 
 from . import transforms
 from .design import ModelSpec, design_matrices, uncenter_matrix
-from .distributions import Family, linpred_slots, log_pdf_slots, sample_slots
+from .distributions import Family, _digamma_trigamma, _log_ndtr, linpred_slots, log_pdf_slots, sample_slots
 from .transforms import Transform
 
 if TYPE_CHECKING:  # data_io imports this module
@@ -177,9 +178,7 @@ def _natural_params(family: Family, etas: dict):
 
 def _inv_mills(u: np.ndarray) -> np.ndarray:
     # phi(u) / Phi(u), stable for very negative u
-    from scipy.special import log_ndtr
-
-    return np.exp(-0.5 * u * u - 0.5 * math.log(2.0 * math.pi) - log_ndtr(u))
+    return np.exp(-0.5 * u * u - 0.5 * math.log(2.0 * math.pi) - _log_ndtr(u))
 
 
 def _location_scale(z, sigma, lz, lzz):
@@ -214,11 +213,10 @@ def _derivs_skew_normal(x, mu, sigma, epsilon):
 
 def _derivs_gamma(x, k, theta):
     # slots: log k, log theta
-    from scipy.special import digamma, polygamma
-
-    dk = k * (np.log(x) - digamma(k) - np.log(theta))
+    psi, psi1 = _digamma_trigamma(k)
+    dk = k * (np.log(x) - psi - np.log(theta))
     return {"mu": dk, "sigma": x / theta - k}, {
-        ("mu", "mu"): dk - k * k * polygamma(1, k),
+        ("mu", "mu"): dk - k * k * psi1,
         ("mu", "sigma"): -k,
         ("sigma", "sigma"): -x / theta,
     }
@@ -226,16 +224,14 @@ def _derivs_gamma(x, k, theta):
 
 def _derivs_beta(x, alpha, beta_p):
     # slots: log alpha, log beta
-    from scipy.special import digamma, polygamma
-
-    dab = digamma(alpha + beta_p)
-    tab = polygamma(1, alpha + beta_p)
-    da = alpha * (np.log(x) - digamma(alpha) + dab)
-    db = beta_p * (np.log1p(-x) - digamma(beta_p) + dab)
+    dab, tab = _digamma_trigamma(alpha + beta_p)
+    (psi_a, psi1_a), (psi_b, psi1_b) = _digamma_trigamma(alpha), _digamma_trigamma(beta_p)
+    da = alpha * (np.log(x) - psi_a + dab)
+    db = beta_p * (np.log1p(-x) - psi_b + dab)
     return {"mu": da, "sigma": db}, {
-        ("mu", "mu"): da + alpha * alpha * (tab - polygamma(1, alpha)),
+        ("mu", "mu"): da + alpha * alpha * (tab - psi1_a),
         ("mu", "sigma"): alpha * beta_p * tab,
-        ("sigma", "sigma"): db + beta_p * beta_p * (tab - polygamma(1, beta_p)),
+        ("sigma", "sigma"): db + beta_p * beta_p * (tab - psi1_b),
     }
 
 

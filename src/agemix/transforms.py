@@ -127,10 +127,10 @@ def inverse_array(t: Transform, ages, sexes, y) -> np.ndarray:
         return y.copy()
     if k is TransformKind.AGE_DIFFERENCE:
         return y + ages
-    if k is TransformKind.LOG_AGE:
-        return np.exp(y)
-    if k is TransformKind.LOG_RATIO:
-        return ages * np.exp(y)
+    if k in (TransformKind.LOG_AGE, TransformKind.LOG_RATIO):
+        # extreme predictive draws overflow to inf, silently; the CLI counts them per fit
+        with np.errstate(over="ignore"):
+            return np.exp(y) if k is TransformKind.LOG_AGE else ages * np.exp(y)
     if k is TransformKind.GAMMA_REFLECTED:
         return np.where(sexes == MALE, t.offset - y, y)
     if k is TransformKind.BETA_RESCALED:

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,10 +14,11 @@ from click.testing import CliRunner
 import agemix.cli
 import agemix.evaluation
 from agemix.cli import main
-from agemix.data_io import default_config, load_csv, save_csv, simulate
-from agemix.design import ModelTag
+from agemix.data_io import default_config, load_csv, save_csv, simulate, stratify
+from agemix.design import ModelSpec, ModelTag
 from agemix.distributions import Family
-from agemix.inference import FitError
+from agemix.inference import FitError, FitProblem, fit_map, laplace_draws, predictive_for_records
+from agemix.transforms import Transform, TransformKind
 
 
 @pytest.fixture(scope="module")
@@ -475,6 +477,39 @@ class TestInfiniteKhat:
             assert (entry["max_khat"] is None) == (tag == "distributional_2")
 
 
+class TestInfinitePredictive:
+    """Predictive partner ages that overflow the inverse transform are counted
+    per fit, not reported as RuntimeWarnings."""
+
+    @pytest.fixture(scope="class")
+    def cell(self):
+        # a 28-record cell whose sinh-arcsinh log-age fit has heavy enough tails
+        # that some predictive draws overflow exp
+        records = stratify(simulate(default_config(n=500, seed=3)))
+        key = next(k for k in records if k.sex == 0 and k.bin_start == 20)
+        problem = FitProblem(Family.SINH_ARCSINH, Transform(TransformKind.LOG_AGE), ModelSpec(ModelTag.INTERCEPT_ONLY),
+                             records[key])
+        return problem, fit_map(problem)
+
+    def test_score_counts_infinite_samples(self, cell):
+        problem, fit = cell
+        parts = (7, 0, 20)
+        scores = agemix.cli._score(problem, fit, parts, 1000, "psis", 10000, [("subset", problem.records, ())])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = laplace_draws(fit, 1000, seed=agemix.cli._child_seed(*parts, 1))
+            predictive = predictive_for_records(
+                fit, draws, problem.records, 10000, seed=agemix.cli._child_seed(*parts, 3)
+            )
+        assert scores["n_inf_predictive"] == np.isinf(predictive).sum() > 0
+
+    def test_reports_carry_the_count(self, cd_outcome, cm_outcome):
+        for row in read_rows(cd_outcome[1] / "combos.csv"):
+            assert int(row["n_inf_predictive"]) >= 0
+        for entry in json.loads((cm_outcome[1] / "report.json").read_text())["models"].values():
+            assert isinstance(entry["n_inf_predictive"], int)
+
+
 # Runs the CLI with the arguments it is given (or only imports the package
 # when there are none) and prints the scipy modules loaded by then.
 _SCIPY_PROBE = """
@@ -502,7 +537,9 @@ def _scipy_modules_after(args, cwd) -> list[str]:
 
 
 class TestStartupImports:
-    """Commands that evaluate no scipy special function load no scipy.
+    """Every command loads no scipy: the special functions of the densities,
+    derivatives and samplers are numpy ports of Cephes, and the Newton solves
+    and Laplace draws use numpy.linalg.
 
     Each case runs in a fresh process: this one imported scipy long ago.
     """
@@ -516,20 +553,15 @@ class TestStartupImports:
             ["--version"],
             ["moments", "{data}", "--out", "out"],
             ["deheap", "{data}", "--out", "out"],
-            # the sinh-arcsinh sampler's normal quantile is numpy code
             ["simulate", "--n", "200", "--out", "sim.csv", "--seed", "1"],
-            # compare-models fits only sinh-arcsinh models
             ["compare-models", "{data}", *_FIT],
+            # all five families, with exact k-fold refits as well
+            ["compare-distributions", "{data}", *_FIT],
+            ["compare-distributions", "{data}", *_FIT, "--elpd", "kfold"],
         ],
-        ids=["import", "version", "moments", "deheap", "simulate", "compare-models"],
+        ids=["import", "version", "moments", "deheap", "simulate", "compare-models", "compare-distributions",
+             "compare-distributions-kfold"],
     )
     def test_no_scipy(self, args, data_csv, tmp_path):
         args = [a.format(data=data_csv) for a in args]
         assert _scipy_modules_after(args, tmp_path) == []
-
-    def test_compare_distributions_loads_special_not_linalg(self, data_csv, tmp_path):
-        # skew normal, gamma and beta need scipy.special; the Newton solves
-        # and the Laplace draws use numpy.linalg
-        loaded = _scipy_modules_after(["compare-distributions", str(data_csv), *self._FIT], tmp_path)
-        assert "scipy.special" in loaded
-        assert not [m for m in loaded if m.startswith("scipy.linalg")]

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.integrate import quad, trapezoid
-from scipy.special import ndtri
+from scipy.special import betaln, digamma, gammaln, log_ndtr, ndtr, ndtri, polygamma
 
 import agemix
 from agemix.distributions import (
@@ -18,6 +18,11 @@ from agemix.distributions import (
     Family,
     ParameterError,
     ParamVector,
+    _betaln,
+    _digamma_trigamma,
+    _gammaln,
+    _log_ndtr,
+    _ndtr,
     _ndtri,
     cdf,
     empirical_moments,
@@ -333,8 +338,111 @@ class TestNdtri:
             _ndtri(q.reshape(2, 3))
 
 
-# Evaluates cdf and quantile for every family and prints the scipy modules
-# loaded by then.
+def _log_uniform(seed, lo, hi, n=10**6):
+    return np.exp(np.random.default_rng(seed).uniform(math.log(lo), math.log(hi), n))
+
+
+def _assert_close(got, ref, rtol):
+    """``got`` equals ``ref`` where ref is +-inf or 0 and lies within rtol * max(1, |ref|) of it elsewhere."""
+    exact = np.isinf(ref) | (ref == 0.0)
+    assert np.array_equal(got[exact], ref[exact])
+    err = np.abs(got[~exact] - ref[~exact]) / np.maximum(1.0, np.abs(ref[~exact]))
+    assert err.max(initial=0.0) <= rtol, (err.max(), ref[~exact][np.argmax(err)])
+
+
+def _around(*values):
+    """Each value with its neighbouring doubles below and above."""
+    return [v for x in values for v in (np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf))]
+
+
+def _digamma(x):
+    return _digamma_trigamma(x)[0]
+
+
+def _trigamma(x):
+    return _digamma_trigamma(x)[1]
+
+
+_DIGAMMA_ROOT = 1.4616321449683623
+# scipy's lbeta takes Gamma ratios up to a + b = MAXGAM and the gammaln sum above
+_MAXGAM = 171.624376956302725
+
+
+class TestSpecialFunctionPorts:
+    """The numpy ports of Cephes erf/erfc, lgam and the psi functions against scipy.special."""
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+    def test_log_ndtr(self, sign):
+        x = sign * _log_uniform(30, 1e-3, 1e10)
+        _assert_close(_log_ndtr(x), log_ndtr(x), 1e-14)
+
+    @pytest.mark.parametrize(
+        "port, ref",
+        [(_gammaln, gammaln), (_digamma, digamma), (_trigamma, lambda x: polygamma(1, x))],
+        ids=["gammaln", "digamma", "trigamma"],
+    )
+    def test_gamma_functions(self, port, ref):
+        x = _log_uniform(31, 1e-300, 1e300)
+        _assert_close(port(x), ref(x), 1e-14)
+
+    def test_betaln(self):
+        a, b = _log_uniform(32, 1e-3, 1e4), _log_uniform(33, 1e-3, 1e4)
+        got, ref = _betaln(a, b), betaln(a, b)
+        ratios = a + b <= _MAXGAM
+        _assert_close(got[ratios], ref[ratios], 2e-12)
+        # above MAXGAM both take lgam(a) + (lgam(b) - lgam(a + b)); numpy's vectorised log
+        # rounds unlike libm's for about 1e-4 of arguments, an ulp that gammaln(x) carries
+        # times x, so there the two agree to a few ulps of the largest term, not of the result
+        big = ~ratios
+        assert np.all(np.abs(got[big] - ref[big]) <= 4.0 * np.spacing(gammaln(a[big] + b[big])))
+
+    def test_ndtr(self):
+        x = np.concatenate([np.random.default_rng(34).normal(0.0, 10.0, 10**6),
+                            _around(-1.0, 1.0, 2**0.5, -(2**0.5), 8 * 2**0.5, -8 * 2**0.5, -37.5, -38.5)])
+        got, ref = _ndtr(x), ndtr(x)
+        exact = (ref == 0.0) | (ref == 1.0)
+        assert np.array_equal(got[exact], ref[exact])
+        np.testing.assert_allclose(got, ref, rtol=1e-15, atol=np.finfo(float).tiny)
+
+    def test_edge_inputs(self):
+        # x = -1 and 1, both sides of |x| = sqrt(2) (erf to erfc), 8 sqrt(2) (P/Q to R/S) and of
+        # the erfc underflow, the infinities
+        x = np.array([-1.0, 1.0, *_around(2**0.5, -(2**0.5), 8 * 2**0.5, -8 * 2**0.5, 37.7, -37.7),
+                      0.0, -1e300, 1e300, -np.inf, np.inf])
+        _assert_close(_log_ndtr(x), log_ndtr(x), 1e-14)
+        # lgam's recurrence onto [2, 3), its Stirling series from 13 and the shorter one from
+        # 1000, overflow past MAXLGM; the psi recurrence up to 10 and digamma's root
+        g = np.array([*_around(1.0, 2.0, 3.0, 10.0, 13.0, 1000.0, 2.556348e305), _DIGAMMA_ROOT, 0.5, 1e-300,
+                      np.inf])
+        for port, ref in ((_gammaln, gammaln), (_digamma, digamma), (_trigamma, lambda v: polygamma(1, v))):
+            _assert_close(port(g), ref(g), 1e-14)
+        assert _gammaln(np.array([1.0, 2.0])).tolist() == [0.0, 0.0]
+        a = np.array([*_around(_MAXGAM / 2), 1e-3, 1e4, 0.5])
+        _assert_close(_betaln(a, a[::-1]), betaln(a, a[::-1]), 2e-12)
+
+    @pytest.mark.parametrize("port", [_log_ndtr, _ndtr, _gammaln, _digamma, _trigamma, _betaln])
+    def test_keeps_shape(self, port):
+        args = (lambda x: (x, x + 1.0)) if port is _betaln else (lambda x: (x,))
+        x = np.linspace(0.5, 30.0, 60).reshape(6, 10)
+        out = port(*args(x))
+        assert out.shape == (6, 10)
+        assert np.array_equal(out.ravel(), port(*args(x.ravel())))
+        assert np.shape(port(*args(np.array(2.5)))) == ()
+
+    def test_no_runtime_warning(self):
+        x = np.array([-np.inf, -1e300, -40.0, -1.0, 0.0, 1.0, 40.0, 1e300, np.inf, np.nan])
+        g = np.array([0.0, 5e-324, 1e-300, 1.0, 12.5, 13.0, 1e300, np.inf, np.nan])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for port in (_log_ndtr, _ndtr):
+                assert np.isnan(port(x)[-1])
+            for port in (_gammaln, _digamma, _trigamma):
+                assert np.isnan(port(g)[-1])
+            _betaln(g[1:-2], g[1:-2][::-1])
+
+
+# Evaluates cdf and quantile for the families named on the command line (all
+# when none is) and prints the scipy modules loaded by then.
 _CDF_QUANTILE_PROBE = """
 import json, sys
 from agemix.distributions import Family, ParamVector, cdf, quantile
@@ -346,6 +454,8 @@ params = {
     Family.SINH_ARCSINH: ParamVector(mu=0.5, sigma=2.0, epsilon=0.3, delta=1.2),
 }
 for family, p in params.items():
+    if sys.argv[1:] and family.value not in sys.argv[1:]:
+        continue
     cdf(family, p, 0.4)
     cdf(family, p, [0.2, 0.4, 0.6])
     quantile(family, p, 0.3)
@@ -354,19 +464,28 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
 
+def _cdf_quantile_scipy_modules(cwd, *families) -> list[str]:
+    """scipy modules a fresh process (this one imported scipy long ago) has loaded after
+    ``cdf`` and ``quantile`` of ``families`` (all when none is given)."""
+    src = str(Path(agemix.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _CDF_QUANTILE_PROBE, *(f.value for f in families)], cwd=cwd, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 class TestScipyImports:
     def test_cdf_and_quantile_load_no_integrate_or_optimize(self, tmp_path):
-        # a fresh process: this one imported scipy.integrate long ago
-        src = str(Path(agemix.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run(
-            [sys.executable, "-c", _CDF_QUANTILE_PROBE], cwd=tmp_path, env=env, capture_output=True, text=True,
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        loaded = json.loads(proc.stdout.splitlines()[-1])
+        loaded = _cdf_quantile_scipy_modules(tmp_path)
         assert "scipy.special" in loaded
         assert [m for m in loaded if m.startswith(("scipy.integrate", "scipy.optimize"))] == []
+
+    def test_normal_and_sinh_arcsinh_load_no_scipy(self, tmp_path):
+        # their CDFs take the ported ndtr and their quantiles the ported ndtri
+        assert _cdf_quantile_scipy_modules(tmp_path, Family.NORMAL, Family.SINH_ARCSINH) == []
 
 
 class TestSample:
