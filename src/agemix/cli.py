@@ -371,16 +371,19 @@ def _write_table(out_dir: Path, stem: str, header, rows) -> list[Path]:
     return [csv_path, json_path]
 
 
+_AT_LEAST_1 = click.IntRange(min=1)
+
+
 def _compare_options(qq_help: str):
     """The data argument and the options both compare commands take."""
     options = (
         click.argument("data", type=click.Path(exists=True)),
         click.option("--out", "out_dir", type=click.Path(), required=True, help="Output directory."),
         click.option("--seed", type=int, default=0, show_default=True),
-        click.option("--jobs", type=int, default=None, help="Parallel fits (default: available cores)."),
+        click.option("--jobs", type=_AT_LEAST_1, default=None, help="Parallel fits (default: available cores)."),
         click.option("--elpd", "elpd_method", type=click.Choice(["psis", "kfold"]), default="psis", show_default=True),
-        click.option("--draws", type=int, default=4000, show_default=True, help="Laplace draws per fit."),
-        click.option("--qq-samples", type=int, default=10000, show_default=True, help=qq_help),
+        click.option("--draws", type=_AT_LEAST_1, default=4000, show_default=True, help="Laplace draws per fit."),
+        click.option("--qq-samples", type=_AT_LEAST_1, default=10000, show_default=True, help=qq_help),
     )
 
     def decorate(command):
@@ -402,6 +405,8 @@ def _compare(
     results, all_ok)`` returns the paths it wrote and a summary. The exit
     status is 1 when any fit failed or did not converge.
     """
+    if elpd_method == "psis" and draws < 100:
+        raise click.BadParameter(f"{draws} is below 100, the fewest PSIS accepts.", param_hint="'--draws'")
     t0 = time.time()
     records = load_csv(data)
     out_dir = Path(out_dir)
@@ -448,83 +453,51 @@ def _fit_subset_combo(task):
     return [(key, problem, fit, *settings) for (key, _), problem, fit in zip(subsets, problems, fits)]
 
 
+# the columns of combos.csv, each a field of a subset cell's result row
+COMBO_COLUMNS = ("sex", "age_bin", "distribution", "variable", "n", "elpd", "elpd_se", "qq_rmse", "converged",
+                 "n_flagged", "max_khat", "n_inf_predictive", "error")
+# the columns of subset_rankings, each a field of a rank_by_elpd row or of the row it ranks
+RANKING_COLUMNS = ("sex", "age_bin", "rank", "distribution", "elpd", "elpd_diff", "se_of_diff", "qq_rmse",
+                   "best_variable", "n_flagged")
+
+
 def _score_subset_cell(task):
     """Score one cell's fit (a failure marker if fitting raised)."""
     key, problem, fit, seed, n_draws, elpd_method, qq_samples = task
     family, kind, records = problem.family, problem.transform.kind, problem.records
     seed_parts = (seed, key.sex, key.bin_start, list(Family).index(family), list(TransformKind).index(kind))
     scores = _score(problem, fit, seed_parts, n_draws, elpd_method, qq_samples, [("subset", records, ())])
-    return [{"key": key, "family": family, "transform": kind, "n_records": len(records), **scores}]
+    labels = {"sex": key.sex_label, "age_bin": key.bin_label, "distribution": FAMILY_LABEL[family],
+              "variable": TRANSFORM_LABEL[kind], "n": len(records)}
+    return [{"key": key, "family": family, "transform": kind, **labels, **scores}]
 
 
 def _write_subset_reports(out_dir: Path, results, all_ok):
     results.sort(key=lambda r: (r["key"], r["family"].value, r["transform"].value))
     combos_path = out_dir / "combos.csv"
-    _write_csv(
-        combos_path,
-        ["sex", "age_bin", "distribution", "variable", "n", "elpd", "elpd_se", "qq_rmse", "converged", "n_flagged",
-         "max_khat", "n_inf_predictive", "error"],
-        [
-            [
-                r["key"].sex_label,
-                r["key"].bin_label,
-                FAMILY_LABEL[r["family"]],
-                TRANSFORM_LABEL[r["transform"]],
-                r["n_records"],
-                r["elpd"],
-                r["elpd_se"],
-                r["qq_rmse"],
-                r["converged"],
-                r["n_flagged"],
-                r["max_khat"],
-                r["n_inf_predictive"],
-                r["error"],
-            ]
-            for r in results
-        ],
-    )
+    _write_csv(combos_path, COMBO_COLUMNS, [[r[c] for c in COMBO_COLUMNS] for r in results])
 
     # per-subset family ranking, each family at its best variable
-    ranking_rows = []
-    wins = Counter()  # (family, variable) -> subsets where the variable is the family's best
-    flagged_wins = Counter()  # the same, counting only winning cells with a k-hat flag
-    n_subsets = 0
-    for key, cell in itertools.groupby(results, key=lambda r: r["key"]):
-        n_subsets += 1
-        cell = list(cell)
-        best = {}
-        for family in FAMILY_ORDER:
-            fitted = [r for r in cell if r["family"] is family and r["ok"]]
-            if fitted:
-                best[family] = max(fitted, key=lambda r: r["elpd"])
-                wins[family, best[family]["transform"]] += 1
-                flagged_wins[family, best[family]["transform"]] += best[family]["n_flagged"] > 0
-        for d in _ranked(best.values(), lambda r: r["family"]):
-            ranking_rows.append(
-                [
-                    key.sex_label,
-                    key.bin_label,
-                    d["rank"],
-                    FAMILY_LABEL[d["model"]],
-                    d["elpd"],
-                    d["elpd_diff"],
-                    d["se_of_diff"],
-                    d["qq_rmse"],
-                    TRANSFORM_LABEL[best[d["model"]]["transform"]],
-                    d["n_flagged"],
-                ]
-            )
-    rankings = _write_table(
-        out_dir,
-        "subset_rankings",
-        ["sex", "age_bin", "rank", "distribution", "elpd", "elpd_diff", "se_of_diff", "qq_rmse", "best_variable",
-         "n_flagged"],
-        ranking_rows,
-    )
+    ranking_rows, winners = [], []  # winners: each subset's best row of each family
+    for _, cell in itertools.groupby(results, key=lambda r: r["key"]):
+        fitted = [r for r in cell if r["ok"]]
+        best = [
+            max(rows, key=lambda r: r["elpd"])
+            for family in FAMILY_ORDER
+            if (rows := [r for r in fitted if r["family"] is family])
+        ]
+        winners += best
+        for d in _ranked(best, lambda r: r):
+            row = {**d["model"], **d, "best_variable": d["model"]["variable"]}
+            ranking_rows.append([row[c] for c in RANKING_COLUMNS])
+    rankings = _write_table(out_dir, "subset_rankings", RANKING_COLUMNS, ranking_rows)
 
-    # share of subsets in which each variable wins, per real-line family, and
-    # how many of those wins rest on a cell with k-hat flags
+    # share of subsets in which each variable is a real-line family's best,
+    # and how many of those wins rest on a cell with k-hat flags
     shares_path = out_dir / "transform_shares.csv"
+    n_subsets = len({r["key"] for r in results})
+    wins = Counter((r["family"], r["transform"]) for r in winners)
+    flagged_wins = Counter((r["family"], r["transform"]) for r in winners if r["n_flagged"] > 0)
     families = [family.value for family in REAL_LINE_FAMILIES]
     _write_csv(
         shares_path,

@@ -9,7 +9,8 @@ design (linear-age columns shifted by ``design.AGE_CENTER``);
 which is an exact linear reparameterization. Posterior draws are plain
 (draws, coefficients) arrays in the fit's packed order; ``draw_params`` maps
 them to family parameters once per distinct (age, sex) cell for the
-log-likelihood blocks, ``posterior_predictive`` and the parameter curves.
+log-likelihood blocks, ``posterior_predictive``, ``predictive_for_records``
+and the parameter curves.
 
 Optimization is damped Newton on the exact Hessian of the negative log
 posterior: closed-form per-record second derivatives of log f in the linear
@@ -606,6 +607,15 @@ def draw_params(fit: FitResult, draws: np.ndarray, ages, sexes):
     return _natural_params(fit.family, etas), cell_of.ravel()
 
 
+def _predict(fit: FitResult, draws: np.ndarray, ages, sexes, rec_idx, draw_idx, rng) -> np.ndarray:
+    """Predictive partner ages, sample i under draw ``draw_idx[i]`` at the
+    covariates of observation ``rec_idx[i]`` of (``ages``, ``sexes``)."""
+    params, cell_of = draw_params(fit, draws, ages, sexes)
+    cells = cell_of[rec_idx]
+    y = sample_slots(fit.family, [p[draw_idx, cells] for p in params], draw_idx.shape, rng)
+    return transforms.inverse_array(fit.transform, np.asarray(ages)[rec_idx], np.asarray(sexes)[rec_idx], y)
+
+
 def posterior_predictive(
     fit: FitResult,
     draws: np.ndarray,
@@ -616,15 +626,12 @@ def posterior_predictive(
 ) -> np.ndarray:
     """Posterior predictive partner ages for one covariate combination.
 
-    Samples ``n_per_draw`` outcome values under each posterior draw and maps
-    them back through the inverse transform; returns the pooled vector.
+    Samples ``n_per_draw`` outcome values under each posterior draw in turn
+    and maps them back through the inverse transform; returns the pooled vector.
     """
-    params, _ = draw_params(fit, draws, [respondent_age], [respondent_sex])
+    draw_idx = np.repeat(np.arange(draws.shape[0]), n_per_draw)
     rng = np.random.default_rng(seed)
-    y = sample_slots(fit.family, params, (draws.shape[0], n_per_draw), rng).ravel()
-    ages = np.full(y.shape, float(respondent_age))
-    sexes = np.full(y.shape, int(respondent_sex))
-    return transforms.inverse_array(fit.transform, ages, sexes, y)
+    return _predict(fit, draws, [respondent_age], [respondent_sex], 0, draw_idx, rng)
 
 
 def predictive_for_records(
@@ -637,24 +644,11 @@ def predictive_for_records(
     """Posterior predictive partner ages mirroring a record set's covariates.
 
     Each of the ``n_total`` samples pairs a uniformly chosen record (its age
-    and sex) with a uniformly chosen posterior draw. Design rows are built
-    once per distinct (age, sex) cell of ``records``.
+    and sex) with a uniformly chosen posterior draw.
     """
     if not len(records):
         raise ValueError("predictive_for_records requires a nonempty record set")
     rng = np.random.default_rng(seed)
     rec_idx = rng.integers(0, len(records), size=n_total)
     draw_idx = rng.integers(0, draws.shape[0], size=n_total)
-
-    ages, sexes = records.respondent_age, records.respondent_sex
-    cells, cell_of = np.unique(np.column_stack([ages, sexes]), axis=0, return_inverse=True)
-    mats = design_matrices(fit.spec, cells[:, 0], cells[:, 1], slots=fit.slots, center=True)
-    # the shape of the inverse differs between numpy versions
-    rows = cell_of.ravel()[rec_idx]
-    etas = {}
-    for slot in fit.slots:
-        a, b = fit.offsets[slot]
-        etas[slot] = np.einsum("ij,ij->i", np.take(mats[slot], rows, axis=0), draws[draw_idx, a:b])
-    params = _natural_params(fit.family, etas)
-    y = sample_slots(fit.family, params, (n_total,), rng)
-    return transforms.inverse_array(fit.transform, ages[rec_idx], sexes[rec_idx], y)
+    return _predict(fit, draws, records.respondent_age, records.respondent_sex, rec_idx, draw_idx, rng)

@@ -283,6 +283,50 @@ class TestElpdAndJobsFlags:
         assert blobs[0] == blobs[1]
 
 
+class TestOptionBounds:
+    """Out-of-range counts are usage errors (exit 2) raised before the data loads."""
+
+    class Loaded(Exception):
+        pass
+
+    @pytest.fixture
+    def run(self, runner, data_csv, tmp_path, monkeypatch):
+        def load_csv(path):
+            raise self.Loaded
+
+        monkeypatch.setattr(agemix.cli, "load_csv", load_csv)
+        out = tmp_path / "out"
+
+        def run(command, *args):
+            return runner.invoke(main, [command, str(data_csv), "--out", str(out), *args]), out
+
+        return run
+
+    @pytest.mark.parametrize(
+        "below, at",
+        [
+            (["--draws", "99"], ["--draws", "100"]),
+            (["--elpd", "kfold", "--draws", "0"], ["--elpd", "kfold", "--draws", "1"]),
+            (["--qq-samples", "0"], ["--qq-samples", "1"]),
+            (["--jobs", "0"], ["--jobs", "1"]),
+        ],
+        ids=["psis-draws", "kfold-draws", "qq-samples", "jobs"],
+    )
+    @pytest.mark.parametrize("command", ["compare-distributions", "compare-models"])
+    def test_bound(self, run, command, below, at):
+        result, out = run(command, *below)
+        assert result.exit_code == 2, result.output
+        assert f"Invalid value for '{below[-2]}'" in result.output
+        assert not out.exists()
+        result, _ = run(command, *at)
+        assert isinstance(result.exception, self.Loaded)
+
+    def test_negative_jobs(self, run):
+        result, out = run("compare-models", "--jobs", "-1")
+        assert result.exit_code == 2, result.output
+        assert not out.exists()
+
+
 class TestCompareModels:
     def test_exit_and_rows(self, cm_outcome):
         result, out = cm_outcome

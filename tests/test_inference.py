@@ -538,21 +538,41 @@ class TestPosteriorPredictive:
         # one design row per sampled record, with the same random stream:
         # building rows per distinct (age, sex) cell must give the same samples
         records = small_records[:400]
-        fit = fit_map(make_problem(Family.SINH_ARCSINH, TransformKind.LOG_RATIO, ModelTag.DISTRIBUTIONAL_2, records))
-        draws = laplace_draws(fit, 150, seed=8)
-        out = predictive_for_records(fit, draws, records, 3000, seed=9)
+        for tag in (ModelTag.DISTRIBUTIONAL_2, ModelTag.DISTRIBUTIONAL_3, ModelTag.DISTRIBUTIONAL_4):
+            fit = fit_map(make_problem(Family.SINH_ARCSINH, TransformKind.LOG_RATIO, tag, records))
+            draws = laplace_draws(fit, 150, seed=8)
+            out = predictive_for_records(fit, draws, records, 3000, seed=9)
 
-        rng = np.random.default_rng(9)
-        sel = records[rng.integers(0, len(records), size=3000)]
-        draw_idx = rng.integers(0, 150, size=3000)
-        mats = design_matrices(fit.spec, sel.respondent_age, sel.respondent_sex, slots=fit.slots, center=True)
-        etas = {
-            slot: np.einsum("ij,ij->i", mats[slot], draws[draw_idx, slice(*fit.offsets[slot])])
-            for slot in fit.slots
-        }
-        y = sample_slots(fit.family, _natural_params(fit.family, etas), (3000,), rng)
-        expected = inverse_array(fit.transform, sel.respondent_age, sel.respondent_sex, y)
-        np.testing.assert_array_equal(out, expected)
+            rng = np.random.default_rng(9)
+            sel = records[rng.integers(0, len(records), size=3000)]
+            draw_idx = rng.integers(0, 150, size=3000)
+            mats = design_matrices(fit.spec, sel.respondent_age, sel.respondent_sex, slots=fit.slots, center=True)
+            # the (rows x draws) matmul of draw_params, one entry per sample
+            etas = {
+                slot: (mats[slot] @ draws[:, slice(*fit.offsets[slot])].T)[np.arange(3000), draw_idx]
+                for slot in fit.slots
+            }
+            y = sample_slots(fit.family, _natural_params(fit.family, etas), (3000,), rng)
+            expected = inverse_array(fit.transform, sel.respondent_age, sel.respondent_sex, y)
+            np.testing.assert_array_equal(out, expected)
+
+    @pytest.mark.parametrize("family, kind", [
+        (Family.NORMAL, TransformKind.LINEAR_AGE),
+        (Family.SKEW_NORMAL, TransformKind.AGE_DIFFERENCE),
+        (Family.SINH_ARCSINH, TransformKind.LOG_RATIO),
+        (Family.GAMMA, TransformKind.GAMMA_REFLECTED),
+        (Family.BETA, TransformKind.BETA_RESCALED),
+    ])
+    def test_posterior_predictive_samples_draw_by_draw(self, small_records, family, kind):
+        # n_per_draw samples under draw 0, then under draw 1, ...: the
+        # (draws, n_per_draw) broadcast of the draws' parameters at one cell
+        fit = fit_map(make_problem(family, kind, ModelTag.CONVENTIONAL, small_records))
+        draws = laplace_draws(fit, 40, seed=3)
+        out = posterior_predictive(fit, draws, 31.0, 0, 25, seed=4)
+
+        params, _ = draw_params(fit, draws, [31.0], [0])
+        y = sample_slots(fit.family, params, (40, 25), np.random.default_rng(4)).ravel()
+        np.testing.assert_array_equal(out, inverse_array(fit.transform, np.full(y.size, 31.0), np.zeros(y.size), y))
 
     def test_plugin_deciles_match_analytic_quantiles(self):
         # degenerate (MAP-only) draws: predictive deciles must match the
