@@ -20,16 +20,16 @@ se = sqrt(n * var(pointwise)).
 PSIS is independent per record, so ``elpd_loo`` streams blocks of records
 (records x draws, about ``_BLOCK_BYTES`` each) from the fit through one
 kernel and keeps only the pointwise ELPD and k-hat: memory is
-O(draws x block), not O(records x draws). A record's log likelihood depends
-only on its (respondent age, sex, partner age), and ages are mostly whole
-years, so the stream holds each distinct record once and copies its scores
-to every duplicate: work is O(distinct records x draws). Within a block,
-``inference.draw_params`` computes the family parameters once per distinct
-(age, sex) cell, and each record gathers its cell's. Exact k-fold fits
-its folds as one ``inference.fit_map_batch``, draws ``n_draws`` per fold
-fit and scores its held-out records the same way.
-``pointwise_loglik`` builds the full (draws x records) array from the same
-blocks for callers that want it.
+O(draws x block), not O(records x draws). A record's log likelihood is its
+transformed outcome's log density, set by its design row and outcome, plus
+its own log Jacobian, which no draw changes and which thus leaves the
+importance ratios and k-hat as they are. The stream therefore scores each
+distinct (design row, outcome) key once; a record takes its key's k-hat and
+pointwise ELPD plus its log Jacobian: work is O(keys x draws). Exact k-fold
+fits its folds as one ``inference.fit_map_batch``, draws ``n_draws`` per
+fold fit and scores its held-out keys the same way. ``pointwise_loglik``
+builds the full, Jacobian-adjusted (draws x records) array from the same
+blocks.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import numpy as np
 
 from . import transforms
 from .distributions import log_pdf_slots
-from .inference import FitResult, draw_params, fit_map_batch, laplace_draws
+from .inference import FitResult, _design_cells, draw_params, fit_map_batch, laplace_draws
 
 __all__ = [
     "ElpdResult",
@@ -72,13 +72,12 @@ def _loglik_blocks(fit: FitResult, draws: np.ndarray, records, origin=None):
     """Yield (start, block): log likelihoods of consecutive record blocks.
 
     ``block`` is C-contiguous (records x draws); entry (i, d) is the log
-    density of record ``start + i`` under draw d. Any non-finite entry
-    raises, naming the offending draw and record; ``origin[i]``, when given,
-    is the index the message gives record i.
+    density of record ``start + i``'s transformed outcome (no Jacobian) under
+    draw d. Any non-finite entry raises, naming the offending draw and
+    record; ``origin[i]``, when given, is the index the message gives record i.
     """
     ages, sexes, partners = records.respondent_age, records.respondent_sex, records.partner_age
     y = transforms.forward_array(fit.transform, ages, sexes, partners)
-    jac = transforms.log_jacobian_array(fit.transform, ages, sexes, partners)
 
     step = _block_rows(draws.shape[0])
     for start in range(0, len(records), step):
@@ -89,7 +88,6 @@ def _loglik_blocks(fit: FitResult, draws: np.ndarray, records, origin=None):
         del cell_params  # freed before the density call, which peaks memory
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             block = log_pdf_slots(fit.family, y[rows, None], *params)
-        block += jac[rows, None]
         del params  # only the block stays alive while the caller holds it
         if not np.all(np.isfinite(block)):
             i, d = np.argwhere(~np.isfinite(block))[0]
@@ -101,19 +99,25 @@ def _loglik_blocks(fit: FitResult, draws: np.ndarray, records, origin=None):
         yield start, block
 
 
-def _distinct(records) -> tuple[np.ndarray, np.ndarray]:
-    """(first, inverse) over the distinct rows of ``records``.
+def _log_jacobian(fit: FitResult, records) -> np.ndarray:
+    """Each record's log Jacobian, which takes its outcome's log density to the partner-age scale."""
+    return transforms.log_jacobian_array(fit.transform, records.respondent_age, records.respondent_sex, records.partner_age)
 
-    ``first`` holds the index of each distinct record's first occurrence, in
-    ascending order, and ``records[first][inverse]`` equals ``records``.
-    """
-    columns = np.column_stack([records.respondent_age, records.respondent_sex, records.partner_age])
-    _, first, inverse = np.unique(columns, axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    # the shape of the inverse differs between numpy versions
-    return first[order], rank[inverse.ravel()]
+
+def _keys(fit: FitResult, records) -> tuple[np.ndarray, np.ndarray]:
+    """(first, inverse) over the distinct (design row, outcome) keys of ``records`` under
+    ``fit``, whose records share one outcome-scale log density under every draw.
+    ``first`` holds each key's first record, ascending; record i has key ``inverse[i]``."""
+    ages, sexes, partners = records.respondent_age, records.respondent_sex, records.partner_age
+    # design rows are found per (age, sex) cell, of which there are few
+    mats, cell_of = _design_cells(fit, ages, sexes)
+    _, row_of = np.unique(np.hstack([mats[slot] for slot in fit.slots]), axis=0, return_inverse=True)
+    y = transforms.forward_array(fit.transform, ages, sexes, partners)
+    # (design row, outcome) pairs keyed as complex numbers, as in inference._design_cells;
+    # the shape of row_of, an inverse over rows, differs between numpy versions
+    _, first, inverse = np.unique(row_of.ravel()[cell_of] + 1j * y, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # keys in the order of their first records, whose ranks are argsort(order)
+    return first[order], np.argsort(order)[inverse]
 
 
 def _matrix_blocks(values: np.ndarray):
@@ -130,8 +134,10 @@ def pointwise_loglik(fit: FitResult, draws: np.ndarray, records) -> np.ndarray:
     density of record i's partner age under draw d. Any non-finite entry
     raises, naming the offending record and draw.
     """
+    jac = _log_jacobian(fit, records)
     out = np.empty((draws.shape[0], len(records)))
     for start, block in _loglik_blocks(fit, draws, records):
+        block += jac[start : start + block.shape[0], None]
         out[:, start : start + block.shape[0]] = block.T
     return out
 
@@ -306,20 +312,21 @@ def elpd_loo(
 
     ``method="psis"`` estimates LOO from the draws alone (requires at least
     100 draws): either from the (n_draws, n_records) array ``ll`` or, when
-    ``ll`` is None, by streaming record blocks of the distinct rows of
-    ``records`` under ``fit`` and ``draws`` without building the array.
+    ``ll`` is None, by streaming record blocks of the distinct (design row,
+    outcome) keys of ``records`` under ``fit`` and ``draws`` without
+    building the array.
     ``method="exact_kfold"`` refits ``problem`` on K training folds and
     scores each record out of fold; it needs the originating FitProblem and
     uses ``ll``, if given, only to check the record count.
     """
     if method == "psis":
-        inverse = None
         if ll is not None:
             (n_samples, n), blocks = ll.shape, _matrix_blocks(ll)
+            inverse = slice(None)
         elif fit is None or draws is None or records is None:
             raise ValueError("psis needs a log-likelihood matrix or fit, draws and records")
         else:
-            first, inverse = _distinct(records)
+            first, inverse = _keys(fit, records)
             n_samples, n = draws.shape[0], first.size
             blocks = _loglik_blocks(fit, draws, records[first], origin=first)
         if n_samples < 100:
@@ -329,8 +336,9 @@ def elpd_loo(
         for start, block in blocks:
             rows = slice(start, start + block.shape[0])
             pointwise[rows], khat[rows] = _psis_block(block)
-        if inverse is not None:
-            pointwise, khat = pointwise[inverse], khat[inverse]
+        pointwise, khat = pointwise[inverse], khat[inverse]
+        if ll is None:
+            pointwise += _log_jacobian(fit, records)
         flagged = tuple(int(i) for i in np.nonzero(khat > KHAT_WARN)[0])
         if flagged:
             warnings.warn(
@@ -364,11 +372,11 @@ def elpd_loo(
         for fold, fit in zip(used, fits):
             held = np.nonzero(assignment == fold)[0]
             draws = laplace_draws(fit, n_draws, seed=seed + fold + 1)
-            first, inverse = _distinct(records[held])
+            first, inverse = _keys(fit, records[held])
             scores = np.empty(first.size)
             for start, block in _loglik_blocks(fit, draws, records[held[first]], origin=held[first]):
                 scores[start : start + block.shape[0]] = _logsumexp_rows(block, block) - math.log(n_draws)
-            pointwise[held] = scores[inverse]
+            pointwise[held] = scores[inverse] + _log_jacobian(fit, records[held])
         return ElpdResult(
             elpd=float(pointwise.sum()),
             se=_pointwise_se(pointwise),
@@ -419,9 +427,11 @@ def qq_rmse(observed, predictive, quantiles=DEFAULT_QUANTILES) -> float:
     qs = np.asarray(quantiles, dtype=float)
     errors = []
     for key in observed:
-        q_obs = np.quantile(np.asarray(observed[key], dtype=float), qs)
+        # np.quantile partitions once per order statistic, which is fast
+        # on sorted input, so one sort first gives the same values sooner
+        q_obs = np.quantile(np.sort(np.asarray(observed[key], dtype=float)), qs)
         with np.errstate(invalid="ignore"):  # inf - inf when reading infinite samples
-            error = q_obs - np.quantile(np.asarray(predictive[key], dtype=float), qs)
+            error = q_obs - np.quantile(np.sort(np.asarray(predictive[key], dtype=float)), qs)
         if not np.all(np.isfinite(error)):
             raise ValueError(f"qq_rmse: non-finite quantile in group {key}")
         errors.append(error)

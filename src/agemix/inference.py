@@ -52,7 +52,8 @@ import numpy as np
 
 from . import transforms
 from .design import ModelSpec, design_matrices, uncenter_matrix
-from .distributions import Family, _digamma_trigamma, _log_ndtr, linpred_slots, log_pdf_slots, sample_slots
+from .distributions import (Family, _digamma_trigamma, _log_ndtr, _logpdf_skew_normal, linpred_slots, log_pdf_slots,
+                            sample_slots)
 from .transforms import Transform
 
 if TYPE_CHECKING:  # data_io imports this module
@@ -177,11 +178,6 @@ def _natural_params(family: Family, etas: dict):
 # ---------------------------------------------------------------------------
 
 
-def _inv_mills(u: np.ndarray) -> np.ndarray:
-    # phi(u) / Phi(u), stable for very negative u
-    return np.exp(-0.5 * u * u - 0.5 * math.log(2.0 * math.pi) - _log_ndtr(u))
-
-
 def _location_scale(z, sigma, lz, lzz):
     """Derivatives of -s + L(z) in (mu, s) through z = (x - mu) / sigma with
     s = log sigma, given dL/dz and d2L/dz2."""
@@ -197,11 +193,12 @@ def _derivs_normal(x, mu, sigma):
     return _location_scale(z, sigma, -z, -1.0)
 
 
-def _derivs_skew_normal(x, mu, sigma, epsilon):
-    # log f = -log sigma - z^2 / 2 + log Phi(epsilon z) + const
+def _derivs_skew_normal(x, mu, sigma, epsilon, log_cdf=None):
+    # log f = -log sigma - z^2 / 2 + log Phi(u) + const with u = epsilon z;
+    # log_cdf, when given, is log Phi(u); zeta = phi(u) / Phi(u), stable for u << 0
     z = (x - mu) / sigma
     u = epsilon * z
-    zeta = _inv_mills(u)
+    zeta = np.exp(-0.5 * u * u - 0.5 * math.log(2.0 * math.pi) - (_log_ndtr(u) if log_cdf is None else log_cdf))
     dzeta = -zeta * (u + zeta)  # d zeta / du
     lze = zeta + u * dzeta
     grads, hess = _location_scale(z, sigma, epsilon * zeta - z, epsilon * epsilon * dzeta - 1.0)
@@ -309,10 +306,15 @@ def neg_log_posterior_and_grad(problem, beta):
         family = prep.problem.family
         params = _natural_params(family, prep.etas(b))
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            total = np.add.reduceat(log_pdf_slots(family, prep.y, *params), prep.starts)
             # dl can still hold inf at near-overflow points the line search is
             # about to reject; that cell's gradient may then be NaN
-            dl = _DERIVS[family](prep.y, *params)[0]
+            if family is Family.SKEW_NORMAL:  # the density and its derivatives share log Phi(epsilon z)
+                log_cdf = _log_ndtr(params[2] * ((prep.y - params[0]) / params[1]))
+                logf = _logpdf_skew_normal(prep.y, *params, log_cdf)
+                dl = _derivs_skew_normal(prep.y, *params, log_cdf)[0]
+            else:
+                logf, dl = log_pdf_slots(family, prep.y, *params), _DERIVS[family](prep.y, *params)[0]
+            total = np.add.reduceat(logf, prep.starts)
             lik_grad = np.hstack([-prep.products(prep.X[slot], dl[slot][:, None])[..., 0] for slot in prep.slots])
         finite = np.isfinite(total)
         value = np.where(finite, -total + value, math.inf)
@@ -598,21 +600,31 @@ def draw_params(fit: FitResult, draws: np.ndarray, ages, sexes):
     ``cell_of[i]``. Linear predictors depend only on (age, sex), so design
     rows, the matmul and the links run once per cell, not per observation.
     """
-    cells, cell_of = np.unique(np.column_stack([ages, sexes]), axis=0, return_inverse=True)
-    mats = design_matrices(fit.spec, cells[:, 0], cells[:, 1], slots=fit.slots, center=True)
+    mats, cell_of = _design_cells(fit, ages, sexes)
     # computed cells x draws, as a per-record design would, and returned
     # transposed, so a gather of p.T's rows is a C-ordered records x draws array
     etas = {slot: (mats[slot] @ draws[:, slice(*fit.offsets[slot])].T).T for slot in fit.slots}
-    # the shape of the inverse differs between numpy versions
-    return _natural_params(fit.family, etas), cell_of.ravel()
+    return _natural_params(fit.family, etas), cell_of
+
+
+def _design_cells(fit: FitResult, ages, sexes):
+    """(mats, cell_of): the fit's centered design rows per slot at each
+    distinct (age, sex) cell, and the cell of each observation."""
+    # complex numbers sort by real, then imaginary part: the distinct age + i sex are the
+    # rows np.unique(axis=0) finds, in its order, without its much slower row sort
+    cells, cell_of = np.unique(np.asarray(ages, dtype=float) + 1j * np.asarray(sexes), return_inverse=True)
+    return design_matrices(fit.spec, cells.real, cells.imag, slots=fit.slots, center=True), cell_of
 
 
 def _predict(fit: FitResult, draws: np.ndarray, ages, sexes, rec_idx, draw_idx, rng) -> np.ndarray:
     """Predictive partner ages, sample i under draw ``draw_idx[i]`` at the
     covariates of observation ``rec_idx[i]`` of (``ages``, ``sexes``)."""
     params, cell_of = draw_params(fit, draws, ages, sexes)
-    cells = cell_of[rec_idx]
-    y = sample_slots(fit.family, [p[draw_idx, cells] for p in params], draw_idx.shape, rng)
+    # p.T is C-contiguous (cells x draws), so its flat view needs no copy
+    flat = cell_of[rec_idx] * draws.shape[0] + draw_idx
+    slots = [p.T.ravel()[flat] for p in params]
+    del params, flat  # freed before sampling allocates its temporaries
+    y = sample_slots(fit.family, slots, draw_idx.shape, rng)
     return transforms.inverse_array(fit.transform, np.asarray(ages)[rec_idx], np.asarray(sexes)[rec_idx], y)
 
 

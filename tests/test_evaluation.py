@@ -7,11 +7,13 @@ import pytest
 from scipy.special import logsumexp
 from scipy.stats import lognorm
 
-from agemix import evaluation
-from agemix.data_io import default_config, simulate
+from agemix import evaluation, transforms
+from agemix.data_io import Records, default_config, simulate
 from agemix.design import ModelSpec, ModelTag
 from agemix.distributions import Family
+from agemix.distributions import log_pdf_slots
 from agemix.evaluation import (
+    DEFAULT_QUANTILES,
     ElpdResult,
     _psis_block,
     _tail_length,
@@ -437,6 +439,94 @@ class TestStreamedElpd:
         assert peak < matrix_bytes / 4, f"peak {peak / 1e6:.1f} MB"
 
 
+class TestKeyedElpd:
+    """``elpd_loo`` scores each distinct (design row, transformed outcome) once
+    and adds each record's own log Jacobian; per record that equals the
+    reference on the full Jacobian-adjusted matrix."""
+
+    # (respondent_age, respondent_sex, partner_age) rows appended to 60
+    # simulated records: equal partner ages at different respondent ages, and
+    # (20, 40) with (25, 50), whose log ratios are both log 2
+    EXTRA = [(20.0, 0, 40.0), (25.0, 1, 50.0), (31.0, 0, 40.0), (47.0, 1, 40.0), (25.0, 1, 50.0)]
+
+    @pytest.fixture(scope="class")
+    def records(self, tiny_records):
+        base = tiny_records[:60]
+        extra = np.array(self.EXTRA, dtype=float)
+        return Records(
+            np.concatenate([base.respondent_age, extra[:, 0]]),
+            np.concatenate([base.respondent_sex, extra[:, 1].astype(np.int64)]),
+            np.concatenate([base.partner_age, extra[:, 2]]),
+        )
+
+    @staticmethod
+    def expected_keys(records, kind, tag):
+        y = forward_array(Transform(kind), records.respondent_age, records.respondent_sex, records.partner_age)
+        if tag is ModelTag.INTERCEPT_ONLY:
+            return np.unique(y).size
+        return np.unique(np.column_stack([records.respondent_age, records.respondent_sex, y]), axis=0).shape[0]
+
+    @staticmethod
+    def count_scored_rows(monkeypatch):
+        seen = []
+
+        def counting(family, x, *slots):
+            seen.append(np.shape(x)[0])
+            return log_pdf_slots(family, x, *slots)
+
+        monkeypatch.setattr(evaluation, "log_pdf_slots", counting)
+        return seen
+
+    CASES = [
+        (Family.NORMAL, TransformKind.LINEAR_AGE, ModelTag.INTERCEPT_ONLY),
+        (Family.SKEW_NORMAL, TransformKind.LOG_RATIO, ModelTag.INTERCEPT_ONLY),
+        (Family.NORMAL, TransformKind.LOG_AGE, ModelTag.CONVENTIONAL),
+    ]
+
+    @pytest.mark.filterwarnings("ignore:PSIS tail index")
+    @pytest.mark.parametrize("family,kind,tag", CASES, ids=["linear_age", "log_ratio", "regression"])
+    def test_psis_per_record_equals_reference(self, records, family, kind, tag, monkeypatch):
+        problem = FitProblem(family, Transform(kind), ModelSpec(tag), records)
+        fit = fit_map(problem)
+        draws = laplace_draws(fit, 400, seed=3)
+        ll = pointwise_loglik(fit, draws, records)
+        seen = self.count_scored_rows(monkeypatch)
+        res = elpd_loo(fit=fit, draws=draws, records=records)
+        assert sum(seen) == self.expected_keys(records, kind, tag) < len(records)
+        for i in range(len(records)):
+            lw, khat = _psis_column(ll[:, i])
+            np.testing.assert_allclose(res.pointwise[i], logsumexp(lw + ll[:, i]), rtol=1e-12, atol=0)
+            np.testing.assert_allclose(res.khat[i], khat, rtol=1e-12, atol=0)
+        if tag is ModelTag.INTERCEPT_ONLY:
+            # records of one key (here: one outcome) share their k-hat, and
+            # their pointwise ELPDs differ by their log Jacobians alone
+            args = (fit.transform, records.respondent_age, records.respondent_sex, records.partner_age)
+            _, key = np.unique(forward_array(*args), return_inverse=True)
+            assert key[-5] == (key[-4] if kind is TransformKind.LOG_RATIO else key[-3])
+            outcome = res.pointwise - transforms.log_jacobian_array(*args)
+            for k in np.unique(key):
+                members = np.flatnonzero(key == k)
+                assert np.all(res.khat[members] == res.khat[members[0]])
+                np.testing.assert_allclose(outcome[members], outcome[members[0]], rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("family,kind,tag", CASES, ids=["linear_age", "log_ratio", "regression"])
+    def test_kfold_per_record_equals_reference(self, records, family, kind, tag, monkeypatch):
+        problem = FitProblem(family, Transform(kind), ModelSpec(tag), records)
+        seen = self.count_scored_rows(monkeypatch)
+        res = elpd_loo(method="exact_kfold", problem=problem, folds=3, n_draws=200, seed=4)
+        monkeypatch.undo()
+        assignment = np.arange(len(records)) % 3
+        keys = 0
+        for fold in range(3):
+            held = np.flatnonzero(assignment == fold)
+            fit = fit_map(dataclasses.replace(problem, records=records[assignment != fold]))
+            ll = pointwise_loglik(fit, laplace_draws(fit, 200, seed=5 + fold), records[held])
+            want = logsumexp(ll, axis=0) - math.log(200)
+            np.testing.assert_allclose(res.pointwise[held], want, rtol=1e-12, atol=0)
+            keys += self.expected_keys(records[held], kind, tag)
+        assert sum(seen) == keys
+
+
 class TestKfold:
     def test_kfold_close_to_psis(self, small_records):
         records = small_records[:300]
@@ -591,6 +681,34 @@ class TestQqRmse:
         value = qq_rmse({"g": obs}, {"g": pred})
         assert math.isfinite(value)
         assert value == qq_rmse({"g": obs}, {"g": capped})
+
+    def test_equals_quantiles_of_the_unsorted_samples(self):
+        # read from sorted copies, the quantiles are np.quantile's of the
+        # samples as given, bit for bit: ties and infinite samples included
+        rng = np.random.default_rng(4)
+        obs = rng.normal(30, 5, 200)
+        qs = np.asarray(DEFAULT_QUANTILES)
+        for n in (1, 2, 7, 10, 1000):
+            x = rng.normal(30, 5, n)
+            samples = [x, np.round(x)]
+            for share in (0.05, 0.15, 0.5, 1.0):
+                wild = x.copy()
+                wild[rng.permutation(n)[: math.ceil(share * n)]] = np.inf
+                both = wild.copy()
+                both[rng.permutation(n)[: math.ceil(share * n / 2)]] = -np.inf
+                samples += [wild, -wild, both]
+            for pred in samples:
+                with np.errstate(invalid="ignore"):
+                    error = np.quantile(obs, qs) - np.quantile(pred, qs)
+                if np.all(np.isfinite(error)):
+                    assert qq_rmse({"g": obs}, {"g": pred}) == float(np.sqrt(np.mean(error**2)))
+                else:
+                    with pytest.raises(ValueError, match="non-finite quantile"):
+                        qq_rmse({"g": obs}, {"g": pred})
+
+    def test_quantiles_outside_unit_interval_rejected(self):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            qq_rmse({"g": [1.0, 2.0]}, {"g": [1.0, 2.0]}, quantiles=(0.5, 1.5))
 
     def test_non_finite_quantile_names_the_group(self):
         rng = np.random.default_rng(3)

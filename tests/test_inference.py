@@ -95,6 +95,33 @@ class TestNegLogPosterior:
         with pytest.raises(ValueError, match=r"beta must have shape \(5,\), got \(3,\)"):
             neg_log_posterior_and_grad(problem, np.zeros(3))
 
+    def test_skew_normal_log_ndtr_once_per_evaluation(self, tiny_records, monkeypatch):
+        # the density and its derivatives share one log Phi(epsilon z); value
+        # and gradient equal those of the two evaluated apart
+        from agemix import distributions, inference
+        from agemix.distributions import log_pdf_slots
+
+        prep = _Prepared(make_problem(Family.SKEW_NORMAL, TransformKind.AGE_DIFFERENCE, ModelTag.DISTRIBUTIONAL_1,
+                                      tiny_records))
+        beta = _default_init(prep) + 0.05 * np.random.default_rng(3).standard_normal(prep.dim)
+        params = _natural_params(Family.SKEW_NORMAL, prep.etas(beta))
+        apart_value = -log_pdf_slots(Family.SKEW_NORMAL, prep.y, *params).sum()
+        apart_dl = _DERIVS[Family.SKEW_NORMAL](prep.y, *params)[0]
+        calls, log_ndtr = [], distributions._log_ndtr
+
+        def counting(x):
+            calls.append(np.shape(x))
+            return log_ndtr(x)
+
+        monkeypatch.setattr(inference, "_log_ndtr", counting)
+        monkeypatch.setattr(distributions, "_log_ndtr", counting)
+        value, grad = neg_log_posterior_and_grad(prep, beta)
+        assert calls == [prep.y.shape]
+        prior_value, prior_grad = inference._prior_terms(prep, beta[None, :])
+        assert value == pytest.approx(apart_value + prior_value[0], rel=1e-14)
+        apart_grad = np.concatenate([-prep.X[s].T @ apart_dl[s] for s in prep.slots]) + prior_grad[0]
+        np.testing.assert_allclose(grad, apart_grad, rtol=1e-12, atol=1e-12)
+
     @pytest.mark.parametrize(
         "family,kind",
         [
@@ -489,7 +516,7 @@ class TestDrawParams:
     def test_loglik_blocks_are_c_contiguous_per_observation_densities(self, family, kind, cell_records, monkeypatch):
         from agemix import evaluation
         from agemix.distributions import log_pdf_slots
-        from agemix.transforms import forward_array, log_jacobian_array
+        from agemix.transforms import forward_array
 
         fit, draws = self.fit_and_draws(family, kind, ModelTag.DISTRIBUTIONAL_4, cell_records)
         monkeypatch.setattr(evaluation, "_BLOCK_BYTES", 8 * draws.shape[0] * 64)  # 64 records per block
@@ -497,7 +524,7 @@ class TestDrawParams:
         args = (fit.transform, recs.respondent_age, recs.respondent_sex, recs.partner_age)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             want = log_pdf_slots(family, forward_array(*args)[None, :], *self.per_observation(fit, draws, recs))
-        want += log_jacobian_array(*args)[None, :]
+        # the blocks are outcome-scale densities: the log Jacobian is added by their callers
         starts = []
         for start, block in evaluation._loglik_blocks(fit, draws, recs):
             assert block.flags.c_contiguous and block.shape[1] == draws.shape[0]
