@@ -25,11 +25,13 @@ transformed outcome's log density, set by its design row and outcome, plus
 its own log Jacobian, which no draw changes and which thus leaves the
 importance ratios and k-hat as they are. The stream therefore scores each
 distinct (design row, outcome) key once; a record takes its key's k-hat and
-pointwise ELPD plus its log Jacobian: work is O(keys x draws). Exact k-fold
-fits its folds as one ``inference.fit_map_batch``, draws ``n_draws`` per
-fold fit and scores its held-out keys the same way. ``pointwise_loglik``
-builds the full, Jacobian-adjusted (draws x records) array from the same
-blocks.
+pointwise ELPD plus its log Jacobian: work is O(keys x draws). Keys ascend
+by design row, so a block links only the rows it spans, each about once per
+fit; the kernel reads the m + 1 largest weights as sorted values, not draws.
+Exact k-fold fits its folds as one ``inference.fit_map_batch``, draws
+``n_draws`` per fold fit and scores its held-out keys the same way.
+``pointwise_loglik`` builds the full, Jacobian-adjusted (draws x records)
+array from the same blocks.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import numpy as np
 
 from . import transforms
 from .distributions import log_pdf_slots
-from .inference import FitResult, _design_cells, draw_params, fit_map_batch, laplace_draws
+from .inference import FitResult, _design_cells, _row_params, fit_map_batch, laplace_draws
 
 __all__ = [
     "ElpdResult",
@@ -68,56 +70,64 @@ def _block_rows(n_draws: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * n_draws))
 
 
-def _loglik_blocks(fit: FitResult, draws: np.ndarray, records, origin=None):
-    """Yield (start, block): log likelihoods of consecutive record blocks.
-
-    ``block`` is C-contiguous (records x draws); entry (i, d) is the log
-    density of record ``start + i``'s transformed outcome (no Jacobian) under
-    draw d. Any non-finite entry raises, naming the offending draw and
-    record; ``origin[i]``, when given, is the index the message gives record i.
-    """
+def _keys(fit: FitResult, records):
+    """(design, row, y, first, inverse) over the distinct (design row, outcome) keys of ``records``
+    under ``fit``, whose records share one outcome-scale log density under every draw. ``design``
+    maps each slot to the fit's distinct centered design rows; key j, in (row, outcome) order, has
+    design row ``row[j]``, outcome ``y[j]`` and first record ``first[j]``; record i has key ``inverse[i]``."""
     ages, sexes, partners = records.respondent_age, records.respondent_sex, records.partner_age
+    # design rows are found per (age, sex) cell, of which there are few
+    mats, cell_of = _design_cells(fit, ages, sexes)
+    _, cell, row_of = np.unique(np.hstack([mats[s] for s in fit.slots]), axis=0, return_index=True, return_inverse=True)
     y = transforms.forward_array(fit.transform, ages, sexes, partners)
+    # (design row, outcome) pairs keyed as complex numbers, as in inference._design_cells;
+    # the shape of row_of, an inverse over rows, differs between numpy versions
+    row_of = row_of.ravel()[cell_of]
+    _, first, inverse = np.unique(row_of + 1j * y, return_index=True, return_inverse=True)
+    return {slot: mats[slot][cell] for slot in fit.slots}, row_of[first], y[first], first, inverse
 
+
+def _loglik_blocks(fit: FitResult, draws: np.ndarray, records, keys=None, origin=None):
+    """Yield (start, block): log likelihoods of consecutive blocks of the keys
+    ``_keys(fit, records)`` (or ``keys``, when given).
+
+    ``block`` is C-contiguous (keys x draws); entry (j, d) is the log density
+    of key ``start + j``'s outcome (no Jacobian) under draw d. Keys ascend by
+    design row, so a block links only the rows it spans, at most one per key.
+    Any non-finite entry raises, naming the lowest record with one and its
+    first such draw; ``origin[i]``, when given, is the index the message gives
+    record i.
+    """
+    design, row, y, first, _ = _keys(fit, records) if keys is None else keys
     step = _block_rows(draws.shape[0])
-    for start in range(0, len(records), step):
+    bad = []
+    for start in range(0, first.size, step):
         rows = slice(start, start + step)
-        # a block has at most as many (age, sex) cells as records
-        cell_params, cell_of = draw_params(fit, draws, ages[rows], sexes[rows])
-        params = [np.take(p.T, cell_of, axis=0) for p in cell_params]
-        del cell_params  # freed before the density call, which peaks memory
+        r0, r1 = row[rows][[0, -1]]
+        span = {slot: mats[r0 : r1 + 1] for slot, mats in design.items()}
+        params = [np.take(p, row[rows] - r0, axis=0) for p in _row_params(fit, span, draws)]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             block = log_pdf_slots(fit.family, y[rows, None], *params)
         del params  # only the block stays alive while the caller holds it
         if not np.all(np.isfinite(block)):
-            i, d = np.argwhere(~np.isfinite(block))[0]
-            i += start
-            raise ValueError(
-                f"non-finite log likelihood at draw {d}, record {i if origin is None else origin[i]} "
-                f"(respondent_age={ages[i]}, respondent_sex={sexes[i]}, partner_age={partners[i]})"
-            )
-        yield start, block
+            # a later block may hold a lower record, so the rest are still scored
+            j, d = np.nonzero(~np.isfinite(block))
+            lowest = np.argmin(first[start + j])  # at its first non-finite draw
+            bad.append((first[start + j[lowest]], d[lowest]))
+        elif not bad:
+            yield start, block
+    if bad:
+        i, d = min(bad)
+        ages, sexes, partners = records.respondent_age, records.respondent_sex, records.partner_age
+        raise ValueError(
+            f"non-finite log likelihood at draw {d}, record {i if origin is None else origin[i]} "
+            f"(respondent_age={ages[i]}, respondent_sex={sexes[i]}, partner_age={partners[i]})"
+        )
 
 
 def _log_jacobian(fit: FitResult, records) -> np.ndarray:
     """Each record's log Jacobian, which takes its outcome's log density to the partner-age scale."""
     return transforms.log_jacobian_array(fit.transform, records.respondent_age, records.respondent_sex, records.partner_age)
-
-
-def _keys(fit: FitResult, records) -> tuple[np.ndarray, np.ndarray]:
-    """(first, inverse) over the distinct (design row, outcome) keys of ``records`` under
-    ``fit``, whose records share one outcome-scale log density under every draw.
-    ``first`` holds each key's first record, ascending; record i has key ``inverse[i]``."""
-    ages, sexes, partners = records.respondent_age, records.respondent_sex, records.partner_age
-    # design rows are found per (age, sex) cell, of which there are few
-    mats, cell_of = _design_cells(fit, ages, sexes)
-    _, row_of = np.unique(np.hstack([mats[slot] for slot in fit.slots]), axis=0, return_inverse=True)
-    y = transforms.forward_array(fit.transform, ages, sexes, partners)
-    # (design row, outcome) pairs keyed as complex numbers, as in inference._design_cells;
-    # the shape of row_of, an inverse over rows, differs between numpy versions
-    _, first, inverse = np.unique(row_of.ravel()[cell_of] + 1j * y, return_index=True, return_inverse=True)
-    order = np.argsort(first)  # keys in the order of their first records, whose ranks are argsort(order)
-    return first[order], np.argsort(order)[inverse]
 
 
 def _matrix_blocks(values: np.ndarray):
@@ -134,12 +144,13 @@ def pointwise_loglik(fit: FitResult, draws: np.ndarray, records) -> np.ndarray:
     density of record i's partner age under draw d. Any non-finite entry
     raises, naming the offending record and draw.
     """
-    jac = _log_jacobian(fit, records)
-    out = np.empty((draws.shape[0], len(records)))
-    for start, block in _loglik_blocks(fit, draws, records):
-        block += jac[start : start + block.shape[0], None]
-        out[:, start : start + block.shape[0]] = block.T
-    return out
+    *_, inverse = keys = _keys(fit, records)
+    out = np.empty((len(records), draws.shape[0]))
+    for start, block in _loglik_blocks(fit, draws, records, keys):
+        mine = (inverse >= start) & (inverse < start + block.shape[0])
+        out[mine] = block[inverse[mine] - start]
+    out += _log_jacobian(fit, records)[:, None]
+    return out.T
 
 
 def _logsumexp_rows(a: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
@@ -173,7 +184,7 @@ def _gpd_fit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     bs0 = 1.0 - np.sqrt(m / (idx - 0.5))
     bs = bs0[None, :] / (3.0 * x[:, n // 4][:, None]) + 1.0 / x[:, -1][:, None]
     buf = np.empty((rows, m, n))
-    np.multiply(-bs[:, :, None], x[:, None, :], out=buf)
+    np.einsum("rm,rn->rmn", -bs, x, out=buf)
     # a row whose profile turns NaN here ends with k = NaN, mapped to inf below
     with np.errstate(invalid="ignore"):
         np.log1p(buf, out=buf)
@@ -200,39 +211,36 @@ def _tail_length(n_draws: int) -> int:
     return math.ceil(min(n_draws / 5, 3.0 * math.sqrt(n_draws)))
 
 
-def _smooth_tails(lw: np.ndarray, m: int, khat: np.ndarray) -> np.ndarray:
-    """Pareto-smooth the tail of each row of ``lw`` in place.
+def _psis_block(ll: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """PSIS-LOO for a records-major block ``ll`` (records x draws).
 
-    Rows are max-shifted to 0. A row's tail is those of its ``m`` largest
-    weights that exceed the cutoff, the next-largest weight clamped at the
-    smallest normal double; ``khat`` receives each row's tail index. Returns
-    each row's log sum over draws of smoothed / raw weight, log(S) where
-    nothing was smoothed.
+    Returns the pointwise ELPD and k-hat of each record; row by row they equal
+    the record-at-a-time reference in ``tests/psis_reference.py`` up to
+    rounding. Log weights are max-shifted to 0. A row's tail is those of its
+    ``m`` largest weights that exceed the cutoff, the next-largest weight
+    clamped at the smallest normal double. The kernel works on the sorted
+    values of each row's m + 1 largest weights alone: which draw holds a tail
+    value never enters the estimate, which needs only sums over the tail.
     """
-    s = lw.shape[1]
-    # the m + 1 largest weights per row (the cutoff and the tail), ordered by
-    # (weight, draw) exactly as a stable full argsort orders them
-    top = np.argpartition(lw, s - m - 1, axis=1)[:, s - m - 1 :].copy()
-    vals = np.take_along_axis(lw, top, axis=1)
-    # where weights equal to the cutoff straddle the partition, it picked
-    # among them arbitrarily; such rows take the full stable sort
-    straddled = np.count_nonzero(lw >= vals.min(axis=1, keepdims=True), axis=1) > m + 1
-    for r in np.nonzero(straddled)[0]:
-        top[r] = np.argsort(lw[r], kind="stable")[s - m - 1 :]
-    top.sort(axis=1)
-    vals = np.take_along_axis(lw, top, axis=1)
-    order = np.argsort(vals, axis=1, kind="stable")
-    tail_idx = np.take_along_axis(top, order[:, 1:], axis=1)
-    vals = np.take_along_axis(vals, order, axis=1)
+    s = ll.shape[1]
+    m = _tail_length(s)
+    low = ll.min(axis=1)
+    lw = low[:, None] - ll  # equal to -ll - max(-ll)
+    # the m + 1 largest log weights per row, ascending: cutoff, then the tail
+    vals = np.sort(np.partition(lw, s - m - 1, axis=1)[:, s - m - 1 :], axis=1)
+    tail = vals[:, 1:]
     exp_cutoff = np.exp(np.maximum(vals[:, 0], math.log(np.finfo(float).tiny)))
-    vals = vals[:, 1:]
-    exceed = np.exp(vals) - exp_cutoff[:, None]
+    exceed = np.exp(tail) - exp_cutoff[:, None]
     # only the positive exceedances enter the fit, as in ArviZ: draws tied with
     # the cutoff or below the floating-point floor stay raw; exceed ascends, so
     # a row's n positive ones are its last n columns
     n_pos = np.count_nonzero(exceed > 0, axis=1)
+    khat = np.full(ll.shape[0], -math.inf)
     khat[(n_pos > 0) & (n_pos < _MIN_TAIL)] = math.inf  # too few to assess
-    log_ratio = np.full(lw.shape[0], math.log(s))
+    # log sum over draws of smoothed / raw weight, log(S) where nothing is smoothed
+    log_ratio = np.full(ll.shape[0], math.log(s))
+    # each row's smallest smoothed raw weight (inf where none is) and smoothed weight sum
+    lowest_smoothed, smoothed_sum = np.full(ll.shape[0], math.inf), np.zeros(ll.shape[0])
     for n in np.unique(n_pos[n_pos >= _MIN_TAIL]):
         rows = np.nonzero(n_pos == n)[0]
         log_tail_probs = np.log1p(-(np.arange(n) + 0.5) / n)
@@ -248,33 +256,21 @@ def _smooth_tails(lw: np.ndarray, m: int, khat: np.ndarray) -> np.ndarray:
             ks = k[smooth][:, None]
             quantiles = sigma[smooth][:, None] * np.expm1(-ks * log_tail_probs[None, :]) / ks
             smoothed = np.minimum(np.log(quantiles + exp_cutoff[sm][:, None]), 0.0)
-            lw[sm[:, None], tail_idx[sm, m - n :]] = smoothed
+            lowest_smoothed[sm], smoothed_sum[sm] = tail[sm, m - n], np.exp(smoothed).sum(axis=1)
             # the s - n raw draws add a ratio of 1 each
-            ratio = smoothed - vals[sm, m - n :]
+            ratio = smoothed - tail[sm, m - n :]
             top_ratio = np.maximum(ratio.max(axis=1), 0.0)
             np.exp(ratio - top_ratio[:, None], out=ratio)
             log_ratio[sm] = top_ratio + np.log((s - n) * np.exp(-top_ratio) + ratio.sum(axis=1))
-    return log_ratio
-
-
-def _psis_block(ll: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """PSIS-LOO for a records-major block ``ll`` (records x draws).
-
-    Returns the pointwise ELPD and k-hat of each record; row by row they equal
-    the record-at-a-time reference in ``tests/psis_reference.py`` up to
-    rounding.
-    """
-    lw = np.negative(ll)
-    shift = lw.max(axis=1)
-    lw -= shift[:, None]
-    khat = np.full(ll.shape[0], -math.inf)
-    log_ratio = _smooth_tails(lw, _tail_length(ll.shape[1]), khat)
-    # elpd = log sum exp(lw + ll) - log sum exp(lw). Where lw is raw, lw + ll
-    # is -shift, so the first term is log_ratio - shift; lw <= 0 and its
-    # largest entry is at least the clamped cutoff, so the one exponential
-    # pass needs no shift
-    log_norm = np.log(np.exp(lw, out=lw).sum(axis=1))
-    return log_ratio - shift - log_norm, khat
+    # elpd = log sum exp(lw + ll) - log sum exp(lw). Where lw is raw, lw + ll is
+    # low, so the first term is log_ratio + low. A row's smoothed draws are
+    # those at or above its lowest smoothed raw weight, so the normaliser sums
+    # the raw draws below it, in draw order, and the smoothed weights; all are
+    # at most 1 and some at least the clamped cutoff, so it needs no shift
+    sm = np.flatnonzero(np.isfinite(lowest_smoothed))
+    lw[sm] = np.where(lw[sm] >= lowest_smoothed[sm, None], -math.inf, lw[sm])
+    log_norm = np.log(np.exp(lw, out=lw).sum(axis=1) + smoothed_sum)
+    return log_ratio + low - log_norm, khat
 
 
 @dataclass
@@ -326,9 +322,9 @@ def elpd_loo(
         elif fit is None or draws is None or records is None:
             raise ValueError("psis needs a log-likelihood matrix or fit, draws and records")
         else:
-            first, inverse = _keys(fit, records)
+            *_, first, inverse = keys = _keys(fit, records)
             n_samples, n = draws.shape[0], first.size
-            blocks = _loglik_blocks(fit, draws, records[first], origin=first)
+            blocks = _loglik_blocks(fit, draws, records, keys)
         if n_samples < 100:
             raise ValueError("psis requires at least 100 draws")
         pointwise = np.empty(n)
@@ -372,9 +368,9 @@ def elpd_loo(
         for fold, fit in zip(used, fits):
             held = np.nonzero(assignment == fold)[0]
             draws = laplace_draws(fit, n_draws, seed=seed + fold + 1)
-            first, inverse = _keys(fit, records[held])
+            *_, first, inverse = keys = _keys(fit, records[held])
             scores = np.empty(first.size)
-            for start, block in _loglik_blocks(fit, draws, records[held[first]], origin=held[first]):
+            for start, block in _loglik_blocks(fit, draws, records[held], keys, origin=held):
                 scores[start : start + block.shape[0]] = _logsumexp_rows(block, block) - math.log(n_draws)
             pointwise[held] = scores[inverse] + _log_jacobian(fit, records[held])
         return ElpdResult(

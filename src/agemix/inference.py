@@ -8,9 +8,9 @@ design (linear-age columns shifted by ``design.AGE_CENTER``);
 ``FitResult.coef`` translates a slot's block back to the uncentered scale,
 which is an exact linear reparameterization. Posterior draws are plain
 (draws, coefficients) arrays in the fit's packed order; ``draw_params`` maps
-them to family parameters once per distinct (age, sex) cell for the
-log-likelihood blocks, ``posterior_predictive``, ``predictive_for_records``
-and the parameter curves.
+them to family parameters once per distinct (age, sex) cell for
+``posterior_predictive``, ``predictive_for_records`` and the parameter
+curves, through ``_row_params``, which the ELPD blocks call per design row.
 
 Optimization is damped Newton on the exact Hessian of the negative log
 posterior: closed-form per-record second derivatives of log f in the linear
@@ -601,10 +601,14 @@ def draw_params(fit: FitResult, draws: np.ndarray, ages, sexes):
     rows, the matmul and the links run once per cell, not per observation.
     """
     mats, cell_of = _design_cells(fit, ages, sexes)
-    # computed cells x draws, as a per-record design would, and returned
-    # transposed, so a gather of p.T's rows is a C-ordered records x draws array
-    etas = {slot: (mats[slot] @ draws[:, slice(*fit.offsets[slot])].T).T for slot in fit.slots}
-    return _natural_params(fit.family, etas), cell_of
+    # returned transposed, so a gather of p.T's rows is a C-ordered records x draws array
+    return [p.T for p in _row_params(fit, mats, draws)], cell_of
+
+
+def _row_params(fit: FitResult, mats: dict, draws: np.ndarray):
+    """Family parameters (rows x draws, C-ordered, in slot order) at the
+    centered design rows ``mats[slot]`` under every draw."""
+    return _natural_params(fit.family, {slot: mats[slot] @ draws[:, slice(*fit.offsets[slot])].T for slot in fit.slots})
 
 
 def _design_cells(fit: FitResult, ages, sexes):

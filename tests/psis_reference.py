@@ -2,8 +2,10 @@
 kernel is tested against.
 
 ``_psis_column`` smooths one record's importance weights with a scalar
-generalized Pareto fit (``gpd_fit``); row by row, ``_psis_block`` must give
-the same log weights, pointwise ELPD and k-hat up to rounding.
+generalized Pareto fit (``gpd_fit``) and returns them, placed at their draws,
+with k-hat; row by row, ``_psis_block`` must give the pointwise ELPD they
+imply and the same k-hat up to rounding. The kernel never forms the smoothed
+weights: it reads only the sorted values of each row's largest weights.
 """
 
 from __future__ import annotations

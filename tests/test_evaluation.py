@@ -23,7 +23,7 @@ from agemix.evaluation import (
     qq_rmse,
     rank_by_elpd,
 )
-from agemix.inference import FitProblem, draw_params, fit_map, laplace_draws
+from agemix.inference import FitProblem, draw_params, fit_map, fit_map_batch, laplace_draws
 from agemix.transforms import Transform, TransformKind, forward_array
 from psis_reference import _psis_column, gpd_fit
 from sinh_arcsinh_reference import logpdf_sinh_arcsinh as sas_reference
@@ -310,6 +310,25 @@ class TestPsisKernel:
         np.testing.assert_allclose(lw_s[30:] - lw_s[30], lw[30:] - lw[30], rtol=0, atol=1e-10)
         _assert_kernel_matches_column_oracle(ll)
 
+    def test_draw_order_never_enters(self):
+        # smoothed rows (one with 10 tied weights inside its tail), unsmoothed
+        # ones and an unassessable one; permuting each row's draws leaves every
+        # tail value, and so k-hat, as it was
+        s = 400
+        rng = np.random.default_rng(15)
+        heavy = [_heavy_log_weights(rng, s) for _ in range(3)]
+        order = np.argsort(heavy[0], kind="stable")
+        heavy[0][order[s - 30 : s - 20]] = heavy[0][order[s - 25]]
+        light = [rng.normal(0, 0.3, s) for _ in range(3)]
+        ll = -np.stack([*heavy, *light, np.exp(rng.normal(0, 3.0, s))])
+        pointwise, khat = _psis_block(ll)
+        assert np.all(khat[:3] >= 1.0 / 3.0) and np.all(khat[3:6] < 1.0 / 3.0) and khat[6] == math.inf
+        for seed in range(3):
+            permuted = np.random.default_rng(seed).permuted(ll, axis=1)
+            pointwise_p, khat_p = _psis_block(permuted)
+            np.testing.assert_array_equal(khat_p, khat)
+            np.testing.assert_allclose(pointwise_p, pointwise, rtol=0, atol=1e-14)
+
     def test_pareto_one_tail(self):
         rng = np.random.default_rng(3)
         ll = np.stack([-np.log1p(rng.pareto(1.0, 400)) for _ in range(6)], axis=1)
@@ -381,6 +400,53 @@ class TestStreamedElpd:
         monkeypatch.setattr(evaluation, "_BLOCK_BYTES", 7 * 8 * 120)
         with pytest.raises(ValueError, match=f"draw 0, record {2 * first} "):
             elpd_loo(fit=shifted, draws=draws, records=records)
+
+    def test_non_finite_names_lowest_record_in_a_later_block(self, tiny_records, monkeypatch):
+        # as above; keys ascend by outcome, so the offending records' distinct
+        # outcomes fill the first 7-key blocks, and the record with the largest
+        # of them, moved to the front, is named although its block comes later
+        problem = FitProblem(
+            Family.GAMMA,
+            Transform(TransformKind.GAMMA_REFLECTED),
+            ModelSpec(ModelTag.INTERCEPT_ONLY),
+            tiny_records,
+        )
+        fit = fit_map(problem)
+        draws = laplace_draws(fit, 120, seed=0)
+        shifted = dataclasses.replace(fit, transform=Transform(TransformKind.GAMMA_REFLECTED, offset=40.0))
+        args = (tiny_records.respondent_age, tiny_records.respondent_sex, tiny_records.partner_age)
+        y = forward_array(shifted.transform, *args)
+        bad = np.flatnonzero((tiny_records.respondent_sex == 0) & (tiny_records.partner_age >= 40.0))
+        last = bad[np.argmax(y[bad])]
+        assert np.unique(y[bad]).size > 7 and np.count_nonzero(np.unique(y) < y[last]) >= 7
+        records = tiny_records[np.concatenate([[last], np.delete(np.arange(len(tiny_records)), last)])]
+        monkeypatch.setattr(evaluation, "_BLOCK_BYTES", 7 * 8 * 120)
+        with pytest.raises(ValueError, match="draw 0, record 0 "):
+            elpd_loo(fit=shifted, draws=draws, records=records)
+
+    def test_kfold_non_finite_names_caller_record(self, tiny_records, monkeypatch):
+        # the reflection offset of 40 years, set on every fold fit, puts the
+        # held-out records of male respondents with partners aged 40 or more
+        # outside the gamma's support; the message gives the record's index
+        # among the caller's records, not among its fold's
+        problem = FitProblem(
+            Family.GAMMA,
+            Transform(TransformKind.GAMMA_REFLECTED),
+            ModelSpec(ModelTag.INTERCEPT_ONLY),
+            tiny_records,
+        )
+        shifted = Transform(TransformKind.GAMMA_REFLECTED, offset=40.0)
+
+        def shifted_fits(problems):
+            return [dataclasses.replace(f, transform=shifted) for f in fit_map_batch(problems)]
+
+        monkeypatch.setattr(evaluation, "fit_map_batch", shifted_fits)
+        monkeypatch.setattr(evaluation, "_BLOCK_BYTES", 7 * 8 * 120)
+        bad = np.flatnonzero((tiny_records.respondent_sex == 0) & (tiny_records.partner_age >= 40.0))
+        first = int(bad[bad % 3 == (bad % 3).min()].min())  # the lowest in the first fold that holds any
+        assert first // 3 != first
+        with pytest.raises(ValueError, match=f"draw 0, record {first} "):
+            elpd_loo(method="exact_kfold", problem=problem, folds=3, n_draws=120, seed=4)
 
     def test_duplicate_records_scored_once(self, tiny_records, monkeypatch):
         # every record twice, the copies permuted: each distinct record is

@@ -519,18 +519,45 @@ class TestDrawParams:
         from agemix.transforms import forward_array
 
         fit, draws = self.fit_and_draws(family, kind, ModelTag.DISTRIBUTIONAL_4, cell_records)
-        monkeypatch.setattr(evaluation, "_BLOCK_BYTES", 8 * draws.shape[0] * 64)  # 64 records per block
+        monkeypatch.setattr(evaluation, "_BLOCK_BYTES", 8 * draws.shape[0] * 64)  # 64 keys per block
         recs = cell_records
         args = (fit.transform, recs.respondent_age, recs.respondent_sex, recs.partner_age)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             want = log_pdf_slots(family, forward_array(*args)[None, :], *self.per_observation(fit, draws, recs))
-        # the blocks are outcome-scale densities: the log Jacobian is added by their callers
+        first = evaluation._keys(fit, recs)[3]
+        # the blocks are outcome-scale densities of each key's first record:
+        # the log Jacobian is added by their callers
         starts = []
         for start, block in evaluation._loglik_blocks(fit, draws, recs):
             assert block.flags.c_contiguous and block.shape[1] == draws.shape[0]
-            np.testing.assert_array_equal(block, want[:, start : start + block.shape[0]].T)
+            np.testing.assert_array_equal(block, want[:, first[start : start + block.shape[0]]].T)
             starts.append(start)
-        assert starts == list(range(0, len(recs), 64))
+        assert starts == list(range(0, first.size, 64))
+
+    @pytest.mark.parametrize("tag", [ModelTag.INTERCEPT_ONLY, ModelTag.DISTRIBUTIONAL_4])
+    @pytest.mark.parametrize("family,kind", DRAW_PARAMS_COMBOS[2:3])
+    def test_loglik_blocks_link_each_design_row_about_once(self, family, kind, tag, cell_records, monkeypatch):
+        # keys ascend by design row, so consecutive blocks share at most their
+        # boundary row, and a block links no more rows than it holds keys
+        from agemix import evaluation, inference
+
+        fit, draws = self.fit_and_draws(family, kind, tag, cell_records)
+        monkeypatch.setattr(evaluation, "_BLOCK_BYTES", 8 * draws.shape[0] * 64)
+        linked = []
+
+        def counting(family, etas):
+            linked.append(next(iter(etas.values())).size // draws.shape[0])
+            return _natural_params(family, etas)
+
+        monkeypatch.setattr(inference, "_natural_params", counting)
+        sizes = [block.shape[0] for _, block in evaluation._loglik_blocks(fit, draws, cell_records)]
+        mats = design_matrices(
+            fit.spec, cell_records.respondent_age, cell_records.respondent_sex, slots=fit.slots, center=True
+        )
+        n_rows = np.unique(np.hstack([mats[slot] for slot in fit.slots]), axis=0).shape[0]
+        assert len(linked) == len(sizes) > 1
+        assert sum(linked) <= n_rows + len(sizes) - 1
+        assert all(rows <= keys for rows, keys in zip(linked, sizes))
 
 
 class TestPosteriorPredictive:
