@@ -179,6 +179,15 @@ def main():
     """Distributional regression toolkit for partner age distributions."""
 
 
+_AT_LEAST_1 = click.IntRange(min=1)
+
+
+def _require_finite(ctx, param, value: float) -> float:
+    if not math.isfinite(value):
+        raise click.BadParameter(f"{value} is not a finite number.")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -188,7 +197,7 @@ def main():
 @click.option("--config", "config_path", type=click.Path(), default=None, help="Generator config JSON (packaged default if omitted).")
 @click.option("--out", "out_path", type=click.Path(), required=True, help="Output CSV path.")
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
-@click.option("--n", type=int, default=None, help="Override the config sample size.")
+@click.option("--n", type=_AT_LEAST_1, default=None, help="Override the config sample size.")
 def simulate(config_path, out_path, seed, n):
     """Draw synthetic partnership records from a truth model."""
     t0 = time.time()
@@ -196,11 +205,7 @@ def simulate(config_path, out_path, seed, n):
         if not Path(config_path).exists():
             click.echo(f"error: config file not found: {config_path}", err=True)
             sys.exit(1)
-        config = GeneratorConfig.from_json_file(config_path)
-        if seed is not None:
-            config.seed = seed
-        if n is not None:
-            config.n = n
+        config = GeneratorConfig.from_json_file(config_path, n=n, seed=seed)
     else:
         config = data_io.default_config(n=n, seed=seed)
 
@@ -247,7 +252,8 @@ def moments(data, out_dir):
 @main.command("deheap")
 @click.argument("data", type=click.Path(exists=True))
 @click.option("--out", "out_dir", type=click.Path(), required=True, help="Output directory.")
-@click.option("--bandwidth", type=float, default=2.0, show_default=True, help="Kernel bandwidth in years.")
+@click.option("--bandwidth", type=click.FloatRange(min=0, min_open=True), default=2.0, show_default=True,
+              callback=_require_finite, help="Kernel bandwidth in years.")
 @click.option("--seed", type=int, default=0, show_default=True)
 def deheap_cmd(data, out_dir, bandwidth, seed):
     """Redistribute excess records from heaped partner ages."""
@@ -369,9 +375,6 @@ def _write_table(out_dir: Path, stem: str, header, rows) -> list[Path]:
     _write_csv(csv_path, header, rows)
     json_path.write_text(_json([dict(zip(header, row)) for row in rows], indent=2) + "\n")
     return [csv_path, json_path]
-
-
-_AT_LEAST_1 = click.IntRange(min=1)
 
 
 def _compare_options(qq_help: str):

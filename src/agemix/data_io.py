@@ -4,7 +4,6 @@ CSV reading and writing, stratification, and the synthetic data generator."""
 from __future__ import annotations
 
 import csv
-import io
 import json
 import logging
 from dataclasses import dataclass
@@ -13,9 +12,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .design import ModelSpec, design_matrices, slot_recipes, row_width
+from .design import ModelSpec, slot_recipes, row_width
 from .distributions import Family, linpred_slots, sample_slots
-from .inference import _natural_params
+from .inference import _design_cells, _natural_params
 from .transforms import Transform, TransformKind, inverse_array
 
 __all__ = [
@@ -136,35 +135,38 @@ def load_csv(path, strict: bool = True) -> Records:
     """
     path = Path(path)
     with path.open(newline="") as fh:
-        header = next(csv.reader(fh), None)
+        first = fh.readline()
+        header = next(csv.reader([first]), None) if first else None
         if header is None or [h.strip() for h in header] != CSV_HEADER:
             raise CsvError(
                 f"{path}: expected header {','.join(CSV_HEADER)!r}, got {header!r}"
             )
-        body = fh.read()
-
-    if not body.strip("\r\n"):
-        return Records([], [], [])
-    # a well-formed file parses in one C pass; any other file is parsed row
-    # by row below, so that every malformed line can be named
-    try:
-        values = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
-        if values.shape[1] == 3:
-            return Records(values[:, 0], values[:, 1], values[:, 2])
-    except ValueError:
-        pass
-
-    rows, line_nos, problems = [], [], []
-    for line_no, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
-        if not row:
-            continue
+        body = fh.tell()
+        if not any(line.strip("\r\n") for line in iter(fh.readline, "")):
+            return Records([], [], [])
+        # a well-formed file parses in one C pass straight from the file; any
+        # other file is parsed row by row below, so that every malformed line
+        # can be named
+        fh.seek(body)
         try:
-            if len(row) != 3:
-                raise ValueError(f"expected 3 fields, got {len(row)}")
-            rows.append([float(v) for v in row])
-            line_nos.append(line_no)
-        except ValueError as exc:
-            problems.append((line_no, str(exc)))
+            values = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            if values.shape[1] == 3:
+                return Records(values[:, 0], values[:, 1], values[:, 2])
+        except ValueError:
+            pass
+
+        fh.seek(body)
+        rows, line_nos, problems = [], [], []
+        for line_no, row in enumerate(csv.reader(fh), start=2):
+            if not row:
+                continue
+            try:
+                if len(row) != 3:
+                    raise ValueError(f"expected 3 fields, got {len(row)}")
+                rows.append([float(v) for v in row])
+                line_nos.append(line_no)
+            except ValueError as exc:
+                problems.append((line_no, str(exc)))
     ages, sexes, partners = np.array(rows, dtype=float).reshape(-1, 3).T
     out_of_range = _range_problems(ages, sexes, partners)
     problems = sorted(problems + [(line_nos[i], msg) for i, msg in out_of_range])
@@ -178,6 +180,8 @@ def load_csv(path, strict: bool = True) -> Records:
     return Records(ages[keep], sexes[keep], partners[keep])
 
 
+# records per write, which bounds the memory a write holds
+_WRITE_BLOCK = 1 << 16
 # decimal text of every whole number a valid record field can hold
 _WHOLE_TEXT = np.array([str(i) for i in range(int(PARTNER_MAX))], dtype=object)
 
@@ -195,11 +199,18 @@ def save_csv(records: Records, path) -> None:
 
     Lines end in CRLF, the csv module's default terminator.
     """
-    columns = (records.respondent_age, records.respondent_sex, records.partner_age)
-    fields = zip(*(_field_text(col) for col in columns))
+    # ages are positive and sex is 0 or 1, so (age signed by sex, partner age)
+    # identifies a line: per block of records, each distinct line is formatted once
+    ages, sexes, partners = records.respondent_age, records.respondent_sex, records.partner_age
     with Path(path).open("w", newline="") as fh:
         fh.write(",".join(CSV_HEADER) + "\r\n")
-        fh.write("".join([f"{a},{s},{p}\r\n" for a, s, p in fields]))
+        for start in range(0, len(records), _WRITE_BLOCK):
+            block = slice(start, start + _WRITE_BLOCK)
+            signed = np.where(sexes[block] == 1, -ages[block], ages[block])
+            keys, line_of = np.unique(signed + 1j * partners[block], return_inverse=True)
+            fields = zip(*(_field_text(col) for col in (np.abs(keys.real), 1.0 * (keys.real < 0), keys.imag)))
+            lines = np.array([f"{a},{s},{p}\r\n" for a, s, p in fields], dtype=object)
+            fh.write("".join(lines[line_of].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -311,20 +322,21 @@ class GeneratorConfig:
         )
 
     @classmethod
-    def from_json_file(cls, path) -> "GeneratorConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+    def from_json_file(cls, path, n: int | None = None, seed: int | None = None) -> "GeneratorConfig":
+        """The config in ``path``; ``n`` and ``seed``, when given, replace its own before validation."""
+        return _config_from_json(Path(path).read_text(), n, seed)
+
+
+def _config_from_json(text: str, n: int | None, seed: int | None) -> GeneratorConfig:
+    d = json.loads(text)
+    d.update({key: value for key, value in (("n", n), ("seed", seed)) if value is not None})
+    return GeneratorConfig.from_dict(d)
 
 
 def default_config(n: int | None = None, seed: int | None = None) -> GeneratorConfig:
-    """The packaged default truth configuration."""
+    """The packaged default truth configuration, with ``n`` and ``seed`` when given."""
     text = resources.files("agemix").joinpath("configs/default_simulation.json").read_text()
-    cfg = GeneratorConfig.from_dict(json.loads(text))
-    if n is not None:
-        cfg.n = int(n)
-    if seed is not None:
-        cfg.seed = int(seed)
-    return cfg
+    return _config_from_json(text, n, seed)
 
 
 def simulate(config: GeneratorConfig) -> Records:
@@ -350,11 +362,11 @@ def simulate(config: GeneratorConfig) -> Records:
     ages = rng_cov.choice(age_grid, size=config.n, p=probs).astype(float)
     sexes = (rng_cov.uniform(size=config.n) < config.sex_ratio).astype(int)
 
+    # linear predictors depend only on (age, sex): link each cell once, then gather per record
     slots = linpred_slots(config.family)
-    mats = design_matrices(config.spec, ages, sexes, slots=slots, center=False)
-    etas = {slot: mats[slot] @ config.coefficients[slot] for slot in slots}
-    params = _natural_params(config.family, etas)
-    y = sample_slots(config.family, params, (config.n,), rng_y)
+    mats, cell_of = _design_cells(config.spec, slots, ages, sexes, center=False)
+    params = _natural_params(config.family, {slot: mats[slot] @ config.coefficients[slot] for slot in slots})
+    y = sample_slots(config.family, [p[cell_of] for p in params], (config.n,), rng_y)
     partners = inverse_array(config.transform, ages, sexes, y)
 
     if config.integer_ages:

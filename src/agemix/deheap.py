@@ -64,9 +64,14 @@ def heaping_index(records: Records) -> float:
     0 means the heaped share is at (or below) the 1/5 expected under a
     uniform offset distribution; 1 means every record is heaped.
     """
-    if not len(records):
+    return _heaping_index(is_heaped(records.respondent_age, records.partner_age))
+
+
+def _heaping_index(heaped: np.ndarray) -> float:
+    """``heaping_index`` of the records where ``heaped`` holds whether each is heaped."""
+    if not heaped.size:
         raise ValueError("heaping_index requires a nonempty record set")
-    frac = int(np.count_nonzero(is_heaped(records.respondent_age, records.partner_age))) / len(records)
+    frac = int(np.count_nonzero(heaped)) / heaped.size
     return max(0.0, frac - _UNIFORM_SHARE) / (1.0 - _UNIFORM_SHARE)
 
 
@@ -90,12 +95,12 @@ def nw_expected(counts, respondent_age: int, bandwidth: float) -> dict[int, floa
             f"Nadaraya-Watson needs >= 2 non-heaped support ages, got {train_p.size}"
         )
     train_n = np.array([counts.get(int(p), 0) for p in train_p], dtype=float)
-    out = {}
-    for p_star in support[heaped_mask]:
-        u = (p_star - train_p) / bandwidth
-        w = np.exp(-0.5 * u * u)
-        out[int(p_star)] = float(np.sum(w * train_n) / np.sum(w))
-    return out
+    heaped_p = support[heaped_mask]
+    # one (heaped x train) kernel; each row sums along its contiguous axis
+    u = (heaped_p[:, None] - train_p) / bandwidth
+    w = np.exp(-0.5 * u * u)
+    nhat = np.sum(w * train_n, axis=1) / np.sum(w, axis=1)
+    return dict(zip(heaped_p.tolist(), nhat.tolist()))
 
 
 @dataclass
@@ -159,15 +164,17 @@ def deheap(records: Records, bandwidth: float = 2.0, seed: int = 0):
     for the kernel regression, pass through unchanged and are noted in the
     report.
     """
+    if not (math.isfinite(bandwidth) and bandwidth > 0):
+        raise ValueError(f"bandwidth must be a positive finite number of years, got {bandwidth!r}")
     ages, partners = _integer_ages(records)
-    index_before = heaping_index(records)  # raises on an empty set
+    index_before = _heaping_index((partners - ages) % 5 == 0)  # raises on an empty set
     sexes = records.respondent_sex
     new_partner = records.partner_age.copy()
 
-    # one stable sort by (sex, age): each group's indices stay in record
-    # order, which the per-group permutations below depend on
-    order = np.lexsort((ages, sexes))
-    bounds = np.flatnonzero(np.diff(sexes[order]) | np.diff(ages[order])) + 1
+    # one stable sort by (sex, age), ages being below 1000: each group's indices
+    # stay in record order, which the per-group permutations below depend on
+    order = np.argsort(sexes * 1000 + ages, kind="stable")
+    bounds = np.flatnonzero(np.diff(sexes[order] * 1000 + ages[order])) + 1
 
     details = []
     n_moved_total = 0
@@ -212,16 +219,19 @@ def deheap(records: Records, bandwidth: float = 2.0, seed: int = 0):
             cursor = 0
             for p, take in moves.items():
                 new_partner[pool[cursor : cursor + take]] = float(p)
+                partners[pool[cursor : cursor + take]] = p
                 cursor += take
             n_moved_total += total_moving
 
+    index_after = _heaping_index((partners - ages) % 5 == 0)
+    del ages, partners, order, idx  # freed before Records copies the columns
     new_records = Records(records.respondent_age, sexes, new_partner)
     report = HeapReport(
         bandwidth=bandwidth,
         seed=seed,
         n_records=len(records),
         index_before=index_before,
-        index_after=heaping_index(new_records),
+        index_after=index_after,
         n_moved=n_moved_total,
         groups=details,
     )

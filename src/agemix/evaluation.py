@@ -77,7 +77,7 @@ def _keys(fit: FitResult, records):
     design row ``row[j]``, outcome ``y[j]`` and first record ``first[j]``; record i has key ``inverse[i]``."""
     ages, sexes, partners = records.respondent_age, records.respondent_sex, records.partner_age
     # design rows are found per (age, sex) cell, of which there are few
-    mats, cell_of = _design_cells(fit, ages, sexes)
+    mats, cell_of = _design_cells(fit.spec, fit.slots, ages, sexes, center=True)
     _, cell, row_of = np.unique(np.hstack([mats[s] for s in fit.slots]), axis=0, return_index=True, return_inverse=True)
     y = transforms.forward_array(fit.transform, ages, sexes, partners)
     # (design row, outcome) pairs keyed as complex numbers, as in inference._design_cells;

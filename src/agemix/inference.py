@@ -600,7 +600,7 @@ def draw_params(fit: FitResult, draws: np.ndarray, ages, sexes):
     ``cell_of[i]``. Linear predictors depend only on (age, sex), so design
     rows, the matmul and the links run once per cell, not per observation.
     """
-    mats, cell_of = _design_cells(fit, ages, sexes)
+    mats, cell_of = _design_cells(fit.spec, fit.slots, ages, sexes, center=True)
     # returned transposed, so a gather of p.T's rows is a C-ordered records x draws array
     return [p.T for p in _row_params(fit, mats, draws)], cell_of
 
@@ -611,13 +611,13 @@ def _row_params(fit: FitResult, mats: dict, draws: np.ndarray):
     return _natural_params(fit.family, {slot: mats[slot] @ draws[:, slice(*fit.offsets[slot])].T for slot in fit.slots})
 
 
-def _design_cells(fit: FitResult, ages, sexes):
-    """(mats, cell_of): the fit's centered design rows per slot at each
-    distinct (age, sex) cell, and the cell of each observation."""
+def _design_cells(spec: ModelSpec, slots, ages, sexes, center: bool):
+    """(mats, cell_of): the design rows of ``spec`` per slot at each distinct
+    (age, sex) cell, and the cell of each observation."""
     # complex numbers sort by real, then imaginary part: the distinct age + i sex are the
     # rows np.unique(axis=0) finds, in its order, without its much slower row sort
     cells, cell_of = np.unique(np.asarray(ages, dtype=float) + 1j * np.asarray(sexes), return_inverse=True)
-    return design_matrices(fit.spec, cells.real, cells.imag, slots=fit.slots, center=True), cell_of
+    return design_matrices(spec, cells.real, cells.imag, slots=slots, center=center), cell_of
 
 
 def _predict(fit: FitResult, draws: np.ndarray, ages, sexes, rec_idx, draw_idx, rng) -> np.ndarray:

@@ -19,6 +19,7 @@ from agemix.design import ModelSpec, ModelTag
 from agemix.distributions import Family
 from agemix.inference import FitError, FitProblem, fit_map, laplace_draws, predictive_for_records
 from agemix.transforms import Transform, TransformKind
+from conftest import assert_same_records
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +74,25 @@ class TestSimulateCommand:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["command"] == "simulate"
         assert str(out) in manifest["outputs"]
+
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_sample_size_below_one_is_a_usage_error(self, runner, tmp_path, n):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(default_config(n=30, seed=2).to_dict()))
+        out = tmp_path / "sim.csv"
+        for config in ([], ["--config", str(cfg_path)]):
+            result = runner.invoke(main, ["simulate", *config, "--out", str(out), "--n", n])
+            assert result.exit_code == 2, result.output
+            assert "Invalid value for '--n'" in result.output
+            assert not out.exists()
+
+    def test_overrides_apply_to_a_config_file(self, runner, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(default_config(n=30, seed=2).to_dict()))
+        out = tmp_path / "sim.csv"
+        result = runner.invoke(main, ["simulate", "--config", str(cfg_path), "--out", str(out), "--n", "7", "--seed", "4"])
+        assert result.exit_code == 0, result.output
+        assert_same_records(load_csv(out), simulate(default_config(n=7, seed=4)))
 
 
 class TestMomentsCommand:
@@ -134,6 +154,14 @@ class TestDeheapCommand:
             assert result.exit_code == 0, result.output
             outs.append((out / "deheaped.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("bandwidth", ["0", "-1", "nan", "inf", "-inf"])
+    def test_bandwidth_must_be_positive_and_finite(self, runner, data_csv, tmp_path, bandwidth):
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["deheap", str(data_csv), "--out", str(out), f"--bandwidth={bandwidth}"])
+        assert result.exit_code == 2, result.output
+        assert "Invalid value for '--bandwidth'" in result.output
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")

@@ -1,9 +1,13 @@
+import hashlib
 import json
 import logging
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+import agemix.data_io
 from agemix.data_io import (
     BIN_STARTS,
     CsvError,
@@ -18,7 +22,7 @@ from agemix.data_io import (
     stratify,
 )
 from agemix.deheap import heaping_index
-from agemix.design import ModelSpec, ModelTag
+from agemix.design import ModelSpec, ModelTag, design_matrices
 from agemix.distributions import Family
 from agemix.transforms import Transform, TransformKind
 from conftest import assert_same_records
@@ -107,6 +111,22 @@ class TestCsv:
             b"respondent_age,respondent_sex,partner_age\r\n30,1,41\r\n44.5,0,22.25\r\n"
         )
 
+    def test_each_record_written_as_its_own_fields_across_write_blocks(self, tmp_path):
+        # more records than one write block, whole and fractional ages of both sexes
+        rng = np.random.default_rng(2)
+        n = 70_000
+        ages = rng.integers(15, 64, n) + np.where(rng.random(n) < 0.3, rng.random(n), 0.0)
+        partners = rng.integers(1, 149, n) + np.where(rng.random(n) < 0.3, rng.random(n), 0.0)
+        sexes = rng.integers(0, 2, n)
+        path = tmp_path / "r.csv"
+        save_csv(Records(ages, sexes, partners), path)
+
+        def text(v):
+            return str(int(v)) if v.is_integer() else repr(v)
+
+        lines = [f"{text(a)},{s},{text(p)}\r\n" for a, s, p in zip(ages.tolist(), sexes.tolist(), partners.tolist())]
+        assert path.read_bytes() == (HEADER.replace("\n", "\r\n") + "".join(lines)).encode()
+
     def test_well_formed_rows_in_order(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text(HEADER + "30,1,41\n25,0,22\n44.5,1,50\n")
@@ -116,6 +136,17 @@ class TestCsv:
         path = tmp_path / "r.csv"
         path.write_text(HEADER)
         assert len(load_csv(path)) == 0
+
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_blank_bodies_and_trailing_blank_lines_load_without_warnings(self, tmp_path, strict):
+        path = tmp_path / "r.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for body in ("", "\n", "\r\n\r\n\n"):
+                path.write_bytes((HEADER + body).encode())
+                assert_same_records(load_csv(path, strict=strict), Records([], [], []))
+            path.write_bytes((HEADER + "30,1,41\r\n25,0,22\r\n\r\n\n").encode())
+            assert_same_records(load_csv(path, strict=strict), rows((30.0, 1, 41.0), (25.0, 0, 22.0)))
 
     def test_range_error_strict_names_line(self, tmp_path):
         path = tmp_path / "r.csv"
@@ -231,6 +262,18 @@ class TestGeneratorConfig:
                 coefficients={"mu": [1.0, 2.0, 3.0, 4.0]},
             )
 
+    def test_overrides_are_validated(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(default_config(n=30, seed=2).to_dict()))
+        for n in (0, -5):
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                default_config(n=n)
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                GeneratorConfig.from_json_file(path, n=n)
+        cfg = GeneratorConfig.from_json_file(path, n=7, seed=4)
+        assert (cfg.n, cfg.seed) == (7, 4)
+        assert cfg.to_dict() == default_config(n=7, seed=4).to_dict()
+
     def test_json_round_trip(self):
         cfg = default_config(n=100, seed=3)
         again = GeneratorConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
@@ -238,6 +281,55 @@ class TestGeneratorConfig:
 
 
 class TestSimulate:
+    # n = 20,000 records at seed 5 under the default truth and three variants
+    CONFIGS = {
+        "default": {},
+        "heaping": {"heaping": 0.3},
+        "fractional": {"integer_ages": False},
+        "weighted-fractional": {"age_weights": np.linspace(1.0, 3.0, 50), "integer_ages": False},
+    }
+    # SHA-256 of save_csv(simulate(cfg)). Rounded partner ages absorb the last-bit
+    # differences between numpy's float64 exp, sinh and arcsinh kernels (AVX-512 or
+    # not), so these hold on any x86-64 machine; fractional ones differ between them
+    GOLDEN = {
+        "default": "36aca4f1ae268feaaff29a4bf6870acf9575cfd96035f6b9e3ff57ba5b3a617a",
+        "heaping": "be647a94a4559bd952f842020b2f8322f1424c158dee4a6912fb27e4616f9aed",
+    }
+
+    def simulated_bytes(self, name, path) -> bytes:
+        cfg = default_config(n=20_000, seed=5)
+        for key, value in self.CONFIGS[name].items():
+            setattr(cfg, key, value)
+        save_csv(simulate(cfg), path)
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("name", list(GOLDEN))
+    def test_golden_bytes(self, tmp_path, name):
+        digest = hashlib.sha256(self.simulated_bytes(name, tmp_path / "sim.csv")).hexdigest()
+        assert digest == self.GOLDEN[name]
+
+    @pytest.mark.parametrize("name", list(CONFIGS))
+    def test_cells_give_the_bytes_of_per_record_design_rows(self, tmp_path, monkeypatch, name):
+        # every record its own cell: the full n x width design matrix per slot
+        per_cell = self.simulated_bytes(name, tmp_path / "cells.csv")
+
+        def per_record(spec, slots, ages, sexes, center):
+            return design_matrices(spec, ages, sexes, slots=slots, center=center), np.arange(len(ages))
+
+        monkeypatch.setattr(agemix.data_io, "_design_cells", per_record)
+        assert self.simulated_bytes(name, tmp_path / "records.csv") == per_cell
+
+    def test_memory_bounded_per_record(self):
+        # design rows are built per (age, sex) cell, not per record
+        cfg = default_config(n=100_000, seed=3)
+        tracemalloc.start()
+        try:
+            simulate(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (8 * cfg.n) <= 20
+
     def test_bit_reproducible(self):
         cfg = default_config(n=500, seed=11)
         assert_same_records(simulate(cfg), simulate(cfg))

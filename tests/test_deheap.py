@@ -47,6 +47,21 @@ class TestNwExpected:
         out = nw_expected(counts, 30, bandwidth=2.0)
         assert all(v >= 0 for v in out.values())
 
+    @pytest.mark.parametrize("bandwidth", [0.5, 2.0, 7.3])
+    def test_equals_one_kernel_per_heaped_age(self, bandwidth):
+        # the loop the (heaped x train) kernel replaced: bitwise equal, as the report needs
+        rng = np.random.default_rng(1)
+        counts = {p: int(rng.integers(1, 40)) for p in range(1, 150) if rng.random() < 0.8}
+        support = np.arange(min(counts), max(counts) + 1)
+        train_p = support[(support - 33) % 5 != 0]
+        train_n = np.array([counts.get(int(p), 0) for p in train_p], dtype=float)
+        want = {}
+        for p_star in support[(support - 33) % 5 == 0]:
+            u = (p_star - train_p) / bandwidth
+            w = np.exp(-0.5 * u * u)
+            want[int(p_star)] = float(np.sum(w * train_n) / np.sum(w))
+        assert nw_expected(counts, 33, bandwidth) == want
+
     def test_insufficient_support_raises(self):
         with pytest.raises(ValueError):
             nw_expected({30: 50}, 30, bandwidth=2.0)
@@ -163,9 +178,26 @@ class TestValidation:
         with pytest.raises(ValueError, match="record 1 has partner_age=27.5"):
             deheap(records)
 
+    @pytest.mark.parametrize(
+        "ages, partners, message",
+        [
+            ([30.0, 30.5], [28.0, 27.5], "record 1 has respondent_age=30.5"),
+            ([30.0, 30.5], [28.5, 27.0], "record 0 has partner_age=28.5"),
+        ],
+    )
+    def test_first_non_integer_age_in_record_order(self, ages, partners, message):
+        with pytest.raises(ValueError, match=message):
+            deheap(Records(ages, [0, 0], partners))
+
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
             deheap(Records([], [], []))
+
+    @pytest.mark.parametrize("bandwidth", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bandwidth_must_be_positive_and_finite(self, bandwidth):
+        records = group_records({35: 40, 26: 15, 27: 15, 28: 15, 29: 15}, sex=0)
+        with pytest.raises(ValueError, match=f"bandwidth must be a positive finite number of years, got {bandwidth!r}"):
+            deheap(records, bandwidth=bandwidth)
 
     def test_tiny_group_passes_through(self):
         records = group_records({35: 1}, sex=0)
