@@ -8,14 +8,15 @@ distribution/outcome grid and ranks the families by ELPD; and
 sinh-arcsinh family on the log-ratio outcome.
 
 Both compare commands take the same options and run one path (``_compare``):
-each fit is scored by ``_score`` (``--draws`` Laplace draws, ELPD, predictive
-QQ RMSE; k-fold draws as many per fold fit), and the fits that succeeded are
-ranked by ``evaluation.rank_by_elpd``. compare-distributions runs in two
-stages: one task per (family, transform) combination fits its 12 subsets as
-one batch, then one task per subset scores its fit. A fit or batch that
-raises gives a failure marker per fit (NaN scores and the error text) in the
-reports instead of aborting the run. The parameter curves of
-``compare-models`` come from ``inference.draw_params``.
+one task per batch of fits that share family, transform and spec fits them
+and scores them together (``_score``: ``--draws`` Laplace draws, ELPD,
+predictive QQ RMSE; k-fold draws as many per fold fit), and the fits that
+succeeded are ranked by ``evaluation.rank_by_elpd``. compare-distributions
+runs one task per (family, transform) combination, which fits its 12 subsets
+as one batch; compare-models runs one per specification, a batch of one. A
+fit or batch that raises gives a failure marker per fit (NaN scores and the
+error text) in the reports instead of aborting the run. The parameter curves
+of ``compare-models`` come from ``inference.draw_params``.
 
 Every command emits CSV reports plus a ``manifest.json`` sidecar; wall-clock
 time, peak memory and timestamps live only in the manifest so repeated runs
@@ -26,7 +27,6 @@ every fit converged and all reports were written.
 from __future__ import annotations
 
 import concurrent.futures
-import contextlib
 import csv
 import hashlib
 import itertools
@@ -48,16 +48,9 @@ from .data_io import GeneratorConfig, load_csv, save_csv, stratify
 from .deheap import deheap as run_deheap
 from .design import ModelSpec, ModelTag
 from .distributions import Family, empirical_moments
-from .evaluation import elpd_loo, qq_rmse, rank_by_elpd
-from .inference import (
-    FitProblem,
-    draw_params,
-    fit_map,
-    fit_map_batch,
-    laplace_draws,
-    posterior_predictive,
-    predictive_for_records,
-)
+from .evaluation import elpd_batch, qq_rmse, rank_by_elpd
+from .inference import (FitProblem, draw_params, fit_map_batch, laplace_draws_batch, posterior_predictive,
+                        predictive_batch)
 from .transforms import Transform, TransformKind
 
 # the families on the real line, fitted under every variable in VARIABLE_ORDER
@@ -205,7 +198,10 @@ def simulate(config_path, out_path, seed, n):
         if not Path(config_path).exists():
             click.echo(f"error: config file not found: {config_path}", err=True)
             sys.exit(1)
-        config = GeneratorConfig.from_json_file(config_path, n=n, seed=seed)
+        try:
+            config = GeneratorConfig.from_json_file(config_path, n=n, seed=seed)
+        except ValueError as exc:  # a value the file gives is out of range, like --n 0
+            raise click.BadParameter(str(exc), param_hint="'--config'") from None
     else:
         config = data_io.default_config(n=n, seed=seed)
 
@@ -298,56 +294,67 @@ _FAILED = {
 }
 
 
-def _score(problem: FitProblem, fit, seed_parts, n_draws, elpd_method, qq_samples, groups, extra=None) -> dict:
-    """Score the MAP fit of ``problem`` by ELPD and predictive QQ RMSE.
+def _score(problems, seed_parts, n_draws, elpd_method, qq_samples, groups, extra=None) -> list[dict]:
+    """Fit a batch of problems of one family, transform and spec and score each
+    fit by ELPD and predictive QQ RMSE; one row per problem.
 
-    ``fit`` is the FitResult, or the exception that fitting raised.
-    ``groups`` lists (name, records, seed parts) per QQ group, and
-    ``extra(fit, draws)`` returns further fields. Any exception turns into
-    the failure marker: ``_FAILED`` plus the error text.
-    """
-    try:
-        if isinstance(fit, Exception):
-            raise fit
-        draws = laplace_draws(fit, n_draws, seed=_child_seed(*seed_parts, 1))
-        res = elpd_loo(
-            method=elpd_method,
-            fit=fit,
-            draws=draws,
-            records=problem.records,
-            problem=problem,
-            n_draws=n_draws,
-            seed=_child_seed(*seed_parts, 2),
-        )
-        observed, predictive = {}, {}
-        for name, recs, parts in groups:
-            observed[name] = recs.partner_age
-            predictive[name] = predictive_for_records(
-                fit, draws, recs, qq_samples, seed=_child_seed(*seed_parts, 3, *parts)
-            )
-        scores = {
-            "ok": True,
-            "converged": fit.converged,
-            "elpd": res.elpd,
-            "elpd_se": res.se,
-            "n_flagged": len(res.flagged),
-            # k-fold has no k-hat
-            "max_khat": float(res.khat.max()) if res.khat is not None else math.nan,
-            "n_inf_predictive": int(sum(np.isinf(p).sum() for p in predictive.values())),
-            "elpd_result": res,
-            "qq_rmse": qq_rmse(observed, predictive),
-            "knots": list(fit.spec.knots) if fit.spec.knots else None,
-            "nlp": fit.nlp,
-            "iterations": fit.iterations,
-            "gradient_norm": fit.gradient_norm,
-            "min_curvature_eigenvalue": fit.min_curvature_eigenvalue,
-            "error": None,
-        }
-        if extra is not None:
-            scores.update(extra(fit, draws))
-        return scores
-    except Exception as exc:  # noqa: BLE001 - failure markers belong in the report
-        return {**_FAILED, "error": f"{type(exc).__name__}: {exc}"}
+    ``seed_parts[i]`` seeds problem i's draws and samples, ``groups[i]`` lists (name, records, seed
+    parts) per QQ group, and ``extra(fit, draws)`` returns further fields. Fits, draws, ELPD and
+    predictive samples each run once for the problems not failed yet. An exception turns the row
+    of its problem (or of each, if a stage raises) into ``_FAILED`` plus its text."""
+    errors = [None] * len(problems)
+
+    def batched(stage) -> dict:
+        """Map each problem not failed yet to ``stage``'s output; an exception fails it."""
+        live = [i for i, error in enumerate(errors) if error is None]
+        try:
+            outs = stage(live) if live else []
+        except Exception as exc:  # noqa: BLE001 - failure markers belong in the report
+            outs = [exc] * len(live)
+        for i, out in zip(live, outs):
+            errors[i] = out if isinstance(out, Exception) else None
+        return dict(zip(live, outs))
+
+    fits = batched(lambda live: fit_map_batch([problems[i] for i in live]))
+    draws = batched(lambda live: laplace_draws_batch(
+        [fits[i] for i in live], n_draws, [_child_seed(*seed_parts[i], 1) for i in live]))
+    results = batched(lambda live: elpd_batch(
+        elpd_method, fits=[fits[i] for i in live], draws=[draws[i] for i in live],
+        records=[problems[i].records for i in live], problems=[problems[i] for i in live], n_draws=n_draws,
+        seeds=[_child_seed(*seed_parts[i], 2) for i in live]))
+    predictive = batched(lambda live: predictive_batch([fits[i] for i in live], [draws[i] for i in live], [
+        [(recs, qq_samples, _child_seed(*seed_parts[i], 3, *parts)) for _, recs, parts in groups[i]] for i in live]))
+    rows = []
+    for i in range(len(problems)):
+        try:
+            if errors[i] is not None:
+                raise errors[i]
+            fit, res, observed = fits[i], results[i], {name: recs.partner_age for name, recs, _ in groups[i]}
+            samples = dict(zip(observed, predictive[i]))
+            scores = {
+                "ok": True,
+                "converged": fit.converged,
+                "elpd": res.elpd,
+                "elpd_se": res.se,
+                "n_flagged": len(res.flagged),
+                # k-fold has no k-hat
+                "max_khat": float(res.khat.max()) if res.khat is not None else math.nan,
+                "n_inf_predictive": int(sum(np.isinf(p).sum() for p in samples.values())),
+                "elpd_result": res,
+                "qq_rmse": qq_rmse(observed, samples),
+                "knots": list(fit.spec.knots) if fit.spec.knots else None,
+                "nlp": fit.nlp,
+                "iterations": fit.iterations,
+                "gradient_norm": fit.gradient_norm,
+                "min_curvature_eigenvalue": fit.min_curvature_eigenvalue,
+                "error": None,
+            }
+            if extra is not None:
+                scores.update(extra(fit, draws[i]))
+            rows.append(scores)
+        except Exception as exc:  # noqa: BLE001 - failure markers belong in the report
+            rows.append({**_FAILED, "error": f"{type(exc).__name__}: {exc}"})
+    return rows
 
 
 def _ranked(results, name) -> list[dict]:
@@ -357,16 +364,13 @@ def _ranked(results, name) -> list[dict]:
     )
 
 
-def _run_stages(tasks, stages, jobs: int):
-    """Pass ``tasks`` through ``stages``: each stage maps every task to a list
-    of the next stage's tasks (the last stage's to result rows). With more
-    than one job, one process pool runs every stage."""
-    pool = concurrent.futures.ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
-    with pool or contextlib.nullcontext():
-        for stage in stages:
-            done = pool.map(stage, tasks) if pool and len(tasks) > 1 else map(stage, tasks)
-            tasks = [t for out in done for t in out]
-    return tasks
+def _run(task, tasks, jobs: int):
+    """The result rows of every task, in order: ``task`` maps each to a list
+    of them. With more than one job, a process pool runs the tasks."""
+    if jobs > 1 and len(tasks) > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+            return [row for rows in pool.map(task, tasks) for row in rows]
+    return [row for t in tasks for row in task(t)]
 
 
 def _write_table(out_dir: Path, stem: str, header, rows) -> list[Path]:
@@ -398,13 +402,13 @@ def _compare_options(qq_help: str):
 
 
 def _compare(
-    command, tasks_of, stages, write_reports, data, out_dir, seed, jobs, elpd_method, draws, qq_samples
+    command, tasks_of, task, write_reports, data, out_dir, seed, jobs, elpd_method, draws, qq_samples
 ):
     """Run one compare command: fit every task, write its reports and manifest.
 
     ``tasks_of(records)`` gives the leading fields of each task, to which the
-    seed and the scoring settings are appended; ``stages`` take them to
-    result rows, one per fit (``_run_stages``); ``write_reports(out_dir,
+    seed and the scoring settings are appended; ``task`` fits and scores one,
+    returning a result row per fit (``_run``); ``write_reports(out_dir,
     results, all_ok)`` returns the paths it wrote and a summary. The exit
     status is 1 when any fit failed or did not converge.
     """
@@ -416,7 +420,7 @@ def _compare(
     out_dir.mkdir(parents=True, exist_ok=True)
     method = "exact_kfold" if elpd_method == "kfold" else "psis"
     tasks = [(*head, seed, draws, method, qq_samples) for head in tasks_of(records)]
-    results = _run_stages(tasks, stages, jobs if jobs is not None else (os.cpu_count() or 1))
+    results = _run(task, tasks, jobs if jobs is not None else (os.cpu_count() or 1))
     all_ok = all(r["ok"] and r["converged"] for r in results)
     outputs, summary = write_reports(out_dir, results, all_ok)
     settings = {"data": str(data), "seed": seed, "elpd": elpd_method, "draws": draws, "qq_samples": qq_samples}
@@ -443,17 +447,18 @@ def _subset_tasks(records):
 
 
 def _fit_subset_combo(task):
-    """Fit every subset (cell) of one (family, transform) combination as one
-    batch; return one scoring task per cell, with its fit or, if the batch
-    raised, the exception."""
-    subsets, family, kind, *settings = task
-    spec = ModelSpec(ModelTag.INTERCEPT_ONLY)
-    problems = [FitProblem(family, Transform(kind), spec, records) for _, records in subsets]
-    try:
-        fits = fit_map_batch(problems)
-    except Exception as exc:  # noqa: BLE001 - failure markers belong in the report
-        fits = [exc] * len(problems)
-    return [(key, problem, fit, *settings) for (key, _), problem, fit in zip(subsets, problems, fits)]
+    """Fit and score every subset (cell) of one (family, transform)
+    combination as one batch: one result row per cell."""
+    subsets, family, kind, seed, n_draws, elpd_method, qq_samples = task
+    problems = [FitProblem(family, Transform(kind), ModelSpec(ModelTag.INTERCEPT_ONLY), recs) for _, recs in subsets]
+    parts = [(seed, key.sex, key.bin_start, list(Family).index(family), list(TransformKind).index(kind))
+             for key, _ in subsets]
+    groups = [[("subset", records, ())] for _, records in subsets]
+    return [
+        {"key": key, "family": family, "transform": kind, "sex": key.sex_label, "age_bin": key.bin_label,
+         "distribution": FAMILY_LABEL[family], "variable": TRANSFORM_LABEL[kind], "n": len(records), **row}
+        for (key, records), row in zip(subsets, _score(problems, parts, n_draws, elpd_method, qq_samples, groups))
+    ]
 
 
 # the columns of combos.csv, each a field of a subset cell's result row
@@ -462,17 +467,6 @@ COMBO_COLUMNS = ("sex", "age_bin", "distribution", "variable", "n", "elpd", "elp
 # the columns of subset_rankings, each a field of a rank_by_elpd row or of the row it ranks
 RANKING_COLUMNS = ("sex", "age_bin", "rank", "distribution", "elpd", "elpd_diff", "se_of_diff", "qq_rmse",
                    "best_variable", "n_flagged")
-
-
-def _score_subset_cell(task):
-    """Score one cell's fit (a failure marker if fitting raised)."""
-    key, problem, fit, seed, n_draws, elpd_method, qq_samples = task
-    family, kind, records = problem.family, problem.transform.kind, problem.records
-    seed_parts = (seed, key.sex, key.bin_start, list(Family).index(family), list(TransformKind).index(kind))
-    scores = _score(problem, fit, seed_parts, n_draws, elpd_method, qq_samples, [("subset", records, ())])
-    labels = {"sex": key.sex_label, "age_bin": key.bin_label, "distribution": FAMILY_LABEL[family],
-              "variable": TRANSFORM_LABEL[kind], "n": len(records)}
-    return [{"key": key, "family": family, "transform": kind, **labels, **scores}]
 
 
 def _write_subset_reports(out_dir: Path, results, all_ok):
@@ -531,8 +525,7 @@ def _write_subset_reports(out_dir: Path, results, all_ok):
 @_compare_options("Predictive samples per subset.")
 def compare_distributions(**options):
     """Rank the five families per (sex, age-bin) subset by ELPD."""
-    stages = (_fit_subset_combo, _score_subset_cell)
-    _compare("compare-distributions", _subset_tasks, stages, _write_subset_reports, **options)
+    _compare("compare-distributions", _subset_tasks, _fit_subset_combo, _write_subset_reports, **options)
 
 
 # ---------------------------------------------------------------------------
@@ -593,11 +586,7 @@ def _fit_model_spec(task):
                     histograms.append([tag.value, sex, age, int(left), float(d)])
         return {"curves": curves, "histograms": histograms}
 
-    try:
-        fit = fit_map(problem)
-    except Exception as exc:  # noqa: BLE001 - failure markers belong in the report
-        fit = exc
-    scores = _score(problem, fit, seed_parts, n_draws, elpd_method, qq_samples, groups, curves_and_histograms)
+    (scores,) = _score([problem], [seed_parts], n_draws, elpd_method, qq_samples, [groups], curves_and_histograms)
     # a failed fit leaves no curves and no histograms
     return [{"tag": tag, "curves": [], "histograms": [], **scores}]
 
@@ -636,7 +625,7 @@ def _write_model_reports(out_dir: Path, results, all_ok):
 @_compare_options("Predictive samples per group.")
 def compare_models(**options):
     """Fit the five regression specifications (sinh-arcsinh, log-ratio)."""
-    _compare("compare-models", _model_tasks, (_fit_model_spec,), _write_model_reports, **options)
+    _compare("compare-models", _model_tasks, _fit_model_spec, _write_model_reports, **options)
 
 
 if __name__ == "__main__":

@@ -243,13 +243,15 @@ def stratify(records: Records) -> dict[SubsetKey, Records]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class GeneratorConfig:
     """Truth model and sampling plan for the synthetic generator.
 
     Coefficient vectors are on the uncentered design scale of ``spec``.
     ``age_weights`` (optional) gives relative weights over the integer ages
-    15..64; respondent ages are always drawn from that grid.
+    15..64; respondent ages are always drawn from that grid. A config is
+    validated when made and frozen: ``dataclasses.replace`` makes a changed
+    copy, validated again.
     """
 
     n: int
@@ -265,11 +267,11 @@ class GeneratorConfig:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError("n must be >= 1")
+            raise ValueError(f"n must be >= 1, got {self.n}")
         if not 0.0 <= self.heaping <= 1.0:
-            raise ValueError("heaping intensity must be in [0, 1]")
-        self.spec = self.spec.resolved()
-        spec = self.spec
+            raise ValueError(f"heaping must be in [0, 1], got {self.heaping}")
+        spec = self.spec.resolved()
+        object.__setattr__(self, "spec", spec)
         recipes = slot_recipes(spec)
         for slot in linpred_slots(self.family):
             if slot not in self.coefficients:

@@ -17,21 +17,19 @@ gets k-hat = inf; records with k-hat > 0.7 are flagged as unreliable.
 Standard errors follow the usual pointwise convention
 se = sqrt(n * var(pointwise)).
 
-PSIS is independent per record, so ``elpd_loo`` streams blocks of records
-(records x draws, about ``_BLOCK_BYTES`` each) from the fit through one
-kernel and keeps only the pointwise ELPD and k-hat: memory is
-O(draws x block), not O(records x draws). A record's log likelihood is its
+PSIS is independent per record, and a record's log likelihood is its
 transformed outcome's log density, set by its design row and outcome, plus
-its own log Jacobian, which no draw changes and which thus leaves the
-importance ratios and k-hat as they are. The stream therefore scores each
-distinct (design row, outcome) key once; a record takes its key's k-hat and
-pointwise ELPD plus its log Jacobian: work is O(keys x draws). Keys ascend
-by design row, so a block links only the rows it spans, each about once per
-fit; the kernel reads the m + 1 largest weights as sorted values, not draws.
-Exact k-fold fits its folds as one ``inference.fit_map_batch``, draws
-``n_draws`` per fold fit and scores its held-out keys the same way.
-``pointwise_loglik`` builds the full, Jacobian-adjusted (draws x records)
-array from the same blocks.
+its own log Jacobian, which no draw changes and which leaves the importance
+ratios and k-hat as they are. So ``elpd_batch`` scores a batch of fits of
+one family, transform and spec in one stream: each distinct (fit, design
+row, outcome) key once, in blocks of about ``_BLOCK_BYTES`` (keys x draws)
+that may span fits, each through one kernel, which reads the m + 1 largest
+weights as sorted values; a record takes its key's k-hat and pointwise ELPD
+plus its log Jacobian. Memory is O(draws x block), work O(keys x draws).
+Exact k-fold fits the batch's folds as one ``inference.fit_map_batch``,
+draws ``n_draws`` per fold fit and scores the held-out keys the same way.
+``elpd_loo`` is the batch of one; ``pointwise_loglik`` builds the full
+(draws x records) array from the same blocks.
 """
 
 from __future__ import annotations
@@ -44,12 +42,13 @@ import numpy as np
 
 from . import transforms
 from .distributions import log_pdf_slots
-from .inference import FitResult, _design_cells, _row_params, fit_map_batch, laplace_draws
+from .inference import FitError, FitResult, _columns, _design_cells, _row_params, fit_map_batch, laplace_draws_batch
 
 __all__ = [
     "ElpdResult",
     "pointwise_loglik",
     "elpd_loo",
+    "elpd_batch",
     "elpd_diff",
     "rank_by_elpd",
     "qq_rmse",
@@ -61,80 +60,89 @@ DEFAULT_QUANTILES = tuple(np.round(np.arange(0.1, 0.91, 0.1), 10))
 KHAT_WARN = 0.7
 _MIN_TAIL = 5
 # bytes of log likelihood per streamed record block
-_BLOCK_BYTES = 2 << 20
+_BLOCK_BYTES = 512 << 10
 # scratch bytes per row chunk of the generalized Pareto profile fit
-_GPD_CHUNK_BYTES = 1 << 20
+_GPD_CHUNK_BYTES = 512 << 10
 
 
 def _block_rows(n_draws: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * n_draws))
 
 
-def _keys(fit: FitResult, records):
-    """(design, row, y, first, inverse) over the distinct (design row, outcome) keys of ``records``
-    under ``fit``, whose records share one outcome-scale log density under every draw. ``design``
-    maps each slot to the fit's distinct centered design rows; key j, in (row, outcome) order, has
-    design row ``row[j]``, outcome ``y[j]`` and first record ``first[j]``; record i has key ``inverse[i]``."""
-    ages, sexes, partners = records.respondent_age, records.respondent_sex, records.partner_age
+def _keys(fits, records):
+    """(design, pair_fit, pair_row, pair, y, first, inverse) over the distinct (fit, design row,
+    outcome) keys of a batch of fits of one family, transform and spec, fit f scoring ``records[f]``.
+    ``design`` maps each slot to all records' distinct centered design rows; (fit, row) pair p is
+    (``pair_fit[p]``, ``pair_row[p]``); key j, in (pair, outcome) order, has pair ``pair[j]``,
+    outcome ``y[j]`` and first concatenated record ``first[j]``; record i has key ``inverse[i]``."""
+    fit = fits[0]
+    ages, sexes, partners = _columns(records)
     # design rows are found per (age, sex) cell, of which there are few
     mats, cell_of = _design_cells(fit.spec, fit.slots, ages, sexes, center=True)
     _, cell, row_of = np.unique(np.hstack([mats[s] for s in fit.slots]), axis=0, return_index=True, return_inverse=True)
-    y = transforms.forward_array(fit.transform, ages, sexes, partners)
-    # (design row, outcome) pairs keyed as complex numbers, as in inference._design_cells;
+    # (fit, design row, outcome) keyed as complex numbers, as in inference._design_cells;
     # the shape of row_of, an inverse over rows, differs between numpy versions
-    row_of = row_of.ravel()[cell_of]
-    _, first, inverse = np.unique(row_of + 1j * y, return_index=True, return_inverse=True)
-    return {slot: mats[slot][cell] for slot in fit.slots}, row_of[first], y[first], first, inverse
+    fit_row = np.repeat(np.arange(len(fits)), [len(r) for r in records]) * cell.size + row_of.ravel()[cell_of]
+    y = transforms.forward_array(fit.transform, ages, sexes, partners)
+    _, first, inverse = np.unique(fit_row + 1j * y, return_index=True, return_inverse=True)
+    pairs, pair = np.unique(fit_row[first], return_inverse=True)
+    return {s: mats[s][cell] for s in fit.slots}, pairs // cell.size, pairs % cell.size, pair, y[first], first, inverse
 
 
-def _loglik_blocks(fit: FitResult, draws: np.ndarray, records, keys=None, origin=None):
-    """Yield (start, block): log likelihoods of consecutive blocks of the keys
-    ``_keys(fit, records)`` (or ``keys``, when given).
+def _loglik_blocks(fits, draws, records, keys, errors, origins=None):
+    """Yield (rows, block): log likelihoods of consecutive blocks of at most
+    ``_block_rows`` keys of ``keys = _keys(fits, records)``, which may span fits.
 
-    ``block`` is C-contiguous (keys x draws); entry (j, d) is the log density
-    of key ``start + j``'s outcome (no Jacobian) under draw d. Keys ascend by
-    design row, so a block links only the rows it spans, at most one per key.
-    Any non-finite entry raises, naming the lowest record with one and its
-    first such draw; ``origin[i]``, when given, is the index the message gives
-    record i.
+    ``block`` is C-contiguous (keys x draws): key ``rows[j]``'s outcome log
+    density (no Jacobian) under each draw of its fit f, ``draws[f]``. Keys
+    ascend by (fit, design row), so a block links at most one row per key. A
+    fit with a non-finite entry leaves the stream; at its end ``errors[f]``
+    names fit f's lowest such record (as ``origins[f][i]``, when given) and
+    its first such draw.
     """
-    design, row, y, first, _ = _keys(fit, records) if keys is None else keys
-    step = _block_rows(draws.shape[0])
-    bad = []
+    design, pair_fit, pair_row, pair, y, first, _ = keys
+    bounds = np.cumsum([0, *map(len, records)])
+    key_fit = pair_fit[pair]
+    step, bad = _block_rows(draws[0].shape[0]), {}
     for start in range(0, first.size, step):
-        rows = slice(start, start + step)
-        r0, r1 = row[rows][[0, -1]]
-        span = {slot: mats[r0 : r1 + 1] for slot, mats in design.items()}
-        params = [np.take(p, row[rows] - r0, axis=0) for p in _row_params(fit, span, draws)]
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            block = log_pdf_slots(fit.family, y[rows, None], *params)
-        del params  # only the block stays alive while the caller holds it
-        if not np.all(np.isfinite(block)):
-            # a later block may hold a lower record, so the rest are still scored
-            j, d = np.nonzero(~np.isfinite(block))
-            lowest = np.argmin(first[start + j])  # at its first non-finite draw
-            bad.append((first[start + j[lowest]], d[lowest]))
-        elif not bad:
-            yield start, block
-    if bad:
-        i, d = min(bad)
-        ages, sexes, partners = records.respondent_age, records.respondent_sex, records.partner_age
-        raise ValueError(
-            f"non-finite log likelihood at draw {d}, record {i if origin is None else origin[i]} "
-            f"(respondent_age={ages[i]}, respondent_sex={sexes[i]}, partner_age={partners[i]})"
-        )
+        rows, pieces = np.arange(start, min(start + step, first.size)), []
+        for f in range(key_fit[rows[0]], key_fit[rows[-1]] + 1):
+            # the family parameters at fit f's pairs in the block under its own draws, gathered
+            # per key unless one pair broadcasts; each fit's temporaries are its own keys' size
+            mine = rows[key_fit[rows] == f]
+            p0, p1 = pair[mine[[0, -1]]]
+            params = _row_params(fits[f], {s: m[pair_row[p0 : p1 + 1]] for s, m in design.items()}, draws[f])
+            params = [np.take(p, pair[mine] - p0, axis=0) for p in params] if p1 > p0 else params
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                pieces.append(log_pdf_slots(fits[f].family, y[mine, None], *params))
+            del params
+        block = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+        del pieces  # only the block stays alive while the caller holds it
+        for j in np.flatnonzero(~np.isfinite(block).all(axis=1)):
+            f = key_fit[rows[j]]  # a later block may hold a lower record, so the rest are still scored
+            bad[f] = min(bad.get(f, (math.inf, 0)), (first[rows[j]] - bounds[f], int(np.argmin(np.isfinite(block[j])))))
+        if bad:
+            keep = ~np.isin(key_fit[rows], list(bad))
+            rows, block = rows[keep], block[keep]
+        if rows.size:
+            yield rows, block
+    for f, (i, d) in bad.items():
+        r, name = records[f], i if origins is None else origins[f][i]
+        values = ", ".join(f"{c}={getattr(r, c)[i]}" for c in ("respondent_age", "respondent_sex", "partner_age"))
+        errors[f] = ValueError(f"non-finite log likelihood at draw {d}, record {name} ({values})")
 
 
-def _log_jacobian(fit: FitResult, records) -> np.ndarray:
-    """Each record's log Jacobian, which takes its outcome's log density to the partner-age scale."""
-    return transforms.log_jacobian_array(fit.transform, records.respondent_age, records.respondent_sex, records.partner_age)
-
-
-def _matrix_blocks(values: np.ndarray):
-    """Yield (start, block) records-major blocks of a (draws x records) matrix."""
-    step = _block_rows(values.shape[0])
-    for start in range(0, values.shape[1], step):
-        yield start, np.ascontiguousarray(values[:, start : start + step].T)
+def _stream(fits, draws, records, kernel, origins=None):
+    """(values, errors): ``kernel`` over the blocks of ``_loglik_blocks``. It gives two
+    per-key rows (or one, used as both); fit f's values are the (2, records) rows of its
+    records' keys, each record's log Jacobian added to the first."""
+    *_, first, inverse = keys = _keys(fits, records)
+    out, errors = np.empty((2, first.size)), [None] * len(fits)
+    for rows, block in _loglik_blocks(fits, draws, records, keys, errors, origins):
+        out[:, rows] = kernel(block)
+    out = out[:, inverse]
+    out[0] += transforms.log_jacobian_array(fits[0].transform, *_columns(records))
+    return np.split(out, np.cumsum([len(r) for r in records])[:-1], axis=1), errors
 
 
 def pointwise_loglik(fit: FitResult, draws: np.ndarray, records) -> np.ndarray:
@@ -144,12 +152,14 @@ def pointwise_loglik(fit: FitResult, draws: np.ndarray, records) -> np.ndarray:
     density of record i's partner age under draw d. Any non-finite entry
     raises, naming the offending record and draw.
     """
-    *_, inverse = keys = _keys(fit, records)
-    out = np.empty((len(records), draws.shape[0]))
-    for start, block in _loglik_blocks(fit, draws, records, keys):
-        mine = (inverse >= start) & (inverse < start + block.shape[0])
-        out[mine] = block[inverse[mine] - start]
-    out += _log_jacobian(fit, records)[:, None]
+    *_, inverse = keys = _keys([fit], [records])
+    out, errors = np.empty((len(records), draws.shape[0])), [None]
+    for rows, block in _loglik_blocks([fit], [draws], [records], keys, errors):
+        mine = (inverse >= rows[0]) & (inverse <= rows[-1])
+        out[mine] = block[inverse[mine] - rows[0]]
+    if errors[0]:
+        raise errors[0]
+    out += transforms.log_jacobian_array(fit.transform, *_columns([records]))[:, None]
     return out.T
 
 
@@ -211,8 +221,9 @@ def _tail_length(n_draws: int) -> int:
     return math.ceil(min(n_draws / 5, 3.0 * math.sqrt(n_draws)))
 
 
-def _psis_block(ll: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """PSIS-LOO for a records-major block ``ll`` (records x draws).
+def _psis_block(ll: np.ndarray, scratch: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """PSIS-LOO for a records-major block ``ll`` (records x draws); ``scratch``
+    (same shape, may be ``ll`` itself) holds the log weights, allocated when not given.
 
     Returns the pointwise ELPD and k-hat of each record; row by row they equal
     the record-at-a-time reference in ``tests/psis_reference.py`` up to
@@ -225,7 +236,7 @@ def _psis_block(ll: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     s = ll.shape[1]
     m = _tail_length(s)
     low = ll.min(axis=1)
-    lw = low[:, None] - ll  # equal to -ll - max(-ll)
+    lw = np.subtract(low[:, None], ll, out=scratch)  # equal to -ll - max(-ll)
     # the m + 1 largest log weights per row, ascending: cutoff, then the tail
     vals = np.sort(np.partition(lw, s - m - 1, axis=1)[:, s - m - 1 :], axis=1)
     tail = vals[:, 1:]
@@ -267,8 +278,7 @@ def _psis_block(ll: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # those at or above its lowest smoothed raw weight, so the normaliser sums
     # the raw draws below it, in draw order, and the smoothed weights; all are
     # at most 1 and some at least the clamped cutoff, so it needs no shift
-    sm = np.flatnonzero(np.isfinite(lowest_smoothed))
-    lw[sm] = np.where(lw[sm] >= lowest_smoothed[sm, None], -math.inf, lw[sm])
+    np.copyto(lw, -math.inf, where=lw >= lowest_smoothed[:, None])  # inf where a row smooths none
     log_norm = np.log(np.exp(lw, out=lw).sum(axis=1) + smoothed_sum)
     return log_ratio + low - log_norm, khat
 
@@ -292,95 +302,104 @@ def _pointwise_se(pointwise: np.ndarray) -> float:
     return float(math.sqrt(n * np.var(pointwise, ddof=1)))
 
 
-def elpd_loo(
-    ll: np.ndarray | None = None,
-    method: str = "psis",
-    *,
-    fit: FitResult | None = None,
-    draws: np.ndarray | None = None,
-    records=None,
-    problem=None,
-    folds: int = 10,
-    n_draws: int = 1000,
-    seed: int = 0,
-) -> ElpdResult:
-    """Leave-one-out expected log predictive density.
+def _result(pointwise: np.ndarray, method: str, khat: np.ndarray | None = None) -> ElpdResult:
+    flagged = () if khat is None else tuple(int(i) for i in np.nonzero(khat > KHAT_WARN)[0])
+    return ElpdResult(float(pointwise.sum()), _pointwise_se(pointwise), pointwise, method, khat, flagged)
+
+
+def _warn_flagged(results) -> None:
+    """A RuntimeWarning, at the caller's caller, per result with flagged records, in order."""
+    for res in results:
+        if not isinstance(res, Exception) and res.flagged:
+            warnings.warn(f"PSIS tail index k-hat exceeds {KHAT_WARN} for {len(res.flagged)} record(s); "
+                          "ELPD may be unreliable", RuntimeWarning, stacklevel=3)
+
+
+def _kfold(problems, folds: int, n_draws: int, seeds) -> list:
+    """Exact k-fold ELPD of each problem; all problems' fold fits are fitted, drawn and scored together."""
+    errors, fold_problems, fold_of = [None] * len(problems), [], []
+    for c, (problem, seed) in enumerate(zip(problems, seeds)):
+        records = problem.records
+        if len(records) == 1:  # its one fold would train on no records
+            errors[c] = FitError("fit_map requires at least one record")
+        # pin spline knots on the full data so folds share one design
+        base = replace(problem, spec=problem.spec.with_knots_from_ages(records.respondent_age))
+        assignment = np.arange(len(records)) % folds
+        for fold in range(min(folds, len(records)) if errors[c] is None else 0):
+            fold_problems.append(replace(base, records=records[assignment != fold]))
+            fold_of.append((c, np.flatnonzero(assignment == fold), seed + fold + 1))
+    fits = fit_map_batch(fold_problems)
+    draws = laplace_draws_batch(fits, n_draws, [seed for *_, seed in fold_of])  # then each fold's error
+    live = [k for k, d in enumerate(draws) if not isinstance(d, Exception)]
+    pointwise = [np.empty(len(p.records)) for p in problems]
+    if live:
+        cells, held = zip(*(fold_of[k][:2] for k in live))
+        values, stream_errors = _stream(
+            [fits[k] for k in live], [draws[k] for k in live], [problems[c].records[h] for c, h in zip(cells, held)],
+            lambda block: _logsumexp_rows(block, block) - math.log(n_draws), held)
+        for k, c, h, error, v in zip(live, cells, held, stream_errors, values):
+            draws[k], pointwise[c][h] = error, v[0]
+    for (c, *_), d in zip(fold_of, draws):  # a problem fails with its first failing fold
+        errors[c] = errors[c] or (d if isinstance(d, Exception) else None)
+    return [e or _result(p, "exact_kfold") for e, p in zip(errors, pointwise)]
+
+
+def elpd_batch(method: str, *, fits=(), draws=(), records=(), problems=(), folds: int = 10, n_draws: int = 1000,
+               seeds=()) -> list:
+    """ELPD of each fit of a batch of one family, transform and spec: per fit
+    its ElpdResult, or the exception that stopped it.
+
+    ``method="psis"`` estimates fit f's LOO from its draws ``draws[f]`` (at least 100) on
+    ``records[f]``; ``method="exact_kfold"`` refits problem f on K training folds, draws ``n_draws``
+    per fold fit from seed ``seeds[f] + fold + 1`` and scores each record out of fold. Either way
+    one stream scores the batch. Each fit with flagged records gets a k-hat RuntimeWarning."""
+    if method == "psis":
+        if draws[0].shape[0] < 100:
+            raise ValueError("psis requires at least 100 draws")
+        values, errors = _stream(fits, draws, records, lambda block: _psis_block(block, block))
+        results = [e or _result(v[0], "psis", v[1]) for e, v in zip(errors, values)]
+    elif method == "exact_kfold":
+        results = _kfold(problems, folds, n_draws, seeds)
+    else:
+        raise ValueError(f"unknown ELPD method {method!r}")
+    _warn_flagged(results)
+    return results
+
+
+def elpd_loo(ll: np.ndarray | None = None, method: str = "psis", *, fit: FitResult | None = None,
+             draws: np.ndarray | None = None, records=None, problem=None, folds: int = 10, n_draws: int = 1000,
+             seed: int = 0) -> ElpdResult:
+    """Leave-one-out expected log predictive density of one fit.
 
     ``method="psis"`` estimates LOO from the draws alone (requires at least
     100 draws): either from the (n_draws, n_records) array ``ll`` or, when
-    ``ll`` is None, by streaming record blocks of the distinct (design row,
-    outcome) keys of ``records`` under ``fit`` and ``draws`` without
-    building the array.
+    ``ll`` is None, as ``elpd_batch`` does for ``fit``, ``draws`` and
+    ``records``, without building the array.
     ``method="exact_kfold"`` refits ``problem`` on K training folds and
     scores each record out of fold; it needs the originating FitProblem and
     uses ``ll``, if given, only to check the record count.
     """
-    if method == "psis":
-        if ll is not None:
-            (n_samples, n), blocks = ll.shape, _matrix_blocks(ll)
-            inverse = slice(None)
-        elif fit is None or draws is None or records is None:
-            raise ValueError("psis needs a log-likelihood matrix or fit, draws and records")
-        else:
-            *_, first, inverse = keys = _keys(fit, records)
-            n_samples, n = draws.shape[0], first.size
-            blocks = _loglik_blocks(fit, draws, records, keys)
-        if n_samples < 100:
+    if method == "psis" and ll is not None:
+        if ll.shape[0] < 100:
             raise ValueError("psis requires at least 100 draws")
-        pointwise = np.empty(n)
-        khat = np.empty(n)
-        for start, block in blocks:
-            rows = slice(start, start + block.shape[0])
-            pointwise[rows], khat[rows] = _psis_block(block)
-        pointwise, khat = pointwise[inverse], khat[inverse]
-        if ll is None:
-            pointwise += _log_jacobian(fit, records)
-        flagged = tuple(int(i) for i in np.nonzero(khat > KHAT_WARN)[0])
-        if flagged:
-            warnings.warn(
-                f"PSIS tail index k-hat exceeds {KHAT_WARN} for {len(flagged)} "
-                f"record(s); ELPD may be unreliable",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return ElpdResult(
-            elpd=float(pointwise.sum()),
-            se=_pointwise_se(pointwise),
-            pointwise=pointwise,
-            method="psis",
-            khat=khat,
-            flagged=flagged,
-        )
-
-    if method == "exact_kfold":
-        if problem is None:
-            raise ValueError("exact_kfold needs the originating FitProblem")
-        records = problem.records
-        n = len(records)
-        if ll is not None and ll.shape[1] != n:
-            raise ValueError("log-likelihood matrix does not match the problem's records")
-        # pin spline knots on the full data so folds share one design
-        base = replace(problem, spec=problem.spec.with_knots_from_ages(records.respondent_age))
-        assignment = np.arange(n) % folds
-        pointwise = np.empty(n)
-        used = [fold for fold in range(folds) if np.any(assignment == fold)]
-        fits = fit_map_batch([replace(base, records=records[assignment != fold]) for fold in used])
-        for fold, fit in zip(used, fits):
-            held = np.nonzero(assignment == fold)[0]
-            draws = laplace_draws(fit, n_draws, seed=seed + fold + 1)
-            *_, first, inverse = keys = _keys(fit, records[held])
-            scores = np.empty(first.size)
-            for start, block in _loglik_blocks(fit, draws, records[held], keys, origin=held):
-                scores[start : start + block.shape[0]] = _logsumexp_rows(block, block) - math.log(n_draws)
-            pointwise[held] = scores[inverse] + _log_jacobian(fit, records[held])
-        return ElpdResult(
-            elpd=float(pointwise.sum()),
-            se=_pointwise_se(pointwise),
-            pointwise=pointwise,
-            method="exact_kfold",
-        )
-
-    raise ValueError(f"unknown ELPD method {method!r}")
+        pointwise, khat, step = np.empty(ll.shape[1]), np.empty(ll.shape[1]), _block_rows(ll.shape[0])
+        for start in range(0, ll.shape[1], step):  # records-major blocks of the matrix
+            rows = slice(start, start + step)
+            pointwise[rows], khat[rows] = _psis_block(np.ascontiguousarray(ll[:, rows].T))
+        res = _result(pointwise, "psis", khat)
+        _warn_flagged([res])
+        return res
+    if method == "psis" and (fit is None or draws is None or records is None):
+        raise ValueError("psis needs a log-likelihood matrix or fit, draws and records")
+    if method == "exact_kfold" and problem is None:
+        raise ValueError("exact_kfold needs the originating FitProblem")
+    if method == "exact_kfold" and ll is not None and ll.shape[1] != len(problem.records):
+        raise ValueError("log-likelihood matrix does not match the problem's records")
+    (res,) = elpd_batch(method, fits=[fit], draws=[draws], records=[records], problems=[problem], folds=folds,
+                        n_draws=n_draws, seeds=[seed])
+    if isinstance(res, Exception):
+        raise res
+    return res
 
 
 def elpd_diff(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:

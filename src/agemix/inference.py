@@ -7,10 +7,13 @@ comparable across dimensionalities). Coefficients act on the *centered*
 design (linear-age columns shifted by ``design.AGE_CENTER``);
 ``FitResult.coef`` translates a slot's block back to the uncentered scale,
 which is an exact linear reparameterization. Posterior draws are plain
-(draws, coefficients) arrays in the fit's packed order; ``draw_params`` maps
-them to family parameters once per distinct (age, sex) cell for
-``posterior_predictive``, ``predictive_for_records`` and the parameter
-curves, through ``_row_params``, which the ELPD blocks call per design row.
+(draws, coefficients) arrays in the fit's packed order; ``laplace_draws_batch``
+draws them for a batch of fits through one stacked Cholesky factorisation and
+solve, each fit from its own seed. ``_row_params`` maps draws to family
+parameters at design rows: once per distinct (age, sex) cell for
+``draw_params``, the parameter curves and the predictive samples
+(``predictive_batch`` builds the cells' design rows once per batch), and per
+design row in the ELPD blocks.
 
 Optimization is damped Newton on the exact Hessian of the negative log
 posterior: closed-form per-record second derivatives of log f in the linear
@@ -67,9 +70,11 @@ __all__ = [
     "fit_map",
     "fit_map_batch",
     "laplace_draws",
+    "laplace_draws_batch",
     "draw_params",
     "posterior_predictive",
     "predictive_for_records",
+    "predictive_batch",
 ]
 
 EXP_CLAMP = 700.0
@@ -571,25 +576,33 @@ def fit_map(problem: FitProblem, init=None, *, max_iter: int = 100, grad_tol: fl
 # ---------------------------------------------------------------------------
 
 
-def laplace_draws(fit: FitResult, n_draws: int, seed: int) -> np.ndarray:
-    """Gaussian posterior draws centered at the MAP estimate.
-
-    Returns an (n_draws, dim) array, one coefficient vector per row, in the
-    packed (centered-scale) order of ``fit.beta_packed``.
-    """
+def laplace_draws_batch(fits, n_draws: int, seeds) -> list:
+    """Gaussian posterior draws centered at the MAP estimates of fits of one
+    dimension: per fit an (n_draws, dim) array in the packed (centered-scale)
+    order of its ``beta_packed``, from its own seed ``seeds[i]``, or the
+    FitError saying why it cannot draw. One stacked Cholesky factorisation and
+    solve serve the fits that can draw."""
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
-    if not fit.converged:
-        raise FitError("cannot draw from a non-converged fit")
-    if not fit.curvature_pd:
-        raise FitError("curvature is not positive definite; draws unavailable")
-    chol = np.linalg.cholesky(fit.curvature)
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n_draws, fit.beta_packed.size))
-    # chol.T is upper triangular, so LU's elimination is exact and the solve
-    # is back substitution
-    offset = np.linalg.solve(chol.T, z.T).T
-    return fit.beta_packed + offset
+    why = {False: "cannot draw from a non-converged fit", True: "curvature is not positive definite; draws unavailable"}
+    out = [None if f.converged and f.curvature_pd else FitError(why[f.converged]) for f in fits]
+    ok = [i for i, error in enumerate(out) if error is None]
+    if ok:
+        chol = np.linalg.cholesky(np.stack([fits[i].curvature for i in ok]))
+        z = np.stack([np.random.default_rng(seeds[i]).standard_normal((n_draws, fits[i].beta_packed.size)) for i in ok])
+        # chol.T is upper triangular, so LU's elimination is exact and the solve is back substitution
+        offset = np.linalg.solve(chol.transpose(0, 2, 1), z.transpose(0, 2, 1)).transpose(0, 2, 1)
+        for i, o in zip(ok, offset):
+            out[i] = fits[i].beta_packed + o
+    return out
+
+
+def laplace_draws(fit: FitResult, n_draws: int, seed: int) -> np.ndarray:
+    """``laplace_draws_batch`` for one fit; raises the FitError of a fit that cannot draw."""
+    (draws,) = laplace_draws_batch([fit], n_draws, [seed])
+    if isinstance(draws, Exception):
+        raise draws
+    return draws
 
 
 def draw_params(fit: FitResult, draws: np.ndarray, ages, sexes):
@@ -611,6 +624,11 @@ def _row_params(fit: FitResult, mats: dict, draws: np.ndarray):
     return _natural_params(fit.family, {slot: mats[slot] @ draws[:, slice(*fit.offsets[slot])].T for slot in fit.slots})
 
 
+def _columns(records) -> list[np.ndarray]:
+    """The respondent ages, respondent sexes and partner ages of record sets, concatenated."""
+    return [np.concatenate(c) for c in zip(*((r.respondent_age, r.respondent_sex, r.partner_age) for r in records))]
+
+
 def _design_cells(spec: ModelSpec, slots, ages, sexes, center: bool):
     """(mats, cell_of): the design rows of ``spec`` per slot at each distinct
     (age, sex) cell, and the cell of each observation."""
@@ -620,51 +638,52 @@ def _design_cells(spec: ModelSpec, slots, ages, sexes, center: bool):
     return design_matrices(spec, cells.real, cells.imag, slots=slots, center=center), cell_of
 
 
-def _predict(fit: FitResult, draws: np.ndarray, ages, sexes, rec_idx, draw_idx, rng) -> np.ndarray:
-    """Predictive partner ages, sample i under draw ``draw_idx[i]`` at the
-    covariates of observation ``rec_idx[i]`` of (``ages``, ``sexes``)."""
-    params, cell_of = draw_params(fit, draws, ages, sexes)
-    # p.T is C-contiguous (cells x draws), so its flat view needs no copy
-    flat = cell_of[rec_idx] * draws.shape[0] + draw_idx
-    slots = [p.T.ravel()[flat] for p in params]
+def _predict(fit: FitResult, draws: np.ndarray, mats, cell_of, ages, sexes, rec_idx, draw_idx, rng) -> np.ndarray:
+    """Predictive partner ages, sample i under draw ``draw_idx[i]`` at observation ``rec_idx[i]`` of
+    (``ages``, ``sexes``), in (age, sex) cell ``cell_of[rec_idx[i]]``, whose design rows are ``mats``."""
+    cells, local = np.unique(cell_of, return_inverse=True)  # the cells of these observations
+    params = _row_params(fit, {slot: m[cells] for slot, m in mats.items()}, draws)
+    # each p is C-contiguous (cells x draws), so its flat view needs no copy
+    flat = local.ravel()[rec_idx] * draws.shape[0] + draw_idx
+    slots = [p.ravel()[flat] for p in params]
     del params, flat  # freed before sampling allocates its temporaries
     y = sample_slots(fit.family, slots, draw_idx.shape, rng)
     return transforms.inverse_array(fit.transform, np.asarray(ages)[rec_idx], np.asarray(sexes)[rec_idx], y)
 
 
-def posterior_predictive(
-    fit: FitResult,
-    draws: np.ndarray,
-    respondent_age: float,
-    respondent_sex: int,
-    n_per_draw: int,
-    seed: int,
-) -> np.ndarray:
+def posterior_predictive(fit: FitResult, draws: np.ndarray, respondent_age: float, respondent_sex: int, n_per_draw: int,
+                         seed: int) -> np.ndarray:
     """Posterior predictive partner ages for one covariate combination.
 
     Samples ``n_per_draw`` outcome values under each posterior draw in turn
     and maps them back through the inverse transform; returns the pooled vector.
     """
     draw_idx = np.repeat(np.arange(draws.shape[0]), n_per_draw)
-    rng = np.random.default_rng(seed)
-    return _predict(fit, draws, [respondent_age], [respondent_sex], 0, draw_idx, rng)
+    ages, sexes = [respondent_age], [respondent_sex]
+    mats, cell_of = _design_cells(fit.spec, fit.slots, ages, sexes, center=True)
+    return _predict(fit, draws, mats, cell_of, ages, sexes, 0, draw_idx, np.random.default_rng(seed))
 
 
-def predictive_for_records(
-    fit: FitResult,
-    draws: np.ndarray,
-    records: Records,
-    n_total: int,
-    seed: int,
-) -> np.ndarray:
-    """Posterior predictive partner ages mirroring a record set's covariates.
-
-    Each of the ``n_total`` samples pairs a uniformly chosen record (its age
-    and sex) with a uniformly chosen posterior draw.
-    """
-    if not len(records):
+def predictive_batch(fits, draws, groups) -> list[list[np.ndarray]]:
+    """Posterior predictive partner ages mirroring record sets' covariates, for
+    fits of one family, transform and spec. ``groups[f]`` lists (records,
+    n_total, seed) for fit f; each gets ``n_total`` samples from its own random
+    stream, each a uniformly chosen record's age and sex under a uniformly
+    chosen draw. The cells' design rows are built once for all groups."""
+    requests = [(f, *request) for f, group in enumerate(groups) for request in group]
+    if not all(len(records) for _, records, _, _ in requests):
         raise ValueError("predictive_for_records requires a nonempty record set")
-    rng = np.random.default_rng(seed)
-    rec_idx = rng.integers(0, len(records), size=n_total)
-    draw_idx = rng.integers(0, draws.shape[0], size=n_total)
-    return _predict(fit, draws, records.respondent_age, records.respondent_sex, rec_idx, draw_idx, rng)
+    ages, sexes, _ = _columns([records for _, records, _, _ in requests])
+    mats, cell_of = _design_cells(fits[0].spec, fits[0].slots, ages, sexes, center=True)
+    bounds, out = np.cumsum([0, *(len(records) for _, records, _, _ in requests)]), [[] for _ in groups]
+    for (f, _, n, seed), lo, hi in zip(requests, bounds[:-1], bounds[1:]):
+        rng = np.random.default_rng(seed)
+        rec_idx, draw_idx = rng.integers(0, hi - lo, size=n), rng.integers(0, draws[f].shape[0], size=n)
+        out[f].append(_predict(fits[f], draws[f], mats, cell_of[lo:hi], ages[lo:hi], sexes[lo:hi], rec_idx, draw_idx,
+                               rng))
+    return out
+
+
+def predictive_for_records(fit: FitResult, draws: np.ndarray, records: Records, n_total: int, seed: int) -> np.ndarray:
+    """Posterior predictive partner ages mirroring a record set's covariates (``predictive_batch``)."""
+    return predictive_batch([fit], [draws], [[(records, n_total, seed)]])[0][0]

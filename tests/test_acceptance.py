@@ -4,6 +4,7 @@ Run with plain ``pytest``; the per-criterion lines bypass output capture so
 they appear in any mode.
 """
 
+import dataclasses
 import math
 import time
 import zlib
@@ -162,8 +163,7 @@ def test_criterion_04_gradient_correctness(capsys):
 
 
 def test_criterion_05_parameter_recovery(capsys):
-    cfg = default_config(n=50_000, seed=424242)
-    cfg.integer_ages = False
+    cfg = dataclasses.replace(default_config(n=50_000, seed=424242), integer_ages=False)
     records = simulate(cfg)
     t0 = time.monotonic()
     fit = fit_map(
@@ -389,8 +389,7 @@ def test_criterion_10_qq_rmse_properties(capsys):
 
 
 def test_criterion_11_deheaping(capsys):
-    cfg = default_config(n=60_000, seed=777)
-    cfg.heaping = 0.3
+    cfg = dataclasses.replace(default_config(n=60_000, seed=777), heaping=0.3)
     records = simulate(cfg)
     before = heaping_index(records)
     out, report = deheap(records, bandwidth=2.0, seed=123)
@@ -418,9 +417,8 @@ def test_criterion_11_deheaping(capsys):
 def test_criterion_12_cli_reproducibility(capsys, tmp_path):
     runner = CliRunner()
     data = tmp_path / "records.csv"
-    cfg = default_config(n=1200, seed=99)
-    cfg.heaping = 0.3
-    cfg.age_weights = [1.0 if 20 <= a <= 49 else 0.0 for a in range(15, 65)]
+    weights = [1.0 if 20 <= a <= 49 else 0.0 for a in range(15, 65)]
+    cfg = dataclasses.replace(default_config(n=1200, seed=99), heaping=0.3, age_weights=weights)
     save_csv(simulate(cfg), data)
 
     def run_twice(args, outputs):

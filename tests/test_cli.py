@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -17,7 +18,8 @@ from agemix.cli import main
 from agemix.data_io import default_config, load_csv, save_csv, simulate, stratify
 from agemix.design import ModelSpec, ModelTag
 from agemix.distributions import Family
-from agemix.inference import FitError, FitProblem, fit_map, laplace_draws, predictive_for_records
+from agemix.inference import (FitError, FitProblem, fit_map, fit_map_batch, laplace_draws, laplace_draws_batch,
+                              predictive_batch, predictive_for_records)
 from agemix.transforms import Transform, TransformKind
 from conftest import assert_same_records
 
@@ -31,9 +33,8 @@ def runner():
 def data_csv(tmp_path_factory):
     """Small heaped data set covering all 12 subsets."""
     path = tmp_path_factory.mktemp("data") / "records.csv"
-    cfg = default_config(n=1200, seed=99)
-    cfg.heaping = 0.3
-    cfg.age_weights = [1.0 if 20 <= a <= 49 else 0.0 for a in range(15, 65)]
+    weights = [1.0 if 20 <= a <= 49 else 0.0 for a in range(15, 65)]
+    cfg = dataclasses.replace(default_config(n=1200, seed=99), heaping=0.3, age_weights=weights)
     save_csv(simulate(cfg), path)
     return path
 
@@ -85,6 +86,17 @@ class TestSimulateCommand:
             assert result.exit_code == 2, result.output
             assert "Invalid value for '--n'" in result.output
             assert not out.exists()
+
+    @pytest.mark.parametrize("field,value", [("n", 0), ("heaping", 3.0)])
+    def test_invalid_config_file_value_is_a_usage_error(self, runner, tmp_path, field, value):
+        # as --n 0 is: exit status 2, naming the field, no traceback and no output
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**default_config(n=30, seed=2).to_dict(), field: value}))
+        out = tmp_path / "sim.csv"
+        result = runner.invoke(main, ["simulate", "--config", str(cfg_path), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "Invalid value for '--config'" in result.output and f"{field} must be" in result.output
+        assert result.exc_info[0] is SystemExit and not out.exists()
 
     def test_overrides_apply_to_a_config_file(self, runner, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -265,24 +277,23 @@ class TestCompareDistributions:
 @pytest.fixture(scope="module")
 def one_subset_csv(tmp_path_factory):
     path = tmp_path_factory.mktemp("one") / "one.csv"
-    cfg = default_config(n=140, seed=17)
-    cfg.age_weights = [1.0 if 25 <= a <= 29 else 0.0 for a in range(15, 65)]
-    cfg.sex_ratio = 1.0
+    weights = [1.0 if 25 <= a <= 29 else 0.0 for a in range(15, 65)]
+    cfg = dataclasses.replace(default_config(n=140, seed=17), age_weights=weights, sex_ratio=1.0)
     save_csv(simulate(cfg), path)
     return path
 
 
 class TestElpdAndJobsFlags:
     def test_kfold_elpd_flag(self, runner, one_subset_csv, tmp_path, monkeypatch):
-        # every fold fit draws --draws samples, not elpd_loo's default
-        real = agemix.evaluation.laplace_draws
+        # every fold fit draws --draws samples, not elpd_batch's default
+        real = agemix.evaluation.laplace_draws_batch
         counts = []
 
-        def laplace_draws(fit, n_draws, seed):
-            counts.append(n_draws)
-            return real(fit, n_draws, seed)
+        def laplace_draws_batch(fits, n_draws, seeds):
+            counts.extend([n_draws] * len(fits))
+            return real(fits, n_draws, seeds)
 
-        monkeypatch.setattr(agemix.evaluation, "laplace_draws", laplace_draws)
+        monkeypatch.setattr(agemix.evaluation, "laplace_draws_batch", laplace_draws_batch)
         result = runner.invoke(
             main,
             ["compare-distributions", str(one_subset_csv), "--out", str(tmp_path),
@@ -411,22 +422,16 @@ class TestCompareModels:
 
 
 def _fail_fit_map(monkeypatch, should_fail):
-    """Make the CLI's fits raise for the problems ``should_fail`` picks: a
-    single fit (``agemix.cli.fit_map``) or a whole batch that holds one
-    (``agemix.cli.fit_map_batch``)."""
-    real, real_batch = agemix.cli.fit_map, agemix.cli.fit_map_batch
-
-    def fit_map(problem, *args, **kwargs):
-        if should_fail(problem):
-            raise FitError("injected failure")
-        return real(problem, *args, **kwargs)
+    """Make the CLI's fits raise for the problems ``should_fail`` picks: the
+    whole batch that holds one (``agemix.cli.fit_map_batch``; compare-models
+    fits batches of one)."""
+    real_batch = agemix.cli.fit_map_batch
 
     def fit_map_batch(problems, *args, **kwargs):
         if any(map(should_fail, problems)):
             raise FitError("injected failure")
         return real_batch(problems, *args, **kwargs)
 
-    monkeypatch.setattr(agemix.cli, "fit_map", fit_map)
     monkeypatch.setattr(agemix.cli, "fit_map_batch", fit_map_batch)
 
 
@@ -506,18 +511,19 @@ class TestFailureMarkers:
 
 
 def _infinite_khat(monkeypatch, should_mark):
-    """Make ``agemix.cli.elpd_loo`` report record 0 as unassessable (k-hat = inf)
+    """Make ``agemix.cli.elpd_batch`` report record 0 as unassessable (k-hat = inf)
     for the problems ``should_mark`` picks."""
-    real = agemix.cli.elpd_loo
+    real = agemix.cli.elpd_batch
 
-    def elpd_loo(*args, **kwargs):
-        res = real(*args, **kwargs)
-        if should_mark(kwargs["problem"]):
-            res.khat[0] = math.inf
-            res.flagged = tuple(sorted({0, *res.flagged}))
-        return res
+    def elpd_batch(*args, **kwargs):
+        results = real(*args, **kwargs)
+        for problem, res in zip(kwargs["problems"], results):
+            if should_mark(problem):
+                res.khat[0] = math.inf
+                res.flagged = tuple(sorted({0, *res.flagged}))
+        return results
 
-    monkeypatch.setattr(agemix.cli, "elpd_loo", elpd_loo)
+    monkeypatch.setattr(agemix.cli, "elpd_batch", elpd_batch)
 
 
 class TestInfiniteKhat:
@@ -549,6 +555,97 @@ class TestInfiniteKhat:
             assert (entry["max_khat"] is None) == (tag == "distributional_2")
 
 
+class TestBatchScoring:
+    """Scoring a combination's 12 subset cells as one batch gives every cell,
+    bit for bit, what scoring it as a batch of one gives: draws, pointwise
+    ELPD, k-hat, flagged records, predictive samples and QQ RMSE; a cell that
+    fails keeps its own failure marker and leaves its neighbours as they are."""
+
+    @pytest.fixture(scope="class")
+    def cells(self):
+        subsets = stratify(simulate(default_config(n=500, seed=3)))
+        spec = ModelSpec(ModelTag.INTERCEPT_ONLY)
+        problems = [FitProblem(Family.SINH_ARCSINH, Transform(TransformKind.LOG_RATIO), spec, r) for r in subsets.values()]
+        parts = [(1, key.sex, key.bin_start) for key in subsets]
+        return list(subsets), problems, parts, [[("subset", p.records, ())] for p in problems]
+
+    @staticmethod
+    def score(cells, method, n_draws, qq_samples, only=None):
+        """(rows, k-hat warning texts) of the cells ``only`` picks (all by default) as one batch."""
+        _, problems, parts, groups = cells
+        pick = range(len(problems)) if only is None else only
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rows = agemix.cli._score([problems[i] for i in pick], [parts[i] for i in pick], n_draws, method,
+                                     qq_samples, [groups[i] for i in pick])
+        return rows, [str(w.message) for w in caught if "k-hat" in str(w.message)]
+
+    @staticmethod
+    def assert_same_row(batched, single):
+        for key in ("ok", "converged", "n_flagged", "n_inf_predictive", "error", "iterations"):
+            assert batched[key] == single[key], key
+        for key in ("elpd", "elpd_se", "max_khat", "qq_rmse", "nlp", "gradient_norm"):
+            np.testing.assert_array_equal(batched[key], single[key], err_msg=key)
+        if batched["ok"]:
+            b, s = batched["elpd_result"], single["elpd_result"]
+            np.testing.assert_array_equal(b.pointwise, s.pointwise)
+            assert (b.khat is None) == (s.khat is None) and b.flagged == s.flagged
+            if b.khat is not None:
+                np.testing.assert_array_equal(b.khat, s.khat)
+
+    def assert_cells_alone(self, cells, method, n_draws, qq_samples, rows, messages):
+        singles = [self.score(cells, method, n_draws, qq_samples, [i]) for i in range(len(rows))]
+        for row, (single, _) in zip(rows, singles):
+            self.assert_same_row(row, single[0])
+        # one k-hat warning per flagged cell, in cell order
+        assert messages == [m for _, texts in singles for m in texts]
+
+    def test_psis(self, cells):
+        rows, messages = self.score(cells, "psis", 1000, 2000)
+        assert all(r["ok"] for r in rows) and sum(r["n_flagged"] > 0 for r in rows) == len(messages) > 0
+        self.assert_cells_alone(cells, "psis", 1000, 2000, rows, messages)
+
+    def test_kfold(self, cells):
+        rows, messages = self.score(cells, "exact_kfold", 200, 500)
+        assert all(r["ok"] for r in rows) and messages == []
+        self.assert_cells_alone(cells, "exact_kfold", 200, 500, rows, messages)
+
+    def test_draws_and_predictive_samples(self, cells):
+        _, problems, parts, _ = cells
+        fits = fit_map_batch(problems)
+        seeds = [agemix.cli._child_seed(*p, 1) for p in parts]
+        draws = laplace_draws_batch(fits, 1000, seeds)
+        samples = predictive_batch(fits, draws, [[(p.records, 2000, s + 1)] for p, s in zip(problems, seeds)])
+        for fit, problem, seed, d, (sample,) in zip(fits, problems, seeds, draws, samples):
+            np.testing.assert_array_equal(d, laplace_draws(fit, 1000, seed))
+            np.testing.assert_array_equal(sample, predictive_for_records(fit, d, problem.records, 2000, seed + 1))
+
+    @pytest.mark.parametrize("method", ["psis", "exact_kfold"])
+    def test_failed_cell_keeps_its_marker(self, cells, method, monkeypatch):
+        keys, *_ = cells
+        n_draws, qq_samples = (1000, 2000) if method == "psis" else (200, 500)
+        want, _ = self.score(cells, method, n_draws, qq_samples)
+        # cell 3's fit (PSIS) or its fold fits (k-fold) do not converge: every
+        # record of a fold fit lies in the cell's (sex, age bin)
+        key = keys[3]
+        module = agemix.cli if method == "psis" else agemix.evaluation
+        real = module.fit_map_batch
+
+        def fit_map_batch(problems):
+            def in_cell(r):
+                return r.respondent_sex[0] == key.sex and key.bin_start <= r.respondent_age[0] < key.bin_start + 5
+            fits = real(problems)
+            return [dataclasses.replace(f, converged=False) if in_cell(p.records) else f for p, f in zip(problems, fits)]
+
+        monkeypatch.setattr(module, "fit_map_batch", fit_map_batch)
+        rows, _ = self.score(cells, method, n_draws, qq_samples)
+        assert rows[3]["error"] == "FitError: cannot draw from a non-converged fit" and not rows[3]["ok"]
+        assert math.isnan(rows[3]["elpd"]) and rows[3]["n_flagged"] == 0
+        for i, (row, single) in enumerate(zip(rows, want)):
+            if i != 3:
+                self.assert_same_row(row, single)
+
+
 class TestInfinitePredictive:
     """Predictive partner ages that overflow the inverse transform are counted
     per fit, not reported as RuntimeWarnings."""
@@ -566,7 +663,8 @@ class TestInfinitePredictive:
     def test_score_counts_infinite_samples(self, cell):
         problem, fit = cell
         parts = (7, 0, 20)
-        scores = agemix.cli._score(problem, fit, parts, 1000, "psis", 10000, [("subset", problem.records, ())])
+        # _score fits the batch itself: the batch of one is fit_map's fit
+        (scores,) = agemix.cli._score([problem], [parts], 1000, "psis", 10000, [[("subset", problem.records, ())]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             draws = laplace_draws(fit, 1000, seed=agemix.cli._child_seed(*parts, 1))

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import logging
@@ -93,8 +94,7 @@ class TestCsv:
         assert_same_records(load_csv(path), tiny_records)
 
     def test_round_trip_non_integer_ages(self, tmp_path):
-        cfg = default_config(n=300, seed=31)
-        cfg.integer_ages = False
+        cfg = dataclasses.replace(default_config(n=300, seed=31), integer_ages=False)
         records = simulate(cfg)
         path = tmp_path / "r.csv"
         save_csv(records, path)
@@ -274,6 +274,20 @@ class TestGeneratorConfig:
         assert (cfg.n, cfg.seed) == (7, 4)
         assert cfg.to_dict() == default_config(n=7, seed=4).to_dict()
 
+    def test_frozen_after_validation(self):
+        # a field set after validation would skip it: n = 0 made simulate return no records
+        cfg = default_config(n=10, seed=1)
+        for field, value in (("n", 0), ("heaping", 3.0), ("seed", 2)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cfg, field, value)
+        assert (cfg.n, cfg.heaping, cfg.seed) == (10, 0.0, 1)
+
+    @pytest.mark.parametrize("field,value,match", [("n", 0, "n must be >= 1"), ("heaping", 3.0, "heaping must be")])
+    def test_replace_validates_again(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            dataclasses.replace(default_config(n=10, seed=1), **{field: value})
+        assert len(simulate(dataclasses.replace(default_config(n=10, seed=1), n=3))) == 3
+
     def test_json_round_trip(self):
         cfg = default_config(n=100, seed=3)
         again = GeneratorConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
@@ -297,9 +311,7 @@ class TestSimulate:
     }
 
     def simulated_bytes(self, name, path) -> bytes:
-        cfg = default_config(n=20_000, seed=5)
-        for key, value in self.CONFIGS[name].items():
-            setattr(cfg, key, value)
+        cfg = dataclasses.replace(default_config(n=20_000, seed=5), **self.CONFIGS[name])
         save_csv(simulate(cfg), path)
         return path.read_bytes()
 
@@ -344,8 +356,7 @@ class TestSimulate:
         assert heaping_index(simulate(cfg)) < 0.02
 
     def test_full_heaping(self):
-        cfg = default_config(n=2_000, seed=4)
-        cfg.heaping = 1.0
+        cfg = dataclasses.replace(default_config(n=2_000, seed=4), heaping=1.0)
         records = simulate(cfg)
         offsets = (records.partner_age.astype(int) - records.respondent_age.astype(int)) % 5
         # offsets not at 0 can only come from the boundary guard (rare clips)

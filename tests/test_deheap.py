@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -106,8 +107,7 @@ class TestDeheapSpikeCases:
 
 @pytest.fixture(scope="module")
 def heaped_records():
-    cfg = default_config(n=20_000, seed=555)
-    cfg.heaping = 0.35
+    cfg = dataclasses.replace(default_config(n=20_000, seed=555), heaping=0.35)
     return simulate(cfg)
 
 
@@ -222,9 +222,8 @@ class TestMatchesRecordwiseReference:
     def test_skipped_groups(self):
         # a lone record (fewer than 2), a group with one partner age (no
         # non-heaped support) and a heaped group, interleaved in record order
-        cfg = default_config(n=400, seed=3)
-        cfg.heaping = 0.5
-        cfg.age_weights = [1.0 if a == 33 else 0.0 for a in range(15, 65)]
+        weights = [1.0 if a == 33 else 0.0 for a in range(15, 65)]
+        cfg = dataclasses.replace(default_config(n=400, seed=3), heaping=0.5, age_weights=weights)
         heaped = simulate(cfg)
         lone = Records([20.0], [1], [30.0])
         flat = group_records({45: 4}, respondent_age=40, sex=0)

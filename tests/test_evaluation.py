@@ -8,7 +8,7 @@ from scipy.special import logsumexp
 from scipy.stats import lognorm
 
 from agemix import evaluation, transforms
-from agemix.data_io import Records, default_config, simulate
+from agemix.data_io import Records, default_config, simulate, stratify
 from agemix.design import ModelSpec, ModelTag
 from agemix.distributions import Family
 from agemix.distributions import log_pdf_slots
@@ -23,7 +23,8 @@ from agemix.evaluation import (
     qq_rmse,
     rank_by_elpd,
 )
-from agemix.inference import FitProblem, draw_params, fit_map, fit_map_batch, laplace_draws
+from agemix import inference
+from agemix.inference import FitProblem, draw_params, fit_map, fit_map_batch, laplace_draws, laplace_draws_batch
 from agemix.transforms import Transform, TransformKind, forward_array
 from psis_reference import _psis_column, gpd_fit
 from sinh_arcsinh_reference import logpdf_sinh_arcsinh as sas_reference
@@ -118,7 +119,7 @@ class TestPointwiseLoglik:
         assert overflowed.any() and not overflowed.all() and not np.isnan(want).any()
         first = int(np.argmax(overflowed))
         with pytest.raises(ValueError, match=rf"non-finite log likelihood at draw 3, record {first} "):
-            list(evaluation._loglik_blocks(fit, corrupted, records))
+            pointwise_loglik(fit, corrupted, records)
 
 
 def _assert_kernel_matches_column_oracle(ll):
@@ -503,6 +504,88 @@ class TestStreamedElpd:
             tracemalloc.stop()
         assert res.pointwise.shape == (20_000,) and np.all(np.isfinite(res.pointwise))
         assert peak < matrix_bytes / 4, f"peak {peak / 1e6:.1f} MB"
+
+
+class TestBatchStream:
+    """The log-likelihood stream of a batch of fits: blocks of at most
+    ``_block_rows`` keys run across fit boundaries, each row is its key's
+    density under its own fit's draws, and a block links no more design rows
+    than it holds keys."""
+
+    @pytest.fixture(scope="class")
+    def combination(self):
+        cells = list(stratify(simulate(default_config(n=500, seed=3))).values())
+        spec = ModelSpec(ModelTag.INTERCEPT_ONLY)
+        problems = [FitProblem(Family.SKEW_NORMAL, Transform(TransformKind.LOG_RATIO), spec, r) for r in cells]
+        return cells, fit_map_batch(problems)
+
+    def test_blocks_cross_fits_and_hold_each_fits_densities(self, combination, monkeypatch):
+        cells, fits = combination
+        draws = laplace_draws_batch(fits, 120, list(range(len(fits))))
+        monkeypatch.setattr(evaluation, "_BLOCK_BYTES", 16 * 8 * 120)  # 16 keys a block
+        keys = evaluation._keys(fits, cells)
+        _, pair_fit, _, pair, _, first, _ = keys
+        bounds = np.cumsum([0, *map(len, cells)])
+        # each fit alone, as a batch of one: its records' Jacobian-adjusted densities
+        alone = [pointwise_loglik(f, d, r) for f, d, r in zip(fits, draws, cells)]
+        seen, crossing = [], 0
+        for rows, block in evaluation._loglik_blocks(fits, draws, cells, keys, [None] * len(fits)):
+            assert block.flags.c_contiguous and block.shape == (rows.size, 120)
+            assert rows.size <= evaluation._block_rows(120) == 16
+            owners = pair_fit[pair[rows]]
+            crossing += np.unique(owners).size > 1
+            for row, key, f in zip(block, rows, owners):
+                i = first[key] - bounds[f]  # the key's first record, in its fit's records
+                jacobian = transforms.log_jacobian_array(fits[f].transform, *(getattr(cells[f], c)[[i]] for c in (
+                    "respondent_age", "respondent_sex", "partner_age")))
+                np.testing.assert_array_equal(row + jacobian, alone[f][:, i])
+            seen.extend(rows)
+        assert seen == list(range(first.size)) and crossing > 0
+
+    def test_fractional_ages_link_at_most_one_row_per_key(self, monkeypatch):
+        # every record its own design row: three regression fits of one spec
+        rng = np.random.default_rng(1)
+        ages = rng.uniform(15, 64, 600)
+        records = Records(ages, rng.integers(0, 2, 600), np.rint(ages * np.exp(rng.normal(0.05, 0.15, 600))))
+        spec = ModelSpec(ModelTag.DISTRIBUTIONAL_4).with_knots_from_ages(ages)
+        cells = [records[i::3] for i in range(3)]
+        problems = [FitProblem(Family.SINH_ARCSINH, Transform(TransformKind.LOG_RATIO), spec, r) for r in cells]
+        fits = fit_map_batch(problems, max_iter=0)  # the stream reads the fits' spec and layout only
+        draws = [f.beta_packed + 0.01 * rng.standard_normal((40, f.beta_packed.size)) for f in fits]
+        monkeypatch.setattr(evaluation, "_BLOCK_BYTES", 64 * 8 * 40)
+        linked, real = [], inference._natural_params
+
+        def counting(family, etas):
+            linked.append(next(iter(etas.values())).shape[0])
+            return real(family, etas)
+
+        monkeypatch.setattr(inference, "_natural_params", counting)
+        keys = evaluation._keys(fits, cells)
+        assert keys[5].size == 600
+        crossing = 0
+        for rows, _ in evaluation._loglik_blocks(fits, draws, cells, keys, [None] * 3):
+            crossing += np.unique(keys[1][keys[3][rows]]).size > 1
+            assert 0 < sum(linked) <= rows.size <= evaluation._block_rows(40) == 64
+            linked.clear()
+        assert crossing > 0
+
+    @pytest.mark.filterwarnings("ignore:PSIS tail index")
+    def test_combination_memory(self, combination):
+        # scoring the 12 cells one elpd_loo at a time, before blocks spanned
+        # fits, peaked at 4.36 MB under tracemalloc on this input (numpy 2.4,
+        # skew normal, whose density has the most block-sized temporaries);
+        # the batch's stream read 4.31 MB there. The 5% allows for other numpy
+        # versions' temporaries; a stream holding one block more would fail
+        cells, fits = combination
+        draws = laplace_draws_batch(fits, 1000, list(range(len(fits))))
+        tracemalloc.start()
+        try:
+            results = evaluation.elpd_batch("psis", fits=fits, draws=draws, records=cells)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(np.all(np.isfinite(r.pointwise)) for r in results)
+        assert peak < 1.05 * 4.36e6, f"peak {peak / 1e6:.2f} MB"
 
 
 class TestKeyedElpd:

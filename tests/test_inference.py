@@ -524,14 +524,15 @@ class TestDrawParams:
         args = (fit.transform, recs.respondent_age, recs.respondent_sex, recs.partner_age)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             want = log_pdf_slots(family, forward_array(*args)[None, :], *self.per_observation(fit, draws, recs))
-        first = evaluation._keys(fit, recs)[3]
+        keys = evaluation._keys([fit], [recs])
+        first = keys[5]
         # the blocks are outcome-scale densities of each key's first record:
         # the log Jacobian is added by their callers
         starts = []
-        for start, block in evaluation._loglik_blocks(fit, draws, recs):
+        for rows, block in evaluation._loglik_blocks([fit], [draws], [recs], keys, [None]):
             assert block.flags.c_contiguous and block.shape[1] == draws.shape[0]
-            np.testing.assert_array_equal(block, want[:, first[start : start + block.shape[0]]].T)
-            starts.append(start)
+            np.testing.assert_array_equal(block, want[:, first[rows]].T)
+            starts.append(rows[0])
         assert starts == list(range(0, first.size, 64))
 
     @pytest.mark.parametrize("tag", [ModelTag.INTERCEPT_ONLY, ModelTag.DISTRIBUTIONAL_4])
@@ -550,7 +551,8 @@ class TestDrawParams:
             return _natural_params(family, etas)
 
         monkeypatch.setattr(inference, "_natural_params", counting)
-        sizes = [block.shape[0] for _, block in evaluation._loglik_blocks(fit, draws, cell_records)]
+        keys = evaluation._keys([fit], [cell_records])
+        sizes = [block.shape[0] for _, block in evaluation._loglik_blocks([fit], [draws], [cell_records], keys, [None])]
         mats = design_matrices(
             fit.spec, cell_records.respondent_age, cell_records.respondent_sex, slots=fit.slots, center=True
         )
