@@ -23,6 +23,6 @@ from .inference import (
     posterior_predictive,
     predictive_for_records,
 )
-from .transforms import Transform, TransformKind, forward, inverse, log_jacobian
+from .transforms import Transform, TransformKind
 
 __version__ = "0.1.0"

@@ -28,8 +28,8 @@ weights as sorted values; a record takes its key's k-hat and pointwise ELPD
 plus its log Jacobian. Memory is O(draws x block), work O(keys x draws).
 Exact k-fold fits the batch's folds as one ``inference.fit_map_batch``,
 draws ``n_draws`` per fold fit and scores the held-out keys the same way.
-``elpd_loo`` is the batch of one; ``pointwise_loglik`` builds the full
-(draws x records) array from the same blocks.
+``pointwise_loglik`` builds the full (draws x records) array of one fit from
+the same blocks, and ``elpd_loo`` runs PSIS on such an array.
 """
 
 from __future__ import annotations
@@ -366,39 +366,18 @@ def elpd_batch(method: str, *, fits=(), draws=(), records=(), problems=(), folds
     return results
 
 
-def elpd_loo(ll: np.ndarray | None = None, method: str = "psis", *, fit: FitResult | None = None,
-             draws: np.ndarray | None = None, records=None, problem=None, folds: int = 10, n_draws: int = 1000,
-             seed: int = 0) -> ElpdResult:
-    """Leave-one-out expected log predictive density of one fit.
-
-    ``method="psis"`` estimates LOO from the draws alone (requires at least
-    100 draws): either from the (n_draws, n_records) array ``ll`` or, when
-    ``ll`` is None, as ``elpd_batch`` does for ``fit``, ``draws`` and
-    ``records``, without building the array.
-    ``method="exact_kfold"`` refits ``problem`` on K training folds and
-    scores each record out of fold; it needs the originating FitProblem and
-    uses ``ll``, if given, only to check the record count.
-    """
-    if method == "psis" and ll is not None:
-        if ll.shape[0] < 100:
-            raise ValueError("psis requires at least 100 draws")
-        pointwise, khat, step = np.empty(ll.shape[1]), np.empty(ll.shape[1]), _block_rows(ll.shape[0])
-        for start in range(0, ll.shape[1], step):  # records-major blocks of the matrix
-            rows = slice(start, start + step)
-            pointwise[rows], khat[rows] = _psis_block(np.ascontiguousarray(ll[:, rows].T))
-        res = _result(pointwise, "psis", khat)
-        _warn_flagged([res])
-        return res
-    if method == "psis" and (fit is None or draws is None or records is None):
-        raise ValueError("psis needs a log-likelihood matrix or fit, draws and records")
-    if method == "exact_kfold" and problem is None:
-        raise ValueError("exact_kfold needs the originating FitProblem")
-    if method == "exact_kfold" and ll is not None and ll.shape[1] != len(problem.records):
-        raise ValueError("log-likelihood matrix does not match the problem's records")
-    (res,) = elpd_batch(method, fits=[fit], draws=[draws], records=[records], problems=[problem], folds=folds,
-                        n_draws=n_draws, seeds=[seed])
-    if isinstance(res, Exception):
-        raise res
+def elpd_loo(ll: np.ndarray) -> ElpdResult:
+    """PSIS-LOO expected log predictive density from the (n_draws, n_records)
+    log-likelihood array ``ll`` (at least 100 draws), scored in records-major
+    blocks as ``elpd_batch`` scores its stream."""
+    if ll.shape[0] < 100:
+        raise ValueError("psis requires at least 100 draws")
+    pointwise, khat, step = np.empty(ll.shape[1]), np.empty(ll.shape[1]), _block_rows(ll.shape[0])
+    for start in range(0, ll.shape[1], step):
+        rows = slice(start, start + step)
+        pointwise[rows], khat[rows] = _psis_block(np.ascontiguousarray(ll[:, rows].T))
+    res = _result(pointwise, "psis", khat)
+    _warn_flagged([res])
     return res
 
 

@@ -16,13 +16,17 @@ parameters at design rows: once per distinct (age, sex) cell for
 design row in the ELPD blocks.
 
 Optimization is damped Newton on the exact Hessian of the negative log
-posterior: closed-form per-record second derivatives of log f in the linear
-predictors, assembled as sum_ab X_a' diag(w_ab) X_b plus the prior
-precision. Steps solve it (with a Levenberg shift where its Cholesky
-factorisation fails) under a backtracking (Armijo) line search; non-finite
-objective values act as +inf sentinels that the line search backs away
-from. The same Hessian at the optimum is the curvature of the Gaussian
-(Laplace) approximation that posterior draws come from.
+posterior. One pass, ``_evaluate``, maps coefficients to linear predictors
+and family parameters and takes per record log f (the density
+``distributions.log_pdf_slots`` gives the ELPD layer) with its closed-form
+first and second derivatives in the linear predictors; it sums them into
+each cell's value, gradient and Hessian sum_ab X_a' diag(w_ab) X_b, and then
+adds the prior's value, gradient and precision. Steps solve the Hessian
+system (with a Levenberg shift where its Cholesky factorisation fails) under
+a backtracking (Armijo) line search, and an accepted trial point keeps the
+Hessian its pass gave; non-finite objective values act as +inf sentinels that
+the line search backs away from. The Hessian at the optimum is the curvature
+of the Gaussian (Laplace) approximation that posterior draws come from.
 
 ``fit_map_batch`` fits problems of one family, prior and design width as one
 batch of cells: their records are stacked, each Newton iteration evaluates
@@ -55,8 +59,8 @@ import numpy as np
 
 from . import transforms
 from .design import ModelSpec, design_matrices, uncenter_matrix
-from .distributions import (Family, _digamma_trigamma, _log_ndtr, _logpdf_skew_normal, linpred_slots, log_pdf_slots,
-                            sample_slots)
+from .distributions import (Family, _digamma_trigamma, _log_ndtr, _logpdf_beta, _logpdf_gamma, _logpdf_normal,
+                            _logpdf_sinh_arcsinh, _logpdf_skew_normal, linpred_slots, sample_slots)
 from .transforms import Transform
 
 if TYPE_CHECKING:  # data_io imports this module
@@ -79,6 +83,8 @@ __all__ = [
 
 EXP_CLAMP = 700.0
 DEFAULT_PRIOR_SD = 5.0
+# a fit has converged when its gradient's largest entry is below this
+GRAD_TOL = 1e-6
 
 
 class FitError(RuntimeError):
@@ -179,7 +185,7 @@ def _natural_params(family: Family, etas: dict):
 
 
 # ---------------------------------------------------------------------------
-# first and second derivatives of log f with respect to the linear predictors
+# log f and its first and second derivatives in the linear predictors
 # ---------------------------------------------------------------------------
 
 
@@ -195,15 +201,16 @@ def _location_scale(z, sigma, lz, lzz):
 def _derivs_normal(x, mu, sigma):
     # log f = -log sigma - z^2 / 2 + const
     z = (x - mu) / sigma
-    return _location_scale(z, sigma, -z, -1.0)
+    return _logpdf_normal(x, mu, sigma), *_location_scale(z, sigma, -z, -1.0)
 
 
-def _derivs_skew_normal(x, mu, sigma, epsilon, log_cdf=None):
-    # log f = -log sigma - z^2 / 2 + log Phi(u) + const with u = epsilon z;
-    # log_cdf, when given, is log Phi(u); zeta = phi(u) / Phi(u), stable for u << 0
+def _derivs_skew_normal(x, mu, sigma, epsilon):
+    # log f = -log sigma - z^2 / 2 + log Phi(u) + const with u = epsilon z; the
+    # density and zeta = phi(u) / Phi(u), stable for u << 0, share log Phi(u)
     z = (x - mu) / sigma
     u = epsilon * z
-    zeta = np.exp(-0.5 * u * u - 0.5 * math.log(2.0 * math.pi) - (_log_ndtr(u) if log_cdf is None else log_cdf))
+    log_cdf = _log_ndtr(u)
+    zeta = np.exp(-0.5 * u * u - 0.5 * math.log(2.0 * math.pi) - log_cdf)
     dzeta = -zeta * (u + zeta)  # d zeta / du
     lze = zeta + u * dzeta
     grads, hess = _location_scale(z, sigma, epsilon * zeta - z, epsilon * epsilon * dzeta - 1.0)
@@ -211,14 +218,14 @@ def _derivs_skew_normal(x, mu, sigma, epsilon, log_cdf=None):
     hess[("mu", "epsilon")] = -lze / sigma
     hess[("sigma", "epsilon")] = -z * lze
     hess[("epsilon", "epsilon")] = z * z * dzeta
-    return grads, hess
+    return _logpdf_skew_normal(x, mu, sigma, epsilon, log_cdf), grads, hess
 
 
 def _derivs_gamma(x, k, theta):
     # slots: log k, log theta
     psi, psi1 = _digamma_trigamma(k)
     dk = k * (np.log(x) - psi - np.log(theta))
-    return {"mu": dk, "sigma": x / theta - k}, {
+    return _logpdf_gamma(x, k, theta), {"mu": dk, "sigma": x / theta - k}, {
         ("mu", "mu"): dk - k * k * psi1,
         ("mu", "sigma"): -k,
         ("sigma", "sigma"): -x / theta,
@@ -231,7 +238,7 @@ def _derivs_beta(x, alpha, beta_p):
     (psi_a, psi1_a), (psi_b, psi1_b) = _digamma_trigamma(alpha), _digamma_trigamma(beta_p)
     da = alpha * (np.log(x) - psi_a + dab)
     db = beta_p * (np.log1p(-x) - psi_b + dab)
-    return {"mu": da, "sigma": db}, {
+    return _logpdf_beta(x, alpha, beta_p), {"mu": da, "sigma": db}, {
         ("mu", "mu"): da + alpha * alpha * (tab - psi1_a),
         ("mu", "sigma"): alpha * beta_p * tab,
         ("sigma", "sigma"): db + beta_p * beta_p * (tab - psi1_b),
@@ -264,12 +271,13 @@ def _derivs_sinh_arcsinh(x, mu, sigma, epsilon, delta):
     hess[("sigma", "delta")] = ss - z * fzd
     hess[("epsilon", "delta")] = g2 * delta * r - z * fze
     hess[("delta", "delta")] = ss - 2.0 * z * fzd + delta * r * (g2 * delta * r + g1)
-    return grads, hess
+    return _logpdf_sinh_arcsinh(x, mu, sigma, epsilon, delta), grads, hess
 
 
-# _DERIVS[family](x, *params) -> (grads, hess): per-record derivatives of
-# log f in the linear predictors, n-vectors keyed by slot and by slot pair
-# (a, b) with a before b in the family's slot order
+# _DERIVS[family](x, *params) -> (log f, grads, hess): per-record log densities
+# (those of distributions.log_pdf_slots) and their first and second derivatives
+# in the linear predictors, n-vectors keyed by slot and by slot pair (a, b)
+# with a before b in the family's slot order
 _DERIVS = {
     Family.NORMAL: _derivs_normal,
     Family.SKEW_NORMAL: _derivs_skew_normal,
@@ -284,12 +292,39 @@ _DERIVS = {
 # ---------------------------------------------------------------------------
 
 
-def _prior_terms(prep: _Prepared, b: np.ndarray):
-    """Per-cell value and gradient of the negative log prior at coefficient rows ``b``."""
-    if prep.prior_var is None:
-        return np.zeros(len(b)), np.zeros_like(b)
-    v = prep.prior_var
-    return (b * b).sum(axis=1) / (2.0 * v) + prep.dim * 0.5 * math.log(2.0 * math.pi * v), b / v
+def _evaluate(prep: _Prepared, b: np.ndarray):
+    """Value, gradient and exact Hessian of each cell's negative log posterior
+    at its row of the coefficients ``b``, from one pass over the records.
+
+    A cell's value is +inf where its likelihood is non-finite, and its
+    gradient and Hessian are NaN-free only where its value is finite. Per slot
+    pair (a, b) the Hessian adds -X_a' diag(w_ab) X_b over the cell's records,
+    with w_ab the per-record second derivatives of log f.
+    """
+    b = b.reshape(-1, prep.dim)
+    value, grad, hess = np.zeros(len(b)), np.zeros_like(b), np.zeros((len(b), prep.dim, prep.dim))
+    # inf and NaN can arise at near-overflow trial points the line search is about to reject
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if prep.y.size:
+            family = prep.problem.family
+            logf, dl, d2l = _DERIVS[family](prep.y, *_natural_params(family, prep.etas(b)))
+            total = np.add.reduceat(logf, prep.starts)
+            finite = np.isfinite(total)
+            value = np.where(finite, -total, math.inf)
+            lik_grad = np.hstack([prep.products(prep.X[s], dl[s][:, None])[..., 0] for s in prep.slots])
+            grad = np.where(finite[:, None], -lik_grad, 0.0)
+            for (sa, sb), w in d2l.items():
+                (a0, a1), (b0, b1) = prep.offsets[sa], prep.offsets[sb]
+                block = prep.products(prep.X[sa], w[:, None] * prep.X[sb])
+                hess[:, a0:a1, b0:b1] = -block
+                hess[:, b0:b1, a0:a1] = -block.transpose(0, 2, 1)
+        if prep.prior_var is not None:  # N(0, prior_var) on every coefficient, normalizing constant included
+            v = prep.prior_var
+            value += (b * b).sum(axis=1) / (2.0 * v) + prep.dim * 0.5 * math.log(2.0 * math.pi * v)
+            grad += b / v
+            hess[:, np.arange(prep.dim), np.arange(prep.dim)] += 1.0 / v
+        hess = 0.5 * (hess + hess.transpose(0, 2, 1))
+    return value, grad, hess
 
 
 def neg_log_posterior_and_grad(problem, beta):
@@ -305,49 +340,8 @@ def neg_log_posterior_and_grad(problem, beta):
     beta = np.asarray(beta, dtype=float)
     if beta.shape != prep.coef_shape:
         raise ValueError(f"beta must have shape {prep.coef_shape}, got {beta.shape}")
-    b = beta.reshape(-1, prep.dim)
-    value, grad = _prior_terms(prep, b)
-    if prep.y.size:
-        family = prep.problem.family
-        params = _natural_params(family, prep.etas(b))
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            # dl can still hold inf at near-overflow points the line search is
-            # about to reject; that cell's gradient may then be NaN
-            if family is Family.SKEW_NORMAL:  # the density and its derivatives share log Phi(epsilon z)
-                log_cdf = _log_ndtr(params[2] * ((prep.y - params[0]) / params[1]))
-                logf = _logpdf_skew_normal(prep.y, *params, log_cdf)
-                dl = _derivs_skew_normal(prep.y, *params, log_cdf)[0]
-            else:
-                logf, dl = log_pdf_slots(family, prep.y, *params), _DERIVS[family](prep.y, *params)[0]
-            total = np.add.reduceat(logf, prep.starts)
-            lik_grad = np.hstack([-prep.products(prep.X[slot], dl[slot][:, None])[..., 0] for slot in prep.slots])
-        finite = np.isfinite(total)
-        value = np.where(finite, -total + value, math.inf)
-        grad = np.where(finite[:, None], lik_grad + grad, grad)
+    value, grad, _ = _evaluate(prep, beta)
     return (float(value[0]), grad[0]) if len(prep.coef_shape) == 1 else (value, grad)
-
-
-def _neg_log_posterior_hessian(prep: _Prepared, beta: np.ndarray) -> np.ndarray:
-    """Exact Hessian of the negative log posterior at ``beta`` (per cell).
-
-    Per slot pair (a, b) it adds -X_a' diag(w_ab) X_b over the cell's records,
-    with w_ab the per-record second derivatives of log f, plus I / prior_var.
-    """
-    b = beta.reshape(-1, prep.dim)
-    hess = np.zeros((len(b), prep.dim, prep.dim))
-    if prep.y.size:
-        params = _natural_params(prep.problem.family, prep.etas(b))
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            weights = _DERIVS[prep.problem.family](prep.y, *params)[1]
-            for (sa, sb), w in weights.items():
-                (a0, a1), (b0, b1) = prep.offsets[sa], prep.offsets[sb]
-                block = prep.products(prep.X[sa], w[:, None] * prep.X[sb])
-                hess[:, a0:a1, b0:b1] = -block
-                hess[:, b0:b1, a0:a1] = -block.transpose(0, 2, 1)
-    if prep.prior_var is not None:
-        hess[:, np.arange(prep.dim), np.arange(prep.dim)] += 1.0 / prep.prior_var
-    hess = 0.5 * (hess + hess.transpose(0, 2, 1))
-    return hess.reshape(*prep.coef_shape, prep.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -385,18 +379,18 @@ def _newton_direction(hess: np.ndarray, g: np.ndarray, todo: np.ndarray) -> np.n
     return d
 
 
-def _minimize_newton(fg, hess, x0, max_iter: int, grad_tol: float):
+def _minimize_newton(evaluate, x0, max_iter: int, grad_tol: float):
     """Damped Newton minimisation of independent objectives, one cell per row
-    of ``x0``, with per-cell values and gradients from ``fg`` and Hessians
-    from ``hess``. Every cell keeps its own step length, line search,
-    Levenberg shift, stopping test and iteration count; a cell that has
-    converged or stopped is frozen while the others carry on. Returns
-    per-cell (x, f, g, hess(x), iterations, converged); converged means
-    max|g| < grad_tol.
+    of ``x0``, with per-cell values, gradients and Hessians from one call of
+    ``evaluate``. A line search's accepted trial point keeps the Hessian that
+    came with it, so every point is evaluated once. Every cell keeps its own
+    step length, line search, Levenberg shift, stopping test and iteration
+    count; a cell that has converged or stopped is frozen while the others
+    carry on. Returns per-cell (x, f, g, Hessian at x, iterations,
+    converged); converged means max|g| < grad_tol.
     """
     x = np.array(x0, dtype=float)
-    f, g = fg(x)
-    h = hess(x)
+    f, g, h = evaluate(x)
     iterations = np.zeros(len(x), dtype=int)
     running = np.isfinite(f)
     while True:
@@ -414,20 +408,18 @@ def _minimize_newton(fg, hess, x0, max_iter: int, grad_tol: float):
         step, searching = np.ones(len(x)), running.copy()
         for _ in range(60):
             x_new = np.where(searching[:, None], x + step[:, None] * direction, x)
-            f_new, g_new = fg(x_new)
+            f_new, g_new, h_new = evaluate(x_new)
             gnorm_new = np.abs(g_new).max(axis=1)  # NaN or inf where g_new is not finite
             accept = searching & np.isfinite(f_new) & np.isfinite(gnorm_new) & (
                 (f_new <= f + 1e-4 * step * slope) | ((f_new <= f + f_slack) & (gnorm_new < gnorm))
             )
-            x[accept], f[accept], g[accept] = x_new[accept], f_new[accept], g_new[accept]
+            x[accept], f[accept], g[accept], h[accept] = x_new[accept], f_new[accept], g_new[accept], h_new[accept]
             searching &= ~accept
             if not searching.any():
                 break
             step[searching] *= 0.5
         running &= ~searching  # a cell whose line search failed stops; the others moved
-        if running.any():
-            h[running] = hess(x)[running]
-            iterations += running
+        iterations += running
     converged = np.isfinite(f) & (np.max(np.abs(g), axis=1) < grad_tol)
     return x, f, g, h, iterations, converged
 
@@ -526,7 +518,7 @@ def _default_init(prep: _Prepared) -> np.ndarray:
     return beta.reshape(prep.coef_shape)
 
 
-def fit_map_batch(problems, init=None, *, max_iter: int = 100, grad_tol: float = 1e-6) -> list[FitResult]:
+def fit_map_batch(problems, init=None, *, max_iter: int = 100) -> list[FitResult]:
     """MAP fits of problems of one family, prior and design width by one
     batched damped Newton; ``init`` holds one start per problem (row).
 
@@ -539,13 +531,11 @@ def fit_map_batch(problems, init=None, *, max_iter: int = 100, grad_tol: float =
     if not all(len(p.records) for p in problems):
         raise FitError("fit_map requires at least one record")
     prep = _Prepared(problems)
-    fg = lambda b: neg_log_posterior_and_grad(prep, b)
-    hess = lambda b: _neg_log_posterior_hessian(prep, b)
     x0 = np.array(init, dtype=float) if init is not None else _default_init(prep)
     if x0.shape != prep.coef_shape:
         raise ValueError(f"init must have shape {prep.coef_shape}, got {x0.shape}")
 
-    x, f, g, curvature, iters, ok = _minimize_newton(fg, hess, x0, max_iter=max_iter, grad_tol=grad_tol)
+    x, f, g, curvature, iters, ok = _minimize_newton(lambda b: _evaluate(prep, b), x0, max_iter, GRAD_TOL)
     pd = _cholesky_ok(curvature)
     return [
         FitResult(
@@ -565,10 +555,10 @@ def fit_map_batch(problems, init=None, *, max_iter: int = 100, grad_tol: float =
     ]
 
 
-def fit_map(problem: FitProblem, init=None, *, max_iter: int = 100, grad_tol: float = 1e-6) -> FitResult:
+def fit_map(problem: FitProblem, init=None, *, max_iter: int = 100) -> FitResult:
     """MAP fit of one problem: the batch of one of ``fit_map_batch``."""
     init = None if init is None else [init]
-    return fit_map_batch([problem], init, max_iter=max_iter, grad_tol=grad_tol)[0]
+    return fit_map_batch([problem], init, max_iter=max_iter)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,6 @@ __all__ = [
     "TransformKind",
     "Transform",
     "TransformError",
-    "forward",
-    "inverse",
-    "log_jacobian",
     "forward_array",
     "inverse_array",
     "log_jacobian_array",
@@ -33,7 +30,7 @@ MALE = 0
 
 
 class TransformError(ValueError):
-    """A record lies outside the domain (or image) of a transform."""
+    """A record lies outside the domain of a transform."""
 
 
 class TransformKind(str, enum.Enum):
@@ -60,38 +57,10 @@ class Transform:
     offset: float = 150.0
 
 
-def _record_tag(age, sex, partner_age) -> str:
-    return f"(respondent_age={age!r}, respondent_sex={sex!r}, partner_age={partner_age!r})"
-
-
-def forward(t: Transform, respondent_age: float, respondent_sex: int, partner_age: float) -> float:
-    """Map a partner age to the dependent-variable scale."""
-    return float(forward_array(t, [respondent_age], [respondent_sex], [partner_age])[0])
-
-
-def inverse(t: Transform, respondent_age: float, respondent_sex: int, y: float) -> float:
-    """Map a dependent-variable value back to the partner-age scale."""
-    if t.kind is TransformKind.BETA_RESCALED and not 0.0 < y < 1.0:
-        raise TransformError(f"beta rescaling image is (0, 1); got y={y!r}")
-    return float(inverse_array(t, [respondent_age], [respondent_sex], [y])[0])
-
-
-def log_jacobian(t: Transform, respondent_age: float, respondent_sex: int, partner_age: float) -> float:
-    """log |dy/dp|, the change-of-variables correction onto the age scale."""
-    return float(log_jacobian_array(t, [respondent_age], [respondent_sex], [partner_age])[0])
-
-
-# ---------------------------------------------------------------------------
-# vectorized versions used by the fitting and evaluation code
-# ---------------------------------------------------------------------------
-
-
 def _first_bad(mask: np.ndarray, ages, sexes, partners, why: str) -> TransformError:
     i = int(np.argmax(mask))
-    return TransformError(
-        f"{why} at record index {i} "
-        + _record_tag(float(ages[i]), int(sexes[i]), float(partners[i]))
-    )
+    return TransformError(f"{why} at record index {i} (respondent_age={float(ages[i])!r}, "
+                          f"respondent_sex={int(sexes[i])!r}, partner_age={float(partners[i])!r})")
 
 
 def forward_array(t: Transform, ages, sexes, partners) -> np.ndarray:

@@ -30,6 +30,16 @@ from psis_reference import _psis_column, gpd_fit
 from sinh_arcsinh_reference import logpdf_sinh_arcsinh as sas_reference
 
 
+def psis_one(fit, draws, records):
+    """``elpd_batch``'s PSIS result for one fit: its ElpdResult, or the exception that stopped it."""
+    return evaluation.elpd_batch("psis", fits=[fit], draws=[draws], records=[records])[0]
+
+
+def kfold_one(problem, folds, n_draws, seed):
+    """``elpd_batch``'s exact k-fold result for one problem, likewise."""
+    return evaluation.elpd_batch("exact_kfold", problems=[problem], folds=folds, n_draws=n_draws, seeds=[seed])[0]
+
+
 @pytest.fixture(scope="module")
 def log_age_fit(small_records):
     problem = FitProblem(
@@ -355,7 +365,7 @@ class TestStreamedElpd:
         if block_records is not None:
             monkeypatch.setattr(evaluation, "_BLOCK_BYTES", block_records * 8 * draws.shape[0])
         matrix = elpd_loo(pointwise_loglik(fit, draws, problem.records))
-        streamed = elpd_loo(fit=fit, draws=draws, records=problem.records)
+        streamed = psis_one(fit, draws, problem.records)
         np.testing.assert_allclose(streamed.pointwise, matrix.pointwise, rtol=0, atol=1e-10)
         np.testing.assert_allclose(streamed.khat, matrix.khat, rtol=0, atol=1e-10)
         assert streamed.flagged == matrix.flagged
@@ -376,8 +386,8 @@ class TestStreamedElpd:
         first = int(np.flatnonzero((tiny_records.respondent_sex == 0) & (tiny_records.partner_age >= 40.0))[0])
         assert first >= 7
         monkeypatch.setattr(evaluation, "_BLOCK_BYTES", 7 * 8 * 120)
-        with pytest.raises(ValueError, match=f"draw 0, record {first} "):
-            elpd_loo(fit=shifted, draws=draws, records=tiny_records)
+        res = psis_one(shifted, draws, tiny_records)
+        assert isinstance(res, ValueError) and f"draw 0, record {first} " in str(res)
         with pytest.raises(ValueError, match=f"draw 0, record {first} "):
             pointwise_loglik(shifted, draws, tiny_records)
 
@@ -399,8 +409,8 @@ class TestStreamedElpd:
         records = tiny_records[order]
         assert int(np.flatnonzero(order == first)[0]) == 2 * first
         monkeypatch.setattr(evaluation, "_BLOCK_BYTES", 7 * 8 * 120)
-        with pytest.raises(ValueError, match=f"draw 0, record {2 * first} "):
-            elpd_loo(fit=shifted, draws=draws, records=records)
+        res = psis_one(shifted, draws, records)
+        assert isinstance(res, ValueError) and f"draw 0, record {2 * first} " in str(res)
 
     def test_non_finite_names_lowest_record_in_a_later_block(self, tiny_records, monkeypatch):
         # as above; keys ascend by outcome, so the offending records' distinct
@@ -422,8 +432,8 @@ class TestStreamedElpd:
         assert np.unique(y[bad]).size > 7 and np.count_nonzero(np.unique(y) < y[last]) >= 7
         records = tiny_records[np.concatenate([[last], np.delete(np.arange(len(tiny_records)), last)])]
         monkeypatch.setattr(evaluation, "_BLOCK_BYTES", 7 * 8 * 120)
-        with pytest.raises(ValueError, match="draw 0, record 0 "):
-            elpd_loo(fit=shifted, draws=draws, records=records)
+        res = psis_one(shifted, draws, records)
+        assert isinstance(res, ValueError) and "draw 0, record 0 " in str(res)
 
     def test_kfold_non_finite_names_caller_record(self, tiny_records, monkeypatch):
         # the reflection offset of 40 years, set on every fold fit, puts the
@@ -446,8 +456,8 @@ class TestStreamedElpd:
         bad = np.flatnonzero((tiny_records.respondent_sex == 0) & (tiny_records.partner_age >= 40.0))
         first = int(bad[bad % 3 == (bad % 3).min()].min())  # the lowest in the first fold that holds any
         assert first // 3 != first
-        with pytest.raises(ValueError, match=f"draw 0, record {first} "):
-            elpd_loo(method="exact_kfold", problem=problem, folds=3, n_draws=120, seed=4)
+        res = kfold_one(problem, 3, 120, 4)
+        assert isinstance(res, ValueError) and f"draw 0, record {first} " in str(res)
 
     def test_duplicate_records_scored_once(self, tiny_records, monkeypatch):
         # every record twice, the copies permuted: each distinct record is
@@ -465,7 +475,7 @@ class TestStreamedElpd:
         monkeypatch.setattr(evaluation, "_BLOCK_BYTES", 7 * 8 * 300)
         with pytest.warns(RuntimeWarning, match="k-hat"):
             matrix = elpd_loo(pointwise_loglik(fit, draws, records))
-            streamed = elpd_loo(fit=fit, draws=draws, records=records)
+            streamed = psis_one(fit, draws, records)
         np.testing.assert_allclose(streamed.pointwise, matrix.pointwise, rtol=0, atol=1e-10)
         np.testing.assert_allclose(streamed.khat, matrix.khat, rtol=0, atol=1e-10)
         assert streamed.flagged == matrix.flagged and matrix.flagged
@@ -477,11 +487,6 @@ class TestStreamedElpd:
             one = np.empty(inverse.max() + 1)
             one[inverse] = values
             np.testing.assert_array_equal(values, one[inverse])
-
-    def test_needs_matrix_or_fit(self, log_age_fit):
-        _, fit, draws = log_age_fit
-        with pytest.raises(ValueError, match="fit, draws and records"):
-            elpd_loo(fit=fit, draws=draws)
 
     @pytest.mark.filterwarnings("ignore:PSIS tail index")
     def test_memory_bounded_by_block(self, tiny_records):
@@ -498,7 +503,7 @@ class TestStreamedElpd:
         matrix_bytes = 20_000 * 1000 * 8
         tracemalloc.start()
         try:
-            res = elpd_loo(fit=fit, draws=draws, records=records)
+            res = psis_one(fit, draws, records)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -589,7 +594,7 @@ class TestBatchStream:
 
 
 class TestKeyedElpd:
-    """``elpd_loo`` scores each distinct (design row, transformed outcome) once
+    """``elpd_batch`` scores each distinct (design row, transformed outcome) once
     and adds each record's own log Jacobian; per record that equals the
     reference on the full Jacobian-adjusted matrix."""
 
@@ -640,7 +645,7 @@ class TestKeyedElpd:
         draws = laplace_draws(fit, 400, seed=3)
         ll = pointwise_loglik(fit, draws, records)
         seen = self.count_scored_rows(monkeypatch)
-        res = elpd_loo(fit=fit, draws=draws, records=records)
+        res = psis_one(fit, draws, records)
         assert sum(seen) == self.expected_keys(records, kind, tag) < len(records)
         for i in range(len(records)):
             lw, khat = _psis_column(ll[:, i])
@@ -662,7 +667,7 @@ class TestKeyedElpd:
     def test_kfold_per_record_equals_reference(self, records, family, kind, tag, monkeypatch):
         problem = FitProblem(family, Transform(kind), ModelSpec(tag), records)
         seen = self.count_scored_rows(monkeypatch)
-        res = elpd_loo(method="exact_kfold", problem=problem, folds=3, n_draws=200, seed=4)
+        res = kfold_one(problem, 3, 200, 4)
         monkeypatch.undo()
         assignment = np.arange(len(records)) % 3
         keys = 0
@@ -689,7 +694,7 @@ class TestKfold:
         draws = laplace_draws(fit, 800, seed=3)
         ll = pointwise_loglik(fit, draws, records)
         psis = elpd_loo(ll)
-        kfold = elpd_loo(ll, method="exact_kfold", problem=problem, n_draws=800, seed=4)
+        kfold = kfold_one(problem, 10, 800, 4)
         assert kfold.method == "exact_kfold"
         combined = math.sqrt(psis.se**2 + kfold.se**2)
         assert abs(psis.elpd - kfold.elpd) < 2 * combined
@@ -702,7 +707,7 @@ class TestKfold:
             ModelSpec(ModelTag.INTERCEPT_ONLY),
             records,
         )
-        res = elpd_loo(method="exact_kfold", problem=problem, folds=3, n_draws=200, seed=4)
+        res = kfold_one(problem, 3, 200, 4)
         # fold 0 by hand, with scipy's log-sum-exp over the held-out matrix
         held = np.arange(0, 60, 3)
         fit = fit_map(dataclasses.replace(problem, records=records[np.arange(60) % 3 != 0]))
@@ -719,7 +724,7 @@ class TestKfold:
             ModelSpec(ModelTag.CONVENTIONAL),
             records,
         )
-        res = elpd_loo(method="exact_kfold", problem=problem, folds=3, n_draws=200, seed=4)
+        res = kfold_one(problem, 3, 200, 4)
         assignment = np.arange(120) % 3
         for fold in range(3):
             held = np.flatnonzero(assignment == fold)
@@ -728,13 +733,9 @@ class TestKfold:
             expected = logsumexp(ll, axis=0) - math.log(200)
             np.testing.assert_allclose(res.pointwise[held], expected, rtol=0, atol=1e-12)
 
-    def test_kfold_needs_problem(self):
-        with pytest.raises(ValueError):
-            elpd_loo(np.zeros((200, 4)), method="exact_kfold")
-
     def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            elpd_loo(np.zeros((200, 4)), method="waic")
+        with pytest.raises(ValueError, match="unknown ELPD method"):
+            evaluation.elpd_batch("waic")
 
 
 class TestElpdDiff:

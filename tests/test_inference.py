@@ -8,15 +8,14 @@ import pytest
 from agemix.data_io import GeneratorConfig, Records, SubsetKey, default_config, simulate, stratify
 from agemix.design import ModelSpec, ModelTag, design_matrices
 from agemix.distributions import Family, ParamVector, linpred_slots, sample_slots
-from agemix.evaluation import elpd_loo
+from agemix.evaluation import elpd_batch
 from agemix.inference import (
     FitError,
     FitProblem,
     _default_init,
     _DERIVS,
-    _minimize_newton,
+    _evaluate,
     _natural_params,
-    _neg_log_posterior_hessian,
     _Prepared,
     draw_params,
     fit_map,
@@ -96,8 +95,9 @@ class TestNegLogPosterior:
             neg_log_posterior_and_grad(problem, np.zeros(3))
 
     def test_skew_normal_log_ndtr_once_per_evaluation(self, tiny_records, monkeypatch):
-        # the density and its derivatives share one log Phi(epsilon z); value
-        # and gradient equal those of the two evaluated apart
+        # the density and its first and second derivatives share one
+        # log Phi(epsilon z); value and gradient equal those of the density
+        # and the derivatives evaluated apart
         from agemix import distributions, inference
         from agemix.distributions import log_pdf_slots
 
@@ -106,7 +106,7 @@ class TestNegLogPosterior:
         beta = _default_init(prep) + 0.05 * np.random.default_rng(3).standard_normal(prep.dim)
         params = _natural_params(Family.SKEW_NORMAL, prep.etas(beta))
         apart_value = -log_pdf_slots(Family.SKEW_NORMAL, prep.y, *params).sum()
-        apart_dl = _DERIVS[Family.SKEW_NORMAL](prep.y, *params)[0]
+        apart_dl = _DERIVS[Family.SKEW_NORMAL](prep.y, *params)[1]
         calls, log_ndtr = [], distributions._log_ndtr
 
         def counting(x):
@@ -115,11 +115,11 @@ class TestNegLogPosterior:
 
         monkeypatch.setattr(inference, "_log_ndtr", counting)
         monkeypatch.setattr(distributions, "_log_ndtr", counting)
-        value, grad = neg_log_posterior_and_grad(prep, beta)
+        (value,), (grad,), _ = _evaluate(prep, beta)
         assert calls == [prep.y.shape]
-        prior_value, prior_grad = inference._prior_terms(prep, beta[None, :])
-        assert value == pytest.approx(apart_value + prior_value[0], rel=1e-14)
-        apart_grad = np.concatenate([-prep.X[s].T @ apart_dl[s] for s in prep.slots]) + prior_grad[0]
+        prior_value = beta @ beta / 50.0 + prep.dim * PRIOR_NORMALIZER
+        assert value == pytest.approx(apart_value + prior_value, rel=1e-14)
+        apart_grad = np.concatenate([-prep.X[s].T @ apart_dl[s] for s in prep.slots]) + beta / 25.0
         np.testing.assert_allclose(grad, apart_grad, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize(
@@ -218,19 +218,14 @@ class TestFitMap:
         assert np.max(np.abs(fit1.coef("sigma") - fit0.coef("sigma"))) < 1e-3
 
     def test_objective_decreases_along_accepted_steps(self, small_records):
+        # the fit capped at k Newton steps stops at the k-th accepted point
         problem = make_problem(
             Family.SINH_ARCSINH, TransformKind.LOG_RATIO, ModelTag.DISTRIBUTIONAL_1, small_records
         )
-        prep = _Prepared([problem])  # the Newton runs on batches; this is the batch of one
-        fg = lambda b: neg_log_posterior_and_grad(prep, b)
-        accepted = []  # the Hessian is evaluated at the start and at every accepted point
-
-        def hess(beta):
-            accepted.append(neg_log_posterior_and_grad(prep, beta)[0][0])
-            return _neg_log_posterior_hessian(prep, beta)
-
-        x, f, g, h, iters, ok = _minimize_newton(fg, hess, _default_init(prep), max_iter=200, grad_tol=1e-6)
-        assert ok[0] and len(accepted) == iters[0] + 1 > 5
+        full = fit_map(problem, max_iter=200)
+        assert full.converged and full.iterations > 5
+        accepted = [fit_map(problem, max_iter=k).nlp for k in range(full.iterations + 1)]
+        assert accepted[-1] == full.nlp
         assert all(b <= a + 1e-9 for a, b in zip(accepted, accepted[1:]))
         assert accepted[-1] < accepted[0]
 
@@ -357,10 +352,76 @@ class TestSkewNormalStart:
         assert fit.nlp <= best + 1e-6
 
         normal = fit_map(make_problem(Family.NORMAL, TransformKind.LOG_RATIO, ModelTag.INTERCEPT_ONLY, cell))
-        scores = [elpd_loo(fit=f, draws=laplace_draws(f, 1000, seed=5), records=cell) for f in (fit, normal)]
+        scores = [elpd_batch("psis", fits=[f], draws=[laplace_draws(f, 1000, seed=5)], records=[cell])[0]
+                  for f in (fit, normal)]
         diff = scores[0].pointwise - scores[1].pointwise
         assert scores[0].elpd >= scores[1].elpd - 2.0 * math.sqrt(diff.size * np.var(diff, ddof=1))
         assert scores[0].flagged == ()
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+class TestOneDensity:
+    """The fit and the ELPD layer score one density: the log f that
+    ``_DERIVS`` returns with its derivatives is ``log_pdf_slots``' bit for bit."""
+
+    # per family: outcomes, then parameters (in slot order) broadcast against them
+    CASES = {
+        Family.NORMAL: ([-3.0, 0.0, 0.7, 12.0], [0.1, 0.0, -0.2, 1.0], [0.5, 1.0, 2.0, 1e-3]),
+        Family.SKEW_NORMAL: ([-3.0, 0.0, 0.7, -40.0, 40.0], [0.1, 0.0, -0.2, 0.0, 0.0], [0.5, 1.0, 2.0, 1.0, 1.0],
+                             [-2.0, 0.0, 3.0, 5.0, -5.0]),
+        # x <= 0 lies outside the support: -inf
+        Family.GAMMA: ([-1.0, 0.0, 0.5, 3.0, 40.0], [2.0, 2.0, 0.7, 5.0, 30.0], [1.0, 1.0, 1.5, 0.4, 1.2]),
+        # x outside (0, 1): -inf
+        Family.BETA: ([-0.1, 0.0, 0.2, 0.7, 1.0, 1.5], [2.0, 2.0, 0.8, 5.0, 2.0, 2.0], [3.0, 3.0, 1.2, 2.0, 3.0, 3.0]),
+        # w = epsilon + delta asinh(z) past 355.6 (sinh(w)^2 overflows) and
+        # past 355.9 (-inf), and |z| past 1.3e154 (z^2 overflows)
+        Family.SINH_ARCSINH: ([0.3, -2.0, 0.0, 1.0, -1.0, 1.0, 2e154, -1e160, 1e300],
+                              [0.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+                              [1.0, 2.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
+                              [0.2, -0.4, 355.7, 356.5, -400.0, 0.0, 0.0, 0.0, 0.0],
+                              [0.9, 1.3, 1.0, 1.0, 1.0, 1.0, 0.5, 1.0, 2.0]),
+    }
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_derivs_log_density_is_log_pdf_slots(self, family):
+        from agemix.distributions import log_pdf_slots
+
+        y, *params = (np.array(c) for c in self.CASES[family])
+        with np.errstate(all="ignore"):
+            fit_density = _DERIVS[family](y, *params)[0]
+            elpd_density = log_pdf_slots(family, y, *params)
+        np.testing.assert_array_equal(bits(fit_density), bits(elpd_density))
+        if family in (Family.GAMMA, Family.BETA, Family.SINH_ARCSINH):
+            assert np.isneginf(elpd_density).any() and np.isfinite(elpd_density).any()
+
+    def test_cases_reach_the_sinh_arcsinh_overflow_edges(self):
+        y, mu, sigma, epsilon, delta = (np.array(c) for c in self.CASES[Family.SINH_ARCSINH])
+        z = (y - mu) / sigma
+        w = np.abs(epsilon + delta * np.arcsinh(z))
+        assert np.any((w > 355.6) & (w < 355.9)) and np.any(w > 355.9) and np.any(np.abs(z) > 1.3e154)
+
+
+class TestCurvature:
+    """A fit's curvature is ``_evaluate``'s Hessian at its coefficients, bit
+    for bit: Newton keeps the Hessian of each accepted point."""
+
+    @pytest.mark.parametrize("max_iter", [3, 100])
+    def test_curvature_is_the_hessian_at_the_fit(self, max_iter):
+        from agemix.cli import DISTRIBUTION_COMBOS
+
+        cells = list(stratify(simulate(default_config(n=500, seed=24601))).values())
+        assert len(DISTRIBUTION_COMBOS) == 14
+        capped = 0
+        for family, kind in DISTRIBUTION_COMBOS:
+            problems = [make_problem(family, kind, ModelTag.INTERCEPT_ONLY, r) for r in cells]
+            for problem, fit in zip(problems, fit_map_batch(problems, max_iter=max_iter)):
+                hess = _evaluate(_Prepared(problem), fit.beta_packed)[2][0]
+                np.testing.assert_array_equal(bits(fit.curvature), bits(hess))
+                capped += fit.iterations == max_iter
+        assert capped > 0 or max_iter > 3
 
 
 class TestHessian:
@@ -373,7 +434,7 @@ class TestHessian:
                 prep = _Prepared(FitProblem(family, Transform(kind), ModelSpec(tag), records))
                 scale = np.concatenate([np.maximum(np.abs(prep.X[s]).max(axis=0), 1.0) for s in prep.slots])
                 beta = _default_init(prep) + 0.15 * rng.standard_normal(prep.dim) / scale
-                hess = _neg_log_posterior_hessian(prep, beta)
+                hess = _evaluate(prep, beta)[2][0]
                 np.testing.assert_array_equal(hess, hess.T)
                 fd = np.empty_like(hess)
                 for j in range(prep.dim):
@@ -391,12 +452,12 @@ class TestHessian:
         rng = np.random.default_rng(7)
         beta = _default_init(prep) + 0.05 * rng.standard_normal(prep.dim)
         etas = prep.etas(beta)
-        _, hess = _DERIVS[family](prep.y, *_natural_params(family, etas))
+        _, _, hess = _DERIVS[family](prep.y, *_natural_params(family, etas))
         assert len(hess) == len(prep.slots) * (len(prep.slots) + 1) // 2
         h = 1e-6
         for (a, b), w in hess.items():
             shifted = [dict(etas, **{b: etas[b] + sign * h}) for sign in (1, -1)]
-            plus, minus = (_DERIVS[family](prep.y, *_natural_params(family, e))[0][a] for e in shifted)
+            plus, minus = (_DERIVS[family](prep.y, *_natural_params(family, e))[1][a] for e in shifted)
             fd = (plus - minus) / (2 * h)
             np.testing.assert_allclose(w, fd, rtol=1e-5, atol=1e-6 * np.max(np.abs(fd)))
 
