@@ -14,7 +14,7 @@ import numpy as np
 
 from .design import ModelSpec, slot_recipes, row_width
 from .distributions import Family, linpred_slots, sample_slots
-from .inference import _design_cells, _natural_params
+from .inference import _design_cells, _natural_params, _unique_pairs
 from .transforms import Transform, TransformKind, inverse_array
 
 __all__ = [
@@ -199,16 +199,16 @@ def save_csv(records: Records, path) -> None:
 
     Lines end in CRLF, the csv module's default terminator.
     """
-    # ages are positive and sex is 0 or 1, so (age signed by sex, partner age)
-    # identifies a line: per block of records, each distinct line is formatted once
+    # ages are positive and sex is 0 or 1, so the pair (age signed by sex, partner age)
+    # identifies a line: per block of records, each distinct pair's line is formatted once
     ages, sexes, partners = records.respondent_age, records.respondent_sex, records.partner_age
     with Path(path).open("w", newline="") as fh:
         fh.write(",".join(CSV_HEADER) + "\r\n")
         for start in range(0, len(records), _WRITE_BLOCK):
             block = slice(start, start + _WRITE_BLOCK)
             signed = np.where(sexes[block] == 1, -ages[block], ages[block])
-            keys, line_of = np.unique(signed + 1j * partners[block], return_inverse=True)
-            fields = zip(*(_field_text(col) for col in (np.abs(keys.real), 1.0 * (keys.real < 0), keys.imag)))
+            signed, partner, line_of = _unique_pairs(signed, partners[block])
+            fields = zip(*(_field_text(col) for col in (np.abs(signed), 1.0 * (signed < 0), partner)))
             lines = np.array([f"{a},{s},{p}\r\n" for a, s, p in fields], dtype=object)
             fh.write("".join(lines[line_of].tolist()))
 
@@ -225,14 +225,16 @@ def stratify(records: Records) -> dict[SubsetKey, Records]:
     excluded. Subsets keep the records' order. Empty subsets are omitted
     (and noted in the log).
     """
-    whole = np.floor(records.respondent_age)
-    out: dict[SubsetKey, Records] = {}
-    for sex in (0, 1):
-        for start in BIN_STARTS:
-            mask = (records.respondent_sex == sex) & (whole >= start) & (whole < start + BIN_WIDTH)
-            if mask.any():
-                out[SubsetKey(sex, start)] = records[mask]
-    n_missing = 2 * len(BIN_STARTS) - len(out)
+    keys = [SubsetKey(sex, start) for sex in (0, 1) for start in BIN_STARTS]
+    bin_of = (np.floor(records.respondent_age) - BIN_STARTS[0]) // BIN_WIDTH
+    inside = (bin_of >= 0) & (bin_of < len(BIN_STARTS))
+    # subset codes in key order, len(keys) outside the bins: one stable sort groups
+    # the subsets, each in record order
+    code = np.where(inside, records.respondent_sex * len(BIN_STARTS) + bin_of, len(keys)).astype(np.int8)
+    order = np.argsort(code, kind="stable")
+    bounds = np.cumsum([0, *np.bincount(code, minlength=len(keys))])
+    out = {key: records[order[lo:hi]] for key, lo, hi in zip(keys, bounds, bounds[1:]) if hi > lo}
+    n_missing = len(keys) - len(out)
     if n_missing:
         log.info("stratify: %d of 12 subsets are empty and omitted", n_missing)
     return out

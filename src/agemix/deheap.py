@@ -10,8 +10,8 @@ share proportional to its observed count, by moving floor(share * excess)
 randomly chosen records. Expected counts and excesses are computed for the
 whole group before any record moves, counts are conserved exactly, and all
 randomness is driven by per-group seeds derived from the caller's seed.
-Groups come from one stable sort of the record columns on (sex, age), so
-each group's records, and hence its random draws, keep their record order.
+Groups come from one stable sort of a 16-bit (sex, age) key, so each
+group's records, and hence its random draws, keep their record order.
 """
 
 from __future__ import annotations
@@ -171,10 +171,11 @@ def deheap(records: Records, bandwidth: float = 2.0, seed: int = 0):
     sexes = records.respondent_sex
     new_partner = records.partner_age.copy()
 
-    # one stable sort by (sex, age), ages being below 1000: each group's indices
-    # stay in record order, which the per-group permutations below depend on
-    order = np.argsort(sexes * 1000 + ages, kind="stable")
-    bounds = np.flatnonzero(np.diff(sexes[order] * 1000 + ages[order])) + 1
+    # one stable sort by (sex, age), 16 bits as Records keeps ages below 1000: each
+    # group's indices stay in record order, which the per-group permutations depend on
+    key = (sexes * 1000 + ages).astype(np.int16)
+    order = np.argsort(key, kind="stable")
+    bounds = np.flatnonzero(np.diff(key[order])) + 1
 
     details = []
     n_moved_total = 0
@@ -224,7 +225,7 @@ def deheap(records: Records, bandwidth: float = 2.0, seed: int = 0):
             n_moved_total += total_moving
 
     index_after = _heaping_index((partners - ages) % 5 == 0)
-    del ages, partners, order, idx  # freed before Records copies the columns
+    del ages, partners, key, order, idx  # freed before Records copies the columns
     new_records = Records(records.respondent_age, sexes, new_partner)
     report = HeapReport(
         bandwidth=bandwidth,

@@ -42,7 +42,8 @@ import numpy as np
 
 from . import transforms
 from .distributions import log_pdf_slots
-from .inference import FitError, FitResult, _columns, _design_cells, _row_params, fit_map_batch, laplace_draws_batch
+from .inference import (FitError, FitResult, _columns, _design_cells, _row_params, _unique_pairs, fit_map_batch,
+                        laplace_draws_batch)
 
 __all__ = [
     "ElpdResult",
@@ -80,13 +81,13 @@ def _keys(fits, records):
     # design rows are found per (age, sex) cell, of which there are few
     mats, cell_of = _design_cells(fit.spec, fit.slots, ages, sexes, center=True)
     _, cell, row_of = np.unique(np.hstack([mats[s] for s in fit.slots]), axis=0, return_index=True, return_inverse=True)
-    # (fit, design row, outcome) keyed as complex numbers, as in inference._design_cells;
+    # keys are (fit and design row as one integer, outcome) pairs in ascending order, first at their first record;
     # the shape of row_of, an inverse over rows, differs between numpy versions
     fit_row = np.repeat(np.arange(len(fits)), [len(r) for r in records]) * cell.size + row_of.ravel()[cell_of]
     y = transforms.forward_array(fit.transform, ages, sexes, partners)
-    _, first, inverse = np.unique(fit_row + 1j * y, return_index=True, return_inverse=True)
-    pairs, pair = np.unique(fit_row[first], return_inverse=True)
-    return {s: mats[s][cell] for s in fit.slots}, pairs // cell.size, pairs % cell.size, pair, y[first], first, inverse
+    key_fit_row, key_y, first, inverse = _unique_pairs(fit_row, y, return_index=True)
+    pairs, pair = np.unique(key_fit_row, return_inverse=True)
+    return {s: mats[s][cell] for s in fit.slots}, pairs // cell.size, pairs % cell.size, pair, key_y, first, inverse
 
 
 def _loglik_blocks(fits, draws, records, keys, errors, origins=None):

@@ -621,11 +621,19 @@ def _columns(records) -> list[np.ndarray]:
 
 def _design_cells(spec: ModelSpec, slots, ages, sexes, center: bool):
     """(mats, cell_of): the design rows of ``spec`` per slot at each distinct
-    (age, sex) cell, and the cell of each observation."""
-    # complex numbers sort by real, then imaginary part: the distinct age + i sex are the
-    # rows np.unique(axis=0) finds, in its order, without its much slower row sort
-    cells, cell_of = np.unique(np.asarray(ages, dtype=float) + 1j * np.asarray(sexes), return_inverse=True)
-    return design_matrices(spec, cells.real, cells.imag, slots=slots, center=center), cell_of
+    (age, sex) cell, in (age, sex) order, and the cell of each observation."""
+    cell_ages, cell_sexes, cell_of = _unique_pairs(np.asarray(ages, dtype=float), sexes)
+    return design_matrices(spec, cell_ages, cell_sexes, slots=slots, center=center), cell_of
+
+
+def _unique_pairs(a, b, return_index=False):
+    """The distinct pairs (a[i], b[i]) of 1-D ``a`` and ``b`` as ``np.unique(np.column_stack((a, b)), axis=0)``
+    finds them, in (a, b) order: (a values, b values, [first index,] inverse)."""
+    # each column is coded apart, so the pairs need one sort of int64 codes, not of rows
+    a_vals, a_code = np.unique(a, return_inverse=True)
+    b_vals, b_code = np.unique(b, return_inverse=True)
+    codes, *rest = np.unique(a_code * b_vals.size + b_code, return_index=return_index, return_inverse=True)
+    return (a_vals[codes // b_vals.size], b_vals[codes % b_vals.size], *rest)
 
 
 def _predict(fit: FitResult, draws: np.ndarray, mats, cell_of, ages, sexes, rec_idx, draw_idx, rng) -> np.ndarray:

@@ -243,6 +243,21 @@ class TestMatchesRecordwiseReference:
         assert report.n_moved > 0
         assert report.to_dict() == ref_report.to_dict()
 
+    def test_groups_at_both_ends_of_the_key_range(self):
+        # (sex 1, age 64) and (sex 0, age 15) are the largest and smallest group
+        # keys; the largest would collide with (sex 0, age 40) in 8 bits
+        weights = [1.0 if a in (15, 40, 64) else 0.0 for a in range(15, 65)]
+        cfg = dataclasses.replace(default_config(n=3000, seed=8), heaping=0.5, age_weights=weights)
+        records = simulate(cfg)
+        groups = group_counts(records)
+        assert {(1, 64), (0, 15), (0, 40)} <= set(groups) and min(groups.values()) > 100
+        out, report = deheap(records, seed=2)
+        ref_partners, ref_report = reference_deheap(records, seed=2)
+        np.testing.assert_array_equal(out.partner_age, ref_partners)
+        moved = {(g.sex, g.respondent_age) for g in report.groups if any(any(m.values()) for m in g.moved.values())}
+        assert {(1, 64), (0, 15)} <= moved
+        assert report.to_dict() == ref_report.to_dict()
+
     def test_non_integer_error_names_the_same_record(self):
         records = Records([30.0, 30.5, 31.0], [0, 1, 1], [28.0, 27.0, 27.5])
         with pytest.raises(ValueError) as ours:
