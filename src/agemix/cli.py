@@ -44,7 +44,7 @@ import click
 import numpy as np
 
 from . import __version__, data_io
-from .data_io import GeneratorConfig, load_csv, save_csv, stratify
+from .data_io import CsvError, GeneratorConfig, load_csv, save_csv, stratify
 from .deheap import deheap as run_deheap
 from .design import ModelSpec, ModelTag
 from .distributions import Family, empirical_moments
@@ -181,6 +181,14 @@ def _require_finite(ctx, param, value: float) -> float:
     return value
 
 
+def _load(data):
+    """``load_csv`` of a command's data file; a malformed file is a one-line error with exit status 1."""
+    try:
+        return load_csv(data)
+    except CsvError as exc:
+        raise click.ClickException(str(exc)) from None
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -227,7 +235,7 @@ def simulate(config_path, out_path, seed, n):
 def moments(data, out_dir):
     """Empirical partner-age moments by sex and five-year age bin."""
     t0 = time.time()
-    records = load_csv(data)
+    records = _load(data)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -254,7 +262,9 @@ def moments(data, out_dir):
 def deheap_cmd(data, out_dir, bandwidth, seed):
     """Redistribute excess records from heaped partner ages."""
     t0 = time.time()
-    records = load_csv(data)
+    records = _load(data)
+    if not len(records):
+        raise click.ClickException(f"{data}: no records to deheap")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     new_records, report = run_deheap(records, bandwidth=bandwidth, seed=seed)
@@ -415,7 +425,7 @@ def _compare(
     if elpd_method == "psis" and draws < 100:
         raise click.BadParameter(f"{draws} is below 100, the fewest PSIS accepts.", param_hint="'--draws'")
     t0 = time.time()
-    records = load_csv(data)
+    records = _load(data)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     method = "exact_kfold" if elpd_method == "kfold" else "psis"

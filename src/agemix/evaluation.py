@@ -26,10 +26,10 @@ row, outcome) key once, in blocks of about ``_BLOCK_BYTES`` (keys x draws)
 that may span fits, each through one kernel, which reads the m + 1 largest
 weights as sorted values; a record takes its key's k-hat and pointwise ELPD
 plus its log Jacobian. Memory is O(draws x block), work O(keys x draws).
-Exact k-fold fits the batch's folds as one ``inference.fit_map_batch``,
-draws ``n_draws`` per fold fit and scores the held-out keys the same way.
-``pointwise_loglik`` builds the full (draws x records) array of one fit from
-the same blocks, and ``elpd_loo`` runs PSIS on such an array.
+Exact k-fold fits the folds (knots pinned on each problem's full data) as
+one ``inference.fit_map_batch``, draws ``n_draws`` per fold fit and scores
+the held-out keys the same way; a mixed batch raises ValueError. One fit's
+stream, transposed, is ``pointwise_loglik``'s array, which ``elpd_loo`` takes.
 """
 
 from __future__ import annotations
@@ -42,8 +42,7 @@ import numpy as np
 
 from . import transforms
 from .distributions import log_pdf_slots
-from .inference import (FitError, FitResult, _columns, _design_cells, _row_params, _unique_pairs, fit_map_batch,
-                        laplace_draws_batch)
+from .inference import FitError, FitResult, _row_params, _stack, _unique_pairs, fit_map_batch, laplace_draws_batch
 
 __all__ = [
     "ElpdResult",
@@ -71,23 +70,24 @@ def _block_rows(n_draws: int) -> int:
 
 
 def _keys(fits, records):
-    """(design, pair_fit, pair_row, pair, y, first, inverse) over the distinct (fit, design row,
-    outcome) keys of a batch of fits of one family, transform and spec, fit f scoring ``records[f]``.
-    ``design`` maps each slot to all records' distinct centered design rows; (fit, row) pair p is
-    (``pair_fit[p]``, ``pair_row[p]``); key j, in (pair, outcome) order, has pair ``pair[j]``,
-    outcome ``y[j]`` and first concatenated record ``first[j]``; record i has key ``inverse[i]``."""
+    """(design, pair_fit, pair_row, pair, y, first, inverse, bounds, jacobian) over the distinct
+    (fit, design row, outcome) keys of a batch of fits of one family, transform and spec, fit f
+    scoring ``records[f]``. ``design`` maps each slot to all records' distinct centered design rows;
+    (fit, row) pair p is (``pair_fit[p]``, ``pair_row[p]``); key j, in (pair, outcome) order, has pair
+    ``pair[j]``, outcome ``y[j]`` and first concatenated record ``first[j]``; record i has key
+    ``inverse[i]`` and log Jacobian ``jacobian[i]``, and fit f's records are ``bounds[f]:bounds[f + 1]``."""
     fit = fits[0]
-    ages, sexes, partners = _columns(records)
     # design rows are found per (age, sex) cell, of which there are few
-    mats, cell_of = _design_cells(fit.spec, fit.slots, ages, sexes, center=True)
+    columns, bounds, mats, cell_of = _stack(fits, records)
     _, cell, row_of = np.unique(np.hstack([mats[s] for s in fit.slots]), axis=0, return_index=True, return_inverse=True)
     # keys are (fit and design row as one integer, outcome) pairs in ascending order, first at their first record;
     # the shape of row_of, an inverse over rows, differs between numpy versions
-    fit_row = np.repeat(np.arange(len(fits)), [len(r) for r in records]) * cell.size + row_of.ravel()[cell_of]
-    y = transforms.forward_array(fit.transform, ages, sexes, partners)
+    fit_row = np.repeat(np.arange(len(fits)), np.diff(bounds)) * cell.size + row_of.ravel()[cell_of]
+    y = transforms.forward_array(fit.transform, *columns)
     key_fit_row, key_y, first, inverse = _unique_pairs(fit_row, y, return_index=True)
     pairs, pair = np.unique(key_fit_row, return_inverse=True)
-    return {s: mats[s][cell] for s in fit.slots}, pairs // cell.size, pairs % cell.size, pair, key_y, first, inverse
+    return ({s: mats[s][cell] for s in fit.slots}, pairs // cell.size, pairs % cell.size, pair, key_y, first, inverse,
+            bounds, transforms.log_jacobian_array(fit.transform, *columns))
 
 
 def _loglik_blocks(fits, draws, records, keys, errors, origins=None):
@@ -101,8 +101,7 @@ def _loglik_blocks(fits, draws, records, keys, errors, origins=None):
     names fit f's lowest such record (as ``origins[f][i]``, when given) and
     its first such draw.
     """
-    design, pair_fit, pair_row, pair, y, first, _ = keys
-    bounds = np.cumsum([0, *map(len, records)])
+    design, pair_fit, pair_row, pair, y, first, _, bounds, _ = keys
     key_fit = pair_fit[pair]
     step, bad = _block_rows(draws[0].shape[0]), {}
     for start in range(0, first.size, step):
@@ -133,17 +132,16 @@ def _loglik_blocks(fits, draws, records, keys, errors, origins=None):
         errors[f] = ValueError(f"non-finite log likelihood at draw {d}, record {name} ({values})")
 
 
-def _stream(fits, draws, records, kernel, origins=None):
-    """(values, errors): ``kernel`` over the blocks of ``_loglik_blocks``. It gives two
-    per-key rows (or one, used as both); fit f's values are the (2, records) rows of its
-    records' keys, each record's log Jacobian added to the first."""
-    *_, first, inverse = keys = _keys(fits, records)
-    out, errors = np.empty((2, first.size)), [None] * len(fits)
+def _stream(fits, draws, records, kernel, width, origins=None):
+    """(values, errors): ``kernel`` maps each block of ``_loglik_blocks`` to ``width``
+    per-key rows; fit f's values are those rows at its records and its records' log
+    Jacobians, which the caller adds."""
+    *_, first, inverse, bounds, jacobian = keys = _keys(fits, records)
+    out, errors = np.empty((width, first.size)), [None] * len(fits)
     for rows, block in _loglik_blocks(fits, draws, records, keys, errors, origins):
         out[:, rows] = kernel(block)
-    out = out[:, inverse]
-    out[0] += transforms.log_jacobian_array(fits[0].transform, *_columns(records))
-    return np.split(out, np.cumsum([len(r) for r in records])[:-1], axis=1), errors
+    ends = bounds[1:-1]
+    return list(zip(np.split(out[:, inverse], ends, axis=1), np.split(jacobian, ends))), errors
 
 
 def pointwise_loglik(fit: FitResult, draws: np.ndarray, records) -> np.ndarray:
@@ -153,15 +151,11 @@ def pointwise_loglik(fit: FitResult, draws: np.ndarray, records) -> np.ndarray:
     density of record i's partner age under draw d. Any non-finite entry
     raises, naming the offending record and draw.
     """
-    *_, inverse = keys = _keys([fit], [records])
-    out, errors = np.empty((len(records), draws.shape[0])), [None]
-    for rows, block in _loglik_blocks([fit], [draws], [records], keys, errors):
-        mine = (inverse >= rows[0]) & (inverse <= rows[-1])
-        out[mine] = block[inverse[mine] - rows[0]]
-    if errors[0]:
-        raise errors[0]
-    out += transforms.log_jacobian_array(fit.transform, *_columns([records]))[:, None]
-    return out.T
+    ((out, jacobian),), (error,) = _stream([fit], [draws], [records], np.transpose, draws.shape[0])
+    if error:
+        raise error
+    out += jacobian
+    return out
 
 
 def _logsumexp_rows(a: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
@@ -337,9 +331,9 @@ def _kfold(problems, folds: int, n_draws: int, seeds) -> list:
         cells, held = zip(*(fold_of[k][:2] for k in live))
         values, stream_errors = _stream(
             [fits[k] for k in live], [draws[k] for k in live], [problems[c].records[h] for c, h in zip(cells, held)],
-            lambda block: _logsumexp_rows(block, block) - math.log(n_draws), held)
-        for k, c, h, error, v in zip(live, cells, held, stream_errors, values):
-            draws[k], pointwise[c][h] = error, v[0]
+            lambda block: _logsumexp_rows(block, block) - math.log(n_draws), 1, held)
+        for k, c, h, error, (v, jacobian) in zip(live, cells, held, stream_errors, values):
+            draws[k], pointwise[c][h] = error, v[0] + jacobian
     for (c, *_), d in zip(fold_of, draws):  # a problem fails with its first failing fold
         errors[c] = errors[c] or (d if isinstance(d, Exception) else None)
     return [e or _result(p, "exact_kfold") for e, p in zip(errors, pointwise)]
@@ -347,8 +341,8 @@ def _kfold(problems, folds: int, n_draws: int, seeds) -> list:
 
 def elpd_batch(method: str, *, fits=(), draws=(), records=(), problems=(), folds: int = 10, n_draws: int = 1000,
                seeds=()) -> list:
-    """ELPD of each fit of a batch of one family, transform and spec: per fit
-    its ElpdResult, or the exception that stopped it.
+    """ELPD of each fit of a batch of one family, transform and spec (else
+    ValueError): per fit its ElpdResult, or the exception that stopped it.
 
     ``method="psis"`` estimates fit f's LOO from its draws ``draws[f]`` (at least 100) on
     ``records[f]``; ``method="exact_kfold"`` refits problem f on K training folds, draws ``n_draws``
@@ -357,8 +351,8 @@ def elpd_batch(method: str, *, fits=(), draws=(), records=(), problems=(), folds
     if method == "psis":
         if draws[0].shape[0] < 100:
             raise ValueError("psis requires at least 100 draws")
-        values, errors = _stream(fits, draws, records, lambda block: _psis_block(block, block))
-        results = [e or _result(v[0], "psis", v[1]) for e, v in zip(errors, values)]
+        values, errors = _stream(fits, draws, records, lambda block: _psis_block(block, block), 2)
+        results = [e or _result(v[0] + jacobian, "psis", v[1]) for e, (v, jacobian) in zip(errors, values)]
     elif method == "exact_kfold":
         results = _kfold(problems, folds, n_draws, seeds)
     else:

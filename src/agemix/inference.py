@@ -11,9 +11,9 @@ which is an exact linear reparameterization. Posterior draws are plain
 draws them for a batch of fits through one stacked Cholesky factorisation and
 solve, each fit from its own seed. ``_row_params`` maps draws to family
 parameters at design rows: once per distinct (age, sex) cell for
-``draw_params``, the parameter curves and the predictive samples
-(``predictive_batch`` builds the cells' design rows once per batch), and per
-design row in the ELPD blocks.
+``draw_params``, the parameter curves and the predictive samples, and per
+design row in the ELPD blocks. ``_stack`` is the one place that stacks a
+batch's record sets and builds their cells' design rows, once per batch.
 
 Optimization is damped Newton on the exact Hessian of the negative log
 posterior. One pass, ``_evaluate``, maps coefficients to linear predictors
@@ -28,13 +28,13 @@ Hessian its pass gave; non-finite objective values act as +inf sentinels that
 the line search backs away from. The Hessian at the optimum is the curvature
 of the Gaussian (Laplace) approximation that posterior draws come from.
 
-``fit_map_batch`` fits problems of one family, prior and design width as one
-batch of cells: their records are stacked, each Newton iteration evaluates
-every cell at once (each cell's sums and products over its own records) and
-solves their systems with numpy's stacked ``linalg``, while each cell keeps
-its own step, shift and stopping test. A cell's fit thus equals its
-batch-of-one fit, and ``fit_map`` is the batch of one: there is one Newton
-path.
+A batch is one model: one family, transform, prior and spec, and every
+batch stage raises ValueError on a mixed one. ``fit_map_batch`` fits such
+problems as one batch of cells: each Newton iteration evaluates every cell
+at once (each cell's sums and products over its own records) and solves
+their systems with numpy's stacked ``linalg``, while each cell keeps its own
+step, shift and stopping test. A cell's fit thus equals its batch-of-one
+fit, and ``fit_map`` is the batch of one: there is one Newton path.
 
 Link functions: location-like parameters are identity-linked, positive
 parameters log-linked. For the sinh-arcsinh family the scale is
@@ -52,7 +52,7 @@ this module loads no scipy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -104,31 +104,25 @@ class FitProblem:
 
 class _Prepared:
     """Arrays shared by objective, gradient and Hessian evaluations of one
-    problem, or of a batch of problems of one family, prior and design width.
-    A batch stacks its cells' records and design rows; each cell's sums and
-    products run over its own segment of them, so a non-finite record value
-    stays in its cell. Coefficients are (dim,) for one problem and
-    (cells, dim) for a batch.
+    problem, or of a batch of problems of one family, transform, prior and
+    spec (each problem's knots resolved on its own ages). A batch stacks its
+    cells' records and design rows; each cell's sums and products run over its
+    own segment of them, so a non-finite record value stays in its cell.
+    Coefficients are (dim,) for one problem and (cells, dim) for a batch.
     """
 
     def __init__(self, problems):
         batch = not isinstance(problems, FitProblem)
         problems = list(problems) if batch else [problems]
-        self.problem = problems[0]
-        self.slots = linpred_slots(self.problem.family)
-        ys, self.specs, mats = [], [], []
-        for p in problems:
-            ages, sexes = p.records.respondent_age, p.records.respondent_sex
-            ys.append(transforms.forward_array(p.transform, ages, sexes, p.records.partner_age))
-            self.specs.append(p.spec.with_knots_from_ages(ages))
-            mats.append(design_matrices(self.specs[-1], ages, sexes, slots=self.slots, center=True))
-        if len({(p.family, p.prior_sd, *(m[s].shape[1] for s in self.slots)) for p, m in zip(problems, mats)}) > 1:
-            raise ValueError("the problems of a batch share one family, one prior and one design width")
-        self.y = np.concatenate(ys)
-        bounds = np.cumsum([0, *map(len, ys)])
+        if len({p.prior_sd for p in problems}) > 1:
+            raise ValueError("the problems of a batch share one prior")
+        models = [replace(p, spec=p.spec.with_knots_from_ages(p.records.respondent_age)) for p in problems]
+        self.problem, self.slots = models[0], linpred_slots(models[0].family)
+        columns, bounds, mats, cell_of = _stack(models, [p.records for p in problems])
+        self.y = transforms.forward_array(self.problem.transform, *columns)
+        self.X = {slot: mats[slot][cell_of] for slot in self.slots}
         self.segments, self.starts = list(zip(bounds[:-1], bounds[1:])), bounds[:-1]
-        self.cell_of = np.repeat(np.arange(len(problems)), np.diff(bounds))
-        self.X = {slot: np.concatenate([m[slot] for m in mats]) for slot in self.slots}
+        self.problem_of = np.repeat(np.arange(len(problems)), np.diff(bounds))
         ends = np.cumsum([self.X[slot].shape[1] for slot in self.slots]).tolist()
         self.offsets = {slot: (end - self.X[slot].shape[1], end) for slot, end in zip(self.slots, ends)}
         self.dim = ends[-1]
@@ -142,7 +136,7 @@ class _Prepared:
         for slot, (lo, hi) in self.offsets.items():
             x = self.X[slot]
             if x.shape[1] == 1:
-                etas[slot] = x[:, 0] * b[self.cell_of, lo]
+                etas[slot] = x[:, 0] * b[self.problem_of, lo]
             else:
                 etas[slot] = np.concatenate([x[s0:s1] @ b[c, lo:hi] for c, (s0, s1) in enumerate(self.segments)])
         return etas
@@ -519,8 +513,9 @@ def _default_init(prep: _Prepared) -> np.ndarray:
 
 
 def fit_map_batch(problems, init=None, *, max_iter: int = 100) -> list[FitResult]:
-    """MAP fits of problems of one family, prior and design width by one
-    batched damped Newton; ``init`` holds one start per problem (row).
+    """MAP fits of problems of one family, transform, prior and spec (knots
+    resolved on each problem's ages), else ValueError, by one batched damped
+    Newton; ``init`` holds one start per problem (row).
 
     Each fit equals its batch-of-one fit, and its non-convergence is flagged
     on its result, not raised. The exact Hessian at each optimum is that
@@ -541,7 +536,7 @@ def fit_map_batch(problems, init=None, *, max_iter: int = 100) -> list[FitResult
         FitResult(
             family=p.family,
             transform=p.transform,
-            spec=prep.specs[c],
+            spec=prep.problem.spec,
             beta_packed=x[c],
             offsets=dict(prep.offsets),
             nlp=float(f[c]),
@@ -614,9 +609,16 @@ def _row_params(fit: FitResult, mats: dict, draws: np.ndarray):
     return _natural_params(fit.family, {slot: mats[slot] @ draws[:, slice(*fit.offsets[slot])].T for slot in fit.slots})
 
 
-def _columns(records) -> list[np.ndarray]:
-    """The respondent ages, respondent sexes and partner ages of record sets, concatenated."""
-    return [np.concatenate(c) for c in zip(*((r.respondent_age, r.respondent_sex, r.partner_age) for r in records))]
+def _stack(models, records):
+    """(columns, bounds, mats, cell_of): record sets scored by a batch of models (problems or fits) of one
+    family, transform and spec, stacked; a batch of mixed models raises ValueError. ``columns`` are the
+    sets' respondent ages, sexes and partner ages, concatenated, set i's at ``bounds[i]:bounds[i + 1]``;
+    ``mats`` and ``cell_of`` are ``_design_cells``' centered design rows of the spec and each record's cell."""
+    if len({(m.family, m.transform, m.spec) for m in models}) > 1:
+        raise ValueError("the models of a batch share one family, one transform and one spec")
+    columns = [np.concatenate(c) for c in zip(*((r.respondent_age, r.respondent_sex, r.partner_age) for r in records))]
+    mats, cell_of = _design_cells(models[0].spec, linpred_slots(models[0].family), *columns[:2], center=True)
+    return columns, np.cumsum([0, *map(len, records)]), mats, cell_of
 
 
 def _design_cells(spec: ModelSpec, slots, ages, sexes, center: bool):
@@ -664,16 +666,15 @@ def posterior_predictive(fit: FitResult, draws: np.ndarray, respondent_age: floa
 
 def predictive_batch(fits, draws, groups) -> list[list[np.ndarray]]:
     """Posterior predictive partner ages mirroring record sets' covariates, for
-    fits of one family, transform and spec. ``groups[f]`` lists (records,
-    n_total, seed) for fit f; each gets ``n_total`` samples from its own random
-    stream, each a uniformly chosen record's age and sex under a uniformly
+    fits of one family, transform and spec, else ValueError. ``groups[f]`` lists
+    (records, n_total, seed) for fit f; each gets ``n_total`` samples from its
+    own stream, each a uniformly chosen record's age and sex under a uniformly
     chosen draw. The cells' design rows are built once for all groups."""
     requests = [(f, *request) for f, group in enumerate(groups) for request in group]
     if not all(len(records) for _, records, _, _ in requests):
         raise ValueError("predictive_for_records requires a nonempty record set")
-    ages, sexes, _ = _columns([records for _, records, _, _ in requests])
-    mats, cell_of = _design_cells(fits[0].spec, fits[0].slots, ages, sexes, center=True)
-    bounds, out = np.cumsum([0, *(len(records) for _, records, _, _ in requests)]), [[] for _ in groups]
+    (ages, sexes, _), bounds, mats, cell_of = _stack(fits, [records for _, records, _, _ in requests])
+    out = [[] for _ in groups]
     for (f, _, n, seed), lo, hi in zip(requests, bounds[:-1], bounds[1:]):
         rng = np.random.default_rng(seed)
         rec_idx, draw_idx = rng.integers(0, hi - lo, size=n), rng.integers(0, draws[f].shape[0], size=n)

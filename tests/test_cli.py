@@ -176,6 +176,30 @@ class TestDeheapCommand:
         assert not out.exists()
 
 
+class TestBadInput:
+    """A malformed data file stops each command that reads one with a one-line
+    error and exit status 1, not a traceback."""
+
+    HEADER = "respondent_age,respondent_sex,partner_age\n"
+
+    @pytest.mark.parametrize("command", ["moments", "deheap", "compare-distributions", "compare-models"])
+    def test_malformed_csv(self, runner, tmp_path, command):
+        path = tmp_path / "bad.csv"
+        path.write_text(self.HEADER + "30,x,31\n")
+        result = runner.invoke(main, [command, str(path), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == [
+            f"Error: {path}: 1 malformed row(s): line 2: could not convert string to float: 'x'"
+        ]
+
+    def test_deheap_without_records(self, runner, tmp_path):
+        path = tmp_path / "header-only.csv"
+        path.write_text(self.HEADER)
+        result = runner.invoke(main, ["deheap", str(path), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == [f"Error: {path}: no records to deheap"]
+
+
 @pytest.fixture(scope="module")
 def cd_outcome(runner, data_csv, tmp_path_factory):
     out = tmp_path_factory.mktemp("cd")

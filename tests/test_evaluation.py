@@ -529,8 +529,8 @@ class TestBatchStream:
         draws = laplace_draws_batch(fits, 120, list(range(len(fits))))
         monkeypatch.setattr(evaluation, "_BLOCK_BYTES", 16 * 8 * 120)  # 16 keys a block
         keys = evaluation._keys(fits, cells)
-        _, pair_fit, _, pair, _, first, _ = keys
-        bounds = np.cumsum([0, *map(len, cells)])
+        _, pair_fit, _, pair, _, first, _, bounds, _ = keys
+        assert list(bounds) == list(np.cumsum([0, *map(len, cells)]))
         # each fit alone, as a batch of one: its records' Jacobian-adjusted densities
         alone = [pointwise_loglik(f, d, r) for f, d, r in zip(fits, draws, cells)]
         seen, crossing = [], 0

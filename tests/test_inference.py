@@ -24,6 +24,7 @@ from agemix.inference import (
     laplace_draws,
     neg_log_posterior_and_grad,
     posterior_predictive,
+    predictive_batch,
     predictive_for_records,
 )
 from agemix.transforms import Transform, TransformKind, inverse_array
@@ -297,31 +298,32 @@ class TestBatchedFit:
             assert_same_fit(fit, fit_map(problem))
 
     def test_cell_outside_the_support_stops_alone(self, subsets):
-        # with the reflection at 30 years, male respondents' partner ages
-        # above 30 map below 0, outside the gamma's support: that cell's
-        # objective is +inf from the start and it can never converge
+        # with the reflection at 30 years, male respondents' partner ages of
+        # 30 and above map to 0 and below, outside the gamma's support: such a
+        # cell's objective is +inf from the start and it can never converge
         kind = TransformKind.GAMMA_REFLECTED
-        problems = [make_problem(Family.GAMMA, kind, ModelTag.INTERCEPT_ONLY, recs) for recs in subsets]
-        stuck = 4
-        assert np.any(subsets[stuck].respondent_sex == 0) and np.max(subsets[stuck].partner_age) > 30
-        problems[stuck] = FitProblem(
-            Family.GAMMA, Transform(kind, offset=30.0), ModelSpec(ModelTag.INTERCEPT_ONLY), subsets[stuck]
-        )
+        problems = [
+            FitProblem(Family.GAMMA, Transform(kind, offset=30.0), ModelSpec(ModelTag.INTERCEPT_ONLY), recs)
+            for recs in subsets
+        ]
+        stuck = [bool(np.any((recs.respondent_sex == 0) & (recs.partner_age >= 30))) for recs in subsets]
+        assert 0 < sum(stuck) < len(stuck)
         fits = fit_map_batch(problems)
-        assert not fits[stuck].converged and fits[stuck].iterations == 0 and fits[stuck].nlp == math.inf
-        for c, (problem, fit) in enumerate(zip(problems, fits)):
-            if c != stuck:
+        for problem, fit, outside in zip(problems, fits, stuck):
+            if outside:
+                assert not fit.converged and fit.iterations == 0 and fit.nlp == math.inf
+            else:
                 assert fit.converged
                 assert_same_fit(fit, fit_map(problem))
 
     def test_mixed_families_rejected(self, subsets):
         problems = [make_problem(f, k, ModelTag.INTERCEPT_ONLY, subsets[0]) for f, k in BATCH_COMBOS[:2]]
-        with pytest.raises(ValueError, match="one family"):
+        with pytest.raises(ValueError, match="one family, one transform and one spec"):
             fit_map_batch(problems)
-        # one family, but designs of different widths
+        # one family, but two specs
         family, kind = BATCH_COMBOS[0]
         problems = [make_problem(family, kind, tag, subsets[0]) for tag in (ModelTag.INTERCEPT_ONLY, ModelTag.CONVENTIONAL)]
-        with pytest.raises(ValueError, match="one design width"):
+        with pytest.raises(ValueError, match="one family, one transform and one spec"):
             fit_map_batch(problems)
 
     def test_empty_cell_rejected(self, subsets):
@@ -329,6 +331,74 @@ class TestBatchedFit:
         problems = [make_problem(Family.NORMAL, kind, ModelTag.INTERCEPT_ONLY, r) for r in (subsets[0], NO_RECORDS)]
         with pytest.raises(FitError, match="at least one record"):
             fit_map_batch(problems)
+
+
+MIXED = "one family, one transform and one spec"
+
+
+class TestBatchIsOneModel:
+    """A batch is one model: every batch stage raises ValueError on problems or
+    fits of mixed transforms or spline knots, which it once scored under the
+    first fit's, and a batch's design rows are each record's own."""
+
+    @pytest.fixture(scope="class", params=["transforms", "knots"])
+    def mixed(self, request, subsets):
+        if request.param == "transforms":
+            kinds = (TransformKind.LOG_RATIO, TransformKind.LINEAR_AGE)
+            return [make_problem(Family.NORMAL, kind, ModelTag.INTERCEPT_ONLY, subsets[0]) for kind in kinds]
+        records = simulate(default_config(n=600, seed=11))
+        problems = [make_problem(Family.NORMAL, TransformKind.LOG_RATIO, ModelTag.DISTRIBUTIONAL_3, r)
+                    for r in (records[:300], records[300:])]
+        knots = [p.spec.with_knots_from_ages(p.records.respondent_age).knots for p in problems]
+        assert knots[0] != knots[1]  # each problem's knots, placed on its own ages
+        return problems
+
+    @pytest.fixture(scope="class")
+    def fits_and_draws(self, mixed):
+        fits = [fit_map(p) for p in mixed]
+        return fits, [laplace_draws(f, 100, seed=i) for i, f in enumerate(fits)]
+
+    def test_fit_map_batch(self, mixed):
+        with pytest.raises(ValueError, match=MIXED):
+            fit_map_batch(mixed)
+
+    def test_elpd_batch_psis(self, mixed, fits_and_draws):
+        fits, draws = fits_and_draws
+        with pytest.raises(ValueError, match=MIXED):
+            elpd_batch("psis", fits=fits, draws=draws, records=[p.records for p in mixed])
+
+    def test_elpd_batch_kfold(self, mixed):
+        with pytest.raises(ValueError, match=MIXED):
+            elpd_batch("exact_kfold", problems=mixed, folds=3, n_draws=100, seeds=[1, 2])
+
+    def test_predictive_batch(self, mixed, fits_and_draws):
+        fits, draws = fits_and_draws
+        with pytest.raises(ValueError, match=MIXED):
+            predictive_batch(fits, draws, [[(p.records, 50, i)] for i, p in enumerate(mixed)])
+
+    def test_mixed_priors_rejected(self, subsets):
+        problems = [make_problem(Family.NORMAL, TransformKind.LOG_RATIO, ModelTag.INTERCEPT_ONLY, subsets[0],
+                                 prior_sd=sd) for sd in (5.0, 10.0)]
+        with pytest.raises(ValueError, match="one prior"):
+            fit_map_batch(problems)
+
+    @pytest.mark.parametrize("tag", [ModelTag.DISTRIBUTIONAL_4, ModelTag.CONVENTIONAL])
+    def test_design_rows_are_each_records_own(self, tag):
+        # fractional ages that repeat within and across problems, both sexes:
+        # the batch gathers its (age, sex) cells' rows, bit for bit the rows
+        # design_matrices builds per record
+        rng = np.random.default_rng(3)
+        ages = rng.choice(np.round(rng.uniform(15, 64, 150), 2), size=900)
+        records = Records(ages, rng.integers(0, 2, 900), np.rint(ages * np.exp(rng.normal(0.05, 0.15, 900))))
+        spec = ModelSpec(tag).with_knots_from_ages(ages)
+        cells = [records[i::3] for i in range(3)]
+        prep = _Prepared([FitProblem(Family.SINH_ARCSINH, Transform(TransformKind.LOG_RATIO), spec, r) for r in cells])
+        assert prep.problem.spec == spec and prep.segments == [(0, 300), (300, 600), (600, 900)]
+        for (lo, hi), r in zip(prep.segments, cells):
+            assert set(r.respondent_sex) == {0, 1}
+            want = design_matrices(spec, r.respondent_age, r.respondent_sex, center=True)
+            for slot in prep.slots:
+                np.testing.assert_array_equal(bits(prep.X[slot][lo:hi]), bits(want[slot]))
 
 
 class TestSkewNormalStart:
