@@ -18,10 +18,17 @@ fit or batch that raises gives a failure marker per fit (NaN scores and the
 error text) in the reports instead of aborting the run. The parameter curves
 of ``compare-models`` come from ``inference.draw_params``.
 
+The records commands load no fitting module: ``inference`` and
+``evaluation`` are imported on the compare path only, once, before any worker
+process starts, and ``_score`` looks their functions up there at each call.
+
 Every command emits CSV reports plus a ``manifest.json`` sidecar; wall-clock
 time, peak memory and timestamps live only in the manifest so repeated runs
-with the same seed produce byte-identical CSVs. Exit status is zero only when
-every fit converged and all reports were written.
+with the same seed produce byte-identical CSVs; ``simulate``'s manifest also
+counts the partner ages it clipped (``n_clipped``). A data file that is
+malformed or holds no records stops a command with one ``Error:`` line and
+exit status 1. Exit status is zero only when every fit converged and all
+reports were written.
 """
 
 from __future__ import annotations
@@ -48,9 +55,6 @@ from .data_io import CsvError, GeneratorConfig, load_csv, save_csv, stratify
 from .deheap import deheap as run_deheap
 from .design import ModelSpec, ModelTag
 from .distributions import Family, empirical_moments
-from .evaluation import elpd_batch, qq_rmse, rank_by_elpd
-from .inference import (FitProblem, draw_params, fit_map_batch, laplace_draws_batch, posterior_predictive,
-                        predictive_batch)
 from .transforms import Transform, TransformKind
 
 # the families on the real line, fitted under every variable in VARIABLE_ORDER
@@ -145,7 +149,8 @@ def _peak_rss_mb(who) -> float:
     return resource.getrusage(who).ru_maxrss / 1024.0
 
 
-def _write_manifest(out_dir: Path, command: str, settings: dict, inputs, outputs, t0: float) -> Path:
+def _write_manifest(out_dir: Path, command: str, settings: dict, inputs, outputs, t0: float, **fields) -> Path:
+    """Write ``manifest.json``; ``fields`` are command-specific entries after the outputs."""
     manifest = {
         "command": command,
         "toolkit_version": __version__,
@@ -154,6 +159,7 @@ def _write_manifest(out_dir: Path, command: str, settings: dict, inputs, outputs
         "config_hash": _settings_hash(settings),
         "inputs": [str(p) for p in inputs],
         "outputs": [str(p) for p in outputs],
+        **fields,
         "wall_clock_seconds": time.time() - t0,
         "peak_rss_mb": {
             "process": _peak_rss_mb(resource.RUSAGE_SELF),
@@ -182,11 +188,15 @@ def _require_finite(ctx, param, value: float) -> float:
 
 
 def _load(data):
-    """``load_csv`` of a command's data file; a malformed file is a one-line error with exit status 1."""
+    """``load_csv`` of a command's data file; a malformed file, or one without
+    records, is a one-line error with exit status 1."""
     try:
-        return load_csv(data)
+        records = load_csv(data)
     except CsvError as exc:
         raise click.ClickException(str(exc)) from None
+    if not len(records):
+        raise click.ClickException(f"{data}: no records")
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -213,13 +223,14 @@ def simulate(config_path, out_path, seed, n):
     else:
         config = data_io.default_config(n=n, seed=seed)
 
-    records = data_io.simulate(config)
+    records, n_clipped = data_io.simulate(config, return_clipped=True)
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     save_csv(records, out_path)
     settings = config.to_dict()
     manifest = _write_manifest(
-        out_path.parent, "simulate", settings, [config_path] if config_path else [], [out_path], t0
+        out_path.parent, "simulate", settings, [config_path] if config_path else [], [out_path], t0,
+        n_clipped=n_clipped,
     )
     click.echo(f"wrote {len(records)} records to {out_path} (manifest: {manifest})")
 
@@ -263,8 +274,6 @@ def deheap_cmd(data, out_dir, bandwidth, seed):
     """Redistribute excess records from heaped partner ages."""
     t0 = time.time()
     records = _load(data)
-    if not len(records):
-        raise click.ClickException(f"{data}: no records to deheap")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     new_records, report = run_deheap(records, bandwidth=bandwidth, seed=seed)
@@ -312,6 +321,8 @@ def _score(problems, seed_parts, n_draws, elpd_method, qq_samples, groups, extra
     parts) per QQ group, and ``extra(fit, draws)`` returns further fields. Fits, draws, ELPD and
     predictive samples each run once for the problems not failed yet. An exception turns the row
     of its problem (or of each, if a stage raises) into ``_FAILED`` plus its text."""
+    from . import evaluation, inference
+
     errors = [None] * len(problems)
 
     def batched(stage) -> dict:
@@ -325,14 +336,14 @@ def _score(problems, seed_parts, n_draws, elpd_method, qq_samples, groups, extra
             errors[i] = out if isinstance(out, Exception) else None
         return dict(zip(live, outs))
 
-    fits = batched(lambda live: fit_map_batch([problems[i] for i in live]))
-    draws = batched(lambda live: laplace_draws_batch(
+    fits = batched(lambda live: inference.fit_map_batch([problems[i] for i in live]))
+    draws = batched(lambda live: inference.laplace_draws_batch(
         [fits[i] for i in live], n_draws, [_child_seed(*seed_parts[i], 1) for i in live]))
-    results = batched(lambda live: elpd_batch(
+    results = batched(lambda live: evaluation.elpd_batch(
         elpd_method, fits=[fits[i] for i in live], draws=[draws[i] for i in live],
         records=[problems[i].records for i in live], problems=[problems[i] for i in live], n_draws=n_draws,
         seeds=[_child_seed(*seed_parts[i], 2) for i in live]))
-    predictive = batched(lambda live: predictive_batch([fits[i] for i in live], [draws[i] for i in live], [
+    predictive = batched(lambda live: inference.predictive_batch([fits[i] for i in live], [draws[i] for i in live], [
         [(recs, qq_samples, _child_seed(*seed_parts[i], 3, *parts)) for _, recs, parts in groups[i]] for i in live]))
     rows = []
     for i in range(len(problems)):
@@ -351,7 +362,7 @@ def _score(problems, seed_parts, n_draws, elpd_method, qq_samples, groups, extra
                 "max_khat": float(res.khat.max()) if res.khat is not None else math.nan,
                 "n_inf_predictive": int(sum(np.isinf(p).sum() for p in samples.values())),
                 "elpd_result": res,
-                "qq_rmse": qq_rmse(observed, samples),
+                "qq_rmse": evaluation.qq_rmse(observed, samples),
                 "knots": list(fit.spec.knots) if fit.spec.knots else None,
                 "nlp": fit.nlp,
                 "iterations": fit.iterations,
@@ -369,6 +380,8 @@ def _score(problems, seed_parts, n_draws, elpd_method, qq_samples, groups, extra
 
 def _ranked(results, name) -> list[dict]:
     """``rank_by_elpd`` rows of the fits that succeeded, best ELPD first."""
+    from .evaluation import rank_by_elpd
+
     return rank_by_elpd(
         (name(r), r["elpd_result"], r["qq_rmse"], r["converged"]) for r in results if r["ok"]
     )
@@ -430,6 +443,8 @@ def _compare(
     out_dir.mkdir(parents=True, exist_ok=True)
     method = "exact_kfold" if elpd_method == "kfold" else "psis"
     tasks = [(*head, seed, draws, method, qq_samples) for head in tasks_of(records)]
+    # the fitting modules load here, once, so that worker processes inherit them
+    from . import evaluation, inference  # noqa: F401
     results = _run(task, tasks, jobs if jobs is not None else (os.cpu_count() or 1))
     all_ok = all(r["ok"] and r["converged"] for r in results)
     outputs, summary = write_reports(out_dir, results, all_ok)
@@ -459,6 +474,8 @@ def _subset_tasks(records):
 def _fit_subset_combo(task):
     """Fit and score every subset (cell) of one (family, transform)
     combination as one batch: one result row per cell."""
+    from .inference import FitProblem
+
     subsets, family, kind, seed, n_draws, elpd_method, qq_samples = task
     problems = [FitProblem(family, Transform(kind), ModelSpec(ModelTag.INTERCEPT_ONLY), recs) for _, recs in subsets]
     parts = [(seed, key.sex, key.bin_start, list(Family).index(family), list(TransformKind).index(kind))
@@ -566,6 +583,8 @@ def _model_tasks(records):
 
 def _fit_model_spec(task):
     """Fit and score one regression specification on the full data set."""
+    from .inference import FitProblem, draw_params, posterior_predictive
+
     tag, records, seed, n_draws, elpd_method, qq_samples = task
     seed_parts = (seed, list(ModelTag).index(tag))
     problem = FitProblem(Family.SINH_ARCSINH, Transform(TransformKind.LOG_RATIO), ModelSpec(tag), records)

@@ -1,20 +1,24 @@
 """Columnar partnership records (``Records``, validated once where built),
-CSV reading and writing, stratification, and the synthetic data generator."""
+CSV reading and writing, stratification, and the synthetic data generator.
+
+Distinct pairs (CSV lines, design cells) come from ``design._unique_pairs``
+and ``design._design_cells``, and family parameters from
+``distributions._natural_params``, so this module loads no fitting code."""
 
 from __future__ import annotations
 
 import csv
 import json
 import logging
+import warnings
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .design import ModelSpec, slot_recipes, row_width
-from .distributions import Family, linpred_slots, sample_slots
-from .inference import _design_cells, _natural_params, _unique_pairs
+from .design import ModelSpec, _design_cells, _unique_pairs, row_width, slot_recipes
+from .distributions import Family, _natural_params, linpred_slots, sample_slots
 from .transforms import Transform, TransformKind, inverse_array
 
 __all__ = [
@@ -343,7 +347,7 @@ def default_config(n: int | None = None, seed: int | None = None) -> GeneratorCo
     return _config_from_json(text, n, seed)
 
 
-def simulate(config: GeneratorConfig) -> Records:
+def simulate(config: GeneratorConfig, return_clipped: bool = False) -> Records | tuple[Records, int]:
     """Draw synthetic partnership records from the configured truth model.
 
     Respondent age and sex come from the configured marginals, the outcome is
@@ -351,6 +355,10 @@ def simulate(config: GeneratorConfig) -> Records:
     back to a partner age; with probability ``heaping`` the offset from the
     respondent's age is then rounded to the nearest multiple of five.
     Bit-reproducible for a fixed seed.
+
+    Integer partner ages outside [1, 149] are clipped into it, with one
+    RuntimeWarning that counts them; ``return_clipped`` returns (records,
+    count) instead of the records alone.
     """
     ss = np.random.SeedSequence(config.seed)
     rng_cov, rng_y, rng_heap = (np.random.default_rng(s) for s in ss.spawn(3))
@@ -373,8 +381,14 @@ def simulate(config: GeneratorConfig) -> Records:
     y = sample_slots(config.family, [p[cell_of] for p in params], (config.n,), rng_y)
     partners = inverse_array(config.transform, ages, sexes, y)
 
+    n_clipped = 0
     if config.integer_ages:
-        partners = np.clip(np.rint(partners), 1.0, PARTNER_MAX - 1.0)
+        partners = np.rint(partners)
+        n_clipped = int(np.count_nonzero((partners < 1.0) | (partners > PARTNER_MAX - 1.0)))
+        np.clip(partners, 1.0, PARTNER_MAX - 1.0, out=partners)
+        if n_clipped:
+            warnings.warn(f"simulate clipped {n_clipped} of {config.n} partner ages into [1, {PARTNER_MAX - 1:g}]",
+                          RuntimeWarning, stacklevel=2)
 
     if config.heaping > 0.0:
         heap_mask = rng_heap.uniform(size=config.n) < config.heaping
@@ -382,4 +396,5 @@ def simulate(config: GeneratorConfig) -> Records:
         ok = (heaped > 0.0) & (heaped < PARTNER_MAX)
         partners = np.where(heap_mask & ok, heaped, partners)
 
-    return Records(ages, sexes, partners)
+    records = Records(ages, sexes, partners)
+    return (records, n_clipped) if return_clipped else records

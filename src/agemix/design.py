@@ -8,6 +8,11 @@ in respondent age. Sex is coded 1 = female.
 The natural cubic spline basis is the truncated-power construction: columns
 are piecewise cubic, C2-continuous, and exactly linear beyond the boundary
 knots. Columns are rescaled by the boundary span so values stay O(1).
+
+Design rows depend only on (age, sex), so ``_design_cells`` builds them once
+per distinct cell. ``_unique_pairs`` finds the distinct pairs of two columns
+(these cells, the CSV writer's lines, the ELPD keys): whole-valued pairs with
+a small code range by counting, any others by sorting integer codes.
 """
 
 from __future__ import annotations
@@ -252,3 +257,61 @@ def uncenter_matrix(spec: ModelSpec, slot: str) -> np.ndarray:
         elif kind == "sexage":
             m[kinds.index("sex"), j] = -AGE_CENTER
     return m
+
+
+# _unique_pairs counts pairs whose codes span at most this many integers per input pair, so its buffers stay O(n)
+_COUNT_SPAN = 4
+
+
+def _design_cells(spec: ModelSpec, slots, ages, sexes, center: bool):
+    """(mats, cell_of): the design rows of ``spec`` per slot at each distinct
+    (age, sex) cell, in (age, sex) order, and the cell of each observation."""
+    cell_ages, cell_sexes, cell_of = _unique_pairs(np.asarray(ages, dtype=float), sexes)
+    return design_matrices(spec, cell_ages, cell_sexes, slots=slots, center=center), cell_of
+
+
+def _whole_offsets(col: np.ndarray, limit: int):
+    """(offsets, low, span): ``col`` less its minimum ``low`` as integers, and the
+    number of integers ``span`` it covers, if ``col`` holds whole numbers within
+    ``limit`` consecutive integers; None otherwise, also for NaN or infinities."""
+    low, high = col.min(), col.max()
+    # whole floats below 2**53 in magnitude are exact integers
+    if not (high - low < limit and -(2.0**53) < low and high < 2.0**53):
+        return None
+    whole = col.astype(np.intp, copy=False)
+    if whole is not col and not np.array_equal(whole, col):
+        return None
+    return whole - int(low), low, int(high - low) + 1
+
+
+def _unique_pairs(a, b, return_index=False):
+    """The distinct pairs (a[i], b[i]) of 1-D ``a`` and ``b`` as ``np.unique(np.column_stack((a, b)), axis=0)``
+    finds them, in (a, b) order: (a values, b values, [first index,] inverse), each column's values in its dtype.
+
+    Whole-valued pairs whose codes (a - min a) * span(b) + (b - min b) span at most
+    ``_COUNT_SPAN`` integers per input pair are counted; any other pairs take one
+    sort of integer codes after one per column."""
+    a, b = np.asarray(a), np.asarray(b)
+    limit = _COUNT_SPAN * a.size
+    # b first: the ELPD keys' outcomes are mostly fractional, so they fall back after one pass over b
+    b_coded = _whole_offsets(b, limit) if a.size else None
+    a_coded = _whole_offsets(a, limit // b_coded[2]) if b_coded else None
+    if a_coded is None:
+        a_vals, a_code = np.unique(a, return_inverse=True)
+        b_vals, b_code = np.unique(b, return_inverse=True)
+        codes, *rest = np.unique(a_code * b_vals.size + b_code, return_index=return_index, return_inverse=True)
+        return (a_vals[codes // b_vals.size], b_vals[codes % b_vals.size], *rest)
+    (a_off, a_low, _), (b_off, b_low, b_span) = a_coded, b_coded
+    code = a_off * b_span + b_off
+    present = np.flatnonzero(np.bincount(code))  # the codes in ascending, so (a, b), order
+    rank = np.empty(present[-1] + 1, dtype=np.intp)
+    rank[present] = np.arange(present.size)
+    inverse = rank[code]
+    a_vals = (present // b_span + a_low).astype(a.dtype, copy=False)
+    b_vals = (present % b_span + b_low).astype(b.dtype, copy=False)
+    if not return_index:
+        return a_vals, b_vals, inverse
+    first = np.empty(present.size, dtype=np.intp)
+    # numpy assigns repeated indices in order, so each pair's lowest index is written last
+    first[inverse[::-1]] = np.arange(a.size - 1, -1, -1)
+    return a_vals, b_vals, first, inverse

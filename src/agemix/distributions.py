@@ -143,6 +143,37 @@ def linpred_slots(family: Family) -> tuple[str, ...]:
     return _LINPRED_SLOTS[family]
 
 
+# log-linked linear predictors are clamped to +/- this before exp
+EXP_CLAMP = 700.0
+
+
+def _clamped_exp(eta: np.ndarray) -> np.ndarray:
+    if np.any(np.abs(eta) > EXP_CLAMP):
+        eta = np.clip(eta, -EXP_CLAMP, EXP_CLAMP)
+    return np.exp(eta)
+
+
+def _natural_params(family: Family, etas: dict):
+    """Family parameters (in slot order) from the linear predictors."""
+    if family is Family.NORMAL:
+        return etas["mu"], _clamped_exp(etas["sigma"])
+    if family is Family.SKEW_NORMAL:
+        return etas["mu"], _clamped_exp(etas["sigma"]), etas["epsilon"]
+    if family is Family.GAMMA:
+        return _clamped_exp(etas["mu"]), _clamped_exp(etas["sigma"])
+    if family is Family.BETA:
+        return _clamped_exp(etas["mu"]), _clamped_exp(etas["sigma"])
+    if family is Family.SINH_ARCSINH:
+        sigma_star = _clamped_exp(etas["sigma"])
+        delta = _clamped_exp(etas["delta"])
+        # the product can overflow to inf during wild line-search steps; the
+        # likelihood then evaluates to -inf and the step is rejected
+        with np.errstate(over="ignore"):
+            sigma = sigma_star * delta
+        return etas["mu"], sigma, etas["epsilon"], delta
+    raise ValueError(f"unknown family {family!r}")  # pragma: no cover
+
+
 # ---------------------------------------------------------------------------
 # log-density kernels (vectorized over x and parameter arrays, no validation)
 # ---------------------------------------------------------------------------

@@ -41,8 +41,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import transforms
+from .design import _unique_pairs
 from .distributions import log_pdf_slots
-from .inference import FitError, FitResult, _row_params, _stack, _unique_pairs, fit_map_batch, laplace_draws_batch
+from .inference import FitError, FitResult, _row_params, _stack, fit_map_batch, laplace_draws_batch
 
 __all__ = [
     "ElpdResult",

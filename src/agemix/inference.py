@@ -36,12 +36,13 @@ their systems with numpy's stacked ``linalg``, while each cell keeps its own
 step, shift and stopping test. A cell's fit thus equals its batch-of-one
 fit, and ``fit_map`` is the batch of one: there is one Newton path.
 
-Link functions: location-like parameters are identity-linked, positive
-parameters log-linked. For the sinh-arcsinh family the scale is
-reparameterized as sigma = sigma_star * delta with log sigma_star the linear
-predictor, so the tail-weight predictor moves both delta and the effective
-scale. Gamma and beta use the first two linear-predictor slots for their own
-positive parameters (log k / log theta and log alpha / log beta).
+Link functions (``distributions._natural_params``, which ``simulate`` shares):
+location-like parameters are identity-linked, positive parameters
+log-linked. For the sinh-arcsinh family the scale is reparameterized as
+sigma = sigma_star * delta with log sigma_star the linear predictor, so the
+tail-weight predictor moves both delta and the effective scale. Gamma and
+beta use the first two linear-predictor slots for their own positive
+parameters (log k / log theta and log alpha / log beta).
 
 The derivatives' special functions (log Phi in the skew normal's inverse
 Mills ratio; digamma and trigamma in the gamma's and beta's) are the numpy
@@ -53,18 +54,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import transforms
-from .design import ModelSpec, design_matrices, uncenter_matrix
-from .distributions import (Family, _digamma_trigamma, _log_ndtr, _logpdf_beta, _logpdf_gamma, _logpdf_normal,
-                            _logpdf_sinh_arcsinh, _logpdf_skew_normal, linpred_slots, sample_slots)
+from .data_io import Records
+from .design import ModelSpec, _design_cells, uncenter_matrix
+from .distributions import (EXP_CLAMP, Family, _digamma_trigamma, _log_ndtr, _logpdf_beta, _logpdf_gamma,
+                            _logpdf_normal, _logpdf_sinh_arcsinh, _logpdf_skew_normal, _natural_params, linpred_slots,
+                            sample_slots)
 from .transforms import Transform
-
-if TYPE_CHECKING:  # data_io imports this module
-    from .data_io import Records
 
 __all__ = [
     "FitProblem",
@@ -81,7 +80,6 @@ __all__ = [
     "predictive_batch",
 ]
 
-EXP_CLAMP = 700.0
 DEFAULT_PRIOR_SD = 5.0
 # a fit has converged when its gradient's largest entry is below this
 GRAD_TOL = 1e-6
@@ -149,33 +147,6 @@ class _Prepared:
         if a.shape[1] == b.shape[1] == 1:
             return np.add.reduceat(a * b, self.starts)[:, :, None]
         return np.stack([a[lo:hi].T @ b[lo:hi] for lo, hi in self.segments])
-
-
-def _clamped_exp(eta: np.ndarray) -> np.ndarray:
-    if np.any(np.abs(eta) > EXP_CLAMP):
-        eta = np.clip(eta, -EXP_CLAMP, EXP_CLAMP)
-    return np.exp(eta)
-
-
-def _natural_params(family: Family, etas: dict):
-    """Family parameters (in slot order) from the linear predictors."""
-    if family is Family.NORMAL:
-        return etas["mu"], _clamped_exp(etas["sigma"])
-    if family is Family.SKEW_NORMAL:
-        return etas["mu"], _clamped_exp(etas["sigma"]), etas["epsilon"]
-    if family is Family.GAMMA:
-        return _clamped_exp(etas["mu"]), _clamped_exp(etas["sigma"])
-    if family is Family.BETA:
-        return _clamped_exp(etas["mu"]), _clamped_exp(etas["sigma"])
-    if family is Family.SINH_ARCSINH:
-        sigma_star = _clamped_exp(etas["sigma"])
-        delta = _clamped_exp(etas["delta"])
-        # the product can overflow to inf during wild line-search steps; the
-        # likelihood then evaluates to -inf and the step is rejected
-        with np.errstate(over="ignore"):
-            sigma = sigma_star * delta
-        return etas["mu"], sigma, etas["epsilon"], delta
-    raise ValueError(f"unknown family {family!r}")  # pragma: no cover
 
 
 # ---------------------------------------------------------------------------
@@ -619,23 +590,6 @@ def _stack(models, records):
     columns = [np.concatenate(c) for c in zip(*((r.respondent_age, r.respondent_sex, r.partner_age) for r in records))]
     mats, cell_of = _design_cells(models[0].spec, linpred_slots(models[0].family), *columns[:2], center=True)
     return columns, np.cumsum([0, *map(len, records)]), mats, cell_of
-
-
-def _design_cells(spec: ModelSpec, slots, ages, sexes, center: bool):
-    """(mats, cell_of): the design rows of ``spec`` per slot at each distinct
-    (age, sex) cell, in (age, sex) order, and the cell of each observation."""
-    cell_ages, cell_sexes, cell_of = _unique_pairs(np.asarray(ages, dtype=float), sexes)
-    return design_matrices(spec, cell_ages, cell_sexes, slots=slots, center=center), cell_of
-
-
-def _unique_pairs(a, b, return_index=False):
-    """The distinct pairs (a[i], b[i]) of 1-D ``a`` and ``b`` as ``np.unique(np.column_stack((a, b)), axis=0)``
-    finds them, in (a, b) order: (a values, b values, [first index,] inverse)."""
-    # each column is coded apart, so the pairs need one sort of int64 codes, not of rows
-    a_vals, a_code = np.unique(a, return_inverse=True)
-    b_vals, b_code = np.unique(b, return_inverse=True)
-    codes, *rest = np.unique(a_code * b_vals.size + b_code, return_index=return_index, return_inverse=True)
-    return (a_vals[codes // b_vals.size], b_vals[codes % b_vals.size], *rest)
 
 
 def _predict(fit: FitResult, draws: np.ndarray, mats, cell_of, ages, sexes, rec_idx, draw_idx, rng) -> np.ndarray:

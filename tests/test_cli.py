@@ -14,6 +14,7 @@ from click.testing import CliRunner
 
 import agemix.cli
 import agemix.evaluation
+import agemix.inference
 from agemix.cli import main
 from agemix.data_io import default_config, load_csv, save_csv, simulate, stratify
 from agemix.design import ModelSpec, ModelTag
@@ -75,6 +76,24 @@ class TestSimulateCommand:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["command"] == "simulate"
         assert str(out) in manifest["outputs"]
+
+    def test_manifest_counts_clipped_partner_ages(self, runner, tmp_path):
+        cfg = default_config(n=2000, seed=5)
+        cfg = dataclasses.replace(cfg, coefficients={**cfg.coefficients, "epsilon": [-0.8, -0.5, -0.004, 0.002],
+                                                     "delta": [-0.5, 0.05, 0.004, 0.0]})
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "sim.csv"
+        cfg_path.write_text(json.dumps(cfg.to_dict()))
+        with pytest.warns(RuntimeWarning, match="partner ages into") as caught:
+            result = runner.invoke(main, ["simulate", "--config", str(cfg_path), "--out", str(out)])
+            records, n_clipped = simulate(cfg, return_clipped=True)
+        assert result.exit_code == 0, result.output
+        assert n_clipped > 0 and len(caught) == 2
+        assert json.loads((tmp_path / "manifest.json").read_text())["n_clipped"] == n_clipped
+        save_csv(records, tmp_path / "library.csv")
+        assert out.read_bytes() == (tmp_path / "library.csv").read_bytes()
+        result = runner.invoke(main, ["simulate", "--n", "200", "--seed", "5", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert json.loads((tmp_path / "manifest.json").read_text())["n_clipped"] == 0
 
     @pytest.mark.parametrize("n", ["0", "-5"])
     def test_sample_size_below_one_is_a_usage_error(self, runner, tmp_path, n):
@@ -192,12 +211,14 @@ class TestBadInput:
             f"Error: {path}: 1 malformed row(s): line 2: could not convert string to float: 'x'"
         ]
 
-    def test_deheap_without_records(self, runner, tmp_path):
+    @pytest.mark.parametrize("command", ["moments", "deheap", "compare-distributions", "compare-models"])
+    def test_header_only_csv(self, runner, tmp_path, command):
         path = tmp_path / "header-only.csv"
         path.write_text(self.HEADER)
-        result = runner.invoke(main, ["deheap", str(path), "--out", str(tmp_path / "out")])
+        result = runner.invoke(main, [command, str(path), "--out", str(tmp_path / "out")])
         assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
-        assert result.output.splitlines() == [f"Error: {path}: no records to deheap"]
+        assert result.output.splitlines() == [f"Error: {path}: no records"]
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.fixture(scope="module")
@@ -447,16 +468,16 @@ class TestCompareModels:
 
 def _fail_fit_map(monkeypatch, should_fail):
     """Make the CLI's fits raise for the problems ``should_fail`` picks: the
-    whole batch that holds one (``agemix.cli.fit_map_batch``; compare-models
-    fits batches of one)."""
-    real_batch = agemix.cli.fit_map_batch
+    whole batch that holds one (``agemix.inference.fit_map_batch``, which the
+    CLI looks up at each call; compare-models fits batches of one)."""
+    real_batch = agemix.inference.fit_map_batch
 
     def fit_map_batch(problems, *args, **kwargs):
         if any(map(should_fail, problems)):
             raise FitError("injected failure")
         return real_batch(problems, *args, **kwargs)
 
-    monkeypatch.setattr(agemix.cli, "fit_map_batch", fit_map_batch)
+    monkeypatch.setattr(agemix.inference, "fit_map_batch", fit_map_batch)
 
 
 class TestFailureMarkers:
@@ -535,9 +556,9 @@ class TestFailureMarkers:
 
 
 def _infinite_khat(monkeypatch, should_mark):
-    """Make ``agemix.cli.elpd_batch`` report record 0 as unassessable (k-hat = inf)
-    for the problems ``should_mark`` picks."""
-    real = agemix.cli.elpd_batch
+    """Make ``agemix.evaluation.elpd_batch``, as the CLI calls it, report record 0
+    as unassessable (k-hat = inf) for the problems ``should_mark`` picks."""
+    real = agemix.evaluation.elpd_batch
 
     def elpd_batch(*args, **kwargs):
         results = real(*args, **kwargs)
@@ -547,7 +568,7 @@ def _infinite_khat(monkeypatch, should_mark):
                 res.flagged = tuple(sorted({0, *res.flagged}))
         return results
 
-    monkeypatch.setattr(agemix.cli, "elpd_batch", elpd_batch)
+    monkeypatch.setattr(agemix.evaluation, "elpd_batch", elpd_batch)
 
 
 class TestInfiniteKhat:
@@ -652,7 +673,7 @@ class TestBatchScoring:
         # cell 3's fit (PSIS) or its fold fits (k-fold) do not converge: every
         # record of a fold fit lies in the cell's (sex, age bin)
         key = keys[3]
-        module = agemix.cli if method == "psis" else agemix.evaluation
+        module = agemix.inference if method == "psis" else agemix.evaluation
         real = module.fit_map_batch
 
         def fit_map_batch(problems):
@@ -705,8 +726,8 @@ class TestInfinitePredictive:
 
 
 # Runs the CLI with the arguments it is given (or only imports the package
-# when there are none) and prints the scipy modules loaded by then.
-_SCIPY_PROBE = """
+# when there are none) and prints the scipy and agemix modules loaded by then.
+_MODULE_PROBE = """
 import json, sys
 try:
     import agemix, agemix.cli
@@ -715,16 +736,16 @@ try:
 except SystemExit as exc:
     if exc.code:
         raise
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "agemix"))))
 """
 
 
-def _scipy_modules_after(args, cwd) -> list[str]:
-    """scipy modules a fresh process has loaded after running ``args``."""
+def _modules_after(args, cwd) -> list[str]:
+    """scipy and agemix modules a fresh process has loaded after running ``args``."""
     src = str(Path(agemix.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", _MODULE_PROBE, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
@@ -733,9 +754,10 @@ def _scipy_modules_after(args, cwd) -> list[str]:
 class TestStartupImports:
     """Every command loads no scipy: the special functions of the densities,
     derivatives and samplers are numpy ports of Cephes, and the Newton solves
-    and Laplace draws use numpy.linalg.
+    and Laplace draws use numpy.linalg. The records commands, and importing
+    the package, load no fitting module either.
 
-    Each case runs in a fresh process: this one imported scipy long ago.
+    Each case runs in a fresh process: this one imported them long ago.
     """
 
     _FIT = ["--out", "out", "--jobs", "1", "--draws", "100", "--qq-samples", "500"]
@@ -758,4 +780,21 @@ class TestStartupImports:
     )
     def test_no_scipy(self, args, data_csv, tmp_path):
         args = [a.format(data=data_csv) for a in args]
-        assert _scipy_modules_after(args, tmp_path) == []
+        assert [m for m in _modules_after(args, tmp_path) if m.split(".")[0] == "scipy"] == []
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            [],
+            ["--version"],
+            ["moments", "{data}", "--out", "out"],
+            ["deheap", "{data}", "--out", "out"],
+            ["simulate", "--n", "200", "--out", "sim.csv", "--seed", "1"],
+        ],
+        ids=["import", "version", "moments", "deheap", "simulate"],
+    )
+    def test_records_commands_load_no_fitting_module(self, args, data_csv, tmp_path):
+        args = [a.format(data=data_csv) for a in args]
+        modules = _modules_after(args, tmp_path)
+        assert "agemix.cli" in modules
+        assert {"agemix.inference", "agemix.evaluation"}.isdisjoint(modules)

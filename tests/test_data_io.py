@@ -331,6 +331,26 @@ class TestSimulate:
         monkeypatch.setattr(agemix.data_io, "_design_cells", per_record)
         assert self.simulated_bytes(name, tmp_path / "records.csv") == per_cell
 
+    # a truth whose skew and light tails put about a tenth of the partner ages above 149
+    CLIPPING = {"epsilon": [-0.8, -0.5, -0.004, 0.002], "delta": [-0.5, 0.05, 0.004, 0.0]}
+
+    def clipping_config(self, n):
+        cfg = default_config(n=n, seed=5)
+        return dataclasses.replace(cfg, coefficients={**cfg.coefficients, **self.CLIPPING})
+
+    def test_clipped_partner_ages_are_counted(self, tmp_path):
+        with pytest.warns(RuntimeWarning, match=r"clipped 2044 of 20000 partner ages into \[1, 149\]") as caught:
+            records, n_clipped = simulate(self.clipping_config(20_000), return_clipped=True)
+        assert n_clipped == 2044 and len(caught) == 1
+        # the bytes that simulate wrote before it counted the clipped ages
+        save_csv(records, tmp_path / "sim.csv")
+        digest = hashlib.sha256((tmp_path / "sim.csv").read_bytes()).hexdigest()
+        assert digest == "ca441614b2ba2b24e0756c1cc00458b4fc6979dd75c203b677785d2d5e4cffa2"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, n_clipped = simulate(default_config(n=20_000, seed=5), return_clipped=True)
+        assert n_clipped == 0
+
     def test_memory_bounded_per_record(self):
         # design rows are built per (age, sex) cell, not per record
         cfg = default_config(n=100_000, seed=3)

@@ -3,10 +3,13 @@ import json
 import numpy as np
 import pytest
 
+import agemix.design
 from agemix.design import (
     AGE_CENTER,
     ModelSpec,
     ModelTag,
+    _unique_pairs,
+    _whole_offsets,
     design_matrices,
     slot_recipes,
     spline_basis,
@@ -149,3 +152,79 @@ class TestCentering:
         spec = ModelSpec(ModelTag.CONVENTIONAL)
         xc = design_matrices(spec, [40.0], [1], slots=("mu",), center=True)["mu"]
         np.testing.assert_array_equal(xc[0], [1.0, 1.0, 40.0 - AGE_CENTER, 40.0 - AGE_CENTER])
+
+
+def _pair_inputs(case, rng):
+    if case == "fractional ages, both sexes at one age":
+        ages = rng.choice([20.25, 20.5, 33.75, 64.0], size=300)
+        sexes = rng.integers(0, 2, size=300)
+        sexes[np.flatnonzero(ages == 20.25)[:2]] = [1, 0]
+        return ages, sexes
+    if case == "sex-signed ages":
+        ages, sexes = rng.integers(15, 65, size=300) + 0.5 * rng.integers(0, 2, size=300), rng.integers(0, 2, size=300)
+        return np.where(sexes == 1, -ages, ages), rng.integers(1, 150, size=300).astype(float)
+    if case == "fit-row codes, float outcomes":
+        return rng.integers(0, 40, size=500), rng.choice(rng.normal(size=25), size=500)
+    if case == "all equal":
+        return np.full(7, 3.5), np.ones(7, dtype=np.int64)
+    return np.array([42.0]), np.array([0])
+
+
+def _sized_pair_inputs(case, n, rng):
+    ages, sexes = rng.integers(15, 65, size=n).astype(float), rng.integers(0, 2, size=n)
+    if case == "signed ages x partner ages":
+        return np.where(sexes == 1, -ages, ages), rng.integers(1, 150, size=n).astype(float)
+    if case == "ages x int64 sexes":
+        return ages, sexes
+    if case == "codes past the guard":
+        # each column alone spans at most 3n + 1 integers, the pairs up to 9n + 3
+        return rng.integers(0, 3 * n + 1, size=n).astype(float), rng.integers(0, 3, size=n)
+    return ages + rng.choice([0.0, 0.25, 0.5], size=n), rng.choice(rng.normal(size=5), size=n)
+
+
+def _assert_unique_rows(a, b):
+    """``_unique_pairs`` of ``a`` and ``b`` against ``np.unique`` over the stacked rows."""
+    rows, index, inverse = np.unique(np.column_stack((a, b)), axis=0, return_index=True, return_inverse=True)
+    a_vals, b_vals, first, pair_of = _unique_pairs(a, b, return_index=True)
+    np.testing.assert_array_equal(a_vals, rows[:, 0])
+    np.testing.assert_array_equal(b_vals, rows[:, 1])
+    assert (a_vals.dtype, b_vals.dtype) == (a.dtype, b.dtype)
+    np.testing.assert_array_equal(first, index)
+    # the row inverse's shape differs between numpy versions
+    np.testing.assert_array_equal(pair_of, inverse.ravel())
+    a_vals, b_vals, pair_of = _unique_pairs(a, b)
+    np.testing.assert_array_equal(pair_of, inverse.ravel())
+
+
+class TestUniquePairs:
+    @pytest.mark.parametrize("case", ["fractional ages, both sexes at one age", "sex-signed ages",
+                                      "fit-row codes, float outcomes", "all equal", "single pair"])
+    def test_equals_unique_rows(self, case):
+        _assert_unique_rows(*_pair_inputs(case, np.random.default_rng(11)))
+
+    @pytest.mark.parametrize("n", [1, 40, 65_536])
+    @pytest.mark.parametrize("case", ["signed ages x partner ages", "ages x int64 sexes", "codes past the guard",
+                                      "fractional columns"])
+    def test_sizes_equal_unique_rows(self, case, n, monkeypatch):
+        a, b = _sized_pair_inputs(case, n, np.random.default_rng(n))
+        counted, real = [], np.bincount
+        monkeypatch.setattr(agemix.design.np, "bincount", lambda x, *args: counted.append(x.size) or real(x, *args))
+        _assert_unique_rows(a, b)
+        # pairs are counted when their codes span at most _COUNT_SPAN integers per pair, else sorted
+        whole = all(np.array_equal(col, np.trunc(col)) for col in (a, b))
+        a_span, b_span = (int(np.ptp(col)) + 1 for col in (a, b))
+        assert bool(counted) == (whole and a_span * b_span <= agemix.design._COUNT_SPAN * n)
+        if n == 65_536:
+            assert bool(counted) == (case in ("signed ages x partner ages", "ages x int64 sexes"))
+
+    def test_whole_offsets(self):
+        offsets, low, span = _whole_offsets(np.array([5.0, 3.0, 4.0, 3.0]), 3)
+        np.testing.assert_array_equal(offsets, [2, 0, 1, 0])
+        assert (low, span) == (3.0, 3)
+        offsets, low, span = _whole_offsets(np.array([9, 7]), 3)
+        np.testing.assert_array_equal(offsets, [2, 0])
+        assert (low, span) == (7, 3)
+        # past the limit, fractional (also where the offsets from the minimum are whole), NaN or infinite
+        cols = ([3.0, 6.0], [1.0, 1.5], [0.3, 1.3], [-1.0, 1e-300], [1.0, np.nan], [1.0, np.inf], [-np.inf, np.inf])
+        for col in cols:
+            assert _whole_offsets(np.array(col), 3) is None, col

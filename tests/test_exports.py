@@ -1,7 +1,5 @@
-import ast
 import importlib
 import pkgutil
-from pathlib import Path
 
 import pytest
 
@@ -17,13 +15,16 @@ def test_all_names_exist(name):
 
 
 def test_package_imports_exist_and_are_exported():
-    # every name agemix/__init__.py takes from a submodule is on the package
-    # and in that submodule's __all__
-    tree = ast.parse(Path(agemix.__file__).read_text())
-    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.module]
-    assert imports
-    for node in imports:
-        module = importlib.import_module(f"agemix.{node.module}")
-        for alias in node.names:
-            assert hasattr(agemix, alias.asname or alias.name), alias.name
-            assert alias.name in module.__all__, f"{node.module}.{alias.name}"
+    # every name of the package's lazy export table resolves on the package to
+    # its submodule's object, and is in that submodule's __all__
+    assert agemix._SUBMODULE
+    for name, module_name in agemix._SUBMODULE.items():
+        module = importlib.import_module(f"agemix.{module_name}")
+        assert getattr(agemix, name) is getattr(module, name), name
+        assert name in module.__all__, f"{module_name}.{name}"
+        assert name in dir(agemix), name
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'fit_mapp'"):
+        agemix.fit_mapp

@@ -17,7 +17,6 @@ from agemix.inference import (
     _evaluate,
     _natural_params,
     _Prepared,
-    _unique_pairs,
     draw_params,
     fit_map,
     fit_map_batch,
@@ -692,38 +691,6 @@ class TestDrawParams:
         assert len(linked) == len(sizes) > 1
         assert sum(linked) <= n_rows + len(sizes) - 1
         assert all(rows <= keys for rows, keys in zip(linked, sizes))
-
-
-def _pair_inputs(case, rng):
-    if case == "fractional ages, both sexes at one age":
-        ages = rng.choice([20.25, 20.5, 33.75, 64.0], size=300)
-        sexes = rng.integers(0, 2, size=300)
-        sexes[np.flatnonzero(ages == 20.25)[:2]] = [1, 0]
-        return ages, sexes
-    if case == "sex-signed ages":
-        ages, sexes = rng.integers(15, 65, size=300) + 0.5 * rng.integers(0, 2, size=300), rng.integers(0, 2, size=300)
-        return np.where(sexes == 1, -ages, ages), rng.integers(1, 150, size=300).astype(float)
-    if case == "fit-row codes, float outcomes":
-        return rng.integers(0, 40, size=500), rng.choice(rng.normal(size=25), size=500)
-    if case == "all equal":
-        return np.full(7, 3.5), np.ones(7, dtype=np.int64)
-    return np.array([42.0]), np.array([0])
-
-
-class TestUniquePairs:
-    @pytest.mark.parametrize("case", ["fractional ages, both sexes at one age", "sex-signed ages",
-                                      "fit-row codes, float outcomes", "all equal", "single pair"])
-    def test_equals_unique_rows(self, case):
-        a, b = _pair_inputs(case, np.random.default_rng(11))
-        rows, index, inverse = np.unique(np.column_stack((a, b)), axis=0, return_index=True, return_inverse=True)
-        a_vals, b_vals, first, pair_of = _unique_pairs(a, b, return_index=True)
-        np.testing.assert_array_equal(a_vals, rows[:, 0])
-        np.testing.assert_array_equal(b_vals, rows[:, 1])
-        np.testing.assert_array_equal(first, index)
-        # the row inverse's shape differs between numpy versions
-        np.testing.assert_array_equal(pair_of, inverse.ravel())
-        a_vals, b_vals, pair_of = _unique_pairs(a, b)
-        np.testing.assert_array_equal(pair_of, inverse.ravel())
 
 
 class TestPosteriorPredictive:
