@@ -329,7 +329,7 @@ def _score(problems, seed_parts, n_draws, elpd_method, qq_samples, groups, extra
         """Map each problem not failed yet to ``stage``'s output; an exception fails it."""
         live = [i for i, error in enumerate(errors) if error is None]
         try:
-            outs = stage(live) if live else []
+            outs = stage(live)
         except Exception as exc:  # noqa: BLE001 - failure markers belong in the report
             outs = [exc] * len(live)
         for i, out in zip(live, outs):
@@ -441,8 +441,7 @@ def _compare(
     records = _load(data)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    method = "exact_kfold" if elpd_method == "kfold" else "psis"
-    tasks = [(*head, seed, draws, method, qq_samples) for head in tasks_of(records)]
+    tasks = [(*head, seed, draws, elpd_method, qq_samples) for head in tasks_of(records)]
     # the fitting modules load here, once, so that worker processes inherit them
     from . import evaluation, inference  # noqa: F401
     results = _run(task, tasks, jobs if jobs is not None else (os.cpu_count() or 1))
@@ -578,17 +577,18 @@ REPORT_KEYS = (
 
 
 def _model_tasks(records):
-    return [(tag, records) for tag in MODEL_TAGS]
+    # the QQ groups, which every specification shares
+    groups = [(str(key), recs, (key.sex, key.bin_start)) for key, recs in stratify(records).items()]
+    return [(tag, records, groups) for tag in MODEL_TAGS]
 
 
 def _fit_model_spec(task):
     """Fit and score one regression specification on the full data set."""
     from .inference import FitProblem, draw_params, posterior_predictive
 
-    tag, records, seed, n_draws, elpd_method, qq_samples = task
+    tag, records, groups, seed, n_draws, elpd_method, qq_samples = task
     seed_parts = (seed, list(ModelTag).index(tag))
     problem = FitProblem(Family.SINH_ARCSINH, Transform(TransformKind.LOG_RATIO), ModelSpec(tag), records)
-    groups = [(str(key), recs, (key.sex, key.bin_start)) for key, recs in stratify(records).items()]
 
     def curves_and_histograms(fit, draws):
         curves = []

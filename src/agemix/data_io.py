@@ -129,13 +129,12 @@ class SubsetKey:
 # ---------------------------------------------------------------------------
 
 
-def load_csv(path, strict: bool = True) -> Records:
+def load_csv(path) -> Records:
     """Read partnership records from a CSV with the standard header.
 
-    Blank lines are ignored. In strict mode any malformed row aborts the
-    load with a report listing every offending line; otherwise bad rows are
-    logged and skipped. A sex field must equal 0 or 1 (``1.0`` is 1); a
-    fractional one is a malformed row.
+    Blank lines are ignored. Any malformed row aborts the load with a
+    CsvError listing every offending line. A sex field must equal 0 or 1
+    (``1.0`` is 1); a fractional one is a malformed row.
     """
     path = Path(path)
     with path.open(newline="") as fh:
@@ -176,12 +175,8 @@ def load_csv(path, strict: bool = True) -> Records:
     problems = sorted(problems + [(line_nos[i], msg) for i, msg in out_of_range])
     if problems:
         texts = [f"line {line_no}: {msg}" for line_no, msg in problems]
-        if strict:
-            raise CsvError(f"{path}: {len(texts)} malformed row(s): " + "; ".join(texts))
-        for text in texts:
-            log.warning("%s: skipped %s", path, text)
-    keep = np.setdiff1d(np.arange(len(line_nos)), [i for i, _ in out_of_range])
-    return Records(ages[keep], sexes[keep], partners[keep])
+        raise CsvError(f"{path}: {len(texts)} malformed row(s): " + "; ".join(texts))
+    return Records(ages, sexes, partners)
 
 
 # records per write, which bounds the memory a write holds
@@ -311,23 +306,30 @@ class GeneratorConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GeneratorConfig":
-        t = d["transform"]
-        return cls(
-            n=int(d["n"]),
-            seed=int(d["seed"]),
-            family=Family(d["family"]),
-            transform=Transform(
-                kind=TransformKind(t["kind"]),
-                upper_bound=float(t.get("upper_bound", 150.0)),
-                offset=float(t.get("offset", 150.0)),
-            ),
-            spec=ModelSpec.from_dict(d["spec"]),
-            coefficients={k: np.asarray(v, dtype=float) for k, v in d["coefficients"].items()},
-            age_weights=None if d.get("age_weights") is None else np.asarray(d["age_weights"], dtype=float),
-            sex_ratio=float(d.get("sex_ratio", 0.5)),
-            heaping=float(d.get("heaping", 0.0)),
-            integer_ages=bool(d.get("integer_ages", True)),
-        )
+        """The config ``d`` describes; a missing key or a field of the wrong JSON type is a ValueError."""
+        try:
+            t = d["transform"]
+            fields = dict(
+                n=int(d["n"]),
+                seed=int(d["seed"]),
+                family=Family(d["family"]),
+                transform=Transform(
+                    kind=TransformKind(t["kind"]),
+                    upper_bound=float(t.get("upper_bound", 150.0)),
+                    offset=float(t.get("offset", 150.0)),
+                ),
+                spec=ModelSpec.from_dict(d["spec"]),
+                coefficients={k: np.asarray(v, dtype=float) for k, v in d["coefficients"].items()},
+                age_weights=None if d.get("age_weights") is None else np.asarray(d["age_weights"], dtype=float),
+                sex_ratio=float(d.get("sex_ratio", 0.5)),
+                heaping=float(d.get("heaping", 0.0)),
+                integer_ages=bool(d.get("integer_ages", True)),
+            )
+        except KeyError as exc:
+            raise ValueError(f"the generator config lacks the key {exc.args[0]!r}") from exc
+        except (TypeError, AttributeError) as exc:  # a field of the wrong JSON type, such as a string for an object
+            raise ValueError(f"a generator config field has the wrong type: {exc}") from exc
+        return cls(**fields)
 
     @classmethod
     def from_json_file(cls, path, n: int | None = None, seed: int | None = None) -> "GeneratorConfig":
@@ -337,6 +339,8 @@ class GeneratorConfig:
 
 def _config_from_json(text: str, n: int | None, seed: int | None) -> GeneratorConfig:
     d = json.loads(text)
+    if not isinstance(d, dict):
+        raise ValueError("a generator config must be a JSON object")
     d.update({key: value for key, value in (("n", n), ("seed", seed)) if value is not None})
     return GeneratorConfig.from_dict(d)
 

@@ -26,10 +26,11 @@ row, outcome) key once, in blocks of about ``_BLOCK_BYTES`` (keys x draws)
 that may span fits, each through one kernel, which reads the m + 1 largest
 weights as sorted values; a record takes its key's k-hat and pointwise ELPD
 plus its log Jacobian. Memory is O(draws x block), work O(keys x draws).
-Exact k-fold fits the folds (knots pinned on each problem's full data) as
-one ``inference.fit_map_batch``, draws ``n_draws`` per fold fit and scores
-the held-out keys the same way; a mixed batch raises ValueError. One fit's
-stream, transposed, is ``pointwise_loglik``'s array, which ``elpd_loo`` takes.
+Exact k-fold (``"kfold"``) fits the 10 folds of each problem (knots pinned
+on its full data) as one ``inference.fit_map_batch``, draws ``n_draws`` per
+fold fit and scores the held-out keys the same way; a mixed batch raises
+ValueError. One fit's stream, transposed, is ``pointwise_loglik``'s array,
+which ``elpd_loo`` takes.
 """
 
 from __future__ import annotations
@@ -53,12 +54,14 @@ __all__ = [
     "elpd_diff",
     "rank_by_elpd",
     "qq_rmse",
-    "DEFAULT_QUANTILES",
     "KHAT_WARN",
 ]
 
-DEFAULT_QUANTILES = tuple(np.round(np.arange(0.1, 0.91, 0.1), 10))
+# the quantiles qq_rmse compares
+_DECILES = np.round(np.arange(0.1, 0.91, 0.1), 10)
 KHAT_WARN = 0.7
+# exact k-fold's fold count
+_FOLDS = 10
 _MIN_TAIL = 5
 # bytes of log likelihood per streamed record block
 _BLOCK_BYTES = 512 << 10
@@ -70,55 +73,53 @@ def _block_rows(n_draws: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * n_draws))
 
 
-def _keys(fits, records):
-    """(design, pair_fit, pair_row, pair, y, first, inverse, bounds, jacobian) over the distinct
-    (fit, design row, outcome) keys of a batch of fits of one family, transform and spec, fit f
-    scoring ``records[f]``. ``design`` maps each slot to all records' distinct centered design rows;
-    (fit, row) pair p is (``pair_fit[p]``, ``pair_row[p]``); key j, in (pair, outcome) order, has pair
-    ``pair[j]``, outcome ``y[j]`` and first concatenated record ``first[j]``; record i has key
-    ``inverse[i]`` and log Jacobian ``jacobian[i]``, and fit f's records are ``bounds[f]:bounds[f + 1]``."""
+def _stream(fits, draws, records, kernel, width, origins=None):
+    """(values, errors) of a batch of fits of one family, transform and spec, fit f
+    scoring ``records[f]`` under its draws ``draws[f]``.
+
+    The distinct (fit, design row, outcome) keys are scored in ascending order,
+    in C-contiguous blocks (keys x draws) of at most ``_block_rows`` keys that
+    may span fits: row j holds key j's outcome log density (no Jacobian) under
+    each draw of its fit, and each fit's part of a block links only the
+    distinct design rows of its keys there. ``kernel`` maps a block to
+    ``width`` per-key rows. ``values[f]`` holds those rows at fit f's records
+    and its records' log Jacobians, which the caller adds. A fit with a
+    non-finite entry leaves the stream: ``errors[f]`` names its lowest such
+    record (as ``origins[f][i]``, when given) and its first such draw.
+    """
+    if not fits:
+        return [], []
     fit = fits[0]
     # design rows are found per (age, sex) cell, of which there are few
     columns, bounds, mats, cell_of = _stack(fits, records)
     _, cell, row_of = np.unique(np.hstack([mats[s] for s in fit.slots]), axis=0, return_index=True, return_inverse=True)
-    # keys are (fit and design row as one integer, outcome) pairs in ascending order, first at their first record;
-    # the shape of row_of, an inverse over rows, differs between numpy versions
-    fit_row = np.repeat(np.arange(len(fits)), np.diff(bounds)) * cell.size + row_of.ravel()[cell_of]
+    # a key is (fit and design row as one integer code, outcome); the shape of
+    # row_of, an inverse over rows, differs between numpy versions
+    code = np.repeat(np.arange(len(fits)), np.diff(bounds)) * cell.size + row_of.ravel()[cell_of]
     y = transforms.forward_array(fit.transform, *columns)
-    key_fit_row, key_y, first, inverse = _unique_pairs(fit_row, y, return_index=True)
-    pairs, pair = np.unique(key_fit_row, return_inverse=True)
-    return ({s: mats[s][cell] for s in fit.slots}, pairs // cell.size, pairs % cell.size, pair, key_y, first, inverse,
-            bounds, transforms.log_jacobian_array(fit.transform, *columns))
-
-
-def _loglik_blocks(fits, draws, records, keys, errors, origins=None):
-    """Yield (rows, block): log likelihoods of consecutive blocks of at most
-    ``_block_rows`` keys of ``keys = _keys(fits, records)``, which may span fits.
-
-    ``block`` is C-contiguous (keys x draws): key ``rows[j]``'s outcome log
-    density (no Jacobian) under each draw of its fit f, ``draws[f]``. Keys
-    ascend by (fit, design row), so a block links at most one row per key. A
-    fit with a non-finite entry leaves the stream; at its end ``errors[f]``
-    names fit f's lowest such record (as ``origins[f][i]``, when given) and
-    its first such draw.
-    """
-    design, pair_fit, pair_row, pair, y, first, _, bounds, _ = keys
-    key_fit = pair_fit[pair]
-    step, bad = _block_rows(draws[0].shape[0]), {}
+    code, y, first, inverse = _unique_pairs(code, y, return_index=True)
+    design = {s: mats[s][cell] for s in fit.slots}
+    key_fit, key_row = np.divmod(code, cell.size)
+    jacobian = transforms.log_jacobian_array(fit.transform, *columns)
+    del columns, mats, cell_of  # only the keys' arrays stay alive while the blocks stream
+    out, errors, bad = np.empty((width, first.size)), [None] * len(fits), {}
+    step = _block_rows(draws[0].shape[0])
     for start in range(0, first.size, step):
         rows, pieces = np.arange(start, min(start + step, first.size)), []
         for f in range(key_fit[rows[0]], key_fit[rows[-1]] + 1):
-            # the family parameters at fit f's pairs in the block under its own draws, gathered
-            # per key unless one pair broadcasts; each fit's temporaries are its own keys' size
+            # the family parameters at fit f's design rows in the block under its own draws, gathered
+            # per key unless one row broadcasts; each fit's temporaries are its own keys' size
             mine = rows[key_fit[rows] == f]
-            p0, p1 = pair[mine[[0, -1]]]
-            params = _row_params(fits[f], {s: m[pair_row[p0 : p1 + 1]] for s, m in design.items()}, draws[f])
-            params = [np.take(p, pair[mine] - p0, axis=0) for p in params] if p1 > p0 else params
+            linked, local = np.unique(key_row[mine], return_inverse=True)
+            params = _row_params(fits[f], {s: m[linked] for s, m in design.items()}, draws[f])
+            params = [np.take(p, local, axis=0) for p in params] if linked.size > 1 else params
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 pieces.append(log_pdf_slots(fits[f].family, y[mine, None], *params))
             del params
+        # the previous block stays alive until here: freeing it before building
+        # this one makes the heap trim and re-fault for every block
         block = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
-        del pieces  # only the block stays alive while the caller holds it
+        del pieces
         for j in np.flatnonzero(~np.isfinite(block).all(axis=1)):
             f = key_fit[rows[j]]  # a later block may hold a lower record, so the rest are still scored
             bad[f] = min(bad.get(f, (math.inf, 0)), (first[rows[j]] - bounds[f], int(np.argmin(np.isfinite(block[j])))))
@@ -126,21 +127,11 @@ def _loglik_blocks(fits, draws, records, keys, errors, origins=None):
             keep = ~np.isin(key_fit[rows], list(bad))
             rows, block = rows[keep], block[keep]
         if rows.size:
-            yield rows, block
+            out[:, rows] = kernel(block)
     for f, (i, d) in bad.items():
         r, name = records[f], i if origins is None else origins[f][i]
         values = ", ".join(f"{c}={getattr(r, c)[i]}" for c in ("respondent_age", "respondent_sex", "partner_age"))
         errors[f] = ValueError(f"non-finite log likelihood at draw {d}, record {name} ({values})")
-
-
-def _stream(fits, draws, records, kernel, width, origins=None):
-    """(values, errors): ``kernel`` maps each block of ``_loglik_blocks`` to ``width``
-    per-key rows; fit f's values are those rows at its records and its records' log
-    Jacobians, which the caller adds."""
-    *_, first, inverse, bounds, jacobian = keys = _keys(fits, records)
-    out, errors = np.empty((width, first.size)), [None] * len(fits)
-    for rows, block in _loglik_blocks(fits, draws, records, keys, errors, origins):
-        out[:, rows] = kernel(block)
     ends = bounds[1:-1]
     return list(zip(np.split(out[:, inverse], ends, axis=1), np.split(jacobian, ends))), errors
 
@@ -286,7 +277,6 @@ class ElpdResult:
     elpd: float
     se: float
     pointwise: np.ndarray
-    method: str
     khat: np.ndarray | None = None
     flagged: tuple[int, ...] = ()
 
@@ -298,9 +288,9 @@ def _pointwise_se(pointwise: np.ndarray) -> float:
     return float(math.sqrt(n * np.var(pointwise, ddof=1)))
 
 
-def _result(pointwise: np.ndarray, method: str, khat: np.ndarray | None = None) -> ElpdResult:
+def _result(pointwise: np.ndarray, khat: np.ndarray | None = None) -> ElpdResult:
     flagged = () if khat is None else tuple(int(i) for i in np.nonzero(khat > KHAT_WARN)[0])
-    return ElpdResult(float(pointwise.sum()), _pointwise_se(pointwise), pointwise, method, khat, flagged)
+    return ElpdResult(float(pointwise.sum()), _pointwise_se(pointwise), pointwise, khat, flagged)
 
 
 def _warn_flagged(results) -> None:
@@ -311,7 +301,7 @@ def _warn_flagged(results) -> None:
                           "ELPD may be unreliable", RuntimeWarning, stacklevel=3)
 
 
-def _kfold(problems, folds: int, n_draws: int, seeds) -> list:
+def _kfold(problems, n_draws: int, seeds) -> list:
     """Exact k-fold ELPD of each problem; all problems' fold fits are fitted, drawn and scored together."""
     errors, fold_problems, fold_of = [None] * len(problems), [], []
     for c, (problem, seed) in enumerate(zip(problems, seeds)):
@@ -320,42 +310,40 @@ def _kfold(problems, folds: int, n_draws: int, seeds) -> list:
             errors[c] = FitError("fit_map requires at least one record")
         # pin spline knots on the full data so folds share one design
         base = replace(problem, spec=problem.spec.with_knots_from_ages(records.respondent_age))
-        assignment = np.arange(len(records)) % folds
-        for fold in range(min(folds, len(records)) if errors[c] is None else 0):
+        assignment = np.arange(len(records)) % _FOLDS
+        for fold in range(min(_FOLDS, len(records)) if errors[c] is None else 0):
             fold_problems.append(replace(base, records=records[assignment != fold]))
             fold_of.append((c, np.flatnonzero(assignment == fold), seed + fold + 1))
     fits = fit_map_batch(fold_problems)
     draws = laplace_draws_batch(fits, n_draws, [seed for *_, seed in fold_of])  # then each fold's error
     live = [k for k, d in enumerate(draws) if not isinstance(d, Exception)]
-    pointwise = [np.empty(len(p.records)) for p in problems]
-    if live:
-        cells, held = zip(*(fold_of[k][:2] for k in live))
-        values, stream_errors = _stream(
-            [fits[k] for k in live], [draws[k] for k in live], [problems[c].records[h] for c, h in zip(cells, held)],
-            lambda block: _logsumexp_rows(block, block) - math.log(n_draws), 1, held)
-        for k, c, h, error, (v, jacobian) in zip(live, cells, held, stream_errors, values):
-            draws[k], pointwise[c][h] = error, v[0] + jacobian
+    pointwise, held = [np.empty(len(p.records)) for p in problems], [fold_of[k][:2] for k in live]
+    values, stream_errors = _stream(
+        [fits[k] for k in live], [draws[k] for k in live], [problems[c].records[h] for c, h in held],
+        lambda block: _logsumexp_rows(block, block) - math.log(n_draws), 1, [h for _, h in held])
+    for k, (c, h), error, (v, jacobian) in zip(live, held, stream_errors, values):
+        draws[k], pointwise[c][h] = error, v[0] + jacobian
     for (c, *_), d in zip(fold_of, draws):  # a problem fails with its first failing fold
         errors[c] = errors[c] or (d if isinstance(d, Exception) else None)
-    return [e or _result(p, "exact_kfold") for e, p in zip(errors, pointwise)]
+    return [e or _result(p) for e, p in zip(errors, pointwise)]
 
 
-def elpd_batch(method: str, *, fits=(), draws=(), records=(), problems=(), folds: int = 10, n_draws: int = 1000,
-               seeds=()) -> list:
+def elpd_batch(method: str, *, fits=(), draws=(), records=(), problems=(), n_draws: int = 1000, seeds=()) -> list:
     """ELPD of each fit of a batch of one family, transform and spec (else
     ValueError): per fit its ElpdResult, or the exception that stopped it.
 
     ``method="psis"`` estimates fit f's LOO from its draws ``draws[f]`` (at least 100) on
-    ``records[f]``; ``method="exact_kfold"`` refits problem f on K training folds, draws ``n_draws``
+    ``records[f]``; ``method="kfold"`` refits problem f on 10 training folds, draws ``n_draws``
     per fold fit from seed ``seeds[f] + fold + 1`` and scores each record out of fold. Either way
-    one stream scores the batch. Each fit with flagged records gets a k-hat RuntimeWarning."""
+    one stream scores the batch; an empty batch gives []. Each fit with flagged records gets a
+    k-hat RuntimeWarning."""
     if method == "psis":
-        if draws[0].shape[0] < 100:
+        if draws and draws[0].shape[0] < 100:
             raise ValueError("psis requires at least 100 draws")
         values, errors = _stream(fits, draws, records, lambda block: _psis_block(block, block), 2)
-        results = [e or _result(v[0] + jacobian, "psis", v[1]) for e, (v, jacobian) in zip(errors, values)]
-    elif method == "exact_kfold":
-        results = _kfold(problems, folds, n_draws, seeds)
+        results = [e or _result(v[0] + jacobian, v[1]) for e, (v, jacobian) in zip(errors, values)]
+    elif method == "kfold":
+        results = _kfold(problems, n_draws, seeds)
     else:
         raise ValueError(f"unknown ELPD method {method!r}")
     _warn_flagged(results)
@@ -372,7 +360,7 @@ def elpd_loo(ll: np.ndarray) -> ElpdResult:
     for start in range(0, ll.shape[1], step):
         rows = slice(start, start + step)
         pointwise[rows], khat[rows] = _psis_block(np.ascontiguousarray(ll[:, rows].T))
-    res = _result(pointwise, "psis", khat)
+    res = _result(pointwise, khat)
     _warn_flagged([res])
     return res
 
@@ -387,18 +375,18 @@ def elpd_diff(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     return float(d.sum()), _pointwise_se(d)
 
 
-def qq_rmse(observed, predictive, quantiles=DEFAULT_QUANTILES) -> float:
-    """RMSE between observed and predictive quantiles across groups.
+def qq_rmse(observed, predictive) -> float:
+    """RMSE between observed and predictive deciles (0.1, ..., 0.9) across groups.
 
     ``observed`` and ``predictive`` map group keys to sample vectors; every
     observed group must be present and nonempty on both sides. Quantiles use
     linear interpolation of the empirical CDF (numpy's default, R type 7).
 
     Infinite predictive samples (partner ages that overflow the inverse
-    transform) sort to the ends, so the default 0.1-0.9 quantiles, which read
-    only order statistics between ranks floor(0.1 (n - 1)) and
-    floor(0.9 (n - 1)) + 1, stay finite while fewer than about 10% of a
-    group's n samples are infinite on either side. A quantile that still
+    transform) sort to the ends, so the deciles, which read only order
+    statistics between ranks floor(0.1 (n - 1)) and floor(0.9 (n - 1)) + 1,
+    stay finite while fewer than about 10% of a group's n samples are
+    infinite on either side. A quantile that still
     comes out non-finite raises ValueError naming the group.
     """
     problems = []
@@ -414,14 +402,13 @@ def qq_rmse(observed, predictive, quantiles=DEFAULT_QUANTILES) -> float:
     if not observed:
         raise ValueError("qq_rmse requires at least one group")
 
-    qs = np.asarray(quantiles, dtype=float)
     errors = []
     for key in observed:
         # np.quantile partitions once per order statistic, which is fast
         # on sorted input, so one sort first gives the same values sooner
-        q_obs = np.quantile(np.sort(np.asarray(observed[key], dtype=float)), qs)
+        q_obs = np.quantile(np.sort(np.asarray(observed[key], dtype=float)), _DECILES)
         with np.errstate(invalid="ignore"):  # inf - inf when reading infinite samples
-            error = q_obs - np.quantile(np.sort(np.asarray(predictive[key], dtype=float)), qs)
+            error = q_obs - np.quantile(np.sort(np.asarray(predictive[key], dtype=float)), _DECILES)
         if not np.all(np.isfinite(error)):
             raise ValueError(f"qq_rmse: non-finite quantile in group {key}")
         errors.append(error)

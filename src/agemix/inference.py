@@ -60,7 +60,7 @@ import numpy as np
 from . import transforms
 from .data_io import Records
 from .design import ModelSpec, _design_cells, uncenter_matrix
-from .distributions import (EXP_CLAMP, Family, _digamma_trigamma, _log_ndtr, _logpdf_beta, _logpdf_gamma,
+from .distributions import (SINH_ARG_CLAMP, Family, _digamma_trigamma, _log_ndtr, _logpdf_beta, _logpdf_gamma,
                             _logpdf_normal, _logpdf_sinh_arcsinh, _logpdf_skew_normal, _natural_params, linpred_slots,
                             sample_slots)
 from .transforms import Transform
@@ -217,7 +217,7 @@ def _derivs_sinh_arcsinh(x, mu, sigma, epsilon, delta):
     # because sigma = sigma_star * delta
     z = (x - mu) / sigma
     r = np.arcsinh(z)
-    w = np.clip(epsilon + delta * r, -EXP_CLAMP, EXP_CLAMP)
+    w = np.clip(epsilon + delta * r, -SINH_ARG_CLAMP, SINH_ARG_CLAMP)
     q = 1.0 / (1.0 + z * z)
     dr = delta * np.sqrt(q)  # dw/dz
     g1 = np.tanh(w) - 0.5 * np.sinh(2.0 * w)
@@ -623,8 +623,11 @@ def predictive_batch(fits, draws, groups) -> list[list[np.ndarray]]:
     fits of one family, transform and spec, else ValueError. ``groups[f]`` lists
     (records, n_total, seed) for fit f; each gets ``n_total`` samples from its
     own stream, each a uniformly chosen record's age and sex under a uniformly
-    chosen draw. The cells' design rows are built once for all groups."""
+    chosen draw. The cells' design rows are built once for all groups; no
+    request gives one empty list per group."""
     requests = [(f, *request) for f, group in enumerate(groups) for request in group]
+    if not requests:
+        return [[] for _ in groups]
     if not all(len(records) for _, records, _, _ in requests):
         raise ValueError("predictive_for_records requires a nonempty record set")
     (ages, sexes, _), bounds, mats, cell_of = _stack(fits, [records for _, records, _, _ in requests])

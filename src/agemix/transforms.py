@@ -25,7 +25,6 @@ __all__ = [
     "log_jacobian_array",
 ]
 
-FEMALE = 1
 MALE = 0
 
 

@@ -106,15 +106,22 @@ class TestSimulateCommand:
             assert "Invalid value for '--n'" in result.output
             assert not out.exists()
 
-    @pytest.mark.parametrize("field,value", [("n", 0), ("heaping", 3.0)])
-    def test_invalid_config_file_value_is_a_usage_error(self, runner, tmp_path, field, value):
-        # as --n 0 is: exit status 2, naming the field, no traceback and no output
+    @pytest.mark.parametrize("edit,message", [
+        (lambda config: {**config, "n": 0}, "n must be"),
+        (lambda config: {**config, "heaping": 3.0}, "heaping must be"),
+        (lambda config: {"n": 10, "seed": 1}, "the generator config lacks the key 'transform'"),
+        (lambda config: [config], "a generator config must be a JSON object"),
+        (lambda config: {**config, "transform": "log_ratio"}, "a generator config field has the wrong type"),
+        (lambda config: {**config, "n": None}, "a generator config field has the wrong type"),
+    ], ids=["n-0", "heaping-3.0", "missing-transform", "json-list", "transform-string", "n-null"])
+    def test_invalid_config_file_value_is_a_usage_error(self, runner, tmp_path, edit, message):
+        # as --n 0 is: exit status 2, naming the problem, no traceback and no output
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({**default_config(n=30, seed=2).to_dict(), field: value}))
+        cfg_path.write_text(json.dumps(edit(default_config(n=30, seed=2).to_dict())))
         out = tmp_path / "sim.csv"
         result = runner.invoke(main, ["simulate", "--config", str(cfg_path), "--out", str(out)])
         assert result.exit_code == 2, result.output
-        assert "Invalid value for '--config'" in result.output and f"{field} must be" in result.output
+        assert "Invalid value for '--config'" in result.output and message in result.output
         assert result.exc_info[0] is SystemExit and not out.exists()
 
     def test_overrides_apply_to_a_config_file(self, runner, tmp_path):
@@ -465,6 +472,20 @@ class TestCompareModels:
         rows = read_rows(out / "predictive_histograms.csv")
         assert len(rows) == 5 * 2 * 3 * 100
 
+    def test_records_are_stratified_once(self, runner, data_csv, tmp_path, monkeypatch):
+        # the five specifications share one set of QQ groups
+        sizes = []
+
+        def counting(records):
+            sizes.append(len(records))
+            return stratify(records)
+
+        monkeypatch.setattr(agemix.cli, "stratify", counting)
+        result = runner.invoke(main, ["compare-models", str(data_csv), "--out", str(tmp_path), "--seed", "2",
+                                      "--jobs", "1", "--draws", "100", "--qq-samples", "500"])
+        assert result.exit_code == 0, result.output
+        assert sizes == [1200]
+
 
 def _fail_fit_map(monkeypatch, should_fail):
     """Make the CLI's fits raise for the problems ``should_fail`` picks: the
@@ -651,9 +672,9 @@ class TestBatchScoring:
         self.assert_cells_alone(cells, "psis", 1000, 2000, rows, messages)
 
     def test_kfold(self, cells):
-        rows, messages = self.score(cells, "exact_kfold", 200, 500)
+        rows, messages = self.score(cells, "kfold", 200, 500)
         assert all(r["ok"] for r in rows) and messages == []
-        self.assert_cells_alone(cells, "exact_kfold", 200, 500, rows, messages)
+        self.assert_cells_alone(cells, "kfold", 200, 500, rows, messages)
 
     def test_draws_and_predictive_samples(self, cells):
         _, problems, parts, _ = cells
@@ -665,7 +686,7 @@ class TestBatchScoring:
             np.testing.assert_array_equal(d, laplace_draws(fit, 1000, seed))
             np.testing.assert_array_equal(sample, predictive_for_records(fit, d, problem.records, 2000, seed + 1))
 
-    @pytest.mark.parametrize("method", ["psis", "exact_kfold"])
+    @pytest.mark.parametrize("method", ["psis", "kfold"])
     def test_failed_cell_keeps_its_marker(self, cells, method, monkeypatch):
         keys, *_ = cells
         n_draws, qq_samples = (1000, 2000) if method == "psis" else (200, 500)

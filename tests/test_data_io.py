@@ -1,7 +1,6 @@
 import dataclasses
 import hashlib
 import json
-import logging
 import tracemalloc
 import warnings
 
@@ -137,16 +136,15 @@ class TestCsv:
         path.write_text(HEADER)
         assert len(load_csv(path)) == 0
 
-    @pytest.mark.parametrize("strict", [True, False])
-    def test_blank_bodies_and_trailing_blank_lines_load_without_warnings(self, tmp_path, strict):
+    def test_blank_bodies_and_trailing_blank_lines_load_without_warnings(self, tmp_path):
         path = tmp_path / "r.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for body in ("", "\n", "\r\n\r\n\n"):
                 path.write_bytes((HEADER + body).encode())
-                assert_same_records(load_csv(path, strict=strict), Records([], [], []))
+                assert_same_records(load_csv(path), Records([], [], []))
             path.write_bytes((HEADER + "30,1,41\r\n25,0,22\r\n\r\n\n").encode())
-            assert_same_records(load_csv(path, strict=strict), rows((30.0, 1, 41.0), (25.0, 0, 22.0)))
+            assert_same_records(load_csv(path), rows((30.0, 1, 41.0), (25.0, 0, 22.0)))
 
     def test_range_error_strict_names_line(self, tmp_path):
         path = tmp_path / "r.csv"
@@ -171,21 +169,6 @@ class TestCsv:
             "line 7: could not convert string to float: 'bogus'"
         )
 
-    def test_lenient_skips_exactly_the_malformed_rows(self, tmp_path, caplog):
-        path = tmp_path / "r.csv"
-        path.write_text(self.MIXED)
-        with caplog.at_level(logging.WARNING, logger="agemix.data_io"):
-            records = load_csv(path, strict=False)
-        assert_same_records(records, rows((30.0, 1, 41.0), (25.0, 0, 22.0), (31.0, 0, 33.0), (40.0, 1, 38.0)))
-        skipped = [r.getMessage().split("skipped ")[1] for r in caplog.records]
-        assert [s.split(":")[0] for s in skipped] == ["line 5", "line 6", "line 7"]
-
-    def test_lenient_skips_and_keeps_good_rows(self, tmp_path, caplog):
-        path = tmp_path / "r.csv"
-        path.write_text(HEADER + "30,1,41\nbogus,0,41\n25,0,22\n")
-        records = load_csv(path, strict=False)
-        assert len(records) == 2
-
     def test_quoted_fields_and_fractional_sex(self, tmp_path):
         # the csv module unquotes fields; 1.0 is sex 1, a fractional sex is
         # malformed, whether the file takes the row-by-row parse (quotes) or not
@@ -195,7 +178,6 @@ class TestCsv:
             path.write_text(HEADER + first + "\n25,0.7,22\n31,0,40\n")
             with pytest.raises(CsvError, match=only_line_3):
                 load_csv(path)
-            assert_same_records(load_csv(path, strict=False), rows((30.0, 1, 41.0), (31.0, 0, 40.0)))
 
     def test_header_mismatch(self, tmp_path):
         path = tmp_path / "r.csv"

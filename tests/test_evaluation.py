@@ -13,7 +13,6 @@ from agemix.design import ModelSpec, ModelTag
 from agemix.distributions import Family
 from agemix.distributions import log_pdf_slots
 from agemix.evaluation import (
-    DEFAULT_QUANTILES,
     ElpdResult,
     _psis_block,
     _tail_length,
@@ -35,9 +34,15 @@ def psis_one(fit, draws, records):
     return evaluation.elpd_batch("psis", fits=[fit], draws=[draws], records=[records])[0]
 
 
-def kfold_one(problem, folds, n_draws, seed):
+def kfold_one(problem, n_draws, seed):
     """``elpd_batch``'s exact k-fold result for one problem, likewise."""
-    return evaluation.elpd_batch("exact_kfold", problems=[problem], folds=folds, n_draws=n_draws, seeds=[seed])[0]
+    return evaluation.elpd_batch("kfold", problems=[problem], n_draws=n_draws, seeds=[seed])[0]
+
+
+@pytest.fixture
+def three_folds(monkeypatch):
+    """Three k-fold folds, so that the tests' duplicate records share a held-out fold."""
+    monkeypatch.setattr(evaluation, "_FOLDS", 3)
 
 
 @pytest.fixture(scope="module")
@@ -147,7 +152,6 @@ class TestPsis:
         res = elpd_loo(ll)
         assert res.elpd == pytest.approx(6 * math.log(0.25), rel=1e-12)
         assert res.se == 0.0
-        assert res.method == "psis"
 
     def test_too_few_draws_rejected(self):
         with pytest.raises(ValueError):
@@ -435,7 +439,7 @@ class TestStreamedElpd:
         res = psis_one(shifted, draws, records)
         assert isinstance(res, ValueError) and "draw 0, record 0 " in str(res)
 
-    def test_kfold_non_finite_names_caller_record(self, tiny_records, monkeypatch):
+    def test_kfold_non_finite_names_caller_record(self, tiny_records, monkeypatch, three_folds):
         # the reflection offset of 40 years, set on every fold fit, puts the
         # held-out records of male respondents with partners aged 40 or more
         # outside the gamma's support; the message gives the record's index
@@ -456,7 +460,7 @@ class TestStreamedElpd:
         bad = np.flatnonzero((tiny_records.respondent_sex == 0) & (tiny_records.partner_age >= 40.0))
         first = int(bad[bad % 3 == (bad % 3).min()].min())  # the lowest in the first fold that holds any
         assert first // 3 != first
-        res = kfold_one(problem, 3, 120, 4)
+        res = kfold_one(problem, 120, 4)
         assert isinstance(res, ValueError) and f"draw 0, record {first} " in str(res)
 
     def test_duplicate_records_scored_once(self, tiny_records, monkeypatch):
@@ -527,25 +531,35 @@ class TestBatchStream:
     def test_blocks_cross_fits_and_hold_each_fits_densities(self, combination, monkeypatch):
         cells, fits = combination
         draws = laplace_draws_batch(fits, 120, list(range(len(fits))))
-        monkeypatch.setattr(evaluation, "_BLOCK_BYTES", 16 * 8 * 120)  # 16 keys a block
-        keys = evaluation._keys(fits, cells)
-        _, pair_fit, _, pair, _, first, _, bounds, _ = keys
-        assert list(bounds) == list(np.cumsum([0, *map(len, cells)]))
         # each fit alone, as a batch of one: its records' Jacobian-adjusted densities
         alone = [pointwise_loglik(f, d, r) for f, d, r in zip(fits, draws, cells)]
-        seen, crossing = [], 0
-        for rows, block in evaluation._loglik_blocks(fits, draws, cells, keys, [None] * len(fits)):
-            assert block.flags.c_contiguous and block.shape == (rows.size, 120)
-            assert rows.size <= evaluation._block_rows(120) == 16
-            owners = pair_fit[pair[rows]]
-            crossing += np.unique(owners).size > 1
-            for row, key, f in zip(block, rows, owners):
-                i = first[key] - bounds[f]  # the key's first record, in its fit's records
-                jacobian = transforms.log_jacobian_array(fits[f].transform, *(getattr(cells[f], c)[[i]] for c in (
-                    "respondent_age", "respondent_sex", "partner_age")))
-                np.testing.assert_array_equal(row + jacobian, alone[f][:, i])
-            seen.extend(rows)
-        assert seen == list(range(first.size)) and crossing > 0
+        monkeypatch.setattr(evaluation, "_BLOCK_BYTES", 16 * 8 * 120)  # 16 keys a block
+        owners, blocks = [], []  # the fits whose parameters the next block reads; per block (shape, C order, owners)
+        real = evaluation._row_params
+
+        def recording(fit, mats, d):
+            owners.append(next(f for f, other in enumerate(fits) if other is fit))
+            return real(fit, mats, d)
+
+        def kernel(block):
+            blocks.append((block.shape, block.flags.c_contiguous, owners[:]))
+            owners.clear()
+            return block.T
+
+        monkeypatch.setattr(evaluation, "_row_params", recording)
+        values, errors = evaluation._stream(fits, draws, cells, kernel, 120)
+        assert errors == [None] * len(fits)
+        for (v, jacobian), want in zip(values, alone):
+            np.testing.assert_array_equal(v + jacobian, want)
+        assert all(c_order and shape[1] == 120 and 0 < shape[0] <= evaluation._block_rows(120) == 16
+                   for shape, c_order, _ in blocks)
+        # intercept-only: a fit's keys are its distinct outcomes
+        keys = [np.unique(forward_array(f.transform, r.respondent_age, r.respondent_sex, r.partner_age)).size
+                for f, r in zip(fits, cells)]
+        assert sum(shape[0] for shape, *_ in blocks) == sum(keys)
+        order = [f for *_, mine in blocks for f in mine]
+        assert order == sorted(order) and set(order) == set(range(len(fits)))
+        assert any(len(mine) > 1 for *_, mine in blocks)
 
     def test_fractional_ages_link_at_most_one_row_per_key(self, monkeypatch):
         # every record its own design row: three regression fits of one spec
@@ -558,21 +572,23 @@ class TestBatchStream:
         fits = fit_map_batch(problems, max_iter=0)  # the stream reads the fits' spec and layout only
         draws = [f.beta_packed + 0.01 * rng.standard_normal((40, f.beta_packed.size)) for f in fits]
         monkeypatch.setattr(evaluation, "_BLOCK_BYTES", 64 * 8 * 40)
-        linked, real = [], inference._natural_params
+        linked, blocks, real = [], [], inference._natural_params  # blocks: (keys, design rows, fits) per block
 
         def counting(family, etas):
             linked.append(next(iter(etas.values())).shape[0])
             return real(family, etas)
 
-        monkeypatch.setattr(inference, "_natural_params", counting)
-        keys = evaluation._keys(fits, cells)
-        assert keys[5].size == 600
-        crossing = 0
-        for rows, _ in evaluation._loglik_blocks(fits, draws, cells, keys, [None] * 3):
-            crossing += np.unique(keys[1][keys[3][rows]]).size > 1
-            assert 0 < sum(linked) <= rows.size <= evaluation._block_rows(40) == 64
+        def kernel(block):
+            assert block.flags.c_contiguous and block.shape[1] == 40
+            blocks.append((block.shape[0], sum(linked), len(linked)))
             linked.clear()
-        assert crossing > 0
+            return block[:, :1].T
+
+        monkeypatch.setattr(inference, "_natural_params", counting)
+        evaluation._stream(fits, draws, cells, kernel, 1)
+        assert sum(keys for keys, *_ in blocks) == 600
+        assert all(0 < rows <= keys <= evaluation._block_rows(40) == 64 for keys, rows, _ in blocks)
+        assert any(n_fits > 1 for *_, n_fits in blocks)
 
     @pytest.mark.filterwarnings("ignore:PSIS tail index")
     def test_combination_memory(self, combination):
@@ -664,10 +680,10 @@ class TestKeyedElpd:
                 np.testing.assert_allclose(outcome[members], outcome[members[0]], rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("family,kind,tag", CASES, ids=["linear_age", "log_ratio", "regression"])
-    def test_kfold_per_record_equals_reference(self, records, family, kind, tag, monkeypatch):
+    def test_kfold_per_record_equals_reference(self, records, family, kind, tag, monkeypatch, three_folds):
         problem = FitProblem(family, Transform(kind), ModelSpec(tag), records)
         seen = self.count_scored_rows(monkeypatch)
-        res = kfold_one(problem, 3, 200, 4)
+        res = kfold_one(problem, 200, 4)
         monkeypatch.undo()
         assignment = np.arange(len(records)) % 3
         keys = 0
@@ -679,6 +695,7 @@ class TestKeyedElpd:
             np.testing.assert_allclose(res.pointwise[held], want, rtol=1e-12, atol=0)
             keys += self.expected_keys(records[held], kind, tag)
         assert sum(seen) == keys
+        assert keys < len(records)  # some fold scores one key for several of its held-out records
 
 
 class TestKfold:
@@ -694,12 +711,11 @@ class TestKfold:
         draws = laplace_draws(fit, 800, seed=3)
         ll = pointwise_loglik(fit, draws, records)
         psis = elpd_loo(ll)
-        kfold = kfold_one(problem, 10, 800, 4)
-        assert kfold.method == "exact_kfold"
+        kfold = kfold_one(problem, 800, 4)
         combined = math.sqrt(psis.se**2 + kfold.se**2)
         assert abs(psis.elpd - kfold.elpd) < 2 * combined
 
-    def test_kfold_without_matrix(self, tiny_records):
+    def test_kfold_without_matrix(self, tiny_records, three_folds):
         records = tiny_records[:60]
         problem = FitProblem(
             Family.NORMAL,
@@ -707,7 +723,7 @@ class TestKfold:
             ModelSpec(ModelTag.INTERCEPT_ONLY),
             records,
         )
-        res = kfold_one(problem, 3, 200, 4)
+        res = kfold_one(problem, 200, 4)
         # fold 0 by hand, with scipy's log-sum-exp over the held-out matrix
         held = np.arange(0, 60, 3)
         fit = fit_map(dataclasses.replace(problem, records=records[np.arange(60) % 3 != 0]))
@@ -715,17 +731,19 @@ class TestKfold:
         expected = logsumexp(ll, axis=0) - math.log(200)
         np.testing.assert_allclose(res.pointwise[held], expected, rtol=0, atol=1e-12)
 
-    def test_kfold_with_duplicate_records(self, tiny_records):
+    def test_kfold_with_duplicate_records(self, tiny_records, three_folds):
         # each fold's held-out matrix by hand, duplicates and all
-        records = tiny_records[np.concatenate([np.arange(60), np.arange(60)[::-1]])]
+        source = np.concatenate([np.arange(60), np.arange(60)[::-1]])
+        records = tiny_records[source]
         problem = FitProblem(
             Family.NORMAL,
             Transform(TransformKind.AGE_DIFFERENCE),
             ModelSpec(ModelTag.CONVENTIONAL),
             records,
         )
-        res = kfold_one(problem, 3, 200, 4)
+        res = kfold_one(problem, 200, 4)
         assignment = np.arange(120) % 3
+        assert np.unique(source[assignment == 1]).size < np.count_nonzero(assignment == 1)  # copies share fold 1
         for fold in range(3):
             held = np.flatnonzero(assignment == fold)
             fit = fit_map(dataclasses.replace(problem, records=records[assignment != fold]))
@@ -773,7 +791,6 @@ class TestRankByElpd:
             elpd=float(pointwise.sum()),
             se=float(np.sqrt(pointwise.size * np.var(pointwise, ddof=1))),
             pointwise=pointwise,
-            method="psis",
         )
 
     def test_ranking_and_diffs(self):
@@ -837,7 +854,7 @@ class TestQqRmse:
         # samples as given, bit for bit: ties and infinite samples included
         rng = np.random.default_rng(4)
         obs = rng.normal(30, 5, 200)
-        qs = np.asarray(DEFAULT_QUANTILES)
+        qs = evaluation._DECILES
         for n in (1, 2, 7, 10, 1000):
             x = rng.normal(30, 5, n)
             samples = [x, np.round(x)]
@@ -855,10 +872,6 @@ class TestQqRmse:
                 else:
                     with pytest.raises(ValueError, match="non-finite quantile"):
                         qq_rmse({"g": obs}, {"g": pred})
-
-    def test_quantiles_outside_unit_interval_rejected(self):
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            qq_rmse({"g": [1.0, 2.0]}, {"g": [1.0, 2.0]}, quantiles=(0.5, 1.5))
 
     def test_non_finite_quantile_names_the_group(self):
         rng = np.random.default_rng(3)

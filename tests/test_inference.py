@@ -21,6 +21,7 @@ from agemix.inference import (
     fit_map,
     fit_map_batch,
     laplace_draws,
+    laplace_draws_batch,
     neg_log_posterior_and_grad,
     posterior_predictive,
     predictive_batch,
@@ -332,6 +333,24 @@ class TestBatchedFit:
             fit_map_batch(problems)
 
 
+class TestEmptyBatch:
+    """Every batch stage takes an empty batch and gives no results."""
+
+    @pytest.mark.parametrize("stage", [
+        lambda: fit_map_batch([]),
+        lambda: laplace_draws_batch([], 100, []),
+        lambda: elpd_batch("psis", fits=[], draws=[], records=[]),
+        lambda: elpd_batch("kfold", problems=[], seeds=[]),
+        lambda: predictive_batch([], [], []),
+    ], ids=["fit", "draws", "psis", "kfold", "predictive"])
+    def test_no_results(self, stage):
+        assert stage() == []
+
+    def test_fit_without_requests_gets_an_empty_group(self, subsets):
+        fit = fit_map(make_problem(Family.NORMAL, TransformKind.LOG_RATIO, ModelTag.INTERCEPT_ONLY, subsets[0]))
+        assert predictive_batch([fit], [laplace_draws(fit, 100, seed=1)], [[]]) == [[]]
+
+
 MIXED = "one family, one transform and one spec"
 
 
@@ -368,7 +387,7 @@ class TestBatchIsOneModel:
 
     def test_elpd_batch_kfold(self, mixed):
         with pytest.raises(ValueError, match=MIXED):
-            elpd_batch("exact_kfold", problems=mixed, folds=3, n_draws=100, seeds=[1, 2])
+            elpd_batch("kfold", problems=mixed, n_draws=100, seeds=[1, 2])
 
     def test_predictive_batch(self, mixed, fits_and_draws):
         fits, draws = fits_and_draws
@@ -643,54 +662,65 @@ class TestDrawParams:
             assert p.shape == (draws.shape[0], cell_of.max() + 1)
             np.testing.assert_array_equal(np.take(p, cell_of, axis=1), w)
 
+    @staticmethod
+    def stream(fit, draws, records, monkeypatch, keys_per_block):
+        """(values, blocks, linked): ``evaluation._stream``'s per-record outcome densities of one fit,
+        with ``keys_per_block`` keys a block, the (shape, C-contiguity) of each block its kernel saw and
+        the design rows each block links."""
+        from agemix import evaluation, inference
+
+        monkeypatch.setattr(evaluation, "_BLOCK_BYTES", 8 * draws.shape[0] * keys_per_block)
+        blocks, linked, rows = [], [], []
+
+        def counting(family, etas):
+            rows.append(next(iter(etas.values())).size // draws.shape[0])
+            return _natural_params(family, etas)
+
+        def kernel(block):
+            blocks.append((block.shape, block.flags.c_contiguous))
+            linked.append(sum(rows))
+            rows.clear()
+            return block.T
+
+        monkeypatch.setattr(inference, "_natural_params", counting)
+        ((values, _),), errors = evaluation._stream([fit], [draws], [records], kernel, draws.shape[0])
+        assert errors == [None]
+        return values, blocks, linked
+
     @pytest.mark.parametrize("family,kind", DRAW_PARAMS_COMBOS)
     def test_loglik_blocks_are_c_contiguous_per_observation_densities(self, family, kind, cell_records, monkeypatch):
-        from agemix import evaluation
         from agemix.distributions import log_pdf_slots
         from agemix.transforms import forward_array
 
         fit, draws = self.fit_and_draws(family, kind, ModelTag.DISTRIBUTIONAL_4, cell_records)
-        monkeypatch.setattr(evaluation, "_BLOCK_BYTES", 8 * draws.shape[0] * 64)  # 64 keys per block
         recs = cell_records
-        args = (fit.transform, recs.respondent_age, recs.respondent_sex, recs.partner_age)
+        y = forward_array(fit.transform, recs.respondent_age, recs.respondent_sex, recs.partner_age)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            want = log_pdf_slots(family, forward_array(*args)[None, :], *self.per_observation(fit, draws, recs))
-        keys = evaluation._keys([fit], [recs])
-        first = keys[5]
-        # the blocks are outcome-scale densities of each key's first record:
-        # the log Jacobian is added by their callers
-        starts = []
-        for rows, block in evaluation._loglik_blocks([fit], [draws], [recs], keys, [None]):
-            assert block.flags.c_contiguous and block.shape[1] == draws.shape[0]
-            np.testing.assert_array_equal(block, want[:, first[rows]].T)
-            starts.append(rows[0])
-        assert starts == list(range(0, first.size, 64))
+            want = log_pdf_slots(family, y[None, :], *self.per_observation(fit, draws, recs))
+        values, blocks, _ = self.stream(fit, draws, recs, monkeypatch, 64)
+        # a key is a distinct (design row, outcome): here (age, sex, outcome). Each record's
+        # density is its key's first record's, on the outcome scale: callers add the log Jacobian
+        _, first, key = np.unique(np.column_stack([recs.respondent_age, recs.respondent_sex, y]), axis=0,
+                                  return_index=True, return_inverse=True)
+        np.testing.assert_array_equal(values, want[:, first[key.ravel()]])
+        assert all(c_order and shape[1] == draws.shape[0] for shape, c_order in blocks)
+        sizes = [shape[0] for shape, _ in blocks]
+        assert sizes == [64] * (first.size // 64) + [first.size % 64] * (first.size % 64 > 0)
 
     @pytest.mark.parametrize("tag", [ModelTag.INTERCEPT_ONLY, ModelTag.DISTRIBUTIONAL_4])
     @pytest.mark.parametrize("family,kind", DRAW_PARAMS_COMBOS[2:3])
     def test_loglik_blocks_link_each_design_row_about_once(self, family, kind, tag, cell_records, monkeypatch):
         # keys ascend by design row, so consecutive blocks share at most their
         # boundary row, and a block links no more rows than it holds keys
-        from agemix import evaluation, inference
-
         fit, draws = self.fit_and_draws(family, kind, tag, cell_records)
-        monkeypatch.setattr(evaluation, "_BLOCK_BYTES", 8 * draws.shape[0] * 64)
-        linked = []
-
-        def counting(family, etas):
-            linked.append(next(iter(etas.values())).size // draws.shape[0])
-            return _natural_params(family, etas)
-
-        monkeypatch.setattr(inference, "_natural_params", counting)
-        keys = evaluation._keys([fit], [cell_records])
-        sizes = [block.shape[0] for _, block in evaluation._loglik_blocks([fit], [draws], [cell_records], keys, [None])]
+        _, blocks, linked = self.stream(fit, draws, cell_records, monkeypatch, 64)
         mats = design_matrices(
             fit.spec, cell_records.respondent_age, cell_records.respondent_sex, slots=fit.slots, center=True
         )
         n_rows = np.unique(np.hstack([mats[slot] for slot in fit.slots]), axis=0).shape[0]
-        assert len(linked) == len(sizes) > 1
-        assert sum(linked) <= n_rows + len(sizes) - 1
-        assert all(rows <= keys for rows, keys in zip(linked, sizes))
+        assert len(blocks) > 1
+        assert sum(linked) <= n_rows + len(blocks) - 1
+        assert all(rows <= shape[0] for rows, (shape, _) in zip(linked, blocks))
 
 
 class TestPosteriorPredictive:
