@@ -22,8 +22,9 @@ transformed outcome's log density, set by its design row and outcome, plus
 its own log Jacobian, which no draw changes and which leaves the importance
 ratios and k-hat as they are. So ``elpd_batch`` scores a batch of fits of
 one family, transform and spec in one stream: each distinct (fit, design
-row, outcome) key once, in blocks of about ``_BLOCK_BYTES`` (keys x draws)
-that may span fits, each through one kernel, which reads the m + 1 largest
+row, outcome) key of ``inference._keys``, whose record counts weight the
+fit's sums, once, in blocks of about ``_BLOCK_BYTES`` (keys x draws) that
+may span fits, each through one kernel, which reads the m + 1 largest
 weights as sorted values; a record takes its key's k-hat and pointwise ELPD
 plus its log Jacobian. Memory is O(draws x block), work O(keys x draws).
 Exact k-fold (``"kfold"``) fits the 10 folds of each problem (knots pinned
@@ -41,10 +42,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import transforms
-from .design import _unique_pairs
 from .distributions import log_pdf_slots
-from .inference import FitError, FitResult, _row_params, _stack, fit_map_batch, laplace_draws_batch
+from .inference import FitError, FitResult, _keys, _row_params, fit_map_batch, laplace_draws_batch
 
 __all__ = [
     "ElpdResult",
@@ -89,19 +88,7 @@ def _stream(fits, draws, records, kernel, width, origins=None):
     """
     if not fits:
         return [], []
-    fit = fits[0]
-    # design rows are found per (age, sex) cell, of which there are few
-    columns, bounds, mats, cell_of = _stack(fits, records)
-    _, cell, row_of = np.unique(np.hstack([mats[s] for s in fit.slots]), axis=0, return_index=True, return_inverse=True)
-    # a key is (fit and design row as one integer code, outcome); the shape of
-    # row_of, an inverse over rows, differs between numpy versions
-    code = np.repeat(np.arange(len(fits)), np.diff(bounds)) * cell.size + row_of.ravel()[cell_of]
-    y = transforms.forward_array(fit.transform, *columns)
-    code, y, first, inverse = _unique_pairs(code, y, return_index=True)
-    design = {s: mats[s][cell] for s in fit.slots}
-    key_fit, key_row = np.divmod(code, cell.size)
-    jacobian = transforms.log_jacobian_array(fit.transform, *columns)
-    del columns, mats, cell_of  # only the keys' arrays stay alive while the blocks stream
+    design, key_fit, key_row, y, _, first, inverse, jacobian, bounds = _keys(fits, records)
     out, errors, bad = np.empty((width, first.size)), [None] * len(fits), {}
     step = _block_rows(draws[0].shape[0])
     for start in range(0, first.size, step):

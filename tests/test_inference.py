@@ -15,6 +15,7 @@ from agemix.inference import (
     _default_init,
     _DERIVS,
     _evaluate,
+    _keys,
     _natural_params,
     _Prepared,
     draw_params,
@@ -27,7 +28,7 @@ from agemix.inference import (
     predictive_batch,
     predictive_for_records,
 )
-from agemix.transforms import Transform, TransformKind, inverse_array
+from agemix.transforms import Transform, TransformKind, forward_array, inverse_array
 
 from test_acceptance import GRADIENT_COMBOS, SPEC_TAGS
 
@@ -107,7 +108,8 @@ class TestNegLogPosterior:
                                       tiny_records))
         beta = _default_init(prep) + 0.05 * np.random.default_rng(3).standard_normal(prep.dim)
         params = _natural_params(Family.SKEW_NORMAL, prep.etas(beta))
-        apart_value = -log_pdf_slots(Family.SKEW_NORMAL, prep.y, *params).sum()
+        # each key counts once per record of it
+        apart_value = -(prep.count * log_pdf_slots(Family.SKEW_NORMAL, prep.y, *params)).sum()
         apart_dl = _DERIVS[Family.SKEW_NORMAL](prep.y, *params)[1]
         calls, log_ndtr = [], distributions._log_ndtr
 
@@ -121,7 +123,7 @@ class TestNegLogPosterior:
         assert calls == [prep.y.shape]
         prior_value = beta @ beta / 50.0 + prep.dim * PRIOR_NORMALIZER
         assert value == pytest.approx(apart_value + prior_value, rel=1e-14)
-        apart_grad = np.concatenate([-prep.X[s].T @ apart_dl[s] for s in prep.slots]) + beta / 25.0
+        apart_grad = np.concatenate([-prep.X[s].T @ (prep.count * apart_dl[s]) for s in prep.slots]) + beta / 25.0
         np.testing.assert_allclose(grad, apart_grad, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize(
@@ -403,20 +405,102 @@ class TestBatchIsOneModel:
     @pytest.mark.parametrize("tag", [ModelTag.DISTRIBUTIONAL_4, ModelTag.CONVENTIONAL])
     def test_design_rows_are_each_records_own(self, tag):
         # fractional ages that repeat within and across problems, both sexes:
-        # the batch gathers its (age, sex) cells' rows, bit for bit the rows
-        # design_matrices builds per record
+        # the batch gathers its (age, sex) cells' rows per key, and each
+        # record's key holds, bit for bit, the row design_matrices builds for it
         rng = np.random.default_rng(3)
         ages = rng.choice(np.round(rng.uniform(15, 64, 150), 2), size=900)
         records = Records(ages, rng.integers(0, 2, 900), np.rint(ages * np.exp(rng.normal(0.05, 0.15, 900))))
         spec = ModelSpec(tag).with_knots_from_ages(ages)
         cells = [records[i::3] for i in range(3)]
-        prep = _Prepared([FitProblem(Family.SINH_ARCSINH, Transform(TransformKind.LOG_RATIO), spec, r) for r in cells])
-        assert prep.problem.spec == spec and prep.segments == [(0, 300), (300, 600), (600, 900)]
-        for (lo, hi), r in zip(prep.segments, cells):
+        problems = [FitProblem(Family.SINH_ARCSINH, Transform(TransformKind.LOG_RATIO), spec, r) for r in cells]
+        prep = _Prepared(problems)
+        key_of = _keys(problems, cells)[6]
+        assert prep.problem.spec == spec and prep.y.size < 900
+        for c, ((lo, hi), r) in enumerate(zip(prep.segments, cells)):
             assert set(r.respondent_sex) == {0, 1}
+            assert prep.count[lo:hi].sum() == 300 and (prep.problem_of[lo:hi] == c).all()
+            mine = key_of[300 * c : 300 * (c + 1)]
+            assert ((lo <= mine) & (mine < hi)).all()
             want = design_matrices(spec, r.respondent_age, r.respondent_sex, center=True)
             for slot in prep.slots:
-                np.testing.assert_array_equal(bits(prep.X[slot][lo:hi]), bits(want[slot]))
+                np.testing.assert_array_equal(bits(prep.X[slot][mine]), bits(want[slot]))
+
+
+FIVE_FAMILIES = [
+    (Family.NORMAL, TransformKind.AGE_DIFFERENCE),
+    (Family.SKEW_NORMAL, TransformKind.LOG_AGE),
+    (Family.SINH_ARCSINH, TransformKind.LOG_RATIO),
+    (Family.GAMMA, TransformKind.GAMMA_REFLECTED),
+    (Family.BETA, TransformKind.BETA_RESCALED),
+]
+
+
+def per_record_evaluation(problem, beta):
+    """Value, gradient and Hessian of a problem's negative log posterior at
+    ``beta``, summed record by record: each record its own design row."""
+    r, family = problem.records, problem.family
+    slots = linpred_slots(family)
+    spec = problem.spec.with_knots_from_ages(r.respondent_age)
+    X = design_matrices(spec, r.respondent_age, r.respondent_sex, slots=slots, center=True)
+    ends = np.cumsum([X[s].shape[1] for s in slots])
+    block = {s: slice(end - X[s].shape[1], end) for s, end in zip(slots, ends)}
+    y = forward_array(problem.transform, r.respondent_age, r.respondent_sex, r.partner_age)
+    logf, dl, d2l = _DERIVS[family](y, *_natural_params(family, {s: X[s] @ beta[block[s]] for s in slots}))
+    value = -logf.sum() + beta @ beta / 50.0 + beta.size * PRIOR_NORMALIZER
+    grad = -np.concatenate([X[s].T @ dl[s] for s in slots]) + beta / 25.0
+    hess = np.eye(beta.size) / 25.0
+    for (a, b), w in d2l.items():
+        hess[block[a], block[b]] -= X[a].T @ (w[:, None] * X[b])
+        if a != b:
+            hess[block[b], block[a]] -= (X[a].T @ (w[:, None] * X[b])).T
+    return value, grad, hess
+
+
+class TestCountedKeys:
+    """A fit sums over its distinct (design row, outcome) keys, each key's
+    terms weighted by its record count: the per-record sums, in key order."""
+
+    @pytest.fixture(scope="class")
+    def fractional(self):
+        config = dataclasses.replace(default_config(n=400, seed=77), integer_ages=False)
+        return simulate(config)
+
+    @pytest.mark.parametrize("family,kind", FIVE_FAMILIES)
+    @pytest.mark.parametrize("data", ["fractional", "repeated"])
+    def test_evaluate_equals_the_per_record_sums(self, family, kind, data, fractional, tiny_records):
+        # fractional ages make every record its own key; integer records
+        # repeated four times give every key a count of at least 4
+        records = fractional if data == "fractional" else tiny_records[np.tile(np.arange(len(tiny_records)), 4)]
+        problem = make_problem(family, kind, ModelTag.DISTRIBUTIONAL_2, records)
+        prep = _Prepared(problem)
+        if data == "fractional":
+            assert (prep.count == 1).all() and prep.y.size == len(records)
+        else:
+            assert (prep.count >= 4).all() and prep.count.max() > 4 and prep.count.sum() == len(records)
+        scale = np.concatenate([np.maximum(np.abs(prep.X[s]).max(axis=0), 1.0) for s in prep.slots])
+        beta = _default_init(prep) + 0.1 * np.random.default_rng(5).standard_normal(prep.dim) / scale
+        (value,), (grad,), (hess,) = _evaluate(prep, beta)
+        want_value, want_grad, want_hess = per_record_evaluation(problem, beta)
+        assert np.isfinite(want_value)
+        assert value == pytest.approx(want_value, rel=1e-12)
+        np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=1e-12 * np.abs(want_grad).max())
+        np.testing.assert_allclose(hess, want_hess, rtol=1e-12, atol=1e-12 * np.abs(want_hess).max())
+
+    @pytest.mark.parametrize(
+        "family,kind,tag",
+        [
+            (Family.SINH_ARCSINH, TransformKind.LOG_RATIO, ModelTag.DISTRIBUTIONAL_2),
+            (Family.SKEW_NORMAL, TransformKind.AGE_DIFFERENCE, ModelTag.CONVENTIONAL),
+            (Family.GAMMA, TransformKind.GAMMA_REFLECTED, ModelTag.DISTRIBUTIONAL_1),
+            (Family.BETA, TransformKind.BETA_RESCALED, ModelTag.DISTRIBUTIONAL_1),
+        ],
+    )
+    def test_fit_is_bit_identical_under_record_permutation(self, family, kind, tag, tiny_records):
+        order = np.random.default_rng(9).permutation(len(tiny_records))
+        fits = [fit_map(make_problem(family, kind, tag, r)) for r in (tiny_records, tiny_records[order])]
+        assert fits[0].converged
+        for name in ("beta_packed", "nlp", "curvature"):
+            np.testing.assert_array_equal(*(bits(getattr(f, name)) for f in fits), err_msg=name)
 
 
 class TestSkewNormalStart:
