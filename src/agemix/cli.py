@@ -584,6 +584,7 @@ def _model_tasks(records):
 
 def _fit_model_spec(task):
     """Fit and score one regression specification on the full data set."""
+    from .evaluation import _sorted_quantiles
     from .inference import FitProblem, draw_params, posterior_predictive
 
     tag, records, groups, seed, n_draws, elpd_method, qq_samples = task
@@ -595,10 +596,10 @@ def _fit_model_spec(task):
         for sex in (0, 1):
             params, cell_of = draw_params(fit, draws, CURVE_AGES, np.full(len(CURVE_AGES), sex))
             for name, values in zip(("mu", "sigma", "epsilon", "delta"), params):
-                # np.take gathers C-ordered, which fixes the reductions' summation order
-                values = np.take(values, cell_of, axis=1)
-                est = np.mean(values, axis=0)
-                lo, hi = np.quantile(values, (0.025, 0.975), axis=0)
+                # each cell's draws sorted once, as rows of the C-ordered (cells, draws) array
+                lo, hi = _sorted_quantiles(np.sort(values.T, axis=1), (0.025, 0.975))[:, cell_of]
+                # np.take gathers C-ordered, which fixes the mean's summation order
+                est = np.mean(np.take(values, cell_of, axis=1), axis=0)
                 for age, e, l, h in zip(CURVE_AGES, est, lo, hi):
                     curves.append([tag.value, name, sex, age, float(e), float(l), float(h)])
 

@@ -1,5 +1,6 @@
 """Model comparison: ELPD (PSIS-LOO or exact k-fold), QQ RMSE, and the
-ranking of models by ELPD (``rank_by_elpd``).
+ranking of models by ELPD (``rank_by_elpd``). QQ RMSE and compare-models'
+curve bands read numpy's type-7 quantiles from one sort (``_sorted_quantiles``).
 
 Pointwise log likelihoods are always evaluated on the partner-age scale by
 adding the log Jacobian of the dependent-variable transform, which makes
@@ -25,8 +26,9 @@ one family, transform and spec in one stream: each distinct (fit, design
 row, outcome) key of ``inference._keys``, whose record counts weight the
 fit's sums, once, in blocks of about ``_BLOCK_BYTES`` (keys x draws) that
 may span fits, each through one kernel, which reads the m + 1 largest
-weights as sorted values; a record takes its key's k-hat and pointwise ELPD
-plus its log Jacobian. Memory is O(draws x block), work O(keys x draws).
+weights as sorted values and fits and smooths the Pareto tails of a block's
+rows of one tail length in one pass; a record takes its key's k-hat and
+pointwise ELPD plus its log Jacobian. Memory is O(draws x block), work O(keys x draws).
 Exact k-fold (``"kfold"``) fits the 10 folds of each problem (knots pinned
 on its full data) as one ``inference.fit_map_batch``, draws ``n_draws`` per
 fold fit and scores the held-out keys the same way; a mixed batch raises
@@ -159,20 +161,24 @@ def _logsumexp_rows(a: np.ndarray, scratch: np.ndarray | None = None) -> np.ndar
 def _gpd_fit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise generalized Pareto fits; x is (rows, n), positive and ascending per row.
 
-    The (rows, grid, n) profile scratch lives in one buffer, so callers pass
-    row chunks of about ``_GPD_CHUNK_BYTES``.
+    Only the (rows, grid, n) profile scratch is filled a row chunk of about
+    ``_GPD_CHUNK_BYTES`` at a time, into one reused buffer; the rest is
+    row-wise over all rows, so a row's fit is the same however it is chunked.
     """
     rows, n = x.shape
     m = 30 + int(math.isqrt(n))
     idx = np.arange(1.0, m + 1.0)
     bs0 = 1.0 - np.sqrt(m / (idx - 0.5))
     bs = bs0[None, :] / (3.0 * x[:, n // 4][:, None]) + 1.0 / x[:, -1][:, None]
-    buf = np.empty((rows, m, n))
-    np.einsum("rm,rn->rmn", -bs, x, out=buf)
+    step = max(1, _GPD_CHUNK_BYTES // (8 * m * n))
+    buf, ks = np.empty((min(step, rows), m, n)), np.empty((rows, m))
     # a row whose profile turns NaN here ends with k = NaN, mapped to inf below
     with np.errstate(invalid="ignore"):
-        np.log1p(buf, out=buf)
-        ks = buf.mean(axis=2)
+        for start in range(0, rows, step):
+            part = buf[: min(step, rows - start)]
+            np.einsum("rm,rn->rmn", -bs[start : start + step], x[start : start + step], out=part)
+            np.log1p(part, out=part)
+            ks[start : start + step] = part.mean(axis=2)
         profile = n * (np.log(-bs / ks) - ks - 1.0)
     profile -= profile.max(axis=1, keepdims=True)
     w = np.exp(profile)
@@ -226,27 +232,23 @@ def _psis_block(ll: np.ndarray, scratch: np.ndarray | None = None) -> tuple[np.n
     log_ratio = np.full(ll.shape[0], math.log(s))
     # each row's smallest smoothed raw weight (inf where none is) and smoothed weight sum
     lowest_smoothed, smoothed_sum = np.full(ll.shape[0], math.inf), np.zeros(ll.shape[0])
-    for n in np.unique(n_pos[n_pos >= _MIN_TAIL]):
+    for n in np.unique(n_pos[n_pos >= _MIN_TAIL]):  # one pass per tail length
         rows = np.nonzero(n_pos == n)[0]
+        k, sigma = _gpd_fit_rows(exceed[rows, m - n :])
+        khat[rows] = k
+        smooth = np.isfinite(k) & (k >= 1.0 / 3.0)
+        if not smooth.any():
+            continue
+        sm, ks = rows[smooth], k[smooth][:, None]
         log_tail_probs = np.log1p(-(np.arange(n) + 0.5) / n)
-        step = max(1, _GPD_CHUNK_BYTES // (8 * n * (30 + math.isqrt(n))))
-        for start in range(0, rows.size, step):
-            chunk = rows[start : start + step]
-            k, sigma = _gpd_fit_rows(exceed[chunk, m - n :])
-            khat[chunk] = k
-            smooth = np.isfinite(k) & (k >= 1.0 / 3.0)
-            if not smooth.any():
-                continue
-            sm = chunk[smooth]
-            ks = k[smooth][:, None]
-            quantiles = sigma[smooth][:, None] * np.expm1(-ks * log_tail_probs[None, :]) / ks
-            smoothed = np.minimum(np.log(quantiles + exp_cutoff[sm][:, None]), 0.0)
-            lowest_smoothed[sm], smoothed_sum[sm] = tail[sm, m - n], np.exp(smoothed).sum(axis=1)
-            # the s - n raw draws add a ratio of 1 each
-            ratio = smoothed - tail[sm, m - n :]
-            top_ratio = np.maximum(ratio.max(axis=1), 0.0)
-            np.exp(ratio - top_ratio[:, None], out=ratio)
-            log_ratio[sm] = top_ratio + np.log((s - n) * np.exp(-top_ratio) + ratio.sum(axis=1))
+        quantiles = sigma[smooth][:, None] * np.expm1(-ks * log_tail_probs[None, :]) / ks
+        smoothed = np.minimum(np.log(quantiles + exp_cutoff[sm][:, None]), 0.0)
+        lowest_smoothed[sm], smoothed_sum[sm] = tail[sm, m - n], np.exp(smoothed).sum(axis=1)
+        # the s - n raw draws add a ratio of 1 each
+        ratio = smoothed - tail[sm, m - n :]
+        top_ratio = np.maximum(ratio.max(axis=1), 0.0)
+        np.exp(ratio - top_ratio[:, None], out=ratio)
+        log_ratio[sm] = top_ratio + np.log((s - n) * np.exp(-top_ratio) + ratio.sum(axis=1))
     # elpd = log sum exp(lw + ll) - log sum exp(lw). Where lw is raw, lw + ll is
     # low, so the first term is log_ratio + low. A row's smoothed draws are
     # those at or above its lowest smoothed raw weight, so the normaliser sums
@@ -362,6 +364,23 @@ def elpd_diff(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     return float(d.sum()), _pointwise_se(d)
 
 
+def _sorted_quantiles(rows: np.ndarray, q) -> np.ndarray:
+    """``np.quantile(rows, q, axis=-1)`` (linear, type 7) of rows that ascend along the last axis, by
+    numpy's own formulas with no partition: (len(q), *rows.shape[:-1])."""
+    n = rows.shape[-1]
+    virtual = (n - 1) * np.asarray(q, dtype=float)
+    below = np.floor(virtual).astype(np.intp)
+    below[virtual >= n - 1] = -1  # at the last value both neighbours are the last, as in numpy
+    above = np.where(below < 0, -1, below + 1)
+    t = (virtual - below).reshape(-1, *[1] * (rows.ndim - 1))
+    a, b = np.moveaxis(rows[..., below], -1, 0), np.moveaxis(rows[..., above], -1, 0)
+    diff = b - a  # numpy's _lerp, from whichever neighbour is nearer
+    out = a + diff * t
+    np.subtract(b, diff * (1 - t), out=out, where=t >= 0.5)
+    np.copyto(out, np.nan, where=np.isnan(rows[..., -1]))  # NaN sorts last
+    return out
+
+
 def qq_rmse(observed, predictive) -> float:
     """RMSE between observed and predictive deciles (0.1, ..., 0.9) across groups.
 
@@ -391,11 +410,9 @@ def qq_rmse(observed, predictive) -> float:
 
     errors = []
     for key in observed:
-        # np.quantile partitions once per order statistic, which is fast
-        # on sorted input, so one sort first gives the same values sooner
-        q_obs = np.quantile(np.sort(np.asarray(observed[key], dtype=float)), _DECILES)
+        q_obs = _sorted_quantiles(np.sort(np.asarray(observed[key], dtype=float)), _DECILES)
         with np.errstate(invalid="ignore"):  # inf - inf when reading infinite samples
-            error = q_obs - np.quantile(np.sort(np.asarray(predictive[key], dtype=float)), _DECILES)
+            error = q_obs - _sorted_quantiles(np.sort(np.asarray(predictive[key], dtype=float)), _DECILES)
         if not np.all(np.isfinite(error)):
             raise ValueError(f"qq_rmse: non-finite quantile in group {key}")
         errors.append(error)

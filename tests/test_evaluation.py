@@ -344,6 +344,31 @@ class TestPsisKernel:
             np.testing.assert_array_equal(khat_p, khat)
             np.testing.assert_allclose(pointwise_p, pointwise, rtol=0, atol=1e-14)
 
+    def test_profile_chunking_never_enters(self, monkeypatch):
+        # rows with 60, 30 and 20 positive exceedances (the rest of their
+        # tails below the floating-point floor), light rows, and a row of
+        # subnormal exceedances whose profile turns NaN (k-hat = inf): filling
+        # the Pareto profile scratch one row at a time or one block at a time
+        # gives the same bits
+        s = 400
+        rng = np.random.default_rng(16)
+        rows = [_heavy_log_weights(rng, s) for _ in range(3)] + [rng.normal(0, 0.3, s) for _ in range(2)]
+        for n_top in (30, 30, 20):
+            lw = -800.0 - rng.exponential(5.0, s)
+            lw[:n_top] = _heavy_log_weights(rng, n_top)
+            rows.append(lw - lw[:n_top].max())
+        degenerate = -800.0 - rng.exponential(5.0, s)
+        degenerate[:6] = math.log(np.finfo(float).tiny) + 1e-8  # exceedances about 2e-316
+        degenerate[6] = 0.0
+        rows.append(degenerate)
+        ll = -np.stack(rows)
+        pointwise, khat = _psis_block(ll)
+        assert np.all(khat[:3] >= 1.0 / 3.0) and np.all(np.isfinite(khat[:8])) and khat[8] == math.inf
+        for chunk_bytes in (1, 1 << 40):  # one row per chunk, one chunk per tail length
+            monkeypatch.setattr(evaluation, "_GPD_CHUNK_BYTES", chunk_bytes)
+            pointwise_c, khat_c = _psis_block(ll)
+            assert pointwise_c.tobytes() == pointwise.tobytes() and khat_c.tobytes() == khat.tobytes()
+
     def test_pareto_one_tail(self):
         rng = np.random.default_rng(3)
         ll = np.stack([-np.log1p(rng.pareto(1.0, 400)) for _ in range(6)], axis=1)
@@ -872,6 +897,23 @@ class TestQqRmse:
                 else:
                     with pytest.raises(ValueError, match="non-finite quantile"):
                         qq_rmse({"g": obs}, {"g": pred})
+
+    @pytest.mark.parametrize("qs", [evaluation._DECILES, (0.025, 0.975)])
+    def test_sorted_quantiles_equal_np_quantile_bit_for_bit(self, qs):
+        # 1-D samples and 2-D rows, finite or holding +-inf and NaN
+        rng = np.random.default_rng(5)
+        for n in [*range(1, 81), 1000, 10_000]:
+            x = rng.normal(30, 5, (3, n))
+            x[1, rng.random(n) < 0.1] = np.inf
+            x[1, rng.random(n) < 0.1] = -np.inf
+            x[2, rng.random(n) < 0.05] = np.nan
+            x[2, rng.random(n) < 0.05] = np.inf
+            cases = [(x, np.sort(x, axis=1))] + [(row, np.sort(row)) for row in x]
+            for given, ascending in cases:
+                with np.errstate(invalid="ignore"):  # inf - inf
+                    expected = np.quantile(given, qs, axis=-1)
+                    got = evaluation._sorted_quantiles(ascending, qs)
+                assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), (n, given.ndim)
 
     def test_non_finite_quantile_names_the_group(self):
         rng = np.random.default_rng(3)
