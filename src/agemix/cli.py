@@ -179,6 +179,7 @@ def main():
 
 
 _AT_LEAST_1 = click.IntRange(min=1)
+_SEED = click.IntRange(min=0)
 
 
 def _require_finite(ctx, param, value: float) -> float:
@@ -207,7 +208,7 @@ def _load(data):
 @main.command()
 @click.option("--config", "config_path", type=click.Path(), default=None, help="Generator config JSON (packaged default if omitted).")
 @click.option("--out", "out_path", type=click.Path(), required=True, help="Output CSV path.")
-@click.option("--seed", type=int, default=None, help="Override the config seed.")
+@click.option("--seed", type=_SEED, default=None, help="Override the config seed.")
 @click.option("--n", type=_AT_LEAST_1, default=None, help="Override the config sample size.")
 def simulate(config_path, out_path, seed, n):
     """Draw synthetic partnership records from a truth model."""
@@ -269,7 +270,7 @@ def moments(data, out_dir):
 @click.option("--out", "out_dir", type=click.Path(), required=True, help="Output directory.")
 @click.option("--bandwidth", type=click.FloatRange(min=0, min_open=True), default=2.0, show_default=True,
               callback=_require_finite, help="Kernel bandwidth in years.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=_SEED, default=0, show_default=True)
 def deheap_cmd(data, out_dir, bandwidth, seed):
     """Redistribute excess records from heaped partner ages."""
     t0 = time.time()
@@ -409,7 +410,7 @@ def _compare_options(qq_help: str):
     options = (
         click.argument("data", type=click.Path(exists=True)),
         click.option("--out", "out_dir", type=click.Path(), required=True, help="Output directory."),
-        click.option("--seed", type=int, default=0, show_default=True),
+        click.option("--seed", type=_SEED, default=0, show_default=True),
         click.option("--jobs", type=_AT_LEAST_1, default=None, help="Parallel fits (default: available cores)."),
         click.option("--elpd", "elpd_method", type=click.Choice(["psis", "kfold"]), default="psis", show_default=True),
         click.option("--draws", type=_AT_LEAST_1, default=4000, show_default=True, help="Laplace draws per fit."),

@@ -11,7 +11,7 @@ import csv
 import json
 import logging
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -250,9 +250,10 @@ class GeneratorConfig:
 
     Coefficient vectors are on the uncentered design scale of ``spec``.
     ``age_weights`` (optional) gives relative weights over the integer ages
-    15..64; respondent ages are always drawn from that grid. A config is
-    validated when made and frozen: ``dataclasses.replace`` makes a changed
-    copy, validated again.
+    15..64, 50 finite, non-negative values with a positive sum; respondent
+    ages are always drawn from that grid. ``seed`` is non-negative and the
+    share of women ``sex_ratio`` in [0, 1]. A config is validated when made
+    and frozen: ``dataclasses.replace`` makes a changed copy, validated again.
     """
 
     n: int
@@ -269,8 +270,17 @@ class GeneratorConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not 0.0 <= self.sex_ratio <= 1.0:
+            raise ValueError(f"sex_ratio must be in [0, 1], got {self.sex_ratio}")
         if not 0.0 <= self.heaping <= 1.0:
             raise ValueError(f"heaping must be in [0, 1], got {self.heaping}")
+        if self.age_weights is not None:
+            w = np.asarray(self.age_weights, dtype=float)
+            if not (w.shape == (int(AGE_MAX - AGE_MIN) + 1,) and np.all(w >= 0) and 0 < w.sum() < np.inf):
+                raise ValueError(f"age_weights must be 50 finite, non-negative values with a positive sum: {w}")
+            object.__setattr__(self, "age_weights", w)
         spec = self.spec.resolved()
         object.__setattr__(self, "spec", spec)
         recipes = slot_recipes(spec)
@@ -287,21 +297,11 @@ class GeneratorConfig:
             self.coefficients[slot] = got
 
     def to_dict(self) -> dict:
+        """The config's fields in order, its arrays as lists, as ``from_dict`` reads them."""
         return {
-            "n": self.n,
-            "seed": self.seed,
-            "family": self.family.value,
-            "transform": {
-                "kind": self.transform.kind.value,
-                "upper_bound": self.transform.upper_bound,
-                "offset": self.transform.offset,
-            },
-            "spec": self.spec.to_dict(),
-            "coefficients": {k: [float(x) for x in v] for k, v in self.coefficients.items()},
-            "age_weights": None if self.age_weights is None else [float(w) for w in self.age_weights],
-            "sex_ratio": self.sex_ratio,
-            "heaping": self.heaping,
-            "integer_ages": self.integer_ages,
+            **asdict(self),
+            "coefficients": {k: np.asarray(v, dtype=float).tolist() for k, v in self.coefficients.items()},
+            "age_weights": None if self.age_weights is None else self.age_weights.tolist(),
         }
 
     @classmethod
@@ -368,13 +368,7 @@ def simulate(config: GeneratorConfig, return_clipped: bool = False) -> Records |
     rng_cov, rng_y, rng_heap = (np.random.default_rng(s) for s in ss.spawn(3))
 
     age_grid = np.arange(int(AGE_MIN), int(AGE_MAX) + 1)
-    if config.age_weights is None:
-        probs = None
-    else:
-        w = np.asarray(config.age_weights, dtype=float)
-        if w.shape != age_grid.shape:
-            raise ValueError(f"age_weights must have length {age_grid.size}, got {w.shape}")
-        probs = w / w.sum()
+    probs = None if config.age_weights is None else config.age_weights / config.age_weights.sum()
     ages = rng_cov.choice(age_grid, size=config.n, p=probs).astype(float)
     sexes = (rng_cov.uniform(size=config.n) < config.sex_ratio).astype(int)
 

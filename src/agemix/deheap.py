@@ -17,7 +17,7 @@ group's records, and hence its random draws, keep their record order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -130,31 +130,9 @@ class HeapReport:
     groups: list[GroupHeapDetail] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "bandwidth": self.bandwidth,
-            "seed": self.seed,
-            "n_records": self.n_records,
-            "heaping_index_before": self.index_before,
-            "heaping_index_after": self.index_after,
-            "n_moved": self.n_moved,
-            "groups": [
-                {
-                    "sex": g.sex,
-                    "respondent_age": g.respondent_age,
-                    "n_records": g.n_records,
-                    "skipped": g.skipped,
-                    "expected": {str(k): v for k, v in g.expected.items()},
-                    "excess": {str(k): v for k, v in g.excess.items()},
-                    "shares": {
-                        str(k): {str(p): b for p, b in v.items()} for k, v in g.shares.items()
-                    },
-                    "moved": {
-                        str(k): {str(p): c for p, c in v.items()} for k, v in g.moved.items()
-                    },
-                }
-                for g in self.groups
-            ],
-        }
+        """The report's fields in order, the two indexes named ``heaping_index_*``;
+        ``json`` writes the groups' integer partner-age keys as text."""
+        return {("heaping_" + k if k.startswith("index_") else k): v for k, v in asdict(self).items()}
 
 
 def deheap(records: Records, bandwidth: float = 2.0, seed: int = 0):

@@ -18,7 +18,7 @@ a small code range by counting, any others by sorting integer codes.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -80,9 +80,10 @@ _RECIPES = {
 class ModelSpec:
     """A regression specification plus its spline configuration.
 
-    ``knots`` holds the resolved interior knot positions; when ``None`` they
-    are placed at evenly spaced quantiles of the observed respondent ages
-    the first time a spline design is built (see ``with_knots_from_ages``).
+    ``knots`` holds the resolved interior knot positions. When ``None``, an
+    ``inference.FitProblem`` places them at evenly spaced quantiles of its
+    respondent ages when it is made (``with_knots_from_ages``); a design or a
+    generator config without them spaces them evenly (``resolved``).
     """
 
     tag: ModelTag
@@ -132,12 +133,7 @@ class ModelSpec:
         return replace(self, knots=tuple(float(q) for q in qs))
 
     def to_dict(self) -> dict:
-        return {
-            "tag": self.tag.value,
-            "interior_knots": self.interior_knots,
-            "boundary": list(self.boundary),
-            "knots": None if self.knots is None else list(self.knots),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelSpec":

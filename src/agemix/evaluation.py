@@ -29,11 +29,11 @@ may span fits, each through one kernel, which reads the m + 1 largest
 weights as sorted values and fits and smooths the Pareto tails of a block's
 rows of one tail length in one pass; a record takes its key's k-hat and
 pointwise ELPD plus its log Jacobian. Memory is O(draws x block), work O(keys x draws).
-Exact k-fold (``"kfold"``) fits the 10 folds of each problem (knots pinned
-on its full data) as one ``inference.fit_map_batch``, draws ``n_draws`` per
-fold fit and scores the held-out keys the same way; a mixed batch raises
-ValueError. One fit's stream, transposed, is ``pointwise_loglik``'s array,
-which ``elpd_loo`` takes.
+Exact k-fold (``"kfold"``) fits the 10 folds of each problem (each fold
+the problem, so its model, with the fold's records) as one
+``inference.fit_map_batch``, draws ``n_draws`` per fold fit and scores the
+held-out keys the same way; a mixed batch raises ValueError. One fit's
+stream, transposed, is ``pointwise_loglik``'s array, which ``elpd_loo`` takes.
 """
 
 from __future__ import annotations
@@ -169,11 +169,12 @@ def _gpd_fit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m = 30 + int(math.isqrt(n))
     idx = np.arange(1.0, m + 1.0)
     bs0 = 1.0 - np.sqrt(m / (idx - 0.5))
-    bs = bs0[None, :] / (3.0 * x[:, n // 4][:, None]) + 1.0 / x[:, -1][:, None]
     step = max(1, _GPD_CHUNK_BYTES // (8 * m * n))
     buf, ks = np.empty((min(step, rows), m, n)), np.empty((rows, m))
-    # a row whose profile turns NaN here ends with k = NaN, mapped to inf below
-    with np.errstate(invalid="ignore"):
+    # subnormal exceedances overflow bs; a row whose profile turns NaN here
+    # ends with k = NaN, mapped to inf below
+    with np.errstate(over="ignore", invalid="ignore"):
+        bs = bs0[None, :] / (3.0 * x[:, n // 4][:, None]) + 1.0 / x[:, -1][:, None]
         for start in range(0, rows, step):
             part = buf[: min(step, rows - start)]
             np.einsum("rm,rn->rmn", -bs[start : start + step], x[start : start + step], out=part)
@@ -297,11 +298,9 @@ def _kfold(problems, n_draws: int, seeds) -> list:
         records = problem.records
         if len(records) == 1:  # its one fold would train on no records
             errors[c] = FitError("fit_map requires at least one record")
-        # pin spline knots on the full data so folds share one design
-        base = replace(problem, spec=problem.spec.with_knots_from_ages(records.respondent_age))
         assignment = np.arange(len(records)) % _FOLDS
         for fold in range(min(_FOLDS, len(records)) if errors[c] is None else 0):
-            fold_problems.append(replace(base, records=records[assignment != fold]))
+            fold_problems.append(replace(problem, records=records[assignment != fold]))
             fold_of.append((c, np.flatnonzero(assignment == fold), seed + fold + 1))
     fits = fit_map_batch(fold_problems)
     draws = laplace_draws_batch(fits, n_draws, [seed for *_, seed in fold_of])  # then each fold's error

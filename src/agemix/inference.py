@@ -1,7 +1,7 @@
 """MAP fitting of distributional regression models with Gaussian posteriors.
 
 The posterior combines the per-record log density of the transformed outcome
-with independent N(0, prior_sd^2) priors on every regression coefficient
+with one fixed N(0, 5^2) prior (``PRIOR_SD``) on every regression coefficient
 (including the prior normalizing constants, so objective values are
 comparable across dimensionalities). Coefficients act on the *centered*
 design (linear-age columns shifted by ``design.AGE_CENTER``);
@@ -31,8 +31,8 @@ objective values act as +inf sentinels that the line search backs away from.
 The Hessian at the optimum is the curvature of the Gaussian (Laplace)
 approximation that posterior draws come from.
 
-A batch is one model: one family, transform, prior and spec, and every
-batch stage raises ValueError on a mixed one. ``fit_map_batch`` fits such
+A batch is one model: one family, transform and spec, and every batch stage
+raises ValueError on a mixed one (``_stack``). ``fit_map_batch`` fits such
 problems as one batch of cells: each Newton iteration evaluates every cell
 at once (each cell's sums and products over its own keys, in key order) and
 solves their systems with numpy's stacked ``linalg``, while each cell keeps
@@ -59,7 +59,7 @@ this module loads no scipy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -86,7 +86,7 @@ __all__ = [
     "predictive_batch",
 ]
 
-DEFAULT_PRIOR_SD = 5.0
+PRIOR_SD = 5.0  # every coefficient's prior is N(0, PRIOR_SD^2)
 # a fit has converged when its gradient's largest entry is below this
 GRAD_TOL = 1e-6
 
@@ -97,20 +97,25 @@ class FitError(RuntimeError):
 
 @dataclass
 class FitProblem:
-    """One model to fit: family + transform + design spec + data."""
+    """One model to fit: family + transform + design spec + data. A spline
+    spec without knots gets them at quantiles of the records' respondent ages
+    when the problem is made (``ModelSpec.with_knots_from_ages``); one with
+    knots keeps them, so ``replace(problem, records=fold)`` keeps the full data's."""
 
     family: Family
     transform: Transform
     spec: ModelSpec
     records: Records
-    prior_sd: float | None = DEFAULT_PRIOR_SD
+
+    def __post_init__(self):
+        self.spec = self.spec.with_knots_from_ages(self.records.respondent_age)
 
 
 class _Prepared:
     """Arrays shared by objective, gradient and Hessian evaluations of one
-    problem, or of a batch of problems of one family, transform, prior and
-    spec (each problem's knots resolved on its own ages): its cells' keys,
-    each key's outcome ``y``, design rows ``X``, record ``count`` and problem.
+    problem, or of a batch of problems of one family, transform and spec: its
+    cells' keys, each key's outcome ``y``, design rows ``X``, record ``count``
+    and problem.
     A cell's sums and products run over its own segment of them, so a
     non-finite key value stays in its cell.
     Coefficients are (dim,) for one problem and (cells, dim) for a batch.
@@ -119,11 +124,8 @@ class _Prepared:
     def __init__(self, problems):
         batch = not isinstance(problems, FitProblem)
         problems = list(problems) if batch else [problems]
-        if len({p.prior_sd for p in problems}) > 1:
-            raise ValueError("the problems of a batch share one prior")
-        models = [replace(p, spec=p.spec.with_knots_from_ages(p.records.respondent_age)) for p in problems]
-        self.problem, self.slots = models[0], linpred_slots(models[0].family)
-        design, self.problem_of, row, self.y, self.count, *_ = _keys(models, [p.records for p in problems])
+        self.problem, self.slots = problems[0], linpred_slots(problems[0].family)
+        design, self.problem_of, row, self.y, self.count, *_ = _keys(problems, [p.records for p in problems])
         self.X = {slot: design[slot][row] for slot in self.slots}
         bounds = np.searchsorted(self.problem_of, np.arange(len(problems) + 1))
         self.segments, self.starts = list(zip(bounds[:-1], bounds[1:])), bounds[:-1]
@@ -131,8 +133,6 @@ class _Prepared:
         self.offsets = {slot: (end - self.X[slot].shape[1], end) for slot, end in zip(self.slots, ends)}
         self.dim = ends[-1]
         self.coef_shape = (len(problems), self.dim) if batch else (self.dim,)
-        prior_sd = self.problem.prior_sd
-        self.prior_var = None if prior_sd in (None, math.inf) else float(prior_sd) ** 2
 
     def etas(self, b: np.ndarray) -> dict[str, np.ndarray]:
         """Linear predictors of every key under its cell's row of ``b``."""
@@ -283,11 +283,10 @@ def _evaluate(prep: _Prepared, b: np.ndarray):
                 block = prep.products(prep.X[sa], (prep.count * w)[:, None] * prep.X[sb])
                 hess[:, a0:a1, b0:b1] = -block
                 hess[:, b0:b1, a0:a1] = -block.transpose(0, 2, 1)
-        if prep.prior_var is not None:  # N(0, prior_var) on every coefficient, normalizing constant included
-            v = prep.prior_var
-            value += (b * b).sum(axis=1) / (2.0 * v) + prep.dim * 0.5 * math.log(2.0 * math.pi * v)
-            grad += b / v
-            hess[:, np.arange(prep.dim), np.arange(prep.dim)] += 1.0 / v
+        v = PRIOR_SD * PRIOR_SD  # N(0, v) on every coefficient, normalizing constant included
+        value += (b * b).sum(axis=1) / (2.0 * v) + prep.dim * 0.5 * math.log(2.0 * math.pi * v)
+        grad += b / v
+        hess[:, np.arange(prep.dim), np.arange(prep.dim)] += 1.0 / v
         hess = 0.5 * (hess + hess.transpose(0, 2, 1))
     return value, grad, hess
 
@@ -484,9 +483,9 @@ def _default_init(prep: _Prepared) -> np.ndarray:
 
 
 def fit_map_batch(problems, init=None, *, max_iter: int = 100) -> list[FitResult]:
-    """MAP fits of problems of one family, transform, prior and spec (knots
-    resolved on each problem's ages), else ValueError, by one batched damped
-    Newton; ``init`` holds one start per problem (row).
+    """MAP fits of problems of one family, transform and spec, else
+    ValueError, by one batched damped Newton; ``init`` holds one start per
+    problem (row).
 
     Each fit equals its batch-of-one fit, and its non-convergence is flagged
     on its result, not raised. The exact Hessian at each optimum is that
@@ -507,7 +506,7 @@ def fit_map_batch(problems, init=None, *, max_iter: int = 100) -> list[FitResult
         FitResult(
             family=p.family,
             transform=p.transform,
-            spec=prep.problem.spec,
+            spec=p.spec,
             beta_packed=x[c],
             offsets=dict(prep.offsets),
             nlp=float(f[c]),

@@ -113,7 +113,13 @@ class TestSimulateCommand:
         (lambda config: [config], "a generator config must be a JSON object"),
         (lambda config: {**config, "transform": "log_ratio"}, "a generator config field has the wrong type"),
         (lambda config: {**config, "n": None}, "a generator config field has the wrong type"),
-    ], ids=["n-0", "heaping-3.0", "missing-transform", "json-list", "transform-string", "n-null"])
+        (lambda config: {**config, "seed": -1}, "seed must be >= 0"),
+        (lambda config: {**config, "sex_ratio": 3.0}, "sex_ratio must be in [0, 1]"),
+        (lambda config: {**config, "age_weights": [1.0] * 10}, "age_weights must be 50"),
+        (lambda config: {**config, "age_weights": [1.0] * 49 + [-1.0]}, "age_weights must be 50"),
+        (lambda config: {**config, "age_weights": [0.0] * 50}, "age_weights must be 50"),
+    ], ids=["n-0", "heaping-3.0", "missing-transform", "json-list", "transform-string", "n-null", "seed-negative",
+            "sex_ratio-3.0", "age_weights-ten", "age_weights-negative", "age_weights-zeros"])
     def test_invalid_config_file_value_is_a_usage_error(self, runner, tmp_path, edit, message):
         # as --n 0 is: exit status 2, naming the problem, no traceback and no output
         cfg_path = tmp_path / "cfg.json"
@@ -171,6 +177,18 @@ class TestDeheapCommand:
         assert (tmp_path / "manifest.json").exists()
         assert len(load_csv(tmp_path / "deheaped.csv")) == len(load_csv(data_csv))
 
+    def test_report_fields_in_order(self, runner, data_csv, tmp_path):
+        # the report is its dataclasses' fields in order, so a renamed field would show here
+        result = runner.invoke(main, ["deheap", str(data_csv), "--out", str(tmp_path), "--seed", "3"])
+        assert result.exit_code == 0, result.output
+        report = json.loads((tmp_path / "heap_report.json").read_text())
+        assert list(report) == ["manifest", "bandwidth", "seed", "n_records", "heaping_index_before",
+                                "heaping_index_after", "n_moved", "groups"]
+        group = next(g for g in report["groups"] if g["moved"])
+        assert list(group) == ["sex", "respondent_age", "n_records", "skipped", "expected", "excess", "shares", "moved"]
+        p_star, moves = next(iter(group["moved"].items()))
+        assert p_star.isdigit() and all(p.isdigit() and isinstance(c, int) for p, c in moves.items())
+
     def test_unheaped_input_unchanged(self, runner, tmp_path):
         path = tmp_path / "u.csv"
         cfg = default_config(n=800, seed=12)
@@ -200,6 +218,17 @@ class TestDeheapCommand:
         assert result.exit_code == 2, result.output
         assert "Invalid value for '--bandwidth'" in result.output
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "deheap", "compare-distributions", "compare-models"])
+def test_negative_seed_is_a_usage_error(runner, data_csv, tmp_path, command):
+    # numpy seeds only non-negative integers; a negative one stops before any work
+    data = [] if command == "simulate" else [str(data_csv)]
+    out = tmp_path / ("sim.csv" if command == "simulate" else "out")
+    result = runner.invoke(main, [command, *data, "--out", str(out), "--seed", "-1"])
+    assert result.exit_code == 2, result.output
+    assert "Invalid value for '--seed'" in result.output and result.exc_info[0] is SystemExit
+    assert not out.exists()
 
 
 class TestBadInput:

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import tracemalloc
 import warnings
 
@@ -264,7 +265,18 @@ class TestGeneratorConfig:
                 setattr(cfg, field, value)
         assert (cfg.n, cfg.heaping, cfg.seed) == (10, 0.0, 1)
 
-    @pytest.mark.parametrize("field,value,match", [("n", 0, "n must be >= 1"), ("heaping", 3.0, "heaping must be")])
+    @pytest.mark.parametrize("field,value,match", [
+        ("n", 0, "n must be >= 1"),
+        ("heaping", 3.0, "heaping must be"),
+        ("seed", -1, "seed must be >= 0"),
+        ("sex_ratio", 3.0, "sex_ratio must be in"),
+        ("sex_ratio", math.nan, "sex_ratio must be in"),
+        ("age_weights", [1.0] * 10, "age_weights must be 50"),
+        ("age_weights", [1.0] * 49 + [-1.0], "age_weights must be 50"),
+        ("age_weights", [0.0] * 50, "age_weights must be 50"),
+        ("age_weights", [1.0] * 49 + [math.nan], "age_weights must be 50"),
+    ], ids=["n-0", "heaping-3", "seed-negative", "sex_ratio-3", "sex_ratio-nan", "age_weights-ten", "age_weights-negative",
+            "age_weights-zeros", "age_weights-nan"])
     def test_replace_validates_again(self, field, value, match):
         with pytest.raises(ValueError, match=match):
             dataclasses.replace(default_config(n=10, seed=1), **{field: value})

@@ -344,6 +344,7 @@ class TestPsisKernel:
             np.testing.assert_array_equal(khat_p, khat)
             np.testing.assert_allclose(pointwise_p, pointwise, rtol=0, atol=1e-14)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_profile_chunking_never_enters(self, monkeypatch):
         # rows with 60, 30 and 20 positive exceedances (the rest of their
         # tails below the floating-point floor), light rows, and a row of
@@ -775,6 +776,24 @@ class TestKfold:
             ll = pointwise_loglik(fit, laplace_draws(fit, 200, seed=5 + fold), records[held])
             expected = logsumexp(ll, axis=0) - math.log(200)
             np.testing.assert_allclose(res.pointwise[held], expected, rtol=0, atol=1e-12)
+
+    def test_spline_folds_refit_on_the_full_datas_knots(self, tiny_records, three_folds):
+        # every fold refits the problem's model, whose knots sit on the full data's ages, not the fold's
+        tag = ModelTag.DISTRIBUTIONAL_4
+        problem = FitProblem(Family.NORMAL, Transform(TransformKind.LOG_RATIO), ModelSpec(tag), tiny_records)
+        res = kfold_one(problem, 200, 4)
+        full = ModelSpec(tag).with_knots_from_ages(tiny_records.respondent_age)
+        assignment = np.arange(len(tiny_records)) % 3
+        own = []
+        for fold in range(3):
+            held, train = np.flatnonzero(assignment == fold), tiny_records[assignment != fold]
+            own.append(ModelSpec(tag).with_knots_from_ages(train.respondent_age))
+            fit = fit_map(FitProblem(problem.family, problem.transform, full, train))
+            assert fit.converged and fit.spec == full
+            ll = pointwise_loglik(fit, laplace_draws(fit, 200, seed=5 + fold), tiny_records[held])
+            expected = logsumexp(ll, axis=0) - math.log(200)
+            np.testing.assert_allclose(res.pointwise[held], expected, rtol=0, atol=1e-12)
+        assert any(spec != full for spec in own)  # so a fold on its own knots would be another model
 
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="unknown ELPD method"):

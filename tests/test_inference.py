@@ -38,8 +38,8 @@ PRIOR_NORMALIZER = 0.5 * math.log(2 * math.pi * 25.0)
 NO_RECORDS = Records([], [], [])
 
 
-def make_problem(family, kind, tag, records, **kwargs):
-    return FitProblem(family, Transform(kind), ModelSpec(tag), records, **kwargs)
+def make_problem(family, kind, tag, records):
+    return FitProblem(family, Transform(kind), ModelSpec(tag), records)
 
 
 def natural_params(family, *etas):
@@ -186,20 +186,6 @@ class TestFitMap:
     def test_empty_problem_rejected(self):
         with pytest.raises(FitError):
             fit_map(make_problem(Family.NORMAL, TransformKind.LINEAR_AGE, ModelTag.INTERCEPT_ONLY, NO_RECORDS))
-
-    def test_prior_limit_approaches_mle(self, small_records):
-        records = small_records[:400]
-        wide = fit_map(
-            make_problem(
-                Family.NORMAL, TransformKind.LOG_RATIO, ModelTag.CONVENTIONAL, records, prior_sd=1e6
-            )
-        )
-        mle = fit_map(
-            make_problem(
-                Family.NORMAL, TransformKind.LOG_RATIO, ModelTag.CONVENTIONAL, records, prior_sd=None
-            )
-        )
-        assert np.max(np.abs(wide.beta_packed - mle.beta_packed)) < 1e-4
 
     def test_location_shift_invariance(self):
         # prior shrinkage of the intercept scales as 1/n; n here keeps it
@@ -396,12 +382,6 @@ class TestBatchIsOneModel:
         with pytest.raises(ValueError, match=MIXED):
             predictive_batch(fits, draws, [[(p.records, 50, i)] for i, p in enumerate(mixed)])
 
-    def test_mixed_priors_rejected(self, subsets):
-        problems = [make_problem(Family.NORMAL, TransformKind.LOG_RATIO, ModelTag.INTERCEPT_ONLY, subsets[0],
-                                 prior_sd=sd) for sd in (5.0, 10.0)]
-        with pytest.raises(ValueError, match="one prior"):
-            fit_map_batch(problems)
-
     @pytest.mark.parametrize("tag", [ModelTag.DISTRIBUTIONAL_4, ModelTag.CONVENTIONAL])
     def test_design_rows_are_each_records_own(self, tag):
         # fractional ages that repeat within and across problems, both sexes:
@@ -424,6 +404,24 @@ class TestBatchIsOneModel:
             want = design_matrices(spec, r.respondent_age, r.respondent_sex, center=True)
             for slot in prep.slots:
                 np.testing.assert_array_equal(bits(prep.X[slot][mine]), bits(want[slot]))
+
+
+class TestProblemKnots:
+    """A problem settles its model when it is made: a spline spec without knots
+    gets them on the problem's own respondent ages, and one with knots keeps them."""
+
+    def test_knots_set_when_made_and_kept(self, small_records):
+        tag, fold = ModelTag.DISTRIBUTIONAL_4, small_records[:300]
+        problem = make_problem(Family.SINH_ARCSINH, TransformKind.LOG_RATIO, tag, small_records)
+        assert problem.spec == ModelSpec(tag).with_knots_from_ages(small_records.respondent_age)
+        assert problem.spec.knots is not None
+        explicit = ModelSpec(tag, knots=(20.0, 30.0, 40.0, 50.0, 60.0))
+        assert FitProblem(Family.SINH_ARCSINH, Transform(TransformKind.LOG_RATIO), explicit, fold).spec is explicit
+        # a copy with other records, as a k-fold training fold is, keeps the full data's knots
+        assert ModelSpec(tag).with_knots_from_ages(fold.respondent_age) != problem.spec
+        assert dataclasses.replace(problem, records=fold).spec == problem.spec
+        # a spec without splines has no knots to set
+        assert make_problem(Family.NORMAL, TransformKind.LOG_RATIO, ModelTag.CONVENTIONAL, fold).spec.knots is None
 
 
 FIVE_FAMILIES = [
