@@ -275,9 +275,12 @@ def deheap_cmd(data, out_dir, bandwidth, seed):
     """Redistribute excess records from heaped partner ages."""
     t0 = time.time()
     records = _load(data)
+    try:
+        new_records, report = run_deheap(records, bandwidth=bandwidth, seed=seed)
+    except ValueError as exc:  # a fractional age
+        raise click.ClickException(f"{data}: {exc}") from None
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    new_records, report = run_deheap(records, bandwidth=bandwidth, seed=seed)
     csv_path = out_dir / "deheaped.csv"
     save_csv(new_records, csv_path)
     report_path = out_dir / "heap_report.json"

@@ -137,7 +137,7 @@ def load_csv(path) -> Records:
     (``1.0`` is 1); a fractional one is a malformed row.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:  # Excel's "CSV UTF-8" starts with a byte-order mark
         first = fh.readline()
         header = next(csv.reader([first]), None) if first else None
         if header is None or [h.strip() for h in header] != CSV_HEADER:

@@ -22,6 +22,8 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from .distributions import SLOT_NAMES
+
 __all__ = [
     "ModelTag",
     "ModelSpec",
@@ -31,8 +33,6 @@ __all__ = [
     "uncenter_matrix",
     "AGE_CENTER",
 ]
-
-SLOT_NAMES = ("mu", "sigma", "epsilon", "delta")
 
 # linear-age columns are centered at this age inside the optimizer; reported
 # coefficients are translated back to the uncentered scale

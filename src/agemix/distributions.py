@@ -11,6 +11,17 @@ found in the literature).
 Large sinh/cosh arguments are guarded by clamping the argument
 epsilon + delta * asinh(x_z) at +/- 700 before exponentiation.
 
+A family with n parameters is driven by the first n linear-predictor slots
+(``SLOT_NAMES``), which the fit, the ELPD layer and ``simulate`` share. Links
+(``_natural_params``): a positive parameter (``_POSITIVE_FIELDS``) is
+log-linked, its predictor clamped at +/- 700, and any other identity-linked.
+For the sinh-arcsinh family the scale is reparameterized as
+sigma = sigma_star * delta with log sigma_star the predictor, so the
+tail-weight predictor moves both delta and the effective scale. Gamma and
+beta thus take log k / log theta and log alpha / log beta. ``_DERIVS`` gives
+log f with its first and second derivatives in the linear predictors, which
+the MAP fit's Newton steps use, and ``_start`` each family's moment start.
+
 Every CDF is in closed form. The skew-normal one is Phi(z) - 2 T(z, epsilon)
 (Azzalini 1985, Scand. J. Statist.), with T Owen's function; its quantile
 bisects that CDF inside a bracket that holds for every epsilon.
@@ -25,9 +36,10 @@ the erf/erfc rational approximations (Cody 1969), 5.6e-16 relative and
 ``_digamma_trigamma`` (recurrence to x >= 10, then the asymptotic series)
 1.6e-15 * max(1, |ref|); ``_betaln``, against mpmath over 3,000 pairs in
 [1e-3, 1e4], 7.9e-14 relative, where the lgam sum it replaces for a larger
-argument >= 13 (scipy's above a + b = 171.6) loses up to 4e-11. The gamma,
-beta and skew-normal CDFs and quantiles import ``scipy.special`` in their
-branches.
+argument >= 13 (scipy's above a + b = 171.6) loses up to 4e-11. The
+derivatives use log Phi in the skew normal's inverse Mills ratio, and digamma
+and trigamma in the gamma's and beta's. The gamma, beta and skew-normal CDFs
+and quantiles import ``scipy.special`` in their branches.
 """
 
 from __future__ import annotations
@@ -89,17 +101,13 @@ _SLOTS = {
     Family.SINH_ARCSINH: ("mu", "sigma", "epsilon", "delta"),
 }
 
-# Linear-predictor slots backing those parameters; regression code keys its
-# design matrices and coefficient blocks by these names.
-_LINPRED_SLOTS = {
-    Family.NORMAL: ("mu", "sigma"),
-    Family.SKEW_NORMAL: ("mu", "sigma", "epsilon"),
-    Family.GAMMA: ("mu", "sigma"),
-    Family.BETA: ("mu", "sigma"),
-    Family.SINH_ARCSINH: ("mu", "sigma", "epsilon", "delta"),
-}
-
 _POSITIVE_FIELDS = ("sigma", "delta", "k", "theta", "alpha", "beta_p")
+
+# Linear-predictor slots: a family of n parameters is driven by the first n,
+# and regression code keys its design matrices and coefficient blocks by them.
+SLOT_NAMES = ("mu", "sigma", "epsilon", "delta")
+# per family: its slots, and whether each is log-linked (its parameter positive)
+_LINKS = {f: (SLOT_NAMES[: len(names)], tuple(n in _POSITIVE_FIELDS for n in names)) for f, names in _SLOTS.items()}
 
 
 @dataclass
@@ -140,7 +148,7 @@ class ParamVector:
 
 def linpred_slots(family: Family) -> tuple[str, ...]:
     """Linear-predictor slots a family's parameters are driven by."""
-    return _LINPRED_SLOTS[family]
+    return _LINKS[family][0]
 
 
 # log-linked linear predictors are clamped to +/- this before exp
@@ -154,24 +162,17 @@ def _clamped_exp(eta: np.ndarray) -> np.ndarray:
 
 
 def _natural_params(family: Family, etas: dict):
-    """Family parameters (in slot order) from the linear predictors."""
-    if family is Family.NORMAL:
-        return etas["mu"], _clamped_exp(etas["sigma"])
-    if family is Family.SKEW_NORMAL:
-        return etas["mu"], _clamped_exp(etas["sigma"]), etas["epsilon"]
-    if family is Family.GAMMA:
-        return _clamped_exp(etas["mu"]), _clamped_exp(etas["sigma"])
-    if family is Family.BETA:
-        return _clamped_exp(etas["mu"]), _clamped_exp(etas["sigma"])
-    if family is Family.SINH_ARCSINH:
-        sigma_star = _clamped_exp(etas["sigma"])
-        delta = _clamped_exp(etas["delta"])
-        # the product can overflow to inf during wild line-search steps; the
-        # likelihood then evaluates to -inf and the step is rejected
-        with np.errstate(over="ignore"):
-            sigma = sigma_star * delta
-        return etas["mu"], sigma, etas["epsilon"], delta
-    raise ValueError(f"unknown family {family!r}")  # pragma: no cover
+    """Family parameters (in slot order) from the linear predictors: exp (clamped) for a
+    positive parameter, identity for any other, then sigma = sigma_star * delta for the sinh-arcsinh."""
+    slots, logged = _LINKS[family]
+    params = tuple(_clamped_exp(etas[slot]) if log else etas[slot] for slot, log in zip(slots, logged))
+    if family is not Family.SINH_ARCSINH:
+        return params
+    mu, sigma_star, epsilon, delta = params
+    # the product can overflow to inf during wild line-search steps; the
+    # likelihood then evaluates to -inf and the step is rejected
+    with np.errstate(over="ignore"):
+        return mu, sigma_star * delta, epsilon, delta
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +267,141 @@ def log_pdf_slots(family: Family, x, *slots):
     slot arrays is the caller's responsibility (link functions guarantee it).
     """
     return _LOGPDF[family](np.asarray(x, dtype=float), *slots)
+
+
+# ---------------------------------------------------------------------------
+# log f and its first and second derivatives in the linear predictors, and the
+# linear predictors' moment starts
+# ---------------------------------------------------------------------------
+
+
+def _location_scale(z, sigma, lz, lzz):
+    """Derivatives of -s + L(z) in (mu, s) through z = (x - mu) / sigma with
+    s = log sigma, given dL/dz and d2L/dz2."""
+    ms = (z * lzz + lz) / sigma
+    grads = {"mu": -lz / sigma, "sigma": -z * lz - 1.0}
+    hess = {("mu", "mu"): lzz / (sigma * sigma), ("mu", "sigma"): ms, ("sigma", "sigma"): z * sigma * ms}
+    return grads, hess
+
+
+def _derivs_normal(x, mu, sigma):
+    # log f = -log sigma - z^2 / 2 + const
+    z = (x - mu) / sigma
+    return _logpdf_normal(x, mu, sigma), *_location_scale(z, sigma, -z, -1.0)
+
+
+def _derivs_skew_normal(x, mu, sigma, epsilon):
+    # log f = -log sigma - z^2 / 2 + log Phi(u) + const with u = epsilon z; the
+    # density and zeta = phi(u) / Phi(u), stable for u << 0, share log Phi(u)
+    z = (x - mu) / sigma
+    u = epsilon * z
+    log_cdf = _log_ndtr(u)
+    zeta = np.exp(-0.5 * u * u - 0.5 * math.log(2.0 * math.pi) - log_cdf)
+    dzeta = -zeta * (u + zeta)  # d zeta / du
+    lze = zeta + u * dzeta
+    grads, hess = _location_scale(z, sigma, epsilon * zeta - z, epsilon * epsilon * dzeta - 1.0)
+    grads["epsilon"] = z * zeta
+    hess[("mu", "epsilon")] = -lze / sigma
+    hess[("sigma", "epsilon")] = -z * lze
+    hess[("epsilon", "epsilon")] = z * z * dzeta
+    return _logpdf_skew_normal(x, mu, sigma, epsilon, log_cdf), grads, hess
+
+
+def _derivs_gamma(x, k, theta):
+    # slots: log k, log theta
+    psi, psi1 = _digamma_trigamma(k)
+    dk = k * (np.log(x) - psi - np.log(theta))
+    return _logpdf_gamma(x, k, theta), {"mu": dk, "sigma": x / theta - k}, {
+        ("mu", "mu"): dk - k * k * psi1,
+        ("mu", "sigma"): -k,
+        ("sigma", "sigma"): -x / theta,
+    }
+
+
+def _derivs_beta(x, alpha, beta_p):
+    # slots: log alpha, log beta
+    dab, tab = _digamma_trigamma(alpha + beta_p)
+    (psi_a, psi1_a), (psi_b, psi1_b) = _digamma_trigamma(alpha), _digamma_trigamma(beta_p)
+    da = alpha * (np.log(x) - psi_a + dab)
+    db = beta_p * (np.log1p(-x) - psi_b + dab)
+    return _logpdf_beta(x, alpha, beta_p), {"mu": da, "sigma": db}, {
+        ("mu", "mu"): da + alpha * alpha * (tab - psi1_a),
+        ("mu", "sigma"): alpha * beta_p * tab,
+        ("sigma", "sigma"): db + beta_p * beta_p * (tab - psi1_b),
+    }
+
+
+def _derivs_sinh_arcsinh(x, mu, sigma, epsilon, delta):
+    # log f = -log sigma_star + F(z, epsilon, d) + const with d = log delta,
+    # F = -log(1 + z^2) / 2 + G(epsilon + delta asinh z) and
+    # G(w) = log cosh w - sinh(w)^2 / 2; z moves with d as with log sigma_star
+    # because sigma = sigma_star * delta
+    z = (x - mu) / sigma
+    r = np.arcsinh(z)
+    w = np.clip(epsilon + delta * r, -SINH_ARG_CLAMP, SINH_ARG_CLAMP)
+    q = 1.0 / (1.0 + z * z)
+    dr = delta * np.sqrt(q)  # dw/dz
+    g1 = np.tanh(w) - 0.5 * np.sinh(2.0 * w)
+    g2 = 1.0 / np.cosh(w) ** 2 - np.cosh(2.0 * w)
+    fzz = q - 2.0 * q * q + g2 * dr * dr - g1 * dr * z * q
+    fze = g2 * dr
+    fzd = dr * (g2 * delta * r + g1)
+    grads, hess = _location_scale(z, sigma, g1 * dr - z * q, fzz)
+    grads["epsilon"] = g1
+    grads["delta"] = grads["sigma"] + 1.0 + g1 * delta * r
+    ms, ss = hess[("mu", "sigma")], hess[("sigma", "sigma")]
+    hess[("mu", "epsilon")] = -fze / sigma
+    hess[("sigma", "epsilon")] = -z * fze
+    hess[("epsilon", "epsilon")] = g2
+    hess[("mu", "delta")] = ms - fzd / sigma
+    hess[("sigma", "delta")] = ss - z * fzd
+    hess[("epsilon", "delta")] = g2 * delta * r - z * fze
+    hess[("delta", "delta")] = ss - 2.0 * z * fzd + delta * r * (g2 * delta * r + g1)
+    return _logpdf_sinh_arcsinh(x, mu, sigma, epsilon, delta), grads, hess
+
+
+# _DERIVS[family](x, *params) -> (log f, grads, hess): per-record log densities
+# (those of log_pdf_slots) and their first and second derivatives
+# in the linear predictors, n-vectors keyed by slot and by slot pair (a, b)
+# with a before b in the family's slot order
+_DERIVS = {
+    Family.NORMAL: _derivs_normal,
+    Family.SKEW_NORMAL: _derivs_skew_normal,
+    Family.GAMMA: _derivs_gamma,
+    Family.BETA: _derivs_beta,
+    Family.SINH_ARCSINH: _derivs_sinh_arcsinh,
+}
+
+
+def _start(family: Family, y: np.ndarray) -> dict[str, float]:
+    """Moment-based starting intercepts (linear predictors by slot) of one cell's outcome ``y``."""
+    mean = float(y.mean()) if y.size else 0.0
+    sd = max(float(y.std()) if y.size else 1.0, 1e-6)
+    if family is Family.SKEW_NORMAL:
+        # method-of-moments direct parameters (Azzalini & Capitanio 1999): at
+        # epsilon = 0 the likelihood is stationary in epsilon, and Newton can
+        # stop there
+        skew = float(np.clip(np.mean(((y - mean) / sd) ** 3), -0.99, 0.99)) if y.size else 0.0
+        c = float(np.cbrt(2.0 * skew / (4.0 - math.pi)))
+        mu_z = c / math.sqrt(1.0 + c * c)
+        delta = mu_z / math.sqrt(2.0 / math.pi)
+        omega = sd / math.sqrt(1.0 - mu_z * mu_z)
+        return {"mu": mean - omega * mu_z, "sigma": math.log(omega), "epsilon": delta / math.sqrt(1.0 - delta**2)}
+    if family in (Family.NORMAL, Family.SINH_ARCSINH):
+        return {"mu": mean, "sigma": math.log(sd)}
+    if family is Family.GAMMA:
+        var = sd * sd
+        if var > 0 and mean > 0:
+            k, theta = mean * mean / var, var / mean
+        else:
+            k, theta = 1.0, max(mean, 1.0)
+        return {"mu": math.log(k), "sigma": math.log(theta)}
+    var = max(sd * sd, 1e-12)  # beta
+    m = min(max(mean, 1e-6), 1.0 - 1e-6)
+    common = m * (1.0 - m) / var - 1.0
+    if common <= 0:
+        common = 2.0
+    return {"mu": math.log(m * common), "sigma": math.log((1.0 - m) * common)}
 
 
 # ---------------------------------------------------------------------------
@@ -529,16 +665,11 @@ def _check_support(family: Family, x: float) -> None:
         raise DomainError(f"beta support is 0 < x < 1, got x={x!r}")
 
 
-def log_pdf(family: Family, params: ParamVector, x: float, *, strict: bool = True) -> float:
-    """Natural log of the density of ``family`` at ``x``.
-
-    With ``strict`` (the default) an out-of-support ``x`` raises
-    :class:`DomainError`; with ``strict=False`` it returns ``-inf`` so callers
-    accumulating a total log-likelihood can handle it themselves.
-    """
+def log_pdf(family: Family, params: ParamVector, x: float) -> float:
+    """Natural log of the density of ``family`` at ``x``; an out-of-support
+    ``x`` raises :class:`DomainError` (``log_pdf_slots`` gives ``-inf``)."""
     slots = params.require(family)
-    if strict:
-        _check_support(family, x)
+    _check_support(family, x)
     return float(log_pdf_slots(family, x, *slots))
 
 

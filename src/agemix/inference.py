@@ -42,18 +42,9 @@ batch of one: there is one Newton path. On the ``perfbench`` inputs, the 168
 ``compare-distributions`` fits hold 2,671 keys for 4,074 records, and the
 five ``compare-models`` fits 8,665 for 15,000.
 
-Link functions (``distributions._natural_params``, which ``simulate`` shares):
-location-like parameters are identity-linked, positive parameters
-log-linked. For the sinh-arcsinh family the scale is reparameterized as
-sigma = sigma_star * delta with log sigma_star the linear predictor, so the
-tail-weight predictor moves both delta and the effective scale. Gamma and
-beta use the first two linear-predictor slots for their own positive
-parameters (log k / log theta and log alpha / log beta).
-
-The derivatives' special functions (log Phi in the skew normal's inverse
-Mills ratio; digamma and trigamma in the gamma's and beta's) are the numpy
-ports of Cephes in ``distributions``, and the linear algebra is numpy's, so
-this module loads no scipy.
+A family's links, its log f derivatives (``distributions._DERIVS``) and its
+moment start (``distributions._start``) live in ``distributions``; the linear
+algebra is numpy's, so this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -66,9 +57,7 @@ import numpy as np
 from . import transforms
 from .data_io import Records
 from .design import ModelSpec, _design_cells, _unique_pairs, uncenter_matrix
-from .distributions import (SINH_ARG_CLAMP, Family, _digamma_trigamma, _log_ndtr, _logpdf_beta, _logpdf_gamma,
-                            _logpdf_normal, _logpdf_sinh_arcsinh, _logpdf_skew_normal, _natural_params, linpred_slots,
-                            sample_slots)
+from .distributions import _DERIVS, Family, _natural_params, _start, linpred_slots, sample_slots
 from .transforms import Transform
 
 __all__ = [
@@ -147,109 +136,6 @@ class _Prepared:
         if a.shape[1] == b.shape[1] == 1:
             return np.add.reduceat(a * b, self.starts)[:, :, None]
         return np.stack([a[lo:hi].T @ b[lo:hi] for lo, hi in self.segments])
-
-
-# ---------------------------------------------------------------------------
-# log f and its first and second derivatives in the linear predictors
-# ---------------------------------------------------------------------------
-
-
-def _location_scale(z, sigma, lz, lzz):
-    """Derivatives of -s + L(z) in (mu, s) through z = (x - mu) / sigma with
-    s = log sigma, given dL/dz and d2L/dz2."""
-    ms = (z * lzz + lz) / sigma
-    grads = {"mu": -lz / sigma, "sigma": -z * lz - 1.0}
-    hess = {("mu", "mu"): lzz / (sigma * sigma), ("mu", "sigma"): ms, ("sigma", "sigma"): z * sigma * ms}
-    return grads, hess
-
-
-def _derivs_normal(x, mu, sigma):
-    # log f = -log sigma - z^2 / 2 + const
-    z = (x - mu) / sigma
-    return _logpdf_normal(x, mu, sigma), *_location_scale(z, sigma, -z, -1.0)
-
-
-def _derivs_skew_normal(x, mu, sigma, epsilon):
-    # log f = -log sigma - z^2 / 2 + log Phi(u) + const with u = epsilon z; the
-    # density and zeta = phi(u) / Phi(u), stable for u << 0, share log Phi(u)
-    z = (x - mu) / sigma
-    u = epsilon * z
-    log_cdf = _log_ndtr(u)
-    zeta = np.exp(-0.5 * u * u - 0.5 * math.log(2.0 * math.pi) - log_cdf)
-    dzeta = -zeta * (u + zeta)  # d zeta / du
-    lze = zeta + u * dzeta
-    grads, hess = _location_scale(z, sigma, epsilon * zeta - z, epsilon * epsilon * dzeta - 1.0)
-    grads["epsilon"] = z * zeta
-    hess[("mu", "epsilon")] = -lze / sigma
-    hess[("sigma", "epsilon")] = -z * lze
-    hess[("epsilon", "epsilon")] = z * z * dzeta
-    return _logpdf_skew_normal(x, mu, sigma, epsilon, log_cdf), grads, hess
-
-
-def _derivs_gamma(x, k, theta):
-    # slots: log k, log theta
-    psi, psi1 = _digamma_trigamma(k)
-    dk = k * (np.log(x) - psi - np.log(theta))
-    return _logpdf_gamma(x, k, theta), {"mu": dk, "sigma": x / theta - k}, {
-        ("mu", "mu"): dk - k * k * psi1,
-        ("mu", "sigma"): -k,
-        ("sigma", "sigma"): -x / theta,
-    }
-
-
-def _derivs_beta(x, alpha, beta_p):
-    # slots: log alpha, log beta
-    dab, tab = _digamma_trigamma(alpha + beta_p)
-    (psi_a, psi1_a), (psi_b, psi1_b) = _digamma_trigamma(alpha), _digamma_trigamma(beta_p)
-    da = alpha * (np.log(x) - psi_a + dab)
-    db = beta_p * (np.log1p(-x) - psi_b + dab)
-    return _logpdf_beta(x, alpha, beta_p), {"mu": da, "sigma": db}, {
-        ("mu", "mu"): da + alpha * alpha * (tab - psi1_a),
-        ("mu", "sigma"): alpha * beta_p * tab,
-        ("sigma", "sigma"): db + beta_p * beta_p * (tab - psi1_b),
-    }
-
-
-def _derivs_sinh_arcsinh(x, mu, sigma, epsilon, delta):
-    # log f = -log sigma_star + F(z, epsilon, d) + const with d = log delta,
-    # F = -log(1 + z^2) / 2 + G(epsilon + delta asinh z) and
-    # G(w) = log cosh w - sinh(w)^2 / 2; z moves with d as with log sigma_star
-    # because sigma = sigma_star * delta
-    z = (x - mu) / sigma
-    r = np.arcsinh(z)
-    w = np.clip(epsilon + delta * r, -SINH_ARG_CLAMP, SINH_ARG_CLAMP)
-    q = 1.0 / (1.0 + z * z)
-    dr = delta * np.sqrt(q)  # dw/dz
-    g1 = np.tanh(w) - 0.5 * np.sinh(2.0 * w)
-    g2 = 1.0 / np.cosh(w) ** 2 - np.cosh(2.0 * w)
-    fzz = q - 2.0 * q * q + g2 * dr * dr - g1 * dr * z * q
-    fze = g2 * dr
-    fzd = dr * (g2 * delta * r + g1)
-    grads, hess = _location_scale(z, sigma, g1 * dr - z * q, fzz)
-    grads["epsilon"] = g1
-    grads["delta"] = grads["sigma"] + 1.0 + g1 * delta * r
-    ms, ss = hess[("mu", "sigma")], hess[("sigma", "sigma")]
-    hess[("mu", "epsilon")] = -fze / sigma
-    hess[("sigma", "epsilon")] = -z * fze
-    hess[("epsilon", "epsilon")] = g2
-    hess[("mu", "delta")] = ms - fzd / sigma
-    hess[("sigma", "delta")] = ss - z * fzd
-    hess[("epsilon", "delta")] = g2 * delta * r - z * fze
-    hess[("delta", "delta")] = ss - 2.0 * z * fzd + delta * r * (g2 * delta * r + g1)
-    return _logpdf_sinh_arcsinh(x, mu, sigma, epsilon, delta), grads, hess
-
-
-# _DERIVS[family](x, *params) -> (log f, grads, hess): per-record log densities
-# (those of distributions.log_pdf_slots) and their first and second derivatives
-# in the linear predictors, n-vectors keyed by slot and by slot pair (a, b)
-# with a before b in the family's slot order
-_DERIVS = {
-    Family.NORMAL: _derivs_normal,
-    Family.SKEW_NORMAL: _derivs_skew_normal,
-    Family.GAMMA: _derivs_gamma,
-    Family.BETA: _derivs_beta,
-    Family.SINH_ARCSINH: _derivs_sinh_arcsinh,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -439,37 +325,6 @@ class FitResult:
         if not np.all(np.isfinite(self.curvature)):
             return math.nan
         return float(np.linalg.eigvalsh(self.curvature)[0])
-
-
-def _start(family: Family, y: np.ndarray) -> dict[str, float]:
-    """Moment-based starting intercepts of one cell's outcome ``y``."""
-    mean = float(y.mean()) if y.size else 0.0
-    sd = max(float(y.std()) if y.size else 1.0, 1e-6)
-    if family is Family.SKEW_NORMAL:
-        # method-of-moments direct parameters (Azzalini & Capitanio 1999): at
-        # epsilon = 0 the likelihood is stationary in epsilon, and Newton can
-        # stop there
-        skew = float(np.clip(np.mean(((y - mean) / sd) ** 3), -0.99, 0.99)) if y.size else 0.0
-        c = float(np.cbrt(2.0 * skew / (4.0 - math.pi)))
-        mu_z = c / math.sqrt(1.0 + c * c)
-        delta = mu_z / math.sqrt(2.0 / math.pi)
-        omega = sd / math.sqrt(1.0 - mu_z * mu_z)
-        return {"mu": mean - omega * mu_z, "sigma": math.log(omega), "epsilon": delta / math.sqrt(1.0 - delta**2)}
-    if family in (Family.NORMAL, Family.SINH_ARCSINH):
-        return {"mu": mean, "sigma": math.log(sd)}
-    if family is Family.GAMMA:
-        var = sd * sd
-        if var > 0 and mean > 0:
-            k, theta = mean * mean / var, var / mean
-        else:
-            k, theta = 1.0, max(mean, 1.0)
-        return {"mu": math.log(k), "sigma": math.log(theta)}
-    var = max(sd * sd, 1e-12)  # beta
-    m = min(max(mean, 1e-6), 1.0 - 1e-6)
-    common = m * (1.0 - m) / var - 1.0
-    if common <= 0:
-        common = 2.0
-    return {"mu": math.log(m * common), "sigma": math.log((1.0 - m) * common)}
 
 
 def _default_init(prep: _Prepared) -> np.ndarray:

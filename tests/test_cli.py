@@ -256,6 +256,18 @@ class TestBadInput:
         assert result.output.splitlines() == [f"Error: {path}: no records"]
         assert not (tmp_path / "out").exists()
 
+    def test_fractional_age_stops_deheap(self, runner, tmp_path):
+        # deheaping works on whole ages; a fractional one is a data error
+        path = tmp_path / "frac.csv"
+        path.write_text(self.HEADER + "31,0,33\n30.5,1,41\n")
+        result = runner.invoke(main, ["deheap", str(path), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == [
+            f"Error: {path}: deheaping operates on integer age grids; record 1 has respondent_age=30.5"
+        ]
+        assert "Traceback" not in result.output
+        assert not (tmp_path / "out").exists()
+
 
 @pytest.fixture(scope="module")
 def cd_outcome(runner, data_csv, tmp_path_factory):

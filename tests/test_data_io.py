@@ -180,6 +180,16 @@ class TestCsv:
             with pytest.raises(CsvError, match=only_line_3):
                 load_csv(path)
 
+    @pytest.mark.parametrize("first", ["30,1,41", '"30",1,41'])  # the one-pass parse and the row-by-row one
+    def test_byte_order_mark_is_skipped(self, tmp_path, first):
+        # Excel's "CSV UTF-8" starts the file with a UTF-8 byte-order mark
+        body = HEADER + first + "\n25,0,22\n44.5,1,50\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(body.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + body.encode())
+        assert_same_records(load_csv(marked), load_csv(plain))
+        assert_same_records(load_csv(marked), rows((30.0, 1, 41.0), (25.0, 0, 22.0), (44.5, 1, 50.0)))
+
     def test_header_mismatch(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text("a,b,c\n30,1,41\n")

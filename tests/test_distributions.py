@@ -13,6 +13,7 @@ from scipy.integrate import quad, trapezoid
 from scipy.special import betaln, digamma, gammaln, log_ndtr, ndtr, ndtri, polygamma
 
 import agemix
+from agemix.design import ModelSpec, ModelTag, slot_recipes
 from agemix.distributions import (
     DomainError,
     Family,
@@ -22,10 +23,12 @@ from agemix.distributions import (
     _digamma_trigamma,
     _gammaln,
     _log_ndtr,
+    _natural_params,
     _ndtr,
     _ndtri,
     cdf,
     empirical_moments,
+    linpred_slots,
     log_pdf,
     log_pdf_slots,
     quantile,
@@ -69,8 +72,59 @@ def density_mass(family, params):
     else:
         lo, hi = -np.inf, np.inf
     mid = quantile(family, params, 0.5)
-    density = lambda x: math.exp(log_pdf(family, params, x, strict=False))
+    density = lambda x: math.exp(log_pdf_slots(family, x, *params.require(family)))
     return sum(quad(density, a, b, limit=400)[0] for a, b in ((lo, mid), (mid, hi)))
+
+
+class TestLinks:
+    """``linpred_slots`` and ``_natural_params`` derive each family's slots and links from its parameter
+    names; they give, byte for byte, the table and the per-family links they were derived from."""
+
+    SLOTS = {
+        Family.NORMAL: ("mu", "sigma"),
+        Family.SKEW_NORMAL: ("mu", "sigma", "epsilon"),
+        Family.GAMMA: ("mu", "sigma"),
+        Family.BETA: ("mu", "sigma"),
+        Family.SINH_ARCSINH: ("mu", "sigma", "epsilon", "delta"),
+    }
+
+    @staticmethod
+    def reference(family, etas):
+        def exp(eta):  # clips only when needed: numpy's exp can round a strided view unlike a contiguous copy
+            if np.any(np.abs(eta) > 700.0):
+                eta = np.clip(eta, -700.0, 700.0)
+            return np.exp(eta)
+
+        if family is Family.NORMAL:
+            return etas["mu"], exp(etas["sigma"])
+        if family is Family.SKEW_NORMAL:
+            return etas["mu"], exp(etas["sigma"]), etas["epsilon"]
+        if family in (Family.GAMMA, Family.BETA):
+            return exp(etas["mu"]), exp(etas["sigma"])
+        sigma_star, delta = exp(etas["sigma"]), exp(etas["delta"])
+        with np.errstate(over="ignore"):
+            return etas["mu"], sigma_star * delta, etas["epsilon"], delta
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_slots(self, family):
+        assert linpred_slots(family) == self.SLOTS[family]
+        assert tuple(slot_recipes(ModelSpec(ModelTag.CONVENTIONAL)))[: len(self.SLOTS[family])] == self.SLOTS[family]
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_links(self, family):
+        rng = np.random.default_rng(5)
+        edges = np.array([-1e6, -700.5, -700.0, -699.9, 0.0, 355.0, 699.9, 700.0, 700.5, 1e6])
+        cases = [rng.normal(0.0, 3.0, 50), edges, np.float64(701.0), np.array(-700.0)]
+        # every pair of edge values, so sigma_star * delta overflows to inf and underflows to 0
+        cases += list(np.meshgrid(edges, edges))
+        for eta in cases:
+            etas = {slot: eta if i % 2 else np.flip(eta) for i, slot in enumerate(self.SLOTS[family])}
+            with np.errstate(over="raise", invalid="raise"):  # an overflowing sigma_star * delta is silent
+                got, want = _natural_params(family, etas), self.reference(family, etas)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert (type(g), np.shape(g), np.asarray(g).dtype) == (type(w), np.shape(w), np.asarray(w).dtype)
+                assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
 
 
 class TestLogPdf:
@@ -98,7 +152,7 @@ class TestLogPdf:
         params = ParamVector(k=2, theta=1) if family is Family.GAMMA else ParamVector(alpha=2, beta_p=2)
         with pytest.raises(DomainError):
             log_pdf(family, params, x)
-        assert log_pdf(family, params, x, strict=False) == -math.inf
+        assert log_pdf_slots(family, x, *params.require(family)) == -math.inf
 
     def test_missing_parameter_raises(self):
         with pytest.raises(ParameterError):
